@@ -13,7 +13,9 @@ from .linalg import (
 )
 from .objectives import (
     CompositeProblem,
+    IterateState,
     L1Regularizer,
+    LsqCosObjective,
     Objective,
     SeparableRegularizer,
     ZeroRegularizer,

@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +115,11 @@ def _random_spd(n: int, cond: float, seed: int) -> np.ndarray:
 def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
     p = cfg.problem
     if "instance" in p:
-        return load_instance(p["instance"])
+        try:
+            return load_instance(p["instance"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"cannot load instance {p['instance']!r}: {exc!r}") from exc
     kind = p.get("kind", "generated")
     try:
         if kind == "generated":
@@ -158,6 +161,11 @@ def build_rules(cfg: ExperimentConfig, n: int) -> list:
             rules.append(parse_rule(spec, n, default_seed=cfg.seed + j, **kwargs))
         except ValueError as exc:
             raise ConfigError(f"bad rule {spec!r}: {exc}") from exc
+    names = [rule.name for rule in rules]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        # report entries and trace files are keyed by rule name
+        raise ConfigError(f"rule listed more than once: {', '.join(duplicates)}")
     return rules
 
 
@@ -226,15 +234,12 @@ def cmd_run(cfg: ExperimentConfig):
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     entries = {}
-
-    def worker(rule):
+    results = []
+    for rule in rules:
         try:
-            return rule.name, _run_one(problem, rule, cfg), None
+            results.append((rule.name, _run_one(problem, rule, cfg), None))
         except descent.NumericFailureError as exc:
-            return rule.name, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=len(rules)) as pool:
-        results = list(pool.map(worker, rules))
+            results.append((rule.name, None, str(exc)))
 
     any_numeric_failure = False
     all_verified = True
@@ -272,7 +277,7 @@ def cmd_run(cfg: ExperimentConfig):
         "seed": cfg.seed,
         "max_iters": cfg.max_iters,
         "opt_value": problem.opt_value,
-        "opt_value_is_empirical": getattr(problem, "opt_value_is_empirical", False),
+        "opt_value_is_empirical": problem.opt_value_is_empirical,
         "runs": [entries[r.name] for r in rules],
     }
     if "greedy" in entries and "uniform" in entries and \
@@ -464,19 +469,20 @@ def theta_for_rule(problem, rule, x, cert_cache=None):
     """theta(S, x) for deterministic rules, the exact conditional expectation
     for randomized ones; certificates use the block-size-matched scalar."""
     L = _rule_L(problem, rule)
+    if rule.is_randomized:
+        return selection.exact_expected_theta(rule, problem, x, L=L)
+    grad = problem.grad_f(x)
     key = rule.max_block_size
     if cert_cache is not None and key in cert_cache:
         cert = cert_cache[key]
     else:
-        cert = engine.certificate(problem, x, L)
+        cert = engine.certificate(problem, x, L, grad=grad)
         if cert_cache is not None:
             cert_cache[key] = cert
-    if rule.is_randomized:
-        return selection.exact_expected_theta(rule, problem, x, L=L)
     ctx = selection.SelectionContext(
-        x=x, grad=problem.grad_f(x), lambda_per_coord=cert.lambda_per_coord)
+        x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord)
     S = selection.select(rule, problem, ctx)
-    return engine.proportion(problem, x, S, L=L, cert=cert)
+    return engine.proportion(problem, x, S, L=L, cert=cert, grad=grad)
 
 
 def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine, rates
-from .linalg import CoordSet, embed_vector
+from .linalg import CoordSet
 from .objectives import CompositeProblem
 from .selection import BlockRule, SelectionContext, select
 
@@ -73,11 +73,20 @@ class RunResult:
 
 
 def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult:
+    """Block descent from x0 under `rule`.
+
+    The gradient and f come from the objective's iterate state, once per
+    iterate, and are shared by the certificate, the selection, the step and
+    the diagnostics.
+    """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-    if not np.isfinite(problem.F(x)):
+    state = problem.objective.state_at(x)
+    g_value = problem.regularizer.value
+    F_cur = state.f + g_value(x)
+    if not np.isfinite(F_cur):
         raise NumericFailureError("objective not finite at the initial point", x)
 
     if problem.smooth_path:
@@ -95,7 +104,6 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
                         and rule.kind in ("greedy_coord", "greedy_minibatch"))
     need_cert = cfg.record_diagnostics or cfg.stop_on == "certificate" or greedy_nonsmooth
 
-    F_cur = problem.F(x)
     F_init = F_cur
     gap_floor = 1e-14 * max(1.0, abs(F_init))
     trace: list[IterationRecord] = []
@@ -104,12 +112,12 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
     for k in range(cfg.max_iters):
         t0 = time.perf_counter_ns()
-        grad = problem.grad_f(x)
-        if not np.all(np.isfinite(grad)):
+        grad = state.grad
+        if not np.isfinite(grad).all():
             raise NumericFailureError(f"gradient not finite at iteration {k}", x)
 
-        cert = engine.certificate(problem, x, L_used) if need_cert else None
-        xi_cur = problem.xi(x) if has_opt else None
+        cert = engine.certificate(problem, x, L_used, grad=grad) if need_cert else None
+        xi_cur = F_cur - problem.opt_value if has_opt else None
 
         if cfg.stop_on == "gap" and xi_cur <= cfg.epsilon:
             termination = "reached_gap"
@@ -124,7 +132,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             k=k,
         )
         S = select(rule, problem, ctx)
-        step = engine.block_step(problem, x, S, L_used)
+        step = engine.block_step(problem, x, S, L_used, grad=grad)
 
         mu = theta = None
         if cfg.record_diagnostics:
@@ -136,8 +144,9 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
                 # at numerical optimality the forcing ratio is ill-defined
                 mu, theta = 0.0, 0.0
 
-        x_next = x + embed_vector(step.u_S, S, n)
-        F_next = problem.F(x_next)
+        state.move(S, step.u_S)
+        x_next = state.x
+        F_next = state.f + g_value(x_next)
         if not np.isfinite(F_next):
             raise NumericFailureError(f"objective not finite after iteration {k}", x_next)
         if F_next > F_init + 1e-6:
@@ -158,10 +167,11 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     final_lambda = None
     if need_cert:
         final_lambda = (cert.lambda_total if termination != "exhausted_iters"
-                        else engine.certificate(problem, x, L_used).lambda_total)
+                        else engine.certificate(problem, x, L_used,
+                                                grad=state.grad).lambda_total)
     return RunResult(
         x=x, trace=trace, termination=termination,
-        final_F=F_cur, final_xi=problem.xi(x) if has_opt else None,
+        final_F=F_cur, final_xi=F_cur - problem.opt_value if has_opt else None,
         final_lambda=final_lambda, rule_name=rule.name, L_used=L_used,
     )
 
@@ -262,11 +272,12 @@ def empirical_optimum(problem: CompositeProblem, tol: float = 1e-24,
     x = np.zeros(problem.dim)
     F_cur = problem.F(x)
     for _ in range(max_iters):
-        cert = engine.certificate(problem, x, L)
+        grad = problem.grad_f(x)
+        cert = engine.certificate(problem, x, L, grad=grad)
         if cert.lambda_total < tol:
             break
         S = CoordSet.full(problem.dim)
-        step = engine.block_step(problem, x, S, L)
+        step = engine.block_step(problem, x, S, L, grad=grad)
         x = x + step.u_S
         F_next = problem.F(x)
         if F_cur - F_next < 1e-16 * (1.0 + abs(F_cur)):

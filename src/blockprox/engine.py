@@ -2,7 +2,9 @@
 minimizers, and the proportion function.
 
 All quantities are computed from their definitions; the closed-form
-per-rule bounds live in the test suite as independent oracles.
+per-rule bounds live in the test suite as independent oracles.  Functions
+that need grad f(x) take it as an optional `grad` argument, so that a
+caller holding it already (the descent loop) does not recompute it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .linalg import CoordSet, mask_vector
 from .objectives import CompositeProblem
@@ -54,9 +56,14 @@ def _lambda_scalar(problem, xi_val, grad_i, i, L) -> float:
     return max(-L * model, 0.0)
 
 
-def certificate(problem: CompositeProblem, x: np.ndarray, L=None) -> Certificate:
+def _gradient(problem: CompositeProblem, x: np.ndarray, grad) -> np.ndarray:
+    return problem.grad_f(x) if grad is None else grad
+
+
+def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
+                grad=None) -> Certificate:
     L = _L_used(problem, L)
-    grad = problem.grad_f(x)
+    grad = _gradient(problem, x, grad)
     if problem.smooth_path:
         per = 0.5 * grad * grad
     else:
@@ -80,12 +87,22 @@ def forcing(problem: CompositeProblem, x: np.ndarray, L=None, gap_tol=None) -> f
     return certificate(problem, x, L).lambda_total / xi
 
 
-def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None) -> BlockStep:
+def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve without its input checks (same LAPACK call)."""
+    c, lower = factor
+    sol, info = dpotrs(c, rhs, lower=int(lower))
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return sol
+
+
+def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
+               grad=None) -> BlockStep:
     """Minimizer of the block model U_S at x and its model decrease."""
-    grad = problem.grad_f(x)
+    grad = _gradient(problem, x, grad)
     if problem.smooth_path:
         g_S = mask_vector(grad, S)
-        u_S = -scipy.linalg.cho_solve(problem.objective.factor_for(S.indices), g_S)
+        u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
         decrease = -0.5 * float(g_S @ u_S)
     else:
         L = _L_used(problem, L)
@@ -126,16 +143,18 @@ def proportion(
     S: CoordSet,
     L=None,
     cert: Certificate | None = None,
+    grad=None,
 ) -> float:
     """theta(S, x): block model decrease over the full-space model decrease.
 
     Zero by definition when the certificate vanishes.
     """
     if cert is None:
-        cert = certificate(problem, x, L)
+        grad = _gradient(problem, x, grad)
+        cert = certificate(problem, x, L, grad=grad)
     if cert.lambda_total <= 0.0:
         return 0.0
-    step = block_step(problem, x, S, L=cert.L_used)
+    step = block_step(problem, x, S, L=cert.L_used, grad=grad)
     # In the scalar-L path the block decrease is sum_{i in S} lambda_i / L and
     # the certificate is sum_j lambda_j, so the ratio carries the 1/L factor
     # the theory expects (theta of the full set equals 1/L there).

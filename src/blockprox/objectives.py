@@ -4,10 +4,16 @@ An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
 x, h.  A SeparableRegularizer supplies per-coordinate values and exact scalar
 prox maps for the nonsmooth half of F = f + g.
+
+The descent loop reads f and its gradient through an iterate state
+(`Objective.state_at`): the value and gradient at the current iterate, and a
+`move` by a block step.  A closure objective recomputes both after a move;
+the least-squares-plus-cosine objective keeps them current in O(n |S|).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,7 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import check_symmetric, eig_extremes, is_spd, spd_factor
+from .linalg import CoordSet, check_symmetric, eig_extremes, is_spd, spd_factor
+
+#: The least-squares-plus-cosine state recomputes M x from scratch once the
+#: moves since the last recomputation have updated this many multiples of n
+#: coordinates: every n iterations of a serial rule, every iteration of full
+#: batch.  Bounds the drift of the incremental updates at O(n) extra work per
+#: updated coordinate.
+MX_REFRESH_SWEEPS = 1
 
 
 @dataclass
@@ -51,6 +64,52 @@ class Objective:
             if len(self._factor_cache) < 100_000:
                 self._factor_cache[indices] = fac
         return fac
+
+    @functools.cached_property
+    def importance_cdf(self) -> np.ndarray:
+        """CDF of drawing coordinate i with probability M_ii / trace(M),
+        normalised as numpy's `Generator.choice` does, so that a
+        `searchsorted` of one uniform draw gives the same stream."""
+        d = np.diag(self.smoothness)
+        cdf = (d / d.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    def state_at(self, x: np.ndarray) -> "IterateState":
+        """f and its gradient at x, kept current by `IterateState.move`."""
+        return IterateState(self, x)
+
+
+class IterateState:
+    """f(x) and grad f(x) at the current iterate x of a descent run.
+
+    This base state recomputes: one `eval_f` per position and one `grad_f`
+    per position whose gradient is read.
+    """
+
+    def __init__(self, objective: Objective, x: np.ndarray):
+        self.objective = objective
+        self.x = x
+        self.f = float(objective.eval_f(x))
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.asarray(self.objective.grad_f(self.x), dtype=float)
+        return self._grad
+
+    def move(self, S: CoordSet, u_S: np.ndarray) -> None:
+        """x <- x + u_S embedded at S."""
+        idx = S.array
+        x = self.x.copy()
+        x[idx] += u_S
+        self.x = x
+        self._grad = None
+        self._update(idx, u_S)
+
+    def _update(self, idx: np.ndarray, u_S: np.ndarray) -> None:
+        self.f = float(self.objective.eval_f(self.x))
 
 
 class SeparableRegularizer:
@@ -100,7 +159,7 @@ class L1Regularizer(SeparableRegularizer):
         return math.copysign(max(abs(c) - t, 0.0), c)
 
     def value(self, x):
-        return self.lam * float(np.abs(x).sum())
+        return self.lam * float(np.abs(x).sum()) if self.lam else 0.0
 
 
 def make_l1(lam: float) -> L1Regularizer:
@@ -119,6 +178,8 @@ class CompositeProblem:
     regularizer: SeparableRegularizer = field(default_factory=ZeroRegularizer)
     L_scalar: Optional[float] = None
     opt_value: Optional[float] = None
+    # set when opt_value comes from a descent run rather than a known optimum
+    opt_value_is_empirical: bool = False
 
     def __post_init__(self):
         if self.L_scalar is None:
@@ -136,6 +197,19 @@ class CompositeProblem:
     def smooth_path(self) -> bool:
         return self.regularizer.is_zero
 
+    # Read-only views of a least-squares-plus-cosine instance's data.
+    @property
+    def instance_A(self) -> np.ndarray:
+        return self.objective.A
+
+    @property
+    def instance_b(self) -> np.ndarray:
+        return self.objective.b
+
+    @property
+    def instance_c(self) -> np.ndarray:
+        return self.objective.c
+
     def F(self, x: np.ndarray) -> float:
         return float(self.objective.eval_f(x)) + self.regularizer.value(x)
 
@@ -148,30 +222,95 @@ class CompositeProblem:
         return self.F(x) - self.opt_value
 
 
-def make_lsq_cos(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Objective:
-    """f(x) = ||Ax - b||^2 / (2m) + cos(<c, x>) / m.
+def _lsq_cos_value(A, b, c, x):
+    m = A.shape[0]
+    r = A @ x - b
+    return 0.5 / m * float(r @ r) + math.cos(float(c @ x)) / m
+
+
+def _lsq_cos_gradient(A, b, c, x):
+    r = A @ x - b
+    return (A.T @ r - math.sin(float(c @ x)) * c) / A.shape[0]
+
+
+class LsqCosObjective(Objective):
+    """f(x) = ||Ax - b||^2 / (2m) + cos(<c, x>) / m, holding A, b, c as data.
 
     Curvature bound M = (A'A + cc') / m dominates the Hessian
-    (A'A - cos(<c,x>) cc') / m uniformly since |cos| <= 1.
+    (A'A - cos(<c,x>) cc') / m uniformly since |cos| <= 1.  With
+    A'A/m = M - cc'/m, an iterate state keeps only M x current:
+
+        grad f = M x - c <c,x>/m - A'b/m - sin(<c,x>) c / m
+        f      = x'Mx/2 - <c,x>^2/(2m) - <A'b/m, x> + ||b||^2/(2m) + cos(<c,x>)/m
+
+    `eval_f` and `grad_f` evaluate directly in O(m n).  They are bound to the
+    arrays, not to the objective, so that dropping an objective frees it at
+    once rather than at the next cyclic garbage collection.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError(f"dimension mismatch: A is {m}x{n}, b {b.shape}, c {c.shape}")
 
-    M = (A.T @ A + np.outer(c, c)) / m
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 seed: Optional[int] = None):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        b = np.asarray(b, dtype=float).ravel()
+        c = np.asarray(c, dtype=float).ravel()
+        m, n = A.shape
+        if b.shape != (m,) or c.shape != (n,):
+            raise ValueError(f"dimension mismatch: A is {m}x{n}, b {b.shape}, c {c.shape}")
+        self.A, self.b, self.c, self.seed = A, b, c, seed
+        self.m = m
+        self.Atb_m = A.T @ b / m
+        self.bb_2m = 0.5 * float(b @ b) / m
+        super().__init__(dim=n,
+                         eval_f=functools.partial(_lsq_cos_value, A, b, c),
+                         grad_f=functools.partial(_lsq_cos_gradient, A, b, c),
+                         smoothness=(A.T @ A + np.outer(c, c)) / m)
 
-    def f(x):
-        r = A @ x - b
-        return 0.5 / m * float(r @ r) + math.cos(float(c @ x)) / m
+    def state_at(self, x: np.ndarray) -> "LsqCosState":
+        return LsqCosState(self, x)
 
-    def grad(x):
-        r = A @ x - b
-        return (A.T @ r - math.sin(float(c @ x)) * c) / m
 
-    return Objective(dim=n, eval_f=f, grad_f=grad, smoothness=M)
+class LsqCosState(IterateState):
+    """Iterate state of a least-squares-plus-cosine objective: a move by u_S
+    updates M x by M[:, S] u_S, and f and the gradient follow in O(n)."""
+
+    def __init__(self, objective: LsqCosObjective, x: np.ndarray):
+        self.objective = objective
+        self.x = x
+        self._refresh()
+        self._update_f()
+
+    def _refresh(self) -> None:
+        self._Mx = self.objective.smoothness @ self.x
+        self._moved = 0
+
+    def _update(self, idx: np.ndarray, u_S: np.ndarray) -> None:
+        self._moved += len(idx)
+        if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
+            self._refresh()
+        else:
+            self._Mx = self._Mx + self.objective.smoothness[:, idx] @ u_S
+        self._update_f()
+
+    def _update_f(self) -> None:
+        obj, x = self.objective, self.x
+        m = obj.m
+        self._cx = float(obj.c @ x)
+        self.f = (0.5 * float(x @ self._Mx) - 0.5 * self._cx * self._cx / m
+                  - float(obj.Atb_m @ x) + obj.bb_2m + math.cos(self._cx) / m)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            obj, m = self.objective, self.objective.m
+            self._grad = (self._Mx - (self._cx + math.sin(self._cx)) / m * obj.c
+                          - obj.Atb_m)
+        return self._grad
+
+
+def make_lsq_cos(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LsqCosObjective:
+    """f(x) = ||Ax - b||^2 / (2m) + cos(<c, x>) / m (see LsqCosObjective)."""
+    return LsqCosObjective(A, b, c)
 
 
 def make_quadratic(Q: np.ndarray, smoothness: Optional[np.ndarray] = None) -> Objective:
@@ -350,25 +489,23 @@ def gen_instance(m: int, n: int, seed: int, lam: float = 0.0) -> CompositeProble
     b = A @ y
     c = rng.standard_normal(n)
     c /= np.linalg.norm(c)
-    obj = make_lsq_cos(A, b, c)
-    problem = CompositeProblem(objective=obj, regularizer=make_l1(lam))
-    problem.instance_meta = {"m": m, "n": n, "seed": seed, "lam": lam}
-    _attach_arrays(problem, A, b, c)
-    return problem
+    obj = LsqCosObjective(A, b, c, seed=seed)
+    return CompositeProblem(objective=obj, regularizer=make_l1(lam))
 
 
 def save_instance(problem: CompositeProblem, path) -> None:
-    """Serialize a generated instance (A row-major, b, c, lambda, seed)."""
-    meta = getattr(problem, "instance_meta", {})
-    A = problem.instance_A
+    """Serialize a generated or loaded instance (A row-major, b, c, lambda,
+    seed)."""
+    obj = problem.objective
+    m, n = obj.A.shape
     payload = {
-        "m": A.shape[0],
-        "n": A.shape[1],
-        "seed": meta.get("seed"),
-        "lambda": meta.get("lam", 0.0),
-        "A": A.ravel().tolist(),
-        "b": problem.instance_b.tolist(),
-        "c": problem.instance_c.tolist(),
+        "m": m,
+        "n": n,
+        "seed": obj.seed,
+        "lambda": problem.regularizer.lam,
+        "A": obj.A.ravel().tolist(),
+        "b": obj.b.tolist(),
+        "c": obj.c.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -381,15 +518,5 @@ def load_instance(path) -> CompositeProblem:
     A = np.array(payload["A"], dtype=float).reshape(m, n)
     b = np.array(payload["b"], dtype=float)
     c = np.array(payload["c"], dtype=float)
-    lam = payload.get("lambda", 0.0)
-    obj = make_lsq_cos(A, b, c)
-    problem = CompositeProblem(objective=obj, regularizer=make_l1(lam))
-    problem.instance_meta = {"m": m, "n": n, "seed": payload.get("seed"), "lam": lam}
-    _attach_arrays(problem, A, b, c)
-    return problem
-
-
-def _attach_arrays(problem, A, b, c):
-    problem.instance_A = A
-    problem.instance_b = b
-    problem.instance_c = c
+    obj = LsqCosObjective(A, b, c, seed=payload.get("seed"))
+    return CompositeProblem(objective=obj, regularizer=make_l1(payload.get("lambda", 0.0)))

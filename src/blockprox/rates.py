@@ -5,6 +5,7 @@ K(epsilon) formulas for each selection rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +19,12 @@ from .linalg import (
     enumerate_subsets,
     eig_extremes,
 )
+
+
+#: Working memory of one chunk in `expected_inverse_matrix`: the stacked
+#: tau x tau blocks, their inverses, and the row and column indices that
+#: scatter them back (four arrays of 8-byte entries per subset).
+INVERSE_CHUNK_BYTES = 4 * 2**20
 
 
 class NoGuaranteeError(ValueError):
@@ -89,31 +96,51 @@ def L_tau(M: np.ndarray, tau: int,
         return bound
 
 
+def _accumulate_inverses(out: np.ndarray, M: np.ndarray, subsets: np.ndarray) -> None:
+    """out[S, S] += inv(M[S, S]) for each row S of `subsets`, in row order
+    (np.add.at adds repeated entries in index order)."""
+    inv = np.linalg.inv(M[subsets[:, :, None], subsets[:, None, :]])
+    rows = np.broadcast_to(subsets[:, :, None], inv.shape).ravel()
+    cols = np.broadcast_to(subsets[:, None, :], inv.shape).ravel()
+    np.add.at(out, (rows, cols), inv.ravel())
+
+
 def expected_inverse_matrix(M: np.ndarray, tau: int,
                             budget: int = DEFAULT_ENUMERATION_BUDGET,
                             mc_samples: int = 20_000,
                             mc_seed: int = 0) -> np.ndarray:
     """Average over all cardinality-tau sets S of the inverse block of M
-    embedded back at the rows/columns of S."""
+    embedded back at the rows/columns of S.
+
+    Blocks are inverted a chunk at a time (INVERSE_CHUNK_BYTES) and summed
+    in enumeration (or draw) order.
+    """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     out = np.zeros_like(M)
+    chunk = max(1, INVERSE_CHUNK_BYTES // (4 * 8 * tau * tau))
     try:
+        subsets = enumerate_subsets(n, tau, budget)
         count = 0
-        for S in enumerate_subsets(n, tau, budget):
-            idx = S.array
-            out[np.ix_(idx, idx)] += np.linalg.inv(M[np.ix_(idx, idx)])
-            count += 1
-        return out / count
+        while True:
+            block = np.array([S.indices for S in itertools.islice(subsets, chunk)],
+                             dtype=np.intp)
+            if not len(block):
+                return out / count
+            _accumulate_inverses(out, M, block)
+            count += len(block)
     except EnumerationTooLargeError:
         warnings.warn(
             f"C({n},{tau}) exceeds the enumeration budget; Monte-Carlo "
             f"estimate over {mc_samples} samples"
         )
         rng = np.random.default_rng(mc_seed)
-        for _ in range(mc_samples):
-            idx = np.sort(rng.choice(n, size=tau, replace=False))
-            out[np.ix_(idx, idx)] += np.linalg.inv(M[np.ix_(idx, idx)])
+        done = 0
+        while done < mc_samples:
+            size = min(chunk, mc_samples - done)
+            _accumulate_inverses(out, M, np.array(
+                [np.sort(rng.choice(n, size=tau, replace=False)) for _ in range(size)]))
+            done += size
         return out / mc_samples
 
 
@@ -168,6 +195,10 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
     """K(epsilon) guaranteeing the target gap for a (rule, class) pair."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    # refuse before computing the rule's constant, which may be costly
+    if fclass.kind == "gradient_dominated" and rule.kind != "full_batch":
+        raise NoGuaranteeError(
+            "gradient-dominated bounds are published for batch descent only")
     c, provenance = rule_constant(rule, problem, budget)
 
     if fclass.kind == "strongly_pl":
@@ -186,9 +217,6 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
                 return 0
             return math.ceil((xi0 / (c * eps)) * math.log(xi0 / eps))
     else:  # gradient_dominated: only the batch-descent bound is published
-        if rule.kind != "full_batch":
-            raise NoGuaranteeError(
-                "gradient-dominated bounds are published for batch descent only")
         L = eig_extremes(problem.objective.smoothness)[1]
 
         def K(eps):

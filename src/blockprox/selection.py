@@ -191,8 +191,10 @@ def select(rule: BlockRule, problem: CompositeProblem, ctx: SelectionContext) ->
         if not problem.smooth_path:
             raise ValueError("importance sampling has no scalar-L guarantee; "
                              "not offered for nonsmooth problems")
-        p = importance_probabilities(problem)
-        return CoordSet((int(rule.rng.choice(n, p=p)),), n)
+        # the draw rng.choice(n, p=importance_probabilities(problem)) makes,
+        # without re-validating p on every call
+        cdf = problem.objective.importance_cdf
+        return CoordSet((int(cdf.searchsorted(rule.rng.random(), side="right")),), n)
     if kind == "tau_nice":
         return _tau_nice_draw(rule)
 
@@ -225,11 +227,12 @@ def exact_expected_theta(
     Falls back to Monte-Carlo (with a warning carrying the standard error)
     when the tau-nice support exceeds the enumeration budget.
     """
-    cert = engine.certificate(problem, x, L)
+    grad = problem.grad_f(x)
+    cert = engine.certificate(problem, x, L, grad=grad)
     n = problem.dim
 
     def theta(S):
-        return engine.proportion(problem, x, S, cert=cert)
+        return engine.proportion(problem, x, S, cert=cert, grad=grad)
 
     if rule.kind == "full_batch":
         return theta(CoordSet.full(n))

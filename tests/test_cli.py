@@ -311,3 +311,47 @@ def test_check_suite_passes(tmp_path, capsys):
     assert all(c.passed for c in checks)
     assert out.count("PASS") == len(checks)
     assert "worst_margin" in out
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"m": 2, "n": 2}',
+                                     '{"m": 2, "n": 2, "A": [1, 2, 3], "b": [0, 0], '
+                                     '"c": [1, 0]}'])
+def test_bad_instance_file_is_config_error(tmp_path, capsys, content):
+    inst = tmp_path / "inst.json"
+    if content is not None:
+        inst.write_text(content)
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "kind = generated", f"instance = {inst}")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_duplicate_rule_names_are_config_error(tmp_path, capsys):
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "rules = full, uniform, importance, greedy, cyclic, nice:3, greedymb:3",
+        "rules = uniform seed=1, uniform seed=2")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "uniform" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_cmd_run_report_matches_direct_runs_in_rule_order(tmp_path):
+    from blockprox import descent
+
+    cfg = load_config(write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "out")))
+    report, code = cmd_run(cfg)
+    assert code == EXIT_OK
+    problem = build_problem(cfg)
+    descent.empirical_optimum(problem)
+    rules = build_rules(cfg, problem.dim)
+    assert [e["rule"] for e in report["runs"]] == [r.name for r in rules]
+    for entry, rule in zip(report["runs"], rules):
+        result = descent.run(problem, rule, descent.RunConfig(
+            max_iters=cfg.max_iters, record_diagnostics=True))
+        assert entry["final_F"] == result.final_F
+        assert entry["iterations"] == len(result.trace)
+        with open(entry["trace"]) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["block"] for row in rows] == [
+            ";".join(str(i) for i in r.block.one_based()) for r in result.trace]

@@ -309,3 +309,43 @@ def test_predict_K_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         predict_K(parse_rule("full", 2), FunctionClass("general_nonconvex"),
                   problem, 0.0, 1.0)
+
+
+def test_refused_pair_never_computes_rule_constant(monkeypatch):
+    from blockprox.objectives import gen_instance
+
+    problem = gen_instance(m=40, n=10, seed=0)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("expected_inverse_matrix called for a refused pair")
+
+    monkeypatch.setattr(rates, "expected_inverse_matrix", fail)
+    fclass = FunctionClass("gradient_dominated", c=1.0, p=1.0)
+    for spec in ("nice:3", "greedymb:3", "uniform", "importance", "greedy"):
+        with pytest.raises(NoGuaranteeError):
+            predict_K(parse_rule(spec, 10), fclass, problem, 1e-6, 1.0)
+
+
+def _expected_inverse_loop(M, tau, subsets):
+    """Per-subset oracle: invert each block and add it in the given order."""
+    out = np.zeros_like(M)
+    for idx in subsets:
+        out[np.ix_(idx, idx)] += np.linalg.inv(M[np.ix_(idx, idx)])
+    return out / len(subsets)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4 * 8 * 9 * 7])
+def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:  # seven 3x3 subsets per chunk
+        monkeypatch.setattr(rates, "INVERSE_CHUNK_BYTES", chunk_bytes)
+    M = _random_spd(9, 7.0, 4)
+    subsets = [S.array for S in enumerate_subsets(9, 3)]
+    assert np.array_equal(expected_inverse_matrix(M, 3),
+                          _expected_inverse_loop(M, 3, subsets))
+
+    # the Monte-Carlo branch draws the same sets as a per-sample loop
+    rng = np.random.default_rng(5)
+    draws = [np.sort(rng.choice(9, size=3, replace=False)) for _ in range(500)]
+    with pytest.warns(UserWarning, match="Monte-Carlo"):
+        E = expected_inverse_matrix(M, 3, budget=10, mc_samples=500, mc_seed=5)
+    assert np.array_equal(E, _expected_inverse_loop(M, 3, draws))

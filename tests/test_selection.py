@@ -259,3 +259,14 @@ def test_selection_on_generated_instance_all_rules():
         rule = parse_rule(text, 8, default_seed=1)
         S = select(rule, problem, _ctx(problem, x))
         assert 1 <= len(S) <= rule.max_block_size
+
+
+def test_importance_draws_match_generator_choice():
+    problem = gen_instance(m=200, n=40, seed=1)
+    p = importance_probabilities(problem)
+    rule = parse_rule("importance seed=5", 40)
+    reference = np.random.default_rng(5)
+    ctx = SelectionContext(x=np.zeros(40))
+    drawn = [select(rule, problem, ctx).indices[0] for _ in range(20_000)]
+    expected = [int(reference.choice(40, p=p)) for _ in range(20_000)]
+    assert drawn == expected
