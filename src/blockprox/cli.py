@@ -258,6 +258,8 @@ def cmd_run(cfg: ExperimentConfig):
             "iterations": len(result.trace),
             "final_F": result.final_F,
             "final_xi": result.final_xi,
+            "L_used": result.L_used,
+            "L_used_source": result.L_used_source,
             "cumulative_decrease": first_F - result.final_F,
             "heuristic_selection_used": any(r.heuristic for r in result.trace),
         }
@@ -458,17 +460,10 @@ def check_descent_inequalities(problem, seed=0, iters=150, tau=3, **_):
     return CheckResult(f"descent_inequalities_{tag}", ok, worst, detail)
 
 
-def _rule_L(problem, rule):
-    """Smoothness scalar matched to the rule's block size (nonsmooth path)."""
-    if problem.smooth_path:
-        return None
-    return rates.L_tau(problem.objective.smoothness, rule.max_block_size)
-
-
 def theta_for_rule(problem, rule, x, cert_cache=None):
     """theta(S, x) for deterministic rules, the exact conditional expectation
     for randomized ones; certificates use the block-size-matched scalar."""
-    L = _rule_L(problem, rule)
+    L, _ = rates.rule_L(problem, rule)
     if rule.is_randomized:
         return selection.exact_expected_theta(rule, problem, x, L=L)
     grad = problem.grad_f(x)
@@ -503,7 +498,7 @@ def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):
             f"nice:{tau}": nice_lo,
         }
     else:
-        lt = rates.L_tau(M, tau)
+        lt = problem.objective.block_smoothness(tau).value
         bounds = {
             "full": 1.0 / eig_extremes(M)[1],
             "uniform": 1.0 / (n * float(np.diag(M).max())),

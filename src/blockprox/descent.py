@@ -70,6 +70,8 @@ class RunResult:
     final_lambda: Optional[float]
     rule_name: str
     L_used: Optional[float]
+    # "exact" or "trace_bound" (see BlockSmoothness); None on the smooth path
+    L_used_source: Optional[str] = None
 
 
 def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult:
@@ -89,11 +91,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     if not np.isfinite(F_cur):
         raise NumericFailureError("objective not finite at the initial point", x)
 
-    if problem.smooth_path:
-        L_used = None
-    else:
-        L_used = rates.L_tau(problem.objective.smoothness, rule.max_block_size,
-                             budget=rule.budget)
+    L_used, L_used_source = rates.rule_L(problem, rule)
     has_opt = problem.opt_value is not None
     if cfg.record_diagnostics and not has_opt:
         raise ValueError("diagnostics need a known or empirical optimum for the gap")
@@ -173,6 +171,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         x=x, trace=trace, termination=termination,
         final_F=F_cur, final_xi=F_cur - problem.opt_value if has_opt else None,
         final_lambda=final_lambda, rule_name=rule.name, L_used=L_used,
+        L_used_source=L_used_source,
     )
 
 
@@ -267,8 +266,8 @@ def empirical_optimum(problem: CompositeProblem, tol: float = 1e-24,
     The result is an *empirical* optimum; it is stored on the problem.
     """
     rule = BlockRule("full_batch", problem.dim)
-    L = None if problem.smooth_path else rates.L_tau(
-        problem.objective.smoothness, problem.dim)
+    L, _ = rates.rule_L(problem, rule)
+    S = rule.full_set
     x = np.zeros(problem.dim)
     F_cur = problem.F(x)
     for _ in range(max_iters):
@@ -276,7 +275,6 @@ def empirical_optimum(problem: CompositeProblem, tol: float = 1e-24,
         cert = engine.certificate(problem, x, L, grad=grad)
         if cert.lambda_total < tol:
             break
-        S = CoordSet.full(problem.dim)
         step = engine.block_step(problem, x, S, L, grad=grad)
         x = x + step.u_S
         F_next = problem.F(x)

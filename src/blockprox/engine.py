@@ -4,7 +4,9 @@ minimizers, and the proportion function.
 All quantities are computed from their definitions; the closed-form
 per-rule bounds live in the test suite as independent oracles.  Functions
 that need grad f(x) take it as an optional `grad` argument, so that a
-caller holding it already (the descent loop) does not recompute it.
+caller holding it already (the descent loop) does not recompute it.  On the
+scalar-L prox path the certificate and the block step are numpy expressions
+over the regularizer's array maps, one entry per coordinate.
 """
 
 from __future__ import annotations
@@ -43,17 +45,24 @@ def _L_used(problem: CompositeProblem, L) -> float:
 
 
 def lambda_i(problem: CompositeProblem, x: np.ndarray, i: int, L=None) -> float:
-    """-L * min_v { grad_i f(x) v + L v^2 / 2 + g_i(x_i + v) - g_i(x_i) }."""
-    L = _L_used(problem, L)
-    gi = float(problem.grad_f(x)[i])
-    return _lambda_scalar(problem, float(x[i]), gi, i, L)
+    """-L * min_v { grad_i f(x) v + L v^2 / 2 + g_i(x_i + v) - g_i(x_i) }:
+    entry i of the certificate."""
+    return float(certificate(problem, x, L).lambda_per_coord[i])
 
 
-def _lambda_scalar(problem, xi_val, grad_i, i, L) -> float:
-    reg = problem.regularizer
-    v = reg.prox(xi_val - grad_i / L, L, i) - xi_val
-    model = grad_i * v + 0.5 * L * v * v + reg.value_i(i, xi_val + v) - reg.value_i(i, xi_val)
-    return max(-L * model, 0.0)
+def _prox_model(reg, x, grad, L: float, idx=None):
+    """The prox step v and the certificate entries lambda at the coordinates
+    `idx` (all when None), given x and grad f(x) at those coordinates:
+
+        v_i      = prox_i(x_i - grad_i / L, L) - x_i
+        lambda_i = max(-L (grad_i v_i + L v_i^2 / 2 + g_i(x_i + v_i) - g_i(x_i)), 0)
+    """
+    v = reg.prox_array(x - grad / L, L, idx) - x
+    model = (grad * v + 0.5 * L * v * v + reg.value_array(x + v, idx)
+             - reg.value_array(x, idx))
+    lam = -L * model
+    # max(lam, 0.0) entrywise, keeping lam when it is not below 0.0 (-0.0, nan)
+    return v, np.where(0.0 > lam, 0.0, lam)
 
 
 def _gradient(problem: CompositeProblem, x: np.ndarray, grad) -> np.ndarray:
@@ -67,12 +76,7 @@ def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
     if problem.smooth_path:
         per = 0.5 * grad * grad
     else:
-        per = np.array(
-            [
-                _lambda_scalar(problem, float(x[i]), float(grad[i]), i, L)
-                for i in range(problem.dim)
-            ]
-        )
+        _, per = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
     return Certificate(lambda_total=float(per.sum()), lambda_per_coord=per, L_used=L)
 
 
@@ -106,14 +110,12 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
         decrease = -0.5 * float(g_S @ u_S)
     else:
         L = _L_used(problem, L)
-        reg = problem.regularizer
-        u = np.empty(len(S))
-        decrease = 0.0
-        for j, i in enumerate(S):
-            xi_val, gi = float(x[i]), float(grad[i])
-            u[j] = reg.prox(xi_val - gi / L, L, i) - xi_val
-            decrease += _lambda_scalar(problem, xi_val, gi, i, L) / L
-        u_S = u
+        idx = S.array
+        u_S, lam_S = _prox_model(problem.regularizer, np.asarray(x, dtype=float)[idx],
+                                 grad[idx], L, idx)
+        # sum_{i in S} lambda_i / L accumulated in index order, not pairwise;
+        # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
+        decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
     return BlockStep(S=S, u_S=u_S, decrease=max(decrease, 0.0))
 
 
@@ -129,11 +131,10 @@ def evaluate_block_model(problem, x, S, u_S, L=None) -> float:
     else:
         L = _L_used(problem, L)
         quad = 0.5 * L * float(u_S @ u_S)
-        reg = problem.regularizer
-        reg_term = sum(
-            reg.value_i(i, float(x[i]) + float(u_S[j])) - reg.value_i(i, float(x[i]))
-            for j, i in enumerate(S)
-        )
+        reg, idx = problem.regularizer, S.array
+        x_S = np.asarray(x, dtype=float)[idx]
+        reg_term = float(np.sum(reg.value_array(x_S + u_S, idx)
+                                - reg.value_array(x_S, idx)))
     return float(g_S @ u_S) + quad + reg_term
 
 

@@ -2,8 +2,11 @@
 
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
-x, h.  A SeparableRegularizer supplies per-coordinate values and exact scalar
-prox maps for the nonsmooth half of F = f + g.
+x, h, and caches what is derived from M: Cholesky factors of principal
+submatrices and the block smoothness scalars L_tau.  A SeparableRegularizer
+is the nonsmooth half of F = f + g; it is read through array maps (values
+g_i(v_i) and the prox of many coordinates at once with one scalar ell), so
+the certificate and the prox step are numpy expressions over a block.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -17,11 +20,19 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import CoordSet, check_symmetric, eig_extremes, is_spd, spd_factor
+from . import rates
+from .linalg import (
+    DEFAULT_ENUMERATION_BUDGET,
+    CoordSet,
+    check_symmetric,
+    eig_extremes,
+    is_spd,
+    spd_factor,
+)
 
 #: The least-squares-plus-cosine state recomputes M x from scratch once the
 #: moves since the last recomputation have updated this many multiples of n
@@ -29,6 +40,15 @@ from .linalg import CoordSet, check_symmetric, eig_extremes, is_spd, spd_factor
 #: batch.  Bounds the drift of the incremental updates at O(n) extra work per
 #: updated coordinate.
 MX_REFRESH_SWEEPS = 1
+
+
+class BlockSmoothness(NamedTuple):
+    """L_tau of an objective's M and how it was obtained: "exact" (the
+    maximum over all cardinality-tau principal submatrices) or "trace_bound"
+    (the enumeration budget was exceeded)."""
+
+    value: float
+    source: str
 
 
 @dataclass
@@ -42,6 +62,8 @@ class Objective:
     known_minimizer: Optional[np.ndarray] = None
     # Cholesky factors of principal submatrices, keyed by index tuple
     _factor_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # BlockSmoothness keyed by (tau, enumeration budget)
+    _L_tau_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.smoothness = check_symmetric(self.smoothness)
@@ -64,6 +86,18 @@ class Objective:
             if len(self._factor_cache) < 100_000:
                 self._factor_cache[indices] = fac
         return fac
+
+    def block_smoothness(self, tau: int,
+                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockSmoothness:
+        """`rates.L_tau` of M with its provenance, computed once per
+        (tau, budget); so its trace-bound warning fires once as well."""
+        key = (tau, budget)
+        hit = self._L_tau_cache.get(key)
+        if hit is None:
+            value = rates.L_tau(self.smoothness, tau, budget)
+            source = "exact" if rates.L_tau_is_exact(self.dim, tau, budget) else "trace_bound"
+            hit = self._L_tau_cache[key] = BlockSmoothness(value, source)
+        return hit
 
     @functools.cached_property
     def importance_cdf(self) -> np.ndarray:
@@ -113,9 +147,21 @@ class IterateState:
 
 
 class SeparableRegularizer:
-    """Per-coordinate g_i with an exact scalar prox.
+    """g(x) = sum_i g_i(x_i), each g_i with an exact prox.
 
-    prox(c, ell, i) returns argmin_v { (ell/2) (v - c)^2 + g_i(v) }.
+    A regularizer is defined by two scalar callbacks:
+
+        value_i(i, v)    = g_i(v)
+        prox(c, ell, i)  = argmin_v { (ell/2) (v - c)^2 + g_i(v) }
+
+    The descent engine reads it through their array maps, which take the
+    coordinates `idx` an array refers to (None: 0, 1, ..., len - 1):
+
+        value_array(v, idx)[j]     = g_{idx[j]}(v[j])
+        prox_array(c, ell, idx)[j] = prox(c[j], ell, idx[j])
+
+    Their defaults call the scalar callbacks once per entry; a concrete
+    regularizer overrides them with numpy expressions.
     """
 
     is_zero = False
@@ -127,8 +173,18 @@ class SeparableRegularizer:
     def prox(self, c: float, ell: float, i: int) -> float:
         raise NotImplementedError
 
+    def value_array(self, v: np.ndarray, idx=None) -> np.ndarray:
+        idx = range(len(v)) if idx is None else idx
+        return np.array([self.value_i(int(i), float(vj)) for i, vj in zip(idx, v)],
+                        dtype=float)
+
+    def prox_array(self, c: np.ndarray, ell: float, idx=None) -> np.ndarray:
+        idx = range(len(c)) if idx is None else idx
+        return np.array([self.prox(float(cj), ell, int(i)) for i, cj in zip(idx, c)],
+                        dtype=float)
+
     def value(self, x: np.ndarray) -> float:
-        return float(sum(self.value_i(i, float(v)) for i, v in enumerate(x)))
+        return float(self.value_array(x).sum())
 
 
 class ZeroRegularizer(SeparableRegularizer):
@@ -140,11 +196,19 @@ class ZeroRegularizer(SeparableRegularizer):
     def prox(self, c, ell, i):
         return c
 
+    def value_array(self, v, idx=None):
+        return np.zeros(len(v))
+
+    def prox_array(self, c, ell, idx=None):
+        return c
+
     def value(self, x):
         return 0.0
 
 
 class L1Regularizer(SeparableRegularizer):
+    """g(x) = lam ||x||_1; the prox is soft-thresholding at lam / ell."""
+
     def __init__(self, lam: float):
         if lam < 0:
             raise ValueError("l1 weight must be nonnegative")
@@ -157,6 +221,12 @@ class L1Regularizer(SeparableRegularizer):
     def prox(self, c, ell, i):
         t = self.lam / ell
         return math.copysign(max(abs(c) - t, 0.0), c)
+
+    def value_array(self, v, idx=None):
+        return self.lam * np.abs(v)
+
+    def prox_array(self, c, ell, idx=None):
+        return np.copysign(np.maximum(np.abs(c) - self.lam / ell, 0.0), c)
 
     def value(self, x):
         return self.lam * float(np.abs(x).sum()) if self.lam else 0.0

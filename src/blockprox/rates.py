@@ -18,6 +18,7 @@ from .linalg import (
     EnumerationTooLargeError,
     enumerate_subsets,
     eig_extremes,
+    subset_count,
 )
 
 
@@ -67,12 +68,20 @@ class RateBound:
     provenance: dict = field(default_factory=dict)
 
 
+def L_tau_is_exact(n: int, tau: int,
+                   budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
+    """Whether `L_tau` of an n x n matrix is the exact maximum (True) or the
+    trace upper bound it falls back to (False)."""
+    return tau in (1, n) or subset_count(n, tau) <= budget
+
+
 def L_tau(M: np.ndarray, tau: int,
           budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """Largest eigenvalue over all cardinality-tau principal submatrices.
 
     Falls back to the trace upper bound (sum of the tau largest diagonal
-    entries) with a warning when enumeration is infeasible.
+    entries) with a warning when enumeration is infeasible.  Callers with an
+    objective read it through `Objective.block_smoothness`, which caches it.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -82,18 +91,26 @@ def L_tau(M: np.ndarray, tau: int,
         return float(np.diag(M).max())
     if tau == n:
         return eig_extremes(M)[1]
-    try:
+    if L_tau_is_exact(n, tau, budget):
         return max(
             eig_extremes(M[np.ix_(S.array, S.array)])[1]
             for S in enumerate_subsets(n, tau, budget)
         )
-    except EnumerationTooLargeError:
-        bound = float(np.sort(np.diag(M))[-tau:].sum())
-        warnings.warn(
-            f"C({n},{tau}) exceeds the enumeration budget; using the trace "
-            f"upper bound {bound} for L_tau"
-        )
-        return bound
+    bound = float(np.sort(np.diag(M))[-tau:].sum())
+    warnings.warn(
+        f"C({n},{tau}) exceeds the enumeration budget; using the trace "
+        f"upper bound {bound} for L_tau"
+    )
+    return bound
+
+
+def rule_L(problem, rule):
+    """The scalar L of the prox steps under `rule` with its provenance: L_tau
+    at the rule's largest block size (`BlockSmoothness`, cached on the
+    objective), or (None, None) on the matrix-curvature smooth path."""
+    if problem.smooth_path:
+        return None, None
+    return problem.objective.block_smoothness(rule.max_block_size, rule.budget)
 
 
 def _accumulate_inverses(out: np.ndarray, M: np.ndarray, subsets: np.ndarray) -> None:
@@ -186,7 +203,7 @@ def rule_constant(rule, problem, budget: int = DEFAULT_ENUMERATION_BUDGET):
     if smooth:
         lam_min = eig_extremes(expected_inverse_matrix(M, rule.tau, budget))[0]
         return lam_min, {"lambda_min(E[inv])": lam_min}
-    lt = L_tau(M, rule.tau, budget)
+    lt = problem.objective.block_smoothness(rule.tau, budget).value
     return rule.tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / rule.tau}
 
 

@@ -7,6 +7,7 @@ nice:<tau> | greedymb:<tau>`` optionally followed by ``seed=<u64>``.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -58,6 +59,15 @@ class BlockRule:
         self.rng = np.random.default_rng(seed)
         self.last_was_heuristic = False
         self._exact_cache = None  # (matrix id, subsets, inverse blocks)
+
+    @functools.cached_property
+    def singletons(self) -> tuple[CoordSet, ...]:
+        """The n one-coordinate sets, built and validated once per rule."""
+        return tuple(CoordSet((i,), self.n) for i in range(self.n))
+
+    @functools.cached_property
+    def full_set(self) -> CoordSet:
+        return CoordSet.full(self.n)
 
     @property
     def max_block_size(self) -> int:
@@ -182,11 +192,11 @@ def select(rule: BlockRule, problem: CompositeProblem, ctx: SelectionContext) ->
     n = rule.n
     kind = rule.kind
     if kind == "full_batch":
-        return CoordSet.full(n)
+        return rule.full_set
     if kind == "uniform_coord":
-        return CoordSet((int(rule.rng.integers(n)),), n)
+        return rule.singletons[rule.rng.integers(n)]
     if kind == "cyclic_coord":
-        return CoordSet((ctx.k % n,), n)
+        return rule.singletons[ctx.k % n]
     if kind == "importance_coord":
         if not problem.smooth_path:
             raise ValueError("importance sampling has no scalar-L guarantee; "
@@ -194,7 +204,7 @@ def select(rule: BlockRule, problem: CompositeProblem, ctx: SelectionContext) ->
         # the draw rng.choice(n, p=importance_probabilities(problem)) makes,
         # without re-validating p on every call
         cdf = problem.objective.importance_cdf
-        return CoordSet((int(cdf.searchsorted(rule.rng.random(), side="right")),), n)
+        return rule.singletons[cdf.searchsorted(rule.rng.random(), side="right")]
     if kind == "tau_nice":
         return _tau_nice_draw(rule)
 
@@ -203,14 +213,14 @@ def select(rule: BlockRule, problem: CompositeProblem, ctx: SelectionContext) ->
         grad = ctx.grad if ctx.grad is not None else problem.grad_f(ctx.x)
         if kind == "greedy_coord":
             scores = grad * grad / np.diag(problem.objective.smoothness)
-            return CoordSet((int(scores.argmax()),), n)
+            return rule.singletons[scores.argmax()]
         return _greedy_minibatch_smooth(rule, problem, grad)
     lam = ctx.lambda_per_coord
     if lam is None:
         raise ValueError("greedy selection on a nonsmooth problem needs "
                          "per-coordinate certificates in the context")
     if kind == "greedy_coord":
-        return CoordSet((int(np.argmax(lam)),), n)
+        return rule.singletons[np.argmax(lam)]
     order = np.argsort(-lam, kind="stable")  # ties resolve to lowest index
     return CoordSet(tuple(sorted(int(i) for i in order[: rule.tau])), n)
 
@@ -235,14 +245,14 @@ def exact_expected_theta(
         return engine.proportion(problem, x, S, cert=cert, grad=grad)
 
     if rule.kind == "full_batch":
-        return theta(CoordSet.full(n))
+        return theta(rule.full_set)
     if rule.kind == "uniform_coord":
-        return float(np.mean([theta(CoordSet((i,), n)) for i in range(n)]))
+        return float(np.mean([theta(S) for S in rule.singletons]))
     if rule.kind == "importance_coord":
         if not problem.smooth_path:
             raise ValueError("importance sampling is smooth-only")
         p = importance_probabilities(problem)
-        return float(sum(p[i] * theta(CoordSet((i,), n)) for i in range(n)))
+        return float(sum(p[i] * theta(S) for i, S in enumerate(rule.singletons)))
     if rule.kind == "tau_nice":
         try:
             vals = [theta(S) for S in enumerate_subsets(n, rule.tau, rule.budget)]

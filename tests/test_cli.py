@@ -355,3 +355,72 @@ def test_cmd_run_report_matches_direct_runs_in_rule_order(tmp_path):
             rows = list(csv.DictReader(fh))
         assert [row["block"] for row in rows] == [
             ";".join(str(i) for i in r.block.one_based()) for r in result.trace]
+
+
+def _count_L_tau(monkeypatch):
+    from collections import Counter
+
+    from blockprox import rates
+
+    calls = Counter()
+    original = rates.L_tau
+
+    def counted(M, tau, budget=rates.DEFAULT_ENUMERATION_BUDGET):
+        calls[tau] += 1
+        return original(M, tau, budget)
+
+    monkeypatch.setattr(rates, "L_tau", counted)
+    return calls
+
+
+def test_theta_for_rule_computes_L_tau_once_per_tau(monkeypatch):
+    from blockprox.objectives import gen_instance
+    from blockprox.selection import parse_rule
+
+    calls = _count_L_tau(monkeypatch)
+    problem = gen_instance(m=40, n=12, seed=1, lam=0.05)
+    rules = [parse_rule(t, 12, default_seed=1)
+             for t in ("full", "uniform", "greedy", "cyclic", "nice:3", "greedymb:3")]
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        x = rng.standard_normal(12)
+        for rule in rules:
+            cli.theta_for_rule(problem, rule, x)
+    assert calls == {12: 1, 1: 1, 3: 1}
+    check = cli.check_theta_bounds(problem, seed=1, tau=3, n_points=3)
+    assert check.passed
+    assert calls == {12: 1, 1: 1, 3: 1}
+    # another objective has its own cache
+    cli.theta_for_rule(gen_instance(m=40, n=12, seed=2, lam=0.05), rules[4], x)
+    assert calls[3] == 2
+
+
+def test_report_carries_L_used_and_its_source(tmp_path):
+    from blockprox import rates
+
+    path = write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "smooth"))
+    report, code = cmd_run(load_config(path))
+    assert code == EXIT_OK
+    for entry in report["runs"]:
+        assert entry["L_used"] is None and entry["L_used_source"] is None
+
+    body = SMOOTH_CFG.format(out=tmp_path / "l1").replace(
+        "seed = 0\n\n[rules]", "seed = 0\nlambda = 0.02\n\n[rules]").replace(
+        "full, uniform, importance, greedy, cyclic, nice:3, greedymb:3",
+        "uniform, full, nice:3").replace("seed = 0\n\n[output]",
+                                         "seed = 0\nbudget = 20\n\n[output]")
+    cfg = load_config(write_cfg(tmp_path, body, name="l1.ini"))
+    assert cfg.budget == 20  # below C(8,3) = 56: nice:3 takes the trace bound
+    with pytest.warns(UserWarning, match="trace upper bound"):
+        report, code = cmd_run(cfg)
+    assert code == EXIT_OK
+    saved = json.loads((tmp_path / "l1" / "report.json").read_text())
+    M = build_problem(cfg).objective.smoothness
+    by_rule = {e["rule"]: e for e in saved["runs"]}
+    assert by_rule["uniform"]["L_used"] == rates.L_tau(M, 1)
+    assert by_rule["uniform"]["L_used_source"] == "exact"
+    assert by_rule["full"]["L_used"] == rates.L_tau(M, 8)
+    assert by_rule["full"]["L_used_source"] == "exact"
+    assert by_rule["nice:3"]["L_used"] == float(np.sort(np.diag(M))[-3:].sum())
+    assert by_rule["nice:3"]["L_used_source"] == "trace_bound"
+    assert all(e["verified"] for e in saved["runs"])

@@ -203,3 +203,105 @@ def test_generated_instance_certificate_paths():
     cert2 = certificate(p, x, L=2 * p.L_scalar)
     assert cert2.L_used == pytest.approx(2 * p.L_scalar)
     assert cert2.lambda_total != pytest.approx(cert.lambda_total)
+
+
+import math  # noqa: E402
+
+from blockprox.objectives import SeparableRegularizer  # noqa: E402
+
+
+def _lambda_oracle(reg, x_i, g_i, i, L):
+    """The per-coordinate certificate in scalar arithmetic, one coordinate."""
+    v = reg.prox(x_i - g_i / L, L, i) - x_i
+    model = g_i * v + 0.5 * L * v * v + reg.value_i(i, x_i + v) - reg.value_i(i, x_i)
+    return max(-L * model, 0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _l1_instance_points():
+    p = gen_instance(60, 20, seed=4, lam=0.05)
+    rng = np.random.default_rng(8)
+    xs = [rng.standard_normal(20), np.zeros(20)]
+    x = rng.standard_normal(20)
+    x[::3] = 0.0  # at the kink of |.|
+    xs.append(x)
+    return p, xs
+
+
+def test_nonsmooth_certificate_matches_scalar_oracle_bitwise():
+    p, xs = _l1_instance_points()
+    reg = p.regularizer
+    for x in xs:
+        grad = p.grad_f(x)
+        for L in (p.L_scalar, 3.0 * p.L_scalar):
+            cert = certificate(p, x, L)
+            oracle = [_lambda_oracle(reg, float(x[i]), float(grad[i]), i, L)
+                      for i in range(20)]
+            np.testing.assert_array_equal(_bits(cert.lambda_per_coord), _bits(oracle))
+            assert lambda_i(p, x, 7, L) == oracle[7]
+
+
+def test_nonsmooth_block_step_matches_scalar_oracle_bitwise():
+    p, xs = _l1_instance_points()
+    reg, L = p.regularizer, p.L_scalar
+    rng = np.random.default_rng(9)
+    for x in xs:
+        grad = p.grad_f(x)
+        for size in (1, 8, 20):
+            S = CoordSet(tuple(sorted(rng.choice(20, size=size, replace=False))), 20)
+            step = block_step(p, x, S, L, grad=grad)
+            u, decrease = [], 0.0
+            for i in S:
+                xi_val, gi = float(x[i]), float(grad[i])
+                u.append(reg.prox(xi_val - gi / L, L, i) - xi_val)
+                decrease += _lambda_oracle(reg, xi_val, gi, i, L) / L
+            np.testing.assert_array_equal(_bits(step.u_S), _bits(u))
+            assert _bits(step.decrease) == _bits(max(decrease, 0.0))
+
+
+class _ScalarL1(SeparableRegularizer):
+    """L1 through the scalar callbacks only: the base class's array maps
+    call them once per coordinate."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def value_i(self, i, v):
+        return self.lam * abs(v)
+
+    def prox(self, c, ell, i):
+        return math.copysign(max(abs(c) - self.lam / ell, 0.0), c)
+
+
+def test_array_maps_match_scalar_callback_twin_runs():
+    from blockprox.descent import RunConfig, empirical_optimum, run
+    from blockprox.selection import parse_rule
+
+    smooth = gen_instance(1000, 100, seed=5)
+    lam = 0.2 * float(np.abs(smooth.grad_f(np.zeros(100))).max())
+    p = gen_instance(1000, 100, seed=5, lam=lam)
+    empirical_optimum(p)
+    twin = CompositeProblem(p.objective, _ScalarL1(lam), opt_value=p.opt_value)
+    for j, spec in enumerate(("full", "uniform", "greedy", "cyclic", "nice:8",
+                              "greedymb:8")):
+        cfg = RunConfig(max_iters=400, record_diagnostics=True)
+        a = run(p, parse_rule(spec, 100, default_seed=j), cfg)
+        b = run(twin, parse_rule(spec, 100, default_seed=j), cfg)
+        assert [r.block for r in a.trace] == [r.block for r in b.trace], spec
+        np.testing.assert_array_equal(_bits(a.x), _bits(b.x))
+        for name in ("lam", "theta", "step_norm"):
+            np.testing.assert_array_equal(
+                _bits([getattr(r, name) for r in a.trace]),
+                _bits([getattr(r, name) for r in b.trace]), err_msg=f"{spec} {name}")
+        assert a.final_lambda == b.final_lambda
+        # g(x) is lam * sum|x_i| against sum(lam |x_i|): equal up to rounding
+        scale = max(abs(a.trace[0].F), abs(a.final_F))
+        for name in ("F", "xi", "mu"):
+            np.testing.assert_allclose([getattr(r, name) for r in a.trace],
+                                       [getattr(r, name) for r in b.trace],
+                                       rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=f"{spec} {name}")
+        assert a.final_F == pytest.approx(b.final_F, rel=1e-12, abs=1e-12 * scale)

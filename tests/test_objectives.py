@@ -231,3 +231,77 @@ def test_objective_rejects_bad_smoothness():
         objectives.Objective(dim=3, eval_f=lambda x: 0.0,
                              grad_f=lambda x: np.zeros(3),
                              smoothness=np.eye(2))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_l1_prox_array_matches_scalar_formula_bitwise():
+    lam, ell = 0.3, 1.5
+    t = lam / ell
+    c = np.array([0.0, -0.0, t, -t, np.nextafter(t, 0.0), np.nextafter(t, 1.0),
+                  -np.nextafter(t, 0.0), 1e-300, -1e-300, 0.7, -0.7, 3.0, -2.5,
+                  1e300, -1e300, np.inf, -np.inf, 5e-17])
+    reg = make_l1(lam)
+    expected = [math.copysign(max(abs(ci) - t, 0.0), ci) for ci in c]
+    np.testing.assert_array_equal(_bits(reg.prox_array(c, ell)), _bits(expected))
+    # the scalar method is the same map, and the coordinate index is ignored
+    np.testing.assert_array_equal(
+        _bits([reg.prox(float(ci), ell, 0) for ci in c]), _bits(expected))
+    np.testing.assert_array_equal(
+        _bits(reg.prox_array(c, ell, np.arange(len(c)))), _bits(expected))
+    np.testing.assert_array_equal(_bits(reg.value_array(c)),
+                                  _bits([reg.value_i(0, float(ci)) for ci in c]))
+
+
+def test_zero_regularizer_array_maps():
+    reg = ZeroRegularizer()
+    c = np.array([1.5, -0.0, 2.0])
+    np.testing.assert_array_equal(reg.prox_array(c, 3.0), c)
+    np.testing.assert_array_equal(reg.value_array(c, np.array([0, 4, 7])), np.zeros(3))
+
+
+class _ScaledAbs(objectives.SeparableRegularizer):
+    """g_i(v) = w_i |v| through the scalar callbacks only."""
+
+    def __init__(self, w):
+        self.w = np.asarray(w, dtype=float)
+
+    def value_i(self, i, v):
+        return float(self.w[i]) * abs(v)
+
+    def prox(self, c, ell, i):
+        return math.copysign(max(abs(c) - float(self.w[i]) / ell, 0.0), c)
+
+
+def test_default_array_maps_call_the_scalar_callbacks_per_coordinate():
+    reg = _ScaledAbs([0.1, 0.2, 0.3, 0.4])
+    v = np.array([1.0, -2.0, 0.05])
+    idx = np.array([3, 0, 2])
+    np.testing.assert_array_equal(reg.value_array(v, idx), [0.4, 0.2, 0.3 * 0.05])
+    np.testing.assert_array_equal(
+        reg.prox_array(v, 2.0, idx),
+        [reg.prox(1.0, 2.0, 3), reg.prox(-2.0, 2.0, 0), reg.prox(0.05, 2.0, 2)])
+    x = np.array([1.0, -1.0, 2.0, 0.5])
+    assert reg.value(x) == pytest.approx(0.1 + 0.2 + 0.6 + 0.2, rel=1e-15)
+
+
+def test_block_smoothness_cached_with_provenance():
+    from blockprox import rates
+
+    p = gen_instance(30, 8, seed=3, lam=0.1)
+    obj = p.objective
+    exact = obj.block_smoothness(3)
+    assert exact == (rates.L_tau(obj.smoothness, 3), "exact")
+    assert obj.block_smoothness(3) is exact
+    assert obj.block_smoothness(1).source == "exact"
+    assert obj.block_smoothness(8).source == "exact"
+    with pytest.warns(UserWarning, match="trace"):
+        bound = obj.block_smoothness(4, budget=10)
+    assert bound.source == "trace_bound"
+    assert bound.value >= obj.block_smoothness(4).value - 1e-12
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cached value warns only once
+        assert obj.block_smoothness(4, budget=10) is bound

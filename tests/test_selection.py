@@ -270,3 +270,21 @@ def test_importance_draws_match_generator_choice():
     drawn = [select(rule, problem, ctx).indices[0] for _ in range(20_000)]
     expected = [int(reference.choice(40, p=p)) for _ in range(20_000)]
     assert drawn == expected
+
+
+def test_serial_and_full_rules_return_prebuilt_sets():
+    problem = gen_instance(20, 6, seed=0, lam=0.05)
+    x = np.random.default_rng(0).standard_normal(6)
+    cert = engine.certificate(problem, x)
+    ctx = selection.SelectionContext(x=x, grad=problem.grad_f(x),
+                                     lambda_per_coord=cert.lambda_per_coord, k=8)
+    for spec in ("uniform", "cyclic", "greedy"):
+        rule = parse_rule(spec, 6)
+        S = select(rule, problem, ctx)
+        assert S is rule.singletons[S.indices[0]]
+        assert select(rule, problem, ctx).ambient_dim == 6
+    assert select(parse_rule("cyclic", 6), problem, ctx).indices == (2,)
+    full = parse_rule("full", 6)
+    assert select(full, problem, ctx) is select(full, problem, ctx) is full.full_set
+    assert full.full_set == CoordSet.full(6)
+    assert [S.indices for S in full.singletons] == [(i,) for i in range(6)]
