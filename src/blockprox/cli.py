@@ -489,7 +489,7 @@ def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):
     smooth = problem.smooth_path
     if smooth:
         trace_sum = float(np.diag(M).sum())
-        nice_lo = eig_extremes(rates.expected_inverse_matrix(M, tau))[0]
+        nice_lo = eig_extremes(problem.objective.expected_inverse(tau))[0]
         bounds = {
             "full": 1.0 / eig_extremes(M)[1],
             "uniform": 1.0 / (n * float(np.diag(M).max())),

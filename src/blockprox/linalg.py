@@ -1,4 +1,6 @@
-"""Masked indexing, small SPD solves, eigenvalue extremes, subset enumeration.
+"""Masked indexing, small SPD solves, eigenvalue extremes, subset enumeration
+and the batched computations over it: principal submatrices gathered from
+chunks of subset index arrays, and the greedy-minibatch quadratic forms.
 
 Coordinate indices are 0-based internally.  All user-facing I/O (configs,
 trace files) converts to 1-based.
@@ -9,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +20,10 @@ import scipy.linalg
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 SYMMETRY_RTOL = 1e-12
+
+#: Working memory of one chunk in `block_inverse_forms`: the stacked
+#: tau x tau blocks and their inverses.
+FORMS_CHUNK_BYTES = 2**20
 
 
 class InvalidSetError(ValueError):
@@ -145,8 +152,7 @@ def subset_count(n: int, tau: int) -> int:
     return math.comb(n, tau)
 
 
-def enumerate_subsets(n: int, tau: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """Yield every cardinality-tau CoordSet in lexicographic order."""
+def _check_enumeration(n: int, tau: int, budget: int) -> None:
     if not 1 <= tau <= n:
         raise InvalidSetError(f"need 1 <= tau <= n, got tau={tau}, n={n}")
     count = subset_count(n, tau)
@@ -154,5 +160,101 @@ def enumerate_subsets(n: int, tau: int, budget: int = DEFAULT_ENUMERATION_BUDGET
         raise EnumerationTooLargeError(
             f"C({n},{tau}) = {count} exceeds enumeration budget {budget}"
         )
+
+
+def enumerate_subsets(n: int, tau: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
+    """Yield every cardinality-tau CoordSet in lexicographic order."""
+    _check_enumeration(n, tau, budget)
     for combo in itertools.combinations(range(n), tau):
         yield CoordSet(combo, n)
+
+
+def subset_index_chunks(n: int, tau: int,
+                        budget: int = DEFAULT_ENUMERATION_BUDGET,
+                        rows: int = 2**16):
+    """Every cardinality-tau subset of range(n) in lexicographic order, as
+    consecutive (k, tau) intp arrays of at most `rows` rows each.
+
+    Raises on a bad tau or EnumerationTooLargeError when called, before any
+    row is built; the chunks are then produced lazily.
+    """
+    _check_enumeration(n, tau, budget)
+    rows = max(1, int(rows))
+
+    def chunks():
+        combos = itertools.combinations(range(n), tau)
+        row = np.dtype((np.intp, tau))
+        while True:
+            chunk = np.fromiter(itertools.islice(combos, rows), dtype=row)
+            if not len(chunk):
+                return
+            yield chunk
+
+    return chunks()
+
+
+def chunk_rows(tau: int, chunk_bytes: int, arrays: int = 1) -> int:
+    """Subsets per chunk so that `arrays` stacked tau x tau float blocks of
+    every subset fit in `chunk_bytes`."""
+    return max(1, chunk_bytes // (arrays * 8 * tau * tau))
+
+
+def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """The principal submatrices M[S, S] of the rows S of `subsets`, stacked."""
+    return M[subsets[:, :, None], subsets[:, None, :]]
+
+
+class BlockInverseForms(NamedTuple):
+    """The quadratic forms g_S' inv(M[S, S]) g_S of every cardinality-tau
+    set S, as weights on the pairs a <= b of positions in S: inv_aa on the
+    diagonal and inv_ab + inv_ba off it.  Row S of `weights` holds them at
+    the columns S_a * n + S_b, so that the forms at g are one sparse
+    product with outer(g, g), each row summed in pair order."""
+
+    subsets: np.ndarray  # (count, tau): the sets in lexicographic order
+    weights: scipy.sparse.csr_array  # (count, n * n), tau (tau + 1) / 2 per row
+
+    def values(self, g: np.ndarray) -> np.ndarray:
+        """g_S' inv(M[S, S]) g_S for every set S, in enumeration order."""
+        return self.weights @ np.multiply.outer(g, g).ravel()
+
+
+def block_inverse_forms(M: np.ndarray, tau: int,
+                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockInverseForms:
+    """`BlockInverseForms` of M, built a chunk of subsets at a time
+    (FORMS_CHUNK_BYTES) into preallocated tables of the smallest index
+    types that hold them.
+
+    Raises EnumerationTooLargeError, before allocating, when C(n, tau)
+    exceeds the budget.
+    """
+    # imported here rather than with the module: it adds about 2 MB of
+    # resident memory that no other path needs
+    import scipy.sparse
+
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, FORMS_CHUNK_BYTES, 2))
+    count = subset_count(n, tau)
+    a, b = np.triu_indices(tau)
+    off = a < b
+    pairs = len(a)
+    index = np.int32 if max(n * n, count * pairs) <= np.iinfo(np.int32).max else np.int64
+    subsets = np.empty((count, tau), dtype=np.min_scalar_type(n - 1))
+    data = np.empty((count, pairs))
+    columns = np.empty((count, pairs), dtype=index)
+    start = 0
+    for chunk in chunks:
+        stop = start + len(chunk)
+        inv = np.linalg.inv(gather_blocks(M, chunk))
+        data[start:stop] = inv[:, a, b]
+        data[start:stop, off] += inv[:, b[off], a[off]]
+        columns[start:stop] = chunk[:, a] * n + chunk[:, b]  # increasing along a row
+        subsets[start:stop] = chunk
+        start = stop
+    indptr = np.arange(0, count * pairs + 1, pairs, dtype=index)
+    weights = scipy.sparse.csr_array((data.ravel(), columns.ravel(), indptr),
+                                     shape=(count, n * n))
+    subsets.setflags(write=False)  # shared by every rule that reads them
+    weights.data.setflags(write=False)
+    return BlockInverseForms(subsets, weights)

@@ -3,10 +3,12 @@
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
 x, h, and caches what is derived from M: Cholesky factors of principal
-submatrices and the block smoothness scalars L_tau.  A SeparableRegularizer
-is the nonsmooth half of F = f + g; it is read through array maps (values
-g_i(v_i) and the prox of many coordinates at once with one scalar ell), so
-the certificate and the prox step are numpy expressions over a block.
+submatrices, and per block size tau the block smoothness scalar L_tau, the
+expected inverse E[inv(M[S, S])] and the exact greedy-minibatch tables.  A
+SeparableRegularizer is the nonsmooth half of F = f + g; it is read through
+array maps (values g_i(v_i) and the prox of many coordinates at once with one
+scalar ell), so the certificate and the prox step are numpy expressions over
+a block.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -27,7 +29,9 @@ import numpy as np
 from . import rates
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
+    BlockInverseForms,
     CoordSet,
+    block_inverse_forms,
     check_symmetric,
     eig_extremes,
     is_spd,
@@ -62,8 +66,9 @@ class Objective:
     known_minimizer: Optional[np.ndarray] = None
     # Cholesky factors of principal submatrices, keyed by index tuple
     _factor_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # BlockSmoothness keyed by (tau, enumeration budget)
-    _L_tau_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # constants over the cardinality-tau principal submatrices of M, keyed
+    # by (quantity, tau, enumeration budget)
+    _subset_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.smoothness = check_symmetric(self.smoothness)
@@ -87,17 +92,41 @@ class Objective:
                 self._factor_cache[indices] = fac
         return fac
 
+    def _subset_constant(self, quantity: str, tau: int, budget: int, build):
+        key = (quantity, tau, budget)
+        hit = self._subset_cache.get(key)
+        if hit is None:
+            hit = self._subset_cache[key] = build()
+        return hit
+
     def block_smoothness(self, tau: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockSmoothness:
         """`rates.L_tau` of M with its provenance, computed once per
         (tau, budget); so its trace-bound warning fires once as well."""
-        key = (tau, budget)
-        hit = self._L_tau_cache.get(key)
-        if hit is None:
+        def build():
             value = rates.L_tau(self.smoothness, tau, budget)
             source = "exact" if rates.L_tau_is_exact(self.dim, tau, budget) else "trace_bound"
-            hit = self._L_tau_cache[key] = BlockSmoothness(value, source)
-        return hit
+            return BlockSmoothness(value, source)
+        return self._subset_constant("L_tau", tau, budget, build)
+
+    def expected_inverse(self, tau: int,
+                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+        """`rates.expected_inverse_matrix` of M, computed once per
+        (tau, budget) and read-only."""
+        def build():
+            E = rates.expected_inverse_matrix(self.smoothness, tau, budget)
+            E.setflags(write=False)
+            return E
+        return self._subset_constant("expected_inverse", tau, budget, build)
+
+    def inverse_forms(self, tau: int,
+                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockInverseForms:
+        """`linalg.block_inverse_forms` of M, the exact greedy-minibatch
+        tables, computed once per (tau, budget) and shared by every rule on
+        this objective.  Raises EnumerationTooLargeError over the budget."""
+        return self._subset_constant(
+            "inverse_forms", tau, budget,
+            lambda: block_inverse_forms(self.smoothness, tau, budget))
 
     @functools.cached_property
     def importance_cdf(self) -> np.ndarray:

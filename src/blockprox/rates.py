@@ -5,7 +5,6 @@ K(epsilon) formulas for each selection rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,9 +15,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationTooLargeError,
-    enumerate_subsets,
+    check_symmetric,
+    chunk_rows,
     eig_extremes,
+    gather_blocks,
     subset_count,
+    subset_index_chunks,
 )
 
 
@@ -26,6 +28,9 @@ from .linalg import (
 #: tau x tau blocks, their inverses, and the row and column indices that
 #: scatter them back (four arrays of 8-byte entries per subset).
 INVERSE_CHUNK_BYTES = 4 * 2**20
+
+#: Stacked tau x tau blocks per `eigvalsh` call in `L_tau`.
+EIGVALSH_CHUNK_BYTES = 2**20
 
 
 class NoGuaranteeError(ValueError):
@@ -79,9 +84,11 @@ def L_tau(M: np.ndarray, tau: int,
           budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """Largest eigenvalue over all cardinality-tau principal submatrices.
 
-    Falls back to the trace upper bound (sum of the tau largest diagonal
-    entries) with a warning when enumeration is infeasible.  Callers with an
-    objective read it through `Objective.block_smoothness`, which caches it.
+    The submatrices are gathered and their eigenvalues computed a chunk at a
+    time (EIGVALSH_CHUNK_BYTES).  Falls back to the trace upper bound (sum of
+    the tau largest diagonal entries) with a warning when enumeration is
+    infeasible.  Callers with an objective read it through
+    `Objective.block_smoothness`, which caches it.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -92,10 +99,12 @@ def L_tau(M: np.ndarray, tau: int,
     if tau == n:
         return eig_extremes(M)[1]
     if L_tau_is_exact(n, tau, budget):
-        return max(
-            eig_extremes(M[np.ix_(S.array, S.array)])[1]
-            for S in enumerate_subsets(n, tau, budget)
-        )
+        check_symmetric(M)
+        rows = chunk_rows(tau, EIGVALSH_CHUNK_BYTES)
+        return float(max(
+            np.linalg.eigvalsh(gather_blocks(M, chunk))[:, -1].max()
+            for chunk in subset_index_chunks(n, tau, budget, rows)
+        ))
     bound = float(np.sort(np.diag(M))[-tau:].sum())
     warnings.warn(
         f"C({n},{tau}) exceeds the enumeration budget; using the trace "
@@ -116,7 +125,7 @@ def rule_L(problem, rule):
 def _accumulate_inverses(out: np.ndarray, M: np.ndarray, subsets: np.ndarray) -> None:
     """out[S, S] += inv(M[S, S]) for each row S of `subsets`, in row order
     (np.add.at adds repeated entries in index order)."""
-    inv = np.linalg.inv(M[subsets[:, :, None], subsets[:, None, :]])
+    inv = np.linalg.inv(gather_blocks(M, subsets))
     rows = np.broadcast_to(subsets[:, :, None], inv.shape).ravel()
     cols = np.broadcast_to(subsets[:, None, :], inv.shape).ravel()
     np.add.at(out, (rows, cols), inv.ravel())
@@ -130,22 +139,15 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     embedded back at the rows/columns of S.
 
     Blocks are inverted a chunk at a time (INVERSE_CHUNK_BYTES) and summed
-    in enumeration (or draw) order.
+    in enumeration (or draw) order.  Callers with an objective read it
+    through `Objective.expected_inverse`, which caches it.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     out = np.zeros_like(M)
-    chunk = max(1, INVERSE_CHUNK_BYTES // (4 * 8 * tau * tau))
+    chunk = chunk_rows(tau, INVERSE_CHUNK_BYTES, 4)
     try:
-        subsets = enumerate_subsets(n, tau, budget)
-        count = 0
-        while True:
-            block = np.array([S.indices for S in itertools.islice(subsets, chunk)],
-                             dtype=np.intp)
-            if not len(block):
-                return out / count
-            _accumulate_inverses(out, M, block)
-            count += len(block)
+        chunks = subset_index_chunks(n, tau, budget, chunk)
     except EnumerationTooLargeError:
         warnings.warn(
             f"C({n},{tau}) exceeds the enumeration budget; Monte-Carlo "
@@ -159,6 +161,9 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
                 [np.sort(rng.choice(n, size=tau, replace=False)) for _ in range(size)]))
             done += size
         return out / mc_samples
+    for block in chunks:
+        _accumulate_inverses(out, M, block)
+    return out / subset_count(n, tau)
 
 
 def eso_v(A: np.ndarray, tau: int) -> np.ndarray:
@@ -201,7 +206,7 @@ def rule_constant(rule, problem, budget: int = DEFAULT_ENUMERATION_BUDGET):
         return 1.0 / trace, {"trace(M)": trace}
     # minibatch kinds
     if smooth:
-        lam_min = eig_extremes(expected_inverse_matrix(M, rule.tau, budget))[0]
+        lam_min = eig_extremes(problem.objective.expected_inverse(rule.tau, budget))[0]
         return lam_min, {"lambda_min(E[inv])": lam_min}
     lt = problem.objective.block_smoothness(rule.tau, budget).value
     return rule.tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / rule.tau}

@@ -58,7 +58,6 @@ class BlockRule:
         self.budget = budget
         self.rng = np.random.default_rng(seed)
         self.last_was_heuristic = False
-        self._exact_cache = None  # (matrix id, subsets, inverse blocks)
 
     @functools.cached_property
     def singletons(self) -> tuple[CoordSet, ...]:
@@ -147,42 +146,51 @@ def _tau_nice_draw(rule: BlockRule) -> CoordSet:
     return CoordSet(tuple(sorted(int(i) for i in arr[: rule.tau])), rule.n)
 
 
-def _greedy_exact_tables(rule: BlockRule, M: np.ndarray):
-    key = id(M)
-    if rule._exact_cache is None or rule._exact_cache[0] != key:
-        subsets = np.array(
-            [s.indices for s in enumerate_subsets(rule.n, rule.tau, rule.budget)],
-            dtype=np.intp,
-        )
-        blocks = M[subsets[:, :, None], subsets[:, None, :]]
-        rule._exact_cache = (key, subsets, np.linalg.inv(blocks))
-    return rule._exact_cache[1], rule._exact_cache[2]
+def _forward_greedy(M: np.ndarray, grad: np.ndarray, tau: int) -> list[int]:
+    """Grow a block one coordinate at a time, each time adding the i that
+    most increases the model decrease g_S' inv(M[S, S]) g_S.
+
+    For the chosen set C that increase is r_i^2 / d_i (Das and Kempe,
+    "Submodular meets spectral", ICML 2011), with r and d the Schur
+    complements of C in g and diag(M):
+
+        r_i = g_i  - M[i, C] inv(M[C, C]) g_C
+        d_i = M_ii - M[i, C] inv(M[C, C]) M[C, i]
+
+    Each addition updates both by one rank-one step of a pivoted Cholesky
+    factorization.  Chosen coordinates are never picked again; a coordinate
+    with d_i <= 0 (a direction M[C, C] already spans) only when nothing else
+    is left.  Ties go to the lowest index.
+    """
+    n = len(grad)
+    r = np.array(grad, dtype=float)
+    d = np.diag(M).copy()
+    V = np.zeros((n, tau))  # Cholesky columns of the chosen pivots
+    gain = np.empty(n)
+    chosen = []
+    for k in range(tau):
+        gain.fill(-1.0)
+        np.divide(r * r, d, out=gain, where=d > 0)
+        gain[chosen] = -np.inf
+        p = int(gain.argmax())
+        chosen.append(p)
+        if d[p] > 0 and k + 1 < tau:
+            root = np.sqrt(d[p])
+            v = (M[:, p] - V[:, :k] @ V[p, :k]) / root
+            r -= v * (r[p] / root)
+            d -= v * v
+            V[:, k] = v
+    return chosen
 
 
 def _greedy_minibatch_smooth(rule: BlockRule, problem, grad: np.ndarray) -> CoordSet:
-    M = problem.objective.smoothness
+    objective = problem.objective
     if subset_count(rule.n, rule.tau) <= rule.budget:
-        subsets, inv = _greedy_exact_tables(rule, M)
-        g = grad[subsets]
-        dec = np.einsum("ni,nij,nj->n", g, inv, g)
-        best = int(dec.argmax())  # first max: lexicographic tie-break
-        return CoordSet(tuple(int(i) for i in subsets[best]), rule.n)
-    # Forward-greedy heuristic: grow the block one coordinate at a time,
-    # maximizing the block model decrease at each round.
+        forms = objective.inverse_forms(rule.tau, rule.budget)
+        best = int(forms.values(grad).argmax())  # first max: lexicographic tie-break
+        return CoordSet(tuple(forms.subsets[best].tolist()), rule.n)
     rule.last_was_heuristic = True
-    chosen: list[int] = []
-    for _ in range(rule.tau):
-        best_i, best_val = -1, -np.inf
-        for i in range(rule.n):
-            if i in chosen:
-                continue
-            trial = sorted(chosen + [i])
-            idx = np.asarray(trial, dtype=np.intp)
-            g_S = grad[idx]
-            val = float(g_S @ np.linalg.solve(M[np.ix_(idx, idx)], g_S))
-            if val > best_val:  # strict: ties keep the lowest index
-                best_i, best_val = i, val
-        chosen.append(best_i)
+    chosen = _forward_greedy(objective.smoothness, grad, rule.tau)
     return CoordSet(tuple(sorted(chosen)), rule.n)
 
 
