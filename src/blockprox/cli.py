@@ -25,7 +25,8 @@ Config files are INI text with four sections::
     dir = out
 
 Subcommands: gen, run, rates, check, slice.  Exit codes: 0 success,
-1 config error, 2 numeric failure, 3 verification failure.
+1 config error, 2 numeric failure, 3 verification failure.  The
+verification suite behind `check` lives in `blockprox.checks`.
 """
 
 from __future__ import annotations
@@ -36,19 +37,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import descent, engine, objectives, rates, selection
-from .linalg import CoordSet, eig_extremes, is_spd
+from . import descent, objectives, rates
+from .checks import EXIT_OK, EXIT_VERIFY, run_check_suite
+from .linalg import eig_extremes
 from .objectives import CompositeProblem, gen_instance, load_instance, make_l1
 from .selection import BlockRule, parse_rule
 
-EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-EXIT_VERIFY = 3
 
 
 class ConfigError(ValueError):
@@ -66,7 +66,13 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     budget: int = None
-    extras: dict = field(default_factory=dict)
+
+    def run_config(self) -> descent.RunConfig:
+        """The descent settings of every run; raises ValueError on bad ones."""
+        return descent.RunConfig(
+            max_iters=self.max_iters, epsilon=self.epsilon,
+            record_diagnostics=self.diagnostics, stop_on=self.stop_on,
+        )
 
 
 def load_config(path, seed_override=None) -> ExperimentConfig:
@@ -95,21 +101,12 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
             out_dir=str(out_sec.get("dir", "out")),
             budget=int(run_sec["budget"]) if "budget" in run_sec else None,
         )
+        cfg.run_config()
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad run/output settings: {exc}") from exc
     if seed_override is not None:
         cfg.seed = seed_override
-    if cfg.stop_on not in descent.STOP_MODES:
-        raise ConfigError(f"stop_on must be one of {descent.STOP_MODES}")
     return cfg
-
-
-def _random_spd(n: int, cond: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    w = np.linspace(1.0, cond, n)
-    return (Q * w) @ Q.T
 
 
 def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
@@ -130,8 +127,8 @@ def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
             )
         if kind == "quadratic":
             n = int(p.get("n", 10))
-            M = _random_spd(n, float(p.get("cond", 10.0)),
-                            int(p.get("seed", cfg.seed)))
+            M = objectives.random_spd(n, float(p.get("cond", 10.0)),
+                                      int(p.get("seed", cfg.seed)))
             obj = objectives.make_quadratic(M)
             return CompositeProblem(obj, make_l1(float(p.get("lambda", 0.0))))
         if kind == "plateau":
@@ -213,14 +210,6 @@ def _theorem10_rate_curve(xi0: float, c: float, ks) -> list:
     return out
 
 
-def _run_one(problem, rule, cfg):
-    run_cfg = descent.RunConfig(
-        max_iters=cfg.max_iters, epsilon=cfg.epsilon,
-        record_diagnostics=cfg.diagnostics, stop_on=cfg.stop_on,
-    )
-    return descent.run(problem, rule, run_cfg)
-
-
 def cmd_run(cfg: ExperimentConfig):
     problem = build_problem(cfg)
     rules = build_rules(cfg, problem.dim)
@@ -229,15 +218,17 @@ def cmd_run(cfg: ExperimentConfig):
             if rule.kind == "importance_coord":
                 raise ConfigError(
                     "importance sampling is not offered on nonsmooth problems")
-    if cfg.diagnostics and problem.opt_value is None:
+    # the gap, in the diagnostics and as a stopping rule, needs the optimum
+    if (cfg.diagnostics or cfg.stop_on == "gap") and problem.opt_value is None:
         descent.empirical_optimum(problem)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
+    run_cfg = cfg.run_config()
     entries = {}
     results = []
     for rule in rules:
         try:
-            results.append((rule.name, _run_one(problem, rule, cfg), None))
+            results.append((rule.name, descent.run(problem, rule, run_cfg), None))
         except descent.NumericFailureError as exc:
             results.append((rule.name, None, str(exc)))
 
@@ -318,9 +309,11 @@ def cmd_run(cfg: ExperimentConfig):
 
 def cmd_rates(cfg: ExperimentConfig, epsilon=None, fmt="text", stream=None):
     stream = sys.stdout if stream is None else stream
+    eps = cfg.epsilon if epsilon is None else epsilon
+    if eps <= 0:
+        raise ConfigError(f"epsilon must be positive, got {eps}")
     problem = build_problem(cfg)
     rules = build_rules(cfg, problem.dim)
-    eps = cfg.epsilon if epsilon is None else epsilon
     if problem.opt_value is None:
         descent.empirical_optimum(problem)
     # seeded random start: a fixed canonical point risks sitting at the optimum
@@ -408,327 +401,6 @@ def cmd_slice(cfg: ExperimentConfig, direction, radius: float, points: int,
         for t in ts:
             fh.write(f"{float(t)!r},{problem.F(x_ref + t * d)!r}\n")
     return path
-
-
-# ---------------------------------------------------------------------------
-# Verification suite (`check` subcommand): the module invariants executed as
-# numeric assertions at reduced scale.
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    worst_margin: float
-    detail: str = ""
-
-
-def _small_instances(seed):
-    smooth = gen_instance(m=40, n=12, seed=seed)
-    nonsmooth = gen_instance(m=40, n=12, seed=seed, lam=0.05)
-    return smooth, nonsmooth
-
-
-def _campaign_rules(n, tau, seed, smooth):
-    names = ["full", "uniform", "greedy", "cyclic", f"nice:{tau}",
-             f"greedymb:{tau}"]
-    if smooth:
-        names.insert(2, "importance")
-    return [parse_rule(t, n, default_seed=seed + j) for j, t in enumerate(names)]
-
-
-def check_spd(problem, **_):
-    lam_min = eig_extremes(problem.objective.smoothness)[0]
-    return CheckResult("smoothness_spd",
-                       is_spd(problem.objective.smoothness), lam_min)
-
-
-def check_descent_inequalities(problem, seed=0, iters=150, tau=3, **_):
-    if problem.opt_value is None:
-        descent.empirical_optimum(problem)
-    worst = np.inf
-    ok, detail = True, ""
-    for rule in _campaign_rules(problem.dim, tau, seed, problem.smooth_path):
-        result = descent.run(problem, rule, descent.RunConfig(
-            max_iters=iters, record_diagnostics=True))
-        report = descent.verify_trace(result)
-        for c in report.checks:
-            worst = min(worst, c.worst_margin)
-            if not c.passed:
-                ok = False
-                detail = f"{rule.name}: {c.name} {c.detail}"
-    tag = "smooth" if problem.smooth_path else "nonsmooth"
-    return CheckResult(f"descent_inequalities_{tag}", ok, worst, detail)
-
-
-def theta_for_rule(problem, rule, x, cert_cache=None):
-    """theta(S, x) for deterministic rules, the exact conditional expectation
-    for randomized ones; certificates use the block-size-matched scalar."""
-    L, _ = rates.rule_L(problem, rule)
-    if rule.is_randomized:
-        return selection.exact_expected_theta(rule, problem, x, L=L)
-    grad = problem.grad_f(x)
-    key = rule.max_block_size
-    if cert_cache is not None and key in cert_cache:
-        cert = cert_cache[key]
-    else:
-        cert = engine.certificate(problem, x, L, grad=grad)
-        if cert_cache is not None:
-            cert_cache[key] = cert
-    ctx = selection.SelectionContext(
-        x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord)
-    S = selection.select(rule, problem, ctx)
-    return engine.proportion(problem, x, S, L=L, cert=cert, grad=grad)
-
-
-def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):
-    rng = np.random.default_rng(seed)
-    n = problem.dim
-    M = problem.objective.smoothness
-    worst = np.inf
-    ok, detail = True, ""
-    smooth = problem.smooth_path
-    if smooth:
-        trace_sum = float(np.diag(M).sum())
-        nice_lo = eig_extremes(problem.objective.expected_inverse(tau))[0]
-        bounds = {
-            "full": 1.0 / eig_extremes(M)[1],
-            "uniform": 1.0 / (n * float(np.diag(M).max())),
-            "importance": 1.0 / trace_sum,
-            "greedy": 1.0 / trace_sum,
-            f"nice:{tau}": nice_lo,
-        }
-    else:
-        lt = problem.objective.block_smoothness(tau).value
-        bounds = {
-            "full": 1.0 / eig_extremes(M)[1],
-            "uniform": 1.0 / (n * float(np.diag(M).max())),
-            "greedy": 1.0 / (n * float(np.diag(M).max())),
-            f"nice:{tau}": tau / (n * lt),
-            f"greedymb:{tau}": tau / (n * lt),
-        }
-    rules = {name: parse_rule(name, n, default_seed=seed) for name in bounds}
-    nice = parse_rule(f"nice:{tau}", n, default_seed=seed)
-    gmb = parse_rule(f"greedymb:{tau}", n, default_seed=seed)
-    for _ in range(n_points):
-        x = rng.standard_normal(n)
-        cert_cache = {}
-        vals = {name: theta_for_rule(problem, rule, x, cert_cache)
-                for name, rule in rules.items()}
-        # greedy minibatch also dominates the tau-nice expectation
-        vals[gmb.name] = theta_for_rule(problem, gmb, x, cert_cache)
-        bounds_here = dict(bounds)
-        bounds_here[gmb.name] = max(
-            bounds_here.get(gmb.name, 0.0),
-            theta_for_rule(problem, nice, x, cert_cache))
-        for name, lo in bounds_here.items():
-            margin = vals[name] - lo * (1 - 1e-9)
-            worst = min(worst, margin)
-            if margin < 0:
-                ok = False
-                detail = f"{name} below its bound"
-    tag = "smooth" if problem.smooth_path else "nonsmooth"
-    return CheckResult(f"theta_bounds_{tag}", ok, worst, detail)
-
-
-def check_certificate_oracle(seed=0, n_points=20, **_):
-    """Per-coordinate certificates vs a scalar grid search over [-3, 3]."""
-    rng = np.random.default_rng(seed)
-    M = _random_spd(10, 8.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.1))
-    L = problem.L_scalar
-    grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-1.0, 1.0, 10)
-        grad = problem.grad_f(x)
-        cert = engine.certificate(problem, x)
-        lam_grid = 0.0
-        for i in range(10):
-            vals = (grad[i] * grid + 0.5 * L * grid * grid
-                    + 0.1 * (np.abs(x[i] + grid) - abs(x[i])))
-            lam_grid += max(-L * float(vals.min()), 0.0)
-        rel = abs(cert.lambda_total - lam_grid) / max(lam_grid, 1e-30)
-        worst = max(worst, rel)
-    return CheckResult("certificate_grid_oracle", worst <= 1e-3, 1e-3 - worst)
-
-
-def check_strong_convexity_forcing(seed=0, n_points=50, **_):
-    M = _random_spd(8, 6.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.2))
-    descent.empirical_optimum(problem)
-    mu_bound = rates.strongly_convex_mu(problem, problem.L_scalar)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_points):
-        x = rng.uniform(-2.0, 2.0, 8)
-        try:
-            mu = engine.forcing(problem, x)
-        except engine.AtOptimumError:
-            continue
-        worst = min(worst, mu - mu_bound + 1e-8)
-    return CheckResult("strongly_convex_forcing", worst >= 0, worst)
-
-
-def check_weak_convexity_forcing(seed=0, n_points=50, **_):
-    M = _random_spd(6, 4.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.1))
-    descent.empirical_optimum(problem)
-    x_star = _nonsmooth_minimizer(problem)
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(-1.0, 1.0, 6)
-    rho = rates.weakly_convex_rho(problem, x0, problem.L_scalar,
-                                  x_star=x_star, n_dirs=200, seed=seed)
-    level = problem.F(x0)
-    worst = np.inf
-    kept = 0
-    while kept < n_points:
-        x = rng.uniform(-2.0, 2.0, 6)
-        if problem.F(x) > level:
-            continue
-        kept += 1
-        try:
-            mu = engine.forcing(problem, x)
-        except engine.AtOptimumError:
-            continue
-        worst = min(worst, mu - rho * problem.xi(x) + 1e-10)
-    return CheckResult("weakly_convex_forcing", worst >= 0, worst)
-
-
-def _nonsmooth_minimizer(problem, iters=50_000):
-    rule = BlockRule("full_batch", problem.dim)
-    result = descent.run(problem, rule, descent.RunConfig(max_iters=iters))
-    return result.x
-
-
-def check_convex_certificate_lower_bound(seed=0, n_points=50, **_):
-    """lambda/L >= min{xi/2, (xi + lam_F d^2/2)^2 / (2 (lam_F - lam_f + L) d^2)}
-    on a strongly convex composite with d = ||x - x*||."""
-    M = _random_spd(6, 5.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.15))
-    descent.empirical_optimum(problem)
-    x_star = _nonsmooth_minimizer(problem)
-    lam_f = problem.objective.strong_convexity_f
-    lam_F = lam_f
-    L = problem.L_scalar
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_points):
-        x = rng.uniform(-2.0, 2.0, 6)
-        d2 = float(np.sum((x - x_star) ** 2))
-        xi = problem.xi(x)
-        if d2 < 1e-16 or xi < 1e-12:
-            continue
-        lam = engine.certificate(problem, x).lambda_total
-        rhs = min(0.5 * xi,
-                  (xi + 0.5 * lam_F * d2) ** 2 / (2.0 * (lam_F - lam_f + L) * d2))
-        worst = min(worst, lam / L - rhs + 1e-8)
-    return CheckResult("convex_certificate_lower_bound", worst >= 0, worst)
-
-
-def check_wpl_product(seed=0, n_points=2000, **_):
-    obj = objectives.make_product_square()
-    problem = CompositeProblem(obj)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-2.0, 2.0, (n_points, 2))
-    worst = np.inf
-    for x in pts:
-        lhs = np.linalg.norm(problem.grad_f(x)) * np.linalg.norm(x)
-        worst = min(worst, lhs - problem.xi(x) + 1e-10)
-    return CheckResult("weak_pl_product_square", worst >= 0, worst)
-
-
-def check_plateau_disjunction(seed=0, epsilon=1e-6, **_):
-    c = objectives.flat_inflection_coefficient()
-    problem = CompositeProblem(objectives.make_plateau_1d(c))
-    rule = BlockRule("full_batch", 1)
-    xi0 = problem.xi(np.zeros(1))
-    bound = rates.predict_K(rule, rates.FunctionClass("general_nonconvex"),
-                            problem, epsilon, xi0)
-    K = bound.K(epsilon)
-    result = descent.run(problem, rule, descent.RunConfig(
-        max_iters=min(K, 100_000) if K else 1, epsilon=epsilon,
-        record_diagnostics=True, stop_on="certificate"))
-    min_lam = min((r.lam for r in result.trace),
-                  default=result.final_lambda)
-    if result.final_lambda is not None:
-        min_lam = min(min_lam, result.final_lambda)
-    disjunct = (result.final_xi <= epsilon) or (min_lam <= epsilon)
-    used = len(result.trace)
-    margin = float(K - used)
-    return CheckResult("plateau_rate_disjunction", disjunct and used <= K,
-                       margin, f"K={K}, used={used}")
-
-
-def check_sequence_bound(seed=0, n_seqs=20, **_):
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(n_seqs):
-        a = [float(rng.uniform(0.5, 2.0))]
-        betas = []
-        for _ in range(30):
-            b = float(rng.uniform(0.01, 0.9 / a[-1]))
-            betas.append(b)
-            a.append((1.0 - a[-1] * b) * a[-1])
-        ok = ok and descent.sequence_bound_check(a, betas)
-    return CheckResult("sequence_recursion_bound", ok, 0.0)
-
-
-def check_rate_monotonicity(seed=0, **_):
-    M = _random_spd(8, 6.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M))
-    rule = BlockRule("full_batch", 8)
-    xi0 = 10.0
-    fclass = rates.FunctionClass("strongly_pl", mu=eig_extremes(M)[0])
-    bound = rates.predict_K(rule, fclass, problem, 1e-8, xi0)
-    eps = np.logspace(-10, 0, 30)
-    Ks = [bound.K(e) for e in eps]
-    ok = all(k1 >= k2 for k1, k2 in zip(Ks, Ks[1:]))
-    return CheckResult("predicted_K_monotone_in_epsilon", ok, 0.0)
-
-
-def check_polyak_rate(seed=0, **_):
-    M = _random_spd(10, 12.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M))
-    lam_min, lam_max = eig_extremes(M)
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(10)
-    eps = 1e-8
-    xi0 = problem.xi(x0)
-    K = math.ceil((lam_max / lam_min) * math.log(xi0 / eps))
-    result = descent.run(problem, BlockRule("full_batch", 10),
-                         descent.RunConfig(max_iters=K, epsilon=eps,
-                                           stop_on="gap"))
-    margin = float(K - len(result.trace))
-    return CheckResult("batch_linear_rate", result.final_xi <= eps, margin)
-
-
-def run_check_suite(cfg: ExperimentConfig, stream=None):
-    stream = sys.stdout if stream is None else stream
-    seed = cfg.seed
-    smooth, nonsmooth = _small_instances(seed)
-    checks = [
-        check_spd(smooth),
-        check_descent_inequalities(smooth, seed=seed),
-        check_descent_inequalities(nonsmooth, seed=seed),
-        check_theta_bounds(smooth, seed=seed),
-        check_theta_bounds(nonsmooth, seed=seed),
-        check_certificate_oracle(seed=seed),
-        check_strong_convexity_forcing(seed=seed),
-        check_weak_convexity_forcing(seed=seed),
-        check_convex_certificate_lower_bound(seed=seed),
-        check_wpl_product(seed=seed),
-        check_plateau_disjunction(seed=seed),
-        check_sequence_bound(seed=seed),
-        check_rate_monotonicity(seed=seed),
-        check_polyak_rate(seed=seed),
-    ]
-    all_ok = True
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        extra = f"  ({c.detail})" if c.detail else ""
-        stream.write(f"{status}  {c.name:<36} worst_margin={c.worst_margin:.3e}{extra}\n")
-        all_ok = all_ok and c.passed
-    return checks, EXIT_OK if all_ok else EXIT_VERIFY
 
 
 def build_parser():

@@ -431,6 +431,15 @@ def make_quadratic(Q: np.ndarray, smoothness: Optional[np.ndarray] = None) -> Ob
     )
 
 
+def random_spd(n: int, cond: float, seed: int) -> np.ndarray:
+    """Q diag(linspace(1, cond, n)) Q' with Q a seeded random orthogonal
+    matrix (QR of a Gaussian matrix, signs fixed by R's diagonal)."""
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    return (Q * np.linspace(1.0, cond, n)) @ Q.T
+
+
 def _box_spd(scale: float, n: int) -> np.ndarray:
     return scale * np.eye(n)
 

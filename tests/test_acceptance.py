@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from blockprox import cli, descent, engine, rates
+from blockprox import checks, cli, descent, engine, rates
 from blockprox.descent import RunConfig, empirical_optimum, run, verify_trace
 from blockprox.linalg import eig_extremes
 from blockprox.objectives import (
@@ -97,8 +97,8 @@ def test_criterion_02_monotonicity(desk_campaign, report):
 def test_criterion_03_theta_bounds(report):
     smooth = gen_instance(40, 12, seed=0)
     nonsmooth = gen_instance(40, 12, seed=0, lam=0.05)
-    res_s = cli.check_theta_bounds(smooth, seed=0, tau=4, n_points=50)
-    res_n = cli.check_theta_bounds(nonsmooth, seed=0, tau=4, n_points=50)
+    res_s = checks.check_theta_bounds(smooth, seed=0, tau=4, n_points=50)
+    res_n = checks.check_theta_bounds(nonsmooth, seed=0, tau=4, n_points=50)
     ok = res_s.passed and res_n.passed
     report(3, "theta lower bounds, 50 points, exact enumeration", ok)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from blockprox import cli
+from blockprox import checks, cli
 from blockprox.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -299,7 +299,7 @@ def test_check_suite_negative_control():
     class FakeProblem:
         objective = FakeObjective()
 
-    res = cli.check_spd(FakeProblem())
+    res = checks.check_spd(FakeProblem())
     assert not res.passed
 
 
@@ -385,13 +385,13 @@ def test_theta_for_rule_computes_L_tau_once_per_tau(monkeypatch):
     for _ in range(5):
         x = rng.standard_normal(12)
         for rule in rules:
-            cli.theta_for_rule(problem, rule, x)
+            checks.theta_for_rule(problem, rule, x)
     assert calls == {12: 1, 1: 1, 3: 1}
-    check = cli.check_theta_bounds(problem, seed=1, tau=3, n_points=3)
+    check = checks.check_theta_bounds(problem, seed=1, tau=3, n_points=3)
     assert check.passed
     assert calls == {12: 1, 1: 1, 3: 1}
     # another objective has its own cache
-    cli.theta_for_rule(gen_instance(m=40, n=12, seed=2, lam=0.05), rules[4], x)
+    checks.theta_for_rule(gen_instance(m=40, n=12, seed=2, lam=0.05), rules[4], x)
     assert calls[3] == 2
 
 
@@ -424,3 +424,20 @@ def test_report_carries_L_used_and_its_source(tmp_path):
     assert by_rule["nice:3"]["L_used"] == float(np.sort(np.diag(M))[-3:].sum())
     assert by_rule["nice:3"]["L_used_source"] == "trace_bound"
     assert all(e["verified"] for e in saved["runs"])
+
+
+@pytest.mark.parametrize("edit, command, expected", [
+    (("max_iters = 60", "max_iters = 0"), ["run"], EXIT_CONFIG),
+    (("max_iters = 60", "max_iters = 60\nepsilon = -1"), ["run"], EXIT_CONFIG),
+    (None, ["rates", "--epsilon", "-1"], EXIT_CONFIG),
+    # gap stopping without diagnostics still needs the optimum
+    (("diagnostics = true", "diagnostics = false\nstop_on = gap"), ["run"], EXIT_OK),
+])
+def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expected):
+    body = SMOOTH_CFG.format(out=tmp_path / "out")
+    if edit is not None:
+        body = body.replace(*edit)
+    path = write_cfg(tmp_path, body)
+    assert main([command[0], path] + command[1:]) == expected
+    err = capsys.readouterr().err
+    assert ("config error:" in err) == (expected == EXIT_CONFIG)

@@ -20,15 +20,9 @@ from blockprox.objectives import (
     gen_instance,
     make_l1,
     make_quadratic,
+    random_spd,
 )
 from blockprox.selection import BlockRule, parse_rule
-
-
-def _random_spd(n, cond, seed):
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    return (Q * np.linspace(1.0, cond, n)) @ Q.T
 
 
 def test_runconfig_validation():
@@ -42,7 +36,7 @@ def test_runconfig_validation():
 
 def test_full_batch_quadratic_one_step():
     # matrix-curvature full step is the exact Newton step: done in one move
-    problem = CompositeProblem(make_quadratic(_random_spd(5, 6.0, 0)))
+    problem = CompositeProblem(make_quadratic(random_spd(5, 6.0, 0)))
     result = run(problem, BlockRule("full_batch", 5),
                  RunConfig(max_iters=10, epsilon=1e-14, stop_on="gap",
                            x0=np.ones(5)))
@@ -61,7 +55,7 @@ def test_stop_on_certificate():
 
 
 def test_exhausted_iters_and_trace_length():
-    problem = CompositeProblem(make_quadratic(_random_spd(6, 8.0, 1)))
+    problem = CompositeProblem(make_quadratic(random_spd(6, 8.0, 1)))
     result = run(problem, parse_rule("uniform seed=0", 6),
                  RunConfig(max_iters=25, x0=np.ones(6)))
     assert result.termination == "exhausted_iters"
@@ -145,7 +139,7 @@ def test_verify_trace_needs_diagnostics():
 
 
 def test_verify_trace_catches_corruption():
-    problem = CompositeProblem(make_quadratic(_random_spd(4, 5.0, 2)))
+    problem = CompositeProblem(make_quadratic(random_spd(4, 5.0, 2)))
     result = run(problem, parse_rule("uniform seed=0", 4),
                  RunConfig(max_iters=20, record_diagnostics=True,
                            x0=np.ones(4)))
@@ -188,7 +182,7 @@ def test_sequence_bound_check_precondition_named():
 
 
 def test_empirical_optimum_quadratic_l1():
-    problem = CompositeProblem(make_quadratic(_random_spd(5, 4.0, 4)),
+    problem = CompositeProblem(make_quadratic(random_spd(5, 4.0, 4)),
                                make_l1(0.1))
     val = empirical_optimum(problem)
     assert problem.opt_value == val
@@ -237,7 +231,7 @@ def test_trace_csv_empty_diagnostics(tmp_path):
 
 
 def test_randomized_runs_reproducible():
-    problem = CompositeProblem(make_quadratic(_random_spd(6, 5.0, 5)))
+    problem = CompositeProblem(make_quadratic(random_spd(6, 5.0, 5)))
     cfg = RunConfig(max_iters=30, x0=np.ones(6))
     r1 = run(problem, parse_rule("nice:2 seed=42", 6), cfg)
     r2 = run(problem, parse_rule("nice:2 seed=42", 6), cfg)

@@ -18,24 +18,18 @@ from blockprox.objectives import (
     gen_instance,
     make_l1,
     make_quadratic,
+    random_spd,
 )
-
-
-def _random_spd(n, cond, seed):
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    return (Q * np.linspace(1.0, cond, n)) @ Q.T
 
 
 @pytest.fixture
 def smooth_problem():
-    return CompositeProblem(make_quadratic(_random_spd(6, 5.0, 0)))
+    return CompositeProblem(make_quadratic(random_spd(6, 5.0, 0)))
 
 
 @pytest.fixture
 def l1_problem():
-    return CompositeProblem(make_quadratic(_random_spd(6, 5.0, 0)), make_l1(0.2))
+    return CompositeProblem(make_quadratic(random_spd(6, 5.0, 0)), make_l1(0.2))
 
 
 def test_smooth_certificate_is_half_grad_norm(smooth_problem):
@@ -126,7 +120,7 @@ def test_block_step_decrease_nonnegative(l1_problem):
 
 def test_proportion_full_set_smooth_identity():
     # with matrix curvature, the full block recovers the whole model optimum
-    problem = CompositeProblem(make_quadratic(_random_spd(5, 8.0, 1)))
+    problem = CompositeProblem(make_quadratic(random_spd(5, 8.0, 1)))
     x = np.random.default_rng(7).standard_normal(5)
     S = CoordSet.full(5)
     M = problem.objective.smoothness

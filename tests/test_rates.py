@@ -5,7 +5,7 @@ import pytest
 
 from blockprox import rates
 from blockprox.linalg import enumerate_subsets, eig_extremes
-from blockprox.objectives import CompositeProblem, make_l1, make_quadratic
+from blockprox.objectives import CompositeProblem, make_l1, make_quadratic, random_spd
 from blockprox.rates import (
     FunctionClass,
     NoGuaranteeError,
@@ -24,21 +24,14 @@ from blockprox.rates import (
 from blockprox.selection import parse_rule
 
 
-def _random_spd(n, cond, seed):
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    return (Q * np.linspace(1.0, cond, n)) @ Q.T
-
-
 def test_L_tau_endpoints():
-    M = _random_spd(7, 9.0, 0)
+    M = random_spd(7, 9.0, 0)
     assert L_tau(M, 1) == pytest.approx(float(np.diag(M).max()))
     assert L_tau(M, 7) == pytest.approx(eig_extremes(M)[1])
 
 
 def test_L_tau_brute_force_and_interlacing():
-    M = _random_spd(6, 5.0, 1)
+    M = random_spd(6, 5.0, 1)
     vals = []
     for tau in range(1, 7):
         brute = max(eig_extremes(M[np.ix_(S.array, S.array)])[1]
@@ -50,7 +43,7 @@ def test_L_tau_brute_force_and_interlacing():
 
 
 def test_L_tau_budget_fallback_trace_bound():
-    M = _random_spd(24, 4.0, 2)
+    M = random_spd(24, 4.0, 2)
     with pytest.warns(UserWarning, match="trace"):
         bound = L_tau(M, 12, budget=100)
     assert bound >= L_tau(M, 12) - 1e-12  # honest over-estimate
@@ -72,7 +65,7 @@ def test_expected_inverse_identity():
 
 
 def test_expected_inverse_brute_force():
-    M = _random_spd(5, 4.0, 3)
+    M = random_spd(5, 4.0, 3)
     E = expected_inverse_matrix(M, 2)
     acc = np.zeros((5, 5))
     sets = list(enumerate_subsets(5, 2))
@@ -119,7 +112,7 @@ def test_eso_rejects_single_column():
 
 
 def test_rule_constants_smooth():
-    M = _random_spd(6, 5.0, 5)
+    M = random_spd(6, 5.0, 5)
     problem = CompositeProblem(make_quadratic(M))
     lam_max = eig_extremes(M)[1]
     c, _ = rule_constant(parse_rule("full", 6), problem)
@@ -134,7 +127,7 @@ def test_rule_constants_smooth():
 
 
 def test_rule_constants_nonsmooth():
-    M = _random_spd(6, 5.0, 6)
+    M = random_spd(6, 5.0, 6)
     problem = CompositeProblem(make_quadratic(M), make_l1(0.1))
     c, _ = rule_constant(parse_rule("full", 6), problem)
     assert c == pytest.approx(1.0 / eig_extremes(M)[1])
@@ -175,7 +168,7 @@ def test_predict_K_weakly_pl_and_nonconvex():
 
 
 def test_predict_K_monotone():
-    M = _random_spd(5, 7.0, 7)
+    M = random_spd(5, 7.0, 7)
     problem = CompositeProblem(make_quadratic(M))
     for cls in (FunctionClass("strongly_pl", mu=0.7),
                 FunctionClass("weakly_pl", rho=0.3),
@@ -247,7 +240,7 @@ def test_level_set_radius_overestimates_quadratic():
 
 def test_level_set_radius_ellipsoid_upper_bound():
     # classic ellipsoid geometry: R <= ||x0 - x*|| sqrt(lam_max/lam_min)
-    M = _random_spd(2, 9.0, 8)
+    M = random_spd(2, 9.0, 8)
     problem = CompositeProblem(make_quadratic(M))
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -338,7 +331,7 @@ def _expected_inverse_loop(M, tau, subsets):
 def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
     if chunk_bytes is not None:  # seven 3x3 subsets per chunk
         monkeypatch.setattr(rates, "INVERSE_CHUNK_BYTES", chunk_bytes)
-    M = _random_spd(9, 7.0, 4)
+    M = random_spd(9, 7.0, 4)
     subsets = [S.array for S in enumerate_subsets(9, 3)]
     assert np.array_equal(expected_inverse_matrix(M, 3),
                           _expected_inverse_loop(M, 3, subsets))
