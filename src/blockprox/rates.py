@@ -183,9 +183,10 @@ def eso_v(A: np.ndarray, tau: int) -> np.ndarray:
     return (weights[:, None] * A * A).sum(axis=0)
 
 
-def rule_constant(rule, problem, budget: int = DEFAULT_ENUMERATION_BUDGET):
+def rule_constant(rule, problem):
     """The published lower bound on (the expectation of) the proportion
-    function for a selection rule, with provenance."""
+    function for a selection rule, with provenance.  Enumerated constants
+    read the rule's own budget, as its steps do (`rule_L`)."""
     M = problem.objective.smoothness
     n = M.shape[0]
     smooth = problem.smooth_path
@@ -206,14 +207,15 @@ def rule_constant(rule, problem, budget: int = DEFAULT_ENUMERATION_BUDGET):
         return 1.0 / trace, {"trace(M)": trace}
     # minibatch kinds
     if smooth:
-        lam_min = eig_extremes(problem.objective.expected_inverse(rule.tau, budget))[0]
+        E = problem.objective.expected_inverse(rule.tau, rule.budget)
+        lam_min = eig_extremes(E)[0]
         return lam_min, {"lambda_min(E[inv])": lam_min}
-    lt = problem.objective.block_smoothness(rule.tau, budget).value
+    lt = problem.objective.block_smoothness(rule.tau, rule.budget).value
     return rule.tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / rule.tau}
 
 
 def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
-              xi0: float, budget: int = DEFAULT_ENUMERATION_BUDGET) -> RateBound:
+              xi0: float) -> RateBound:
     """K(epsilon) guaranteeing the target gap for a (rule, class) pair."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -221,7 +223,7 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
     if fclass.kind == "gradient_dominated" and rule.kind != "full_batch":
         raise NoGuaranteeError(
             "gradient-dominated bounds are published for batch descent only")
-    c, provenance = rule_constant(rule, problem, budget)
+    c, provenance = rule_constant(rule, problem)
 
     if fclass.kind == "strongly_pl":
         def K(eps):

@@ -8,7 +8,6 @@ nice:<tau> | greedymb:<tau>`` optionally followed by ``seed=<u64>``.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +17,6 @@ from . import engine
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     CoordSet,
-    EnumerationTooLargeError,
-    enumerate_subsets,
     subset_count,
 )
 from .objectives import CompositeProblem
@@ -238,42 +235,40 @@ def exact_expected_theta(
     problem: CompositeProblem,
     x: np.ndarray,
     L=None,
-    mc_samples: int = 100_000,
 ) -> float:
-    """E[theta(S, x) | x] with exact probabilities over the rule's support.
+    """E[theta(S, x) | x] over the rule's sampling distribution, in closed
+    form.  With g = grad f(x), theta(S, x) is g_S' inv(M_S) g_S / ||g||^2 on
+    the smooth path and sum_{i in S} lambda_i / (L lambda_total) on the
+    scalar-L path, with L the certificate's scalar.  So the expectation is
 
-    Falls back to Monte-Carlo (with a warning carrying the standard error)
-    when the tau-nice support exceeds the enumeration budget.
+        rule        smooth path                       scalar-L path
+        full        theta of the full set             theta of the full set
+        uniform     mean_i(g_i^2 / M_ii) / ||g||^2    1 / (n L)
+        importance  1 / trace(M)                      (not offered)
+        nice:tau    g' E[inv(M_S)] g / ||g||^2        tau / (n L)
+
+    and zero where the certificate vanishes.  E[inv(M_S)] is
+    `Objective.expected_inverse`; its Monte-Carlo estimate past the
+    enumeration budget, flagged by a warning, is the only sampled path.
     """
+    if not rule.is_randomized and rule.kind != "full_batch":
+        raise ValueError(
+            f"no expectation defined for deterministic rule {rule.name!r}")
+    if rule.kind == "importance_coord" and not problem.smooth_path:
+        raise ValueError("importance sampling is smooth-only")
     grad = problem.grad_f(x)
     cert = engine.certificate(problem, x, L, grad=grad)
-    n = problem.dim
-
-    def theta(S):
-        return engine.proportion(problem, x, S, cert=cert, grad=grad)
-
+    if cert.lambda_total <= 0.0:
+        return 0.0
     if rule.kind == "full_batch":
-        return theta(rule.full_set)
-    if rule.kind == "uniform_coord":
-        return float(np.mean([theta(S) for S in rule.singletons]))
+        return engine.proportion(problem, x, rule.full_set, cert=cert, grad=grad)
+    if not problem.smooth_path:
+        return rule.max_block_size / (problem.dim * cert.L_used)
+    M = problem.objective.smoothness
     if rule.kind == "importance_coord":
-        if not problem.smooth_path:
-            raise ValueError("importance sampling is smooth-only")
-        p = importance_probabilities(problem)
-        return float(sum(p[i] * theta(S) for i, S in enumerate(rule.singletons)))
-    if rule.kind == "tau_nice":
-        try:
-            vals = [theta(S) for S in enumerate_subsets(n, rule.tau, rule.budget)]
-        except EnumerationTooLargeError:
-            draws = rule.clone(seed=rule.seed)
-            samples = np.array(
-                [theta(_tau_nice_draw(draws)) for _ in range(mc_samples)]
-            )
-            stderr = samples.std(ddof=1) / np.sqrt(mc_samples)
-            warnings.warn(
-                f"tau-nice support too large to enumerate; Monte-Carlo estimate "
-                f"over {mc_samples} draws, standard error {stderr:.3e}"
-            )
-            return float(samples.mean())
-        return float(np.mean(vals))
-    raise ValueError(f"no expectation defined for deterministic rule {rule.name!r}")
+        return 1.0 / float(np.diag(M).sum())
+    g2 = float(grad @ grad)
+    if rule.kind == "uniform_coord":
+        return float(np.mean(grad * grad / np.diag(M))) / g2
+    E = problem.objective.expected_inverse(rule.tau, rule.budget)
+    return float(grad @ E @ grad) / g2

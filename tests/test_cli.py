@@ -441,3 +441,39 @@ def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expecte
     assert main([command[0], path] + command[1:]) == expected
     err = capsys.readouterr().err
     assert ("config error:" in err) == (expected == EXIT_CONFIG)
+
+
+def test_rates_constant_reads_the_run_budget(tmp_path, capsys):
+    """`rates` prices nice:3 with the L that `run` steps with: the trace bound
+    when [run] budget is below C(12, 3) = 220."""
+    body = """
+[problem]
+kind = generated
+m = 40
+n = 12
+seed = 0
+lambda = 0.05
+
+[rules]
+rules = nice:3
+
+[run]
+max_iters = 20
+budget = 5
+seed = 0
+
+[output]
+dir = {out}
+""".format(out=tmp_path / "out")
+    path = write_cfg(tmp_path, body)
+    with pytest.warns(UserWarning, match="trace upper bound"):
+        assert main(["run", path]) == EXIT_OK
+    entry, = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]
+    assert entry["L_used_source"] == "trace_bound"
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="trace upper bound"):
+        assert main(["rates", path, "--format", "csv"]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and all(row["rule"] == "nice:3" for row in rows)
+    for row in rows:
+        assert float(row["constant"]) == 3 / (12 * entry["L_used"])

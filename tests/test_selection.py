@@ -4,13 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockprox import engine, selection
+from blockprox import engine, rates, selection
 from blockprox.linalg import CoordSet, enumerate_subsets, subset_count
 from blockprox.objectives import (
     CompositeProblem,
     gen_instance,
     make_l1,
     make_quadratic,
+    random_spd,
 )
 from blockprox.selection import (
     BlockRule,
@@ -20,13 +21,6 @@ from blockprox.selection import (
     parse_rule,
     select,
 )
-
-
-def _random_spd(n, cond, seed):
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    return (Q * np.linspace(1.0, cond, n)) @ Q.T
 
 
 def _ctx(problem, x, L=None):
@@ -136,7 +130,7 @@ def test_greedy_coord_smooth_score():
 
 
 def test_greedy_coord_nonsmooth_takes_largest_certificate():
-    problem = CompositeProblem(make_quadratic(_random_spd(5, 4.0, 2)),
+    problem = CompositeProblem(make_quadratic(random_spd(5, 4.0, 2)),
                                make_l1(0.1))
     x = np.random.default_rng(3).standard_normal(5)
     cert = engine.certificate(problem, x)
@@ -154,7 +148,7 @@ def test_greedy_nonsmooth_requires_certificates():
 
 
 def test_greedy_minibatch_exact_matches_brute_force():
-    problem = CompositeProblem(make_quadratic(_random_spd(7, 6.0, 4)))
+    problem = CompositeProblem(make_quadratic(random_spd(7, 6.0, 4)))
     rule = parse_rule("greedymb:3", 7)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -170,7 +164,7 @@ def test_greedy_minibatch_exact_matches_brute_force():
 
 
 def test_greedy_minibatch_heuristic_fallback_flagged():
-    problem = CompositeProblem(make_quadratic(_random_spd(12, 6.0, 6)))
+    problem = CompositeProblem(make_quadratic(random_spd(12, 6.0, 6)))
     rule = BlockRule("greedy_minibatch", 12, tau=5, budget=10)
     x = np.random.default_rng(7).standard_normal(12)
     assert subset_count(12, 5) > 10
@@ -183,7 +177,7 @@ def test_greedy_minibatch_heuristic_fallback_flagged():
 
 
 def test_greedy_minibatch_nonsmooth_top_tau():
-    problem = CompositeProblem(make_quadratic(_random_spd(6, 4.0, 8)),
+    problem = CompositeProblem(make_quadratic(random_spd(6, 4.0, 8)),
                                make_l1(0.05))
     x = np.random.default_rng(9).standard_normal(6)
     cert = engine.certificate(problem, x)
@@ -207,7 +201,7 @@ def test_rule_determinism_and_clone():
 
 
 def test_exact_expected_theta_uniform():
-    problem = CompositeProblem(make_quadratic(_random_spd(5, 3.0, 10)))
+    problem = CompositeProblem(make_quadratic(random_spd(5, 3.0, 10)))
     x = np.random.default_rng(11).standard_normal(5)
     rule = parse_rule("uniform", 5)
     expected = np.mean([engine.proportion(problem, x, CoordSet((i,), 5))
@@ -227,7 +221,7 @@ def test_exact_expected_theta_importance_weighting():
 
 
 def test_exact_expected_theta_tau_nice_enumeration():
-    problem = CompositeProblem(make_quadratic(_random_spd(6, 4.0, 12)))
+    problem = CompositeProblem(make_quadratic(random_spd(6, 4.0, 12)))
     x = np.random.default_rng(13).standard_normal(6)
     rule = parse_rule("nice:2", 6)
     vals = [engine.proportion(problem, x, S) for S in enumerate_subsets(6, 2)]
@@ -239,8 +233,8 @@ def test_exact_expected_theta_mc_fallback_warns():
     x = np.random.default_rng(14).standard_normal(8)
     rule = BlockRule("tau_nice", 8, tau=4, seed=0, budget=5)
     exact = BlockRule("tau_nice", 8, tau=4, seed=0)
-    with pytest.warns(UserWarning, match="standard error"):
-        est = exact_expected_theta(rule, problem, x, mc_samples=4000)
+    with pytest.warns(UserWarning, match="Monte-Carlo"):
+        est = exact_expected_theta(rule, problem, x)
     truth = exact_expected_theta(exact, problem, x)
     assert est == pytest.approx(truth, rel=0.05)
 
@@ -288,3 +282,58 @@ def test_serial_and_full_rules_return_prebuilt_sets():
     assert select(full, problem, ctx) is select(full, problem, ctx) is full.full_set
     assert full.full_set == CoordSet.full(6)
     assert [S.indices for S in full.singletons] == [(i,) for i in range(6)]
+
+
+def _expected_theta_by_enumeration(rule, problem, x, L):
+    """Oracle: theta(S, x) averaged over the rule's support one subset at a
+    time, with the rule's sampling probabilities."""
+    n = problem.dim
+    grad = problem.grad_f(x)
+    cert = engine.certificate(problem, x, L, grad=grad)
+
+    def theta(S):
+        return engine.proportion(problem, x, S, cert=cert, grad=grad)
+
+    if rule.kind == "full_batch":
+        return theta(CoordSet.full(n))
+    if rule.kind == "uniform_coord":
+        return float(np.mean([theta(CoordSet((i,), n)) for i in range(n)]))
+    if rule.kind == "importance_coord":
+        p = importance_probabilities(problem)
+        return float(sum(p[i] * theta(CoordSet((i,), n)) for i in range(n)))
+    return float(np.mean([theta(S) for S in enumerate_subsets(n, rule.tau)]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_exact_expected_theta_closed_forms_match_enumeration(seed, lam):
+    problem = gen_instance(40, 12, seed=seed, lam=lam)
+    n = problem.dim
+    M = problem.objective.smoothness
+    x = np.random.default_rng(100 + seed).standard_normal(n)
+    specs = ["full", "uniform", "nice:2", "nice:3", "nice:4"]
+    if problem.smooth_path:
+        specs.append("importance")
+    for spec in specs:
+        rule = parse_rule(spec, n)
+        L, _ = rates.rule_L(problem, rule)
+        got = exact_expected_theta(rule, problem, x, L=L)
+        want = _expected_theta_by_enumeration(rule, problem, x, L)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), spec
+        # the published bounds that these closed forms meet with equality
+        if spec == "importance":
+            assert got == 1.0 / float(np.diag(M).sum())
+        elif not problem.smooth_path and spec != "full":
+            assert got == rule.max_block_size / (n * L)
+
+
+def test_exact_expected_theta_is_zero_where_the_certificate_vanishes():
+    x = np.zeros(12)
+    g0 = gen_instance(40, 12, seed=1).grad_f(x)
+    l1 = gen_instance(40, 12, seed=1, lam=float(np.abs(g0).max()))
+    quad = CompositeProblem(make_quadratic(random_spd(12, 5.0, 3)))
+    for problem, specs in ((l1, ["full", "uniform", "nice:3"]),
+                           (quad, ["full", "uniform", "importance", "nice:3"])):
+        assert engine.certificate(problem, x).lambda_total == 0.0
+        for spec in specs:
+            assert exact_expected_theta(parse_rule(spec, 12), problem, x) == 0.0, spec

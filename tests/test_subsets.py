@@ -17,15 +17,13 @@ from blockprox.linalg import (
     subset_count,
     subset_index_chunks,
 )
-from blockprox.objectives import CompositeProblem, gen_instance, make_quadratic
+from blockprox.objectives import (
+    CompositeProblem,
+    gen_instance,
+    make_quadratic,
+    random_spd,
+)
 from blockprox.selection import SelectionContext, parse_rule, select
-
-
-def _random_spd(n, cond, seed):
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
-    return (Q * np.linspace(1.0, cond, n)) @ Q.T
 
 
 # -- per-subset oracles -----------------------------------------------------
@@ -98,7 +96,7 @@ def test_subset_index_chunks_raise_before_yielding():
 @pytest.mark.parametrize("n,tau", [(6, 2), (9, 3), (12, 5), (32, 4)])
 def test_L_tau_batched_bit_identical_to_loop(n, tau, monkeypatch):
     M = (gen_instance(200, 32, seed=1).objective.smoothness if n == 32
-         else _random_spd(n, 8.0, n + tau))
+         else random_spd(n, 8.0, n + tau))
     oracle = _L_tau_loop(M, tau)
     assert rates.L_tau(M, tau) == oracle
     # across chunk boundaries, the last chunk partial
@@ -128,7 +126,7 @@ def test_inverse_forms_match_einsum_oracle_on_200_gradients():
 
 
 def test_inverse_forms_small_chunks_and_tau_one(monkeypatch):
-    M = _random_spd(8, 5.0, 3)
+    M = random_spd(8, 5.0, 3)
     g = np.random.default_rng(1).standard_normal(8)
     whole = linalg.block_inverse_forms(M, 3)
     monkeypatch.setattr(linalg, "FORMS_CHUNK_BYTES", 2 * 8 * 9 * 5)  # five sets a chunk
@@ -218,7 +216,7 @@ def test_expected_inverse_cached_on_objective(monkeypatch):
         return original(M, tau, budget, **kwargs)
 
     monkeypatch.setattr(rates, "expected_inverse_matrix", counted)
-    problem = CompositeProblem(make_quadratic(_random_spd(7, 6.0, 2)))
+    problem = CompositeProblem(make_quadratic(random_spd(7, 6.0, 2)))
     rule = parse_rule("nice:3", 7)
     fclass = rates.FunctionClass("general_nonconvex")
     for _ in range(3):
