@@ -253,6 +253,7 @@ def cmd_run(cfg: ExperimentConfig):
             "L_used_source": result.L_used_source,
             "cumulative_decrease": first_F - result.final_F,
             "heuristic_selection_used": any(r.heuristic for r in result.trace),
+            "heuristic_selections": sum(r.heuristic for r in result.trace),
         }
         if cfg.diagnostics:
             report = descent.verify_trace(result)

@@ -5,6 +5,7 @@ records, and trace verification against the one-step descent inequality.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -88,7 +89,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     state = problem.objective.state_at(x)
     g_value = problem.regularizer.value
     F_cur = state.f + g_value(x)
-    if not np.isfinite(F_cur):
+    if not math.isfinite(F_cur):
         raise NumericFailureError("objective not finite at the initial point", x)
 
     L_used, L_used_source = rates.rule_L(problem, rule)
@@ -106,65 +107,62 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     gap_floor = 1e-14 * max(1.0, abs(F_init))
     trace: list[IterationRecord] = []
     termination = "exhausted_iters"
-    cert = None
+    lam = None
+    ctx = SelectionContext(x=x)  # its fields are set every iteration
+    clock = time.perf_counter_ns
 
     for k in range(cfg.max_iters):
-        t0 = time.perf_counter_ns()
+        t0 = clock()
         grad = state.grad
         if not np.isfinite(grad).all():
             raise NumericFailureError(f"gradient not finite at iteration {k}", x)
 
-        cert = engine.certificate(problem, x, L_used, grad=grad) if need_cert else None
+        if need_cert:
+            cert = engine.certificate(problem, x, L_used, grad=grad)
+            lam = cert.lambda_total
+            ctx.lambda_per_coord = cert.lambda_per_coord
         xi_cur = F_cur - problem.opt_value if has_opt else None
 
         if cfg.stop_on == "gap" and xi_cur <= cfg.epsilon:
             termination = "reached_gap"
             break
-        if cfg.stop_on == "certificate" and cert.lambda_total < cfg.epsilon:
+        if cfg.stop_on == "certificate" and lam < cfg.epsilon:
             termination = "reached_certificate"
             break
 
-        ctx = SelectionContext(
-            x=x, grad=grad,
-            lambda_per_coord=None if cert is None else cert.lambda_per_coord,
-            k=k,
-        )
+        ctx.x, ctx.grad, ctx.k = x, grad, k
         S = select(rule, problem, ctx)
         step = engine.block_step(problem, x, S, L_used, grad=grad)
+        u_S = step.u_S
 
         mu = theta = None
         if cfg.record_diagnostics:
             if xi_cur > gap_floor:
-                mu = cert.lambda_total / xi_cur
-                theta = (step.decrease / cert.lambda_total
-                         if cert.lambda_total > 0 else 0.0)
+                mu = lam / xi_cur
+                theta = step.decrease / lam if lam > 0 else 0.0
             else:
                 # at numerical optimality the forcing ratio is ill-defined
                 mu, theta = 0.0, 0.0
 
-        state.move(S, step.u_S)
+        state.move(S, u_S)
         x_next = state.x
         F_next = state.f + g_value(x_next)
-        if not np.isfinite(F_next):
+        if not math.isfinite(F_next):
             raise NumericFailureError(f"objective not finite after iteration {k}", x_next)
         if F_next > F_init + 1e-6:
             raise NumericFailureError(
                 f"divergence guard tripped at iteration {k}: "
                 f"F={F_next} exceeds initial {F_init}", x_next)
 
-        trace.append(IterationRecord(
-            k=k, block=S, F=F_cur, xi=xi_cur,
-            lam=None if cert is None else cert.lambda_total,
-            mu=mu, theta=theta,
-            step_norm=float(np.linalg.norm(step.u_S)),
-            elapsed_ns=time.perf_counter_ns() - t0,
-            heuristic=rule.last_was_heuristic,
-        ))
+        # what np.linalg.norm computes for a 1-D array
+        step_norm = math.sqrt(float(u_S.dot(u_S)))
+        trace.append(IterationRecord(k, S, F_cur, xi_cur, lam, mu, theta, step_norm,
+                                     clock() - t0, rule.last_was_heuristic))
         x, F_cur = x_next, F_next
 
     final_lambda = None
     if need_cert:
-        final_lambda = (cert.lambda_total if termination != "exhausted_iters"
+        final_lambda = (lam if termination != "exhausted_iters"
                         else engine.certificate(problem, x, L_used,
                                                 grad=state.grad).lambda_total)
     return RunResult(
@@ -199,44 +197,38 @@ def verify_trace(result: RunResult, rel_tol: float = 1e-9) -> TraceReport:
     if not rows or rows[0].xi is None or rows[0].theta is None:
         raise UnverifiableError("trace is missing diagnostics (xi, theta, mu)")
 
-    xis = [r.xi for r in rows] + [result.final_xi]
-    Fs = [r.F for r in rows] + [result.final_F]
+    F = np.array([r.F for r in rows], dtype=float)
+    xi = np.array([r.xi for r in rows], dtype=float)
+    contraction = 1.0 - (np.array([r.theta for r in rows], dtype=float)
+                         * np.array([r.mu for r in rows], dtype=float))
+    xi_next = np.append(xi[1:], result.final_xi)
+    F_next = np.append(F[1:], result.final_F)
+    # absolute slack at the rounding scale of F: the gap is a difference of
+    # objective values, so its noise floor is set by |F|, not by xi
+    abs_slack = 1e-12 * (1.0 + np.abs(F))
 
-    onestep_margin, onestep_ok, onestep_detail = np.inf, True, ""
-    for r, xi_next in zip(rows, xis[1:]):
-        # absolute slack at the rounding scale of F: the gap is a difference
-        # of objective values, so its noise floor is set by |F|, not by xi
-        abs_slack = 1e-12 * (1.0 + abs(r.F))
-        bound = (1.0 - r.theta * r.mu) * r.xi + rel_tol * abs(r.xi) + abs_slack
-        margin = bound - xi_next
-        if margin < onestep_margin:
-            onestep_margin = margin
-        if xi_next > bound:
-            onestep_ok = False
-            onestep_detail = f"violated at k={r.k}"
-
-    mono_margin, mono_ok, mono_detail = np.inf, True, ""
-    for r, F_next in zip(rows, Fs[1:]):
-        slack = 1e-12 * (1.0 + abs(r.F))
-        margin = r.F + slack - F_next
-        if margin < mono_margin:
-            mono_margin = margin
-        if F_next > r.F + slack:
-            mono_ok = False
-            mono_detail = f"violated at k={r.k}"
-
-    product = 1.0
-    for r in rows:
-        product *= max(1.0 - r.theta * r.mu, 0.0)
+    bound = contraction * xi + rel_tol * np.abs(xi) + abs_slack
+    upper = F + abs_slack
+    # multiplied in sequence, as a loop would, not in np.prod's order
+    product = float(np.multiply.accumulate(np.maximum(contraction, 0.0))[-1])
     k_bound = (product * rows[0].xi * (1.0 + rel_tol) + rel_tol * rows[0].xi
                + 1e-12 * (1.0 + abs(rows[0].F)))
-    k_margin = k_bound - xis[-1]
+    k_margin = k_bound - result.final_xi
 
     return TraceReport(checks=[
-        TraceCheck("one_step_descent", onestep_ok, onestep_margin, onestep_detail),
-        TraceCheck("monotonicity", mono_ok, mono_margin, mono_detail),
+        _row_check("one_step_descent", bound - xi_next, xi_next > bound, rows),
+        _row_check("monotonicity", upper - F_next, F_next > upper, rows),
         TraceCheck("k_step_product_bound", k_margin >= 0.0, k_margin),
     ])
+
+
+def _row_check(name: str, margins: np.ndarray, violated: np.ndarray, rows) -> TraceCheck:
+    """A per-row check: its first smallest margin, nan skipped (inf when all
+    are nan), and the last violating row's k."""
+    margins = np.where(np.isnan(margins), np.inf, margins)
+    bad = np.flatnonzero(violated)
+    detail = f"violated at k={rows[bad[-1]].k}" if bad.size else ""
+    return TraceCheck(name, not bad.size, float(margins[margins.argmin()]), detail)
 
 
 def sequence_bound_check(alphas: Sequence[float], betas: Sequence[float]) -> bool:

@@ -6,7 +6,9 @@ per-rule bounds live in the test suite as independent oracles.  Functions
 that need grad f(x) take it as an optional `grad` argument, so that a
 caller holding it already (the descent loop) does not recompute it.  On the
 scalar-L prox path the certificate and the block step are numpy expressions
-over the regularizer's array maps, one entry per coordinate.
+over the regularizer's array maps, one entry per coordinate.  A
+one-coordinate block step is computed on Python floats instead, with the
+same bits.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .linalg import CoordSet, mask_vector
+from .linalg import CoordSet, InvalidSetError, mask_vector
 from .objectives import CompositeProblem
 
 
@@ -100,10 +102,43 @@ def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L,
+                     grad: np.ndarray) -> tuple[float, float]:
+    """block_step at S = {i} on Python floats: the step u_i and the model
+    decrease, bit-identical to the array path.
+
+    Smooth path: dpotrs on the 1 x 1 factor sqrt(M_ii) multiplies twice by
+    its reciprocal r_i, and a length-1 dot is 0.0 + g_i u_i.  Scalar-L path:
+    `_prox_model` in the same operation order, through the regularizer's
+    scalar `prox` and `value_i`.
+    """
+    g_i = float(grad[i])
+    if problem.smooth_path:
+        r_i = problem.objective.inverse_sqrt_diagonal[i]
+        u = -((g_i * r_i) * r_i)
+        return u, max(-0.5 * (0.0 + g_i * u), 0.0)
+    L = _L_used(problem, L)
+    reg, x_i = problem.regularizer, float(x[i])
+    u = reg.prox(x_i - g_i / L, L, i) - x_i
+    # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
+    lam = max(-L * (g_i * u + 0.5 * L * u * u + reg.value_i(i, x_i + u)
+                    - reg.value_i(i, x_i)), 0.0)
+    return u, max(0.0 + lam / L, 0.0)
+
+
 def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
                grad=None) -> BlockStep:
-    """Minimizer of the block model U_S at x and its model decrease."""
+    """Minimizer of the block model U_S at x and its model decrease.
+
+    A one-coordinate block is stepped on Python floats (`_coordinate_step`)
+    with the same result as the array path."""
     grad = _gradient(problem, x, grad)
+    if len(S) == 1:
+        if len(grad) != S.ambient_dim:
+            raise InvalidSetError(f"gradient of length {len(grad)} does not match "
+                                  f"ambient dim {S.ambient_dim}")
+        u, decrease = _coordinate_step(problem, x, S.indices[0], L, grad)
+        return BlockStep(S=S, u_S=np.array([u]), decrease=decrease)
     if problem.smooth_path:
         g_S = mask_vector(grad, S)
         u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)

@@ -3,8 +3,9 @@
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
 x, h, and caches what is derived from M: Cholesky factors of principal
-submatrices, and per block size tau the block smoothness scalar L_tau, the
-expected inverse E[inv(M[S, S])] and the exact greedy-minibatch tables.  A
+submatrices (and 1/sqrt(M_ii), by which a one-coordinate step scales), and
+per block size tau the block smoothness scalar L_tau, the expected inverse
+E[inv(M[S, S])] and the exact greedy-minibatch tables.  A
 SeparableRegularizer is the nonsmooth half of F = f + g; it is read through
 array maps (values g_i(v_i) and the prox of many coordinates at once with one
 scalar ell), so the certificate and the prox step are numpy expressions over
@@ -138,6 +139,12 @@ class Objective:
         cdf /= cdf[-1]
         return cdf
 
+    @functools.cached_property
+    def inverse_sqrt_diagonal(self) -> list[float]:
+        """1 / sqrt(M_ii) per coordinate as Python floats: the reciprocal of
+        each 1 x 1 Cholesky factor, by which a one-coordinate step scales."""
+        return (1.0 / np.sqrt(np.diag(self.smoothness))).tolist()
+
     def state_at(self, x: np.ndarray) -> "IterateState":
         """f and its gradient at x, kept current by `IterateState.move`."""
         return IterateState(self, x)
@@ -164,14 +171,16 @@ class IterateState:
 
     def move(self, S: CoordSet, u_S: np.ndarray) -> None:
         """x <- x + u_S embedded at S."""
-        idx = S.array
         x = self.x.copy()
-        x[idx] += u_S
+        if len(S) == 1:
+            x[S.indices[0]] += u_S[0]
+        else:
+            x[S.array] += u_S
         self.x = x
         self._grad = None
-        self._update(idx, u_S)
+        self._update(S, u_S)
 
-    def _update(self, idx: np.ndarray, u_S: np.ndarray) -> None:
+    def _update(self, S: CoordSet, u_S: np.ndarray) -> None:
         self.f = float(self.objective.eval_f(self.x))
 
 
@@ -367,10 +376,18 @@ class LsqCosObjective(Objective):
     def state_at(self, x: np.ndarray) -> "LsqCosState":
         return LsqCosState(self, x)
 
+    @functools.cached_property
+    def smoothness_columns(self) -> np.ndarray:
+        """Row i is column i of M, contiguous: M itself when it is exactly
+        symmetric, otherwise a copy of M'."""
+        M = self.smoothness
+        return M if np.array_equal(M, M.T) else np.ascontiguousarray(M.T)
+
 
 class LsqCosState(IterateState):
     """Iterate state of a least-squares-plus-cosine objective: a move by u_S
-    updates M x by M[:, S] u_S, and f and the gradient follow in O(n)."""
+    updates M x by M[:, S] u_S (column i times u_i when S = {i}), and f and
+    the gradient follow in O(n)."""
 
     def __init__(self, objective: LsqCosObjective, x: np.ndarray):
         self.objective = objective
@@ -382,20 +399,26 @@ class LsqCosState(IterateState):
         self._Mx = self.objective.smoothness @ self.x
         self._moved = 0
 
-    def _update(self, idx: np.ndarray, u_S: np.ndarray) -> None:
-        self._moved += len(idx)
+    def _update(self, S: CoordSet, u_S: np.ndarray) -> None:
+        self._moved += len(S)
         if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
             self._refresh()
+        elif len(S) == 1:
+            # u_i times column i: the length-1 matvec's products, except that
+            # a zero product may be -0.0 where the matvec gives +0.0; adding
+            # either leaves M x the same, as M x never holds -0.0
+            self._Mx += self.objective.smoothness_columns[S.indices[0]] * u_S
         else:
-            self._Mx = self._Mx + self.objective.smoothness[:, idx] @ u_S
+            self._Mx += self.objective.smoothness[:, S.array] @ u_S
         self._update_f()
 
     def _update_f(self) -> None:
         obj, x = self.objective, self.x
         m = obj.m
-        self._cx = float(obj.c @ x)
-        self.f = (0.5 * float(x @ self._Mx) - 0.5 * self._cx * self._cx / m
-                  - float(obj.Atb_m @ x) + obj.bb_2m + math.cos(self._cx) / m)
+        # ndarray.dot is the BLAS dot that @ calls, with less overhead
+        self._cx = float(obj.c.dot(x))
+        self.f = (0.5 * float(x.dot(self._Mx)) - 0.5 * self._cx * self._cx / m
+                  - float(obj.Atb_m.dot(x)) + obj.bb_2m + math.cos(self._cx) / m)
         self._grad = None
 
     @property

@@ -100,7 +100,7 @@ def test_criterion_03_theta_bounds(report):
     res_s = checks.check_theta_bounds(smooth, seed=0, tau=4, n_points=50)
     res_n = checks.check_theta_bounds(nonsmooth, seed=0, tau=4, n_points=50)
     ok = res_s.passed and res_n.passed
-    report(3, "theta lower bounds, 50 points, exact enumeration", ok)
+    report(3, "theta lower bounds, 50 points, closed forms", ok)
 
 
 def test_criterion_04_batch_linear_rate(report):

@@ -477,3 +477,32 @@ dir = {out}
     assert rows and all(row["rule"] == "nice:3" for row in rows)
     for row in rows:
         assert float(row["constant"]) == 3 / (12 * entry["L_used"])
+
+
+@pytest.mark.parametrize("budget, heuristic", [(None, False), (5, True)])
+def test_report_counts_heuristic_selections(tmp_path, budget, heuristic):
+    """Exact greedymb:3 at n=12 scores all C(12, 3) = 220 blocks; a budget
+    below that makes every selection the forward-greedy heuristic."""
+    body = """
+[problem]
+kind = generated
+m = 40
+n = 12
+seed = 0
+
+[rules]
+rules = greedymb:3
+
+[run]
+max_iters = 25
+seed = 0
+{budget}
+[output]
+dir = {out}
+""".format(budget="" if budget is None else f"budget = {budget}\n",
+           out=tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_OK
+    entry, = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]
+    assert entry["iterations"] == 25
+    assert entry["heuristic_selection_used"] is heuristic
+    assert entry["heuristic_selections"] == (25 if heuristic else 0)

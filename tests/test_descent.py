@@ -237,3 +237,112 @@ def test_randomized_runs_reproducible():
     r2 = run(problem, parse_rule("nice:2 seed=42", 6), cfg)
     assert [t.block for t in r1.trace] == [t.block for t in r2.trace]
     np.testing.assert_array_equal(r1.x, r2.x)
+
+
+def _verify_trace_loop(result, rel_tol=1e-9):
+    """verify_trace as a loop over the trace rows: the oracle for the
+    vectorized checks. (name, passed, worst margin, detail) per check."""
+    rows = result.trace
+    xis = [r.xi for r in rows] + [result.final_xi]
+    Fs = [r.F for r in rows] + [result.final_F]
+    onestep_margin, onestep_ok, onestep_detail = np.inf, True, ""
+    for r, xi_next in zip(rows, xis[1:]):
+        abs_slack = 1e-12 * (1.0 + abs(r.F))
+        bound = (1.0 - r.theta * r.mu) * r.xi + rel_tol * abs(r.xi) + abs_slack
+        margin = bound - xi_next
+        if margin < onestep_margin:
+            onestep_margin = margin
+        if xi_next > bound:
+            onestep_ok, onestep_detail = False, f"violated at k={r.k}"
+    mono_margin, mono_ok, mono_detail = np.inf, True, ""
+    for r, F_next in zip(rows, Fs[1:]):
+        slack = 1e-12 * (1.0 + abs(r.F))
+        margin = r.F + slack - F_next
+        if margin < mono_margin:
+            mono_margin = margin
+        if F_next > r.F + slack:
+            mono_ok, mono_detail = False, f"violated at k={r.k}"
+    product = 1.0
+    for r in rows:
+        product *= max(1.0 - r.theta * r.mu, 0.0)
+    k_bound = (product * rows[0].xi * (1.0 + rel_tol) + rel_tol * rows[0].xi
+               + 1e-12 * (1.0 + abs(rows[0].F)))
+    k_margin = k_bound - xis[-1]
+    return [("one_step_descent", onestep_ok, onestep_margin, onestep_detail),
+            ("monotonicity", mono_ok, mono_margin, mono_detail),
+            ("k_step_product_bound", k_margin >= 0.0, k_margin, "")]
+
+
+def _checks(report):
+    return [(c.name, c.passed, float.hex(float(c.worst_margin)), c.detail)
+            for c in report.checks]
+
+
+def test_verify_trace_matches_the_row_loop():
+    smooth = gen_instance(30, 10, seed=0)
+    l1 = gen_instance(30, 10, seed=0, lam=0.02)
+    quad = CompositeProblem(make_quadratic(random_spd(4, 5.0, 2)))
+    results = []
+    for problem, specs in ((smooth, ("full", "uniform", "greedy", "nice:3")),
+                           (l1, ("uniform", "cyclic", "greedymb:3"))):
+        empirical_optimum(problem)
+        results += [run(problem, parse_rule(spec, 10, default_seed=1),
+                        RunConfig(max_iters=80, record_diagnostics=True, x0=np.ones(10)))
+                    for spec in specs]
+    # the corrupted trace of test_verify_trace_catches_corruption, a second
+    # violation after it (the detail names the last), a rise in F, a nan theta
+    for corrupt in (None, "xi", "xi twice", "F", "theta"):
+        result = run(quad, parse_rule("uniform seed=0", 4),
+                     RunConfig(max_iters=20, record_diagnostics=True, x0=np.ones(4)))
+        if corrupt in ("xi", "xi twice"):
+            result.trace[5].xi *= 3.0
+            if corrupt == "xi twice":
+                result.trace[12].xi *= 3.0
+        elif corrupt == "F":
+            result.trace[9].F = result.trace[8].F * 2.0 + 1.0
+        elif corrupt == "theta":
+            result.trace[3].theta = np.nan
+        results.append(result)
+    for result in results:
+        want = [(name, ok, float.hex(float(margin)), detail)
+                for name, ok, margin, detail in _verify_trace_loop(result)]
+        assert _checks(verify_trace(result)) == want
+    assert not any(verify_trace(result).all_passed for result in results[-4:])
+    assert verify_trace(results[-3]).checks[0].detail == "violated at k=11"
+
+
+def _turning_quadratic(nan_gradient_at=None, inf_value_after=None):
+    """x'Qx/2 as a closure objective whose gradient is nan at its call
+    `nan_gradient_at` and whose value is inf after step `inf_value_after`.
+    Without diagnostics the iterate state reads the gradient once per
+    iteration and the value once per iterate (x0 first)."""
+    Q = np.diag([1.0, 2.0, 3.0, 4.0])
+    calls = {"grad": 0, "f": 0}
+
+    def grad_f(x):
+        calls["grad"] += 1
+        return np.full(4, np.nan) if calls["grad"] - 1 == nan_gradient_at else Q @ x
+
+    def eval_f(x):
+        calls["f"] += 1
+        after_step = calls["f"] - 2
+        return np.inf if after_step == inf_value_after else 0.5 * float(x @ (Q @ x))
+
+    return CompositeProblem(Objective(dim=4, eval_f=eval_f, grad_f=grad_f,
+                                      smoothness=Q, known_opt_value=0.0))
+
+
+@pytest.mark.parametrize("spec", ["uniform", "full"])
+def test_gradient_turning_nan_mid_run_is_a_numeric_failure(spec):
+    problem = _turning_quadratic(nan_gradient_at=7)
+    with pytest.raises(NumericFailureError, match=r"^gradient not finite at iteration 7$"):
+        run(problem, parse_rule(spec, 4), RunConfig(max_iters=20, x0=np.ones(4)))
+
+
+@pytest.mark.parametrize("spec", ["uniform", "full"])
+def test_objective_turning_inf_after_a_step_is_a_numeric_failure(spec):
+    problem = _turning_quadratic(inf_value_after=5)
+    with pytest.raises(NumericFailureError,
+                       match=r"^objective not finite after iteration 5$") as failure:
+        run(problem, parse_rule(spec, 4), RunConfig(max_iters=20, x0=np.ones(4)))
+    assert np.isfinite(failure.value.iterate).all()
