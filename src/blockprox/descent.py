@@ -65,7 +65,10 @@ class IterationRecord:
 class RunResult:
     x: np.ndarray
     trace: list[IterationRecord]
-    termination: str  # reached_gap | reached_certificate | exhausted_iters
+    # reached_gap | reached_certificate | stagnated | exhausted_iters; a
+    # full-batch run under stop_on "certificate" stagnates at a step that
+    # lowered F by less than 1e-16 (1 + |F|)
+    termination: str
     final_F: float
     final_xi: Optional[float]
     final_lambda: Optional[float]
@@ -101,7 +104,13 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
     greedy_nonsmooth = (not problem.smooth_path
                         and rule.kind in ("greedy_coord", "greedy_minibatch"))
-    need_cert = cfg.record_diagnostics or cfg.stop_on == "certificate" or greedy_nonsmooth
+    stop_on_cert = cfg.stop_on == "certificate"
+    need_cert = cfg.record_diagnostics or stop_on_cert or greedy_nonsmooth
+    # a full-batch step depends on x alone, so one that leaves F in place is
+    # repeated forever; a serial or minibatch step that does only says its
+    # block is at a minimum
+    stop_on_stagnation = stop_on_cert and rule.kind == "full_batch"
+    stagnant = False
 
     F_init = F_cur
     gap_floor = 1e-14 * max(1.0, abs(F_init))
@@ -126,8 +135,11 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         if cfg.stop_on == "gap" and xi_cur <= cfg.epsilon:
             termination = "reached_gap"
             break
-        if cfg.stop_on == "certificate" and lam < cfg.epsilon:
+        if stop_on_cert and lam < cfg.epsilon:
             termination = "reached_certificate"
+            break
+        if stagnant:
+            termination = "stagnated"
             break
 
         ctx.x, ctx.grad, ctx.k = x, grad, k
@@ -158,6 +170,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         step_norm = math.sqrt(float(u_S.dot(u_S)))
         trace.append(IterationRecord(k, S, F_cur, xi_cur, lam, mu, theta, step_norm,
                                      clock() - t0, rule.last_was_heuristic))
+        stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
         x, F_cur = x_next, F_next
 
     final_lambda = None
@@ -250,33 +263,19 @@ def sequence_bound_check(alphas: Sequence[float], betas: Sequence[float]) -> boo
     return True
 
 
-def empirical_optimum(problem: CompositeProblem, tol: float = 1e-24,
-                      max_iters: int = 200_000) -> float:
-    """Reference F(x*) for instances without a known optimum: full-batch
-    descent driven to a vanishing certificate or a stagnant objective.
+def empirical_optimum(problem: CompositeProblem) -> float:
+    """Reference F(x*) for instances without a known optimum: a full-batch
+    `run` from the origin to a vanishing certificate or a stagnant objective.
 
     The result is an *empirical* optimum; it is stored on the problem.
     """
-    rule = BlockRule("full_batch", problem.dim)
-    L, _ = rates.rule_L(problem, rule)
-    S = rule.full_set
-    x = np.zeros(problem.dim)
-    F_cur = problem.F(x)
-    for _ in range(max_iters):
-        grad = problem.grad_f(x)
-        cert = engine.certificate(problem, x, L, grad=grad)
-        if cert.lambda_total < tol:
-            break
-        step = engine.block_step(problem, x, S, L, grad=grad)
-        x = x + step.u_S
-        F_next = problem.F(x)
-        if F_cur - F_next < 1e-16 * (1.0 + abs(F_cur)):
-            F_cur = min(F_cur, F_next)
-            break
-        F_cur = F_next
-    problem.opt_value = F_cur
+    result = run(problem, BlockRule("full_batch", problem.dim),
+                 RunConfig(max_iters=200_000, epsilon=1e-24, stop_on="certificate"))
+    # a stagnant last step may have raised F: keep the lower of its two ends
+    F_star = min(result.final_F, result.trace[-1].F) if result.trace else result.final_F
+    problem.opt_value = F_star
     problem.opt_value_is_empirical = True
-    return F_cur
+    return F_star
 
 
 TRACE_HEADER = ["k", "rule", "block", "F", "xi", "lambda", "mu", "theta",

@@ -29,6 +29,11 @@ from .linalg import (
 #: scatter them back (four arrays of 8-byte entries per subset).
 INVERSE_CHUNK_BYTES = 4 * 2**20
 
+#: Past the enumeration budget `expected_inverse_matrix` averages this many
+#: sets drawn from `default_rng(INVERSE_MC_SEED)`.
+INVERSE_MC_SAMPLES = 20_000
+INVERSE_MC_SEED = 0
+
 #: Stacked tau x tau blocks per `eigvalsh` call in `L_tau`.
 EIGVALSH_CHUNK_BYTES = 2**20
 
@@ -132,9 +137,7 @@ def _accumulate_inverses(out: np.ndarray, M: np.ndarray, subsets: np.ndarray) ->
 
 
 def expected_inverse_matrix(M: np.ndarray, tau: int,
-                            budget: int = DEFAULT_ENUMERATION_BUDGET,
-                            mc_samples: int = 20_000,
-                            mc_seed: int = 0) -> np.ndarray:
+                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     """Average over all cardinality-tau sets S of the inverse block of M
     embedded back at the rows/columns of S.
 
@@ -151,16 +154,16 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     except EnumerationTooLargeError:
         warnings.warn(
             f"C({n},{tau}) exceeds the enumeration budget; Monte-Carlo "
-            f"estimate over {mc_samples} samples"
+            f"estimate over {INVERSE_MC_SAMPLES} samples"
         )
-        rng = np.random.default_rng(mc_seed)
+        rng = np.random.default_rng(INVERSE_MC_SEED)
         done = 0
-        while done < mc_samples:
-            size = min(chunk, mc_samples - done)
+        while done < INVERSE_MC_SAMPLES:
+            size = min(chunk, INVERSE_MC_SAMPLES - done)
             _accumulate_inverses(out, M, np.array(
                 [np.sort(rng.choice(n, size=tau, replace=False)) for _ in range(size)]))
             done += size
-        return out / mc_samples
+        return out / INVERSE_MC_SAMPLES
     for block in chunks:
         _accumulate_inverses(out, M, block)
     return out / subset_count(n, tau)

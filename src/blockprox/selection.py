@@ -27,6 +27,18 @@ ALL_KINDS = ("full_batch",) + SERIAL_KINDS + MINIBATCH_KINDS
 
 RANDOMIZED_KINDS = ("uniform_coord", "importance_coord", "tau_nice")
 
+# config name -> kind; minibatch names take ":<tau>"
+RULE_KINDS = {
+    "full": "full_batch",
+    "uniform": "uniform_coord",
+    "importance": "importance_coord",
+    "greedy": "greedy_coord",
+    "cyclic": "cyclic_coord",
+    "nice": "tau_nice",
+    "greedymb": "greedy_minibatch",
+}
+RULE_NAMES = {kind: name for name, kind in RULE_KINDS.items()}
+
 
 @dataclass
 class SelectionContext:
@@ -79,22 +91,8 @@ class BlockRule:
 
     @property
     def name(self) -> str:
-        if self.kind == "tau_nice":
-            return f"nice:{self.tau}"
-        if self.kind == "greedy_minibatch":
-            return f"greedymb:{self.tau}"
-        return {
-            "full_batch": "full",
-            "uniform_coord": "uniform",
-            "importance_coord": "importance",
-            "greedy_coord": "greedy",
-            "cyclic_coord": "cyclic",
-        }[self.kind]
-
-    def clone(self, seed: Optional[int] = None) -> "BlockRule":
-        return BlockRule(self.kind, self.n, tau=self.tau,
-                         seed=self.seed if seed is None else seed,
-                         budget=self.budget)
+        name = RULE_NAMES[self.kind]
+        return f"{name}:{self.tau}" if self.kind in MINIBATCH_KINDS else name
 
     def __repr__(self):
         return f"BlockRule({self.name!r}, n={self.n}, seed={self.seed})"
@@ -115,15 +113,7 @@ def parse_rule(text: str, n: int, default_seed: int = 0,
     if ":" in head:
         head, tau_text = head.split(":", 1)
         tau = int(tau_text)
-    kind = {
-        "full": "full_batch",
-        "uniform": "uniform_coord",
-        "importance": "importance_coord",
-        "greedy": "greedy_coord",
-        "cyclic": "cyclic_coord",
-        "nice": "tau_nice",
-        "greedymb": "greedy_minibatch",
-    }.get(head)
+    kind = RULE_KINDS.get(head)
     if kind is None:
         raise ValueError(f"unknown rule {head!r}")
     return BlockRule(kind, n, tau=tau, seed=seed, budget=budget)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from blockprox import descent
+from blockprox import engine, rates
 from blockprox.descent import (
     NumericFailureError,
     RunConfig,
@@ -346,3 +346,85 @@ def test_objective_turning_inf_after_a_step_is_a_numeric_failure(spec):
                        match=r"^objective not finite after iteration 5$") as failure:
         run(problem, parse_rule(spec, 4), RunConfig(max_iters=20, x0=np.ones(4)))
     assert np.isfinite(failure.value.iterate).all()
+
+
+def _empirical_optimum_loop(problem):
+    """The full-batch loop `empirical_optimum` once ran on its own, kept as
+    an oracle: closure F and gradient, stopped by a certificate below 1e-24
+    or a step that lowers F by less than 1e-16 (1 + |F|)."""
+    rule = BlockRule("full_batch", problem.dim)
+    L, _ = rates.rule_L(problem, rule)
+    S = rule.full_set
+    x = np.zeros(problem.dim)
+    F_cur = problem.F(x)
+    for _ in range(200_000):
+        grad = problem.grad_f(x)
+        if engine.certificate(problem, x, L, grad=grad).lambda_total < 1e-24:
+            break
+        x = x + engine.block_step(problem, x, S, L, grad=grad).u_S
+        F_next = problem.F(x)
+        if F_cur - F_next < 1e-16 * (1.0 + abs(F_cur)):
+            return min(F_cur, F_next)
+        F_cur = F_next
+    return F_cur
+
+
+def _paper_instance(l1):
+    problem = gen_instance(1000, 100, 17)
+    if not l1:
+        return problem
+    lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(100))).max())
+    return gen_instance(1000, 100, 17, lam=lam)
+
+
+@pytest.fixture(scope="module")
+def paper_l1():
+    return _paper_instance(l1=True)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _paper_instance(l1=False), id="paper-smooth"),
+    pytest.param(lambda: _paper_instance(l1=True), id="paper-l1"),
+] + [pytest.param(lambda s=s, lam=lam: gen_instance(40, 12, s, lam=lam),
+                  id=f"40x12-s{s}-lam{lam}")
+     for s in range(4) for lam in (0.0, 0.05)])
+def test_empirical_optimum_matches_the_direct_loop(make):
+    problem = make()
+    want = _empirical_optimum_loop(problem)
+    F0 = problem.F(np.zeros(problem.dim))
+    got = empirical_optimum(problem)
+    assert problem.opt_value == got and problem.opt_value_is_empirical
+    assert abs(got - want) <= 1e-12 * max(abs(F0), abs(want))
+
+
+def test_certificate_stop_ends_on_a_stagnant_objective(paper_l1):
+    max_iters = 200_000
+    result = run(paper_l1, BlockRule("full_batch", 100),
+                 RunConfig(max_iters=max_iters, epsilon=1e-24, stop_on="certificate"))
+    assert result.termination == "stagnated"
+    assert len(result.trace) < max_iters
+    # read at the returned x, not the certificate before the last step
+    grad = paper_l1.objective.state_at(result.x).grad
+    at_x = engine.certificate(paper_l1, result.x, result.L_used, grad=grad).lambda_total
+    assert result.final_lambda == at_x != result.trace[-1].lam
+
+    # a fixed budget keeps stepping past that point, along the same iterates
+    iters = len(result.trace) + 20
+    fixed = run(paper_l1, BlockRule("full_batch", 100), RunConfig(max_iters=iters))
+    assert fixed.termination == "exhausted_iters"
+    assert len(fixed.trace) == iters
+    assert [r.F for r in fixed.trace[:len(result.trace)]] == [r.F for r in result.trace]
+
+
+@pytest.mark.parametrize("spec", ["uniform seed=3", "cyclic", "nice:3 seed=3"])
+def test_certificate_stop_steps_past_blocks_already_at_a_minimum(spec):
+    # an L1 coordinate held at zero leaves F in place when picked; the run
+    # goes on until the certificate vanishes
+    problem = gen_instance(40, 12, 0)
+    lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(12))).max())
+    problem = gen_instance(40, 12, 0, lam=lam)
+    result = run(problem, parse_rule(spec, 12),
+                 RunConfig(max_iters=1000, epsilon=1e-9, stop_on="certificate"))
+    assert result.termination == "reached_certificate"
+    F = [r.F for r in result.trace] + [result.final_F]
+    assert any(a - b < 1e-16 * (1.0 + abs(a)) for a, b in zip(F, F[1:]))

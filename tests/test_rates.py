@@ -75,10 +75,11 @@ def test_expected_inverse_brute_force():
     np.testing.assert_allclose(E, acc / len(sets), rtol=1e-12)
 
 
-def test_expected_inverse_mc_fallback():
+def test_expected_inverse_mc_fallback(monkeypatch):
+    monkeypatch.setattr(rates, "INVERSE_MC_SAMPLES", 3000)
     M = np.eye(10)
     with pytest.warns(UserWarning, match="Monte-Carlo"):
-        E = expected_inverse_matrix(M, 4, budget=5, mc_samples=3000)
+        E = expected_inverse_matrix(M, 4, budget=5)
     np.testing.assert_allclose(E, 0.4 * np.eye(10), atol=0.05)
 
 
@@ -339,6 +340,8 @@ def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
     # the Monte-Carlo branch draws the same sets as a per-sample loop
     rng = np.random.default_rng(5)
     draws = [np.sort(rng.choice(9, size=3, replace=False)) for _ in range(500)]
+    monkeypatch.setattr(rates, "INVERSE_MC_SAMPLES", 500)
+    monkeypatch.setattr(rates, "INVERSE_MC_SEED", 5)
     with pytest.warns(UserWarning, match="Monte-Carlo"):
-        E = expected_inverse_matrix(M, 3, budget=10, mc_samples=500, mc_seed=5)
+        E = expected_inverse_matrix(M, 3, budget=10)
     assert np.array_equal(E, _expected_inverse_loop(M, 3, draws))
