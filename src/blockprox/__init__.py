@@ -57,6 +57,7 @@ from .rates import (
     L_tau,
     eso_v,
     expected_inverse_matrix,
+    general_nonconvex_epsilon,
     gradient_dominated_K,
     level_set_radius,
     predict_K,

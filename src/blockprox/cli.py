@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -184,32 +183,6 @@ def cmd_gen(cfg: ExperimentConfig, out_path=None) -> str:
     return path
 
 
-def _theorem10_rate_curve(xi0: float, c: float, ks) -> list:
-    """epsilon(k): the guaranteed bound on min(xi, min lambda) after k steps,
-    from inverting k = (xi0/(c eps)) log(xi0/eps) by bisection."""
-
-    def needed(eps):
-        return (xi0 / (c * eps)) * math.log(xi0 / eps)
-
-    out = []
-    for k in ks:
-        if k < 1 or xi0 <= 0:
-            out.append(xi0)
-            continue
-        lo, hi = xi0 * 1e-18, xi0 * (1 - 1e-12)
-        if needed(hi) > k:
-            out.append(xi0)
-            continue
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if needed(mid) > k:
-                lo = mid
-            else:
-                hi = mid
-        out.append(hi)
-    return out
-
-
 def cmd_run(cfg: ExperimentConfig):
     problem = build_problem(cfg)
     rules = build_rules(cfg, problem.dim)
@@ -288,8 +261,8 @@ def cmd_run(cfg: ExperimentConfig):
             result = full[0]
             xi0 = result.trace[0].xi
             c = 1.0 / eig_extremes(problem.objective.smoothness)[1]
-            ks = [row.k for row in result.trace]
-            rate = _theorem10_rate_curve(xi0, c, [k + 1 for k in ks])
+            rate = rates.general_nonconvex_epsilon(
+                xi0, c, [row.k + 1 for row in result.trace])
             series_path = os.path.join(cfg.out_dir, "plateau_series.csv")
             with open(series_path, "w") as fh:
                 fh.write("k,fx,dfx,rate\n")
@@ -330,10 +303,7 @@ def cmd_rates(cfg: ExperimentConfig, epsilon=None, fmt="text", stream=None):
             mu = rates.strongly_convex_mu(problem, problem.L_scalar)
         classes.append(rates.FunctionClass("strongly_pl", mu=mu))
         try:
-            x_star = problem.objective.known_minimizer
-            rho = rates.weakly_convex_rho(problem, x0, problem.L_scalar,
-                                          x_star=x_star, n_dirs=500,
-                                          seed=cfg.seed)
+            rho = rates.weakly_convex_rho(problem, x0, problem.L_scalar)
             classes.append(rates.FunctionClass("weakly_pl", rho=rho))
         except rates.NoParameterError:
             pass

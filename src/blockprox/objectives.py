@@ -525,74 +525,37 @@ def make_huber_product(box: float = 2.0) -> Objective:
     )
 
 
-def flat_inflection_coefficient(bracket=(2.0, 2.3), tol: float = 1e-12) -> float:
+def flat_inflection_coefficient() -> float:
     """Coefficient c for which x -> (x - pi/c)^2/2 + cos(cx) has a point with
-    f' = f'' = 0 (a flat inflection), found by bisection.
+    f' = f'' = 0 (a flat inflection).
 
-    At the critical c, the local minimum of f' on the branch right of the
-    global minimizer touches zero; below it the branch stays positive.
+    There cos(cx) = 1/c^2 and cx - pi = c^2 sin(cx) with cx in (2 pi, 5 pi/2),
+    so s = c^2 is the root of sqrt(s^2 - 1) = pi + arccos(1/s).  The left
+    side minus the right increases in s; [2, 10] brackets the root, which is
+    bisected to adjacent floats; c is the square root of the lower one.
     """
-
-    def branch_min(c):
-        # local min of f' on [2.5, 4.5] via golden-section refinement
-        lo, hi = 2.5, 4.5
-        xs = np.linspace(lo, hi, 4001)
-        fp = (xs - math.pi / c) - c * np.sin(c * xs)
-        i = int(fp.argmin())
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        c1, c2 = b - phi * (b - a), a + phi * (b - a)
-        while b - a > 1e-14:
-            f1 = (c1 - math.pi / c) - c * math.sin(c * c1)
-            f2 = (c2 - math.pi / c) - c * math.sin(c * c2)
-            if f1 < f2:
-                b, c2 = c2, c1
-                c1 = b - phi * (b - a)
-            else:
-                a, c1 = c1, c2
-                c2 = a + phi * (b - a)
-        x = 0.5 * (a + b)
-        return (x - math.pi / c) - c * math.sin(c * x)
-
-    lo, hi = bracket
-    flo, fhi = branch_min(lo), branch_min(hi)
-    if flo <= 0 or fhi >= 0:
-        raise ValueError("bracket does not straddle the critical coefficient")
-    while hi - lo > tol:
+    lo, hi = 2.0, 10.0
+    while True:
         mid = 0.5 * (lo + hi)
-        if branch_min(mid) > 0:
+        if mid in (lo, hi):
+            return math.sqrt(lo)
+        if math.sqrt(mid * mid - 1.0) < math.pi + math.acos(1.0 / mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def make_plateau_1d(c: float) -> Objective:
     """1-D f(x) = (x - pi/c)^2 / 2 + cos(cx), nonconvex for c > 1.
 
-    The optimum is located numerically by a global grid sweep plus local
-    polish; the grid result lands on x = pi/c where both terms attain their
-    minima simultaneously.
+    Both terms attain their minima at x = pi/c, so that is the minimizer and
+    F* = -1.
     """
     if c <= 0:
         raise ValueError("coefficient must be positive")
     obj = make_lsq_cos(np.array([[1.0]]), np.array([math.pi / c]), np.array([c]))
-    center = math.pi / c
-    xs = np.linspace(center - 30.0, center + 30.0, 300001)
-    vals = 0.5 * (xs - center) ** 2 + np.cos(c * xs)
-    i = int(vals.argmin())
-    x = xs[i]
-    for _ in range(200):  # local polish: damped Newton on f'
-        g = (x - center) - c * math.sin(c * x)
-        h = 1.0 - c * c * math.cos(c * x)
-        if h <= 0:
-            break
-        step = g / h
-        x -= step
-        if abs(step) < 1e-15:
-            break
-    obj.known_opt_value = float(0.5 * (x - center) ** 2 + math.cos(c * x))
-    obj.known_minimizer = np.array([x])
+    obj.known_opt_value = -1.0
+    obj.known_minimizer = np.array([math.pi / c])
     return obj
 
 

@@ -160,8 +160,9 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
         done = 0
         while done < INVERSE_MC_SAMPLES:
             size = min(chunk, INVERSE_MC_SAMPLES - done)
-            _accumulate_inverses(out, M, np.array(
-                [np.sort(rng.choice(n, size=tau, replace=False)) for _ in range(size)]))
+            # the tau smallest of n iid uniforms index a uniform tau-subset
+            _accumulate_inverses(out, M, np.sort(
+                rng.random((size, n)).argpartition(tau - 1, axis=1)[:, :tau], axis=1))
             done += size
         return out / INVERSE_MC_SAMPLES
     for block in chunks:
@@ -253,6 +254,23 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
                      constant=c, provenance=provenance)
 
 
+def general_nonconvex_epsilon(xi0: float, c: float, ks) -> list:
+    """epsilon(k) = xi0 W(ck) / (ck), the bound on min(xi, min lambda) after
+    k steps: the exact inverse of the general_nonconvex K of `predict_K`,
+    since u = xi0/epsilon solves u log u = ck (W: Lambert's W, principal
+    branch).  xi0 where k < 1 or xi0 <= 0."""
+    # deferred like scipy.sparse in `block_inverse_forms`: the import costs
+    # tens of milliseconds and a few MB, and only the 1-D series reads it
+    from scipy.special import lambertw
+
+    ks = np.asarray(ks, dtype=float)
+    out = np.full(ks.shape, float(xi0))
+    live = (ks >= 1) & (xi0 > 0)
+    ck = c * ks[live]
+    out[live] = xi0 * lambertw(ck).real / ck
+    return out.tolist()
+
+
 def strongly_convex_mu(problem, L: float) -> float:
     """Forcing-function lower bound for strongly convex composites:
     min{L/2, L lambda_F / (lambda_F - lambda_f + L)}."""
@@ -266,8 +284,11 @@ def strongly_convex_mu(problem, L: float) -> float:
 def level_set_radius(problem, x0: np.ndarray, x_star: Optional[np.ndarray] = None,
                      n_dirs: int = 10_000, seed: int = 0,
                      t_cap: float = 1e8) -> float:
-    """Over-estimate of max ||x - x*|| over the F-level set of x0, by
-    bisection along seeded random directions, inflated by 10 percent."""
+    """Sampled estimate of max ||x - x*|| over the F-level set of x0: the
+    largest radius found by bisection along seeded random directions,
+    inflated by 10 percent.  Not a bound: the sampled directions can miss
+    the far ones, more so as the dimension grows (with 500 directions, 0.75
+    of the true radius on a 10-dimensional quadratic of condition 10)."""
     if x_star is None:
         x_star = problem.objective.known_minimizer
     if x_star is None:
@@ -304,12 +325,21 @@ def quadratic_level_radius(M: np.ndarray, xi0: float) -> float:
 
 def weakly_convex_rho(problem, x0: np.ndarray, L: float,
                       R: Optional[float] = None, **radius_kwargs) -> float:
-    """rho(x0) = min{L/(2 xi(x0)), 1/(2 R^2)} for convex composites."""
+    """rho(x0) = min{L/(2 xi(x0)), 1/(2 R^2)} for convex composites.
+
+    Without R, a lambda_F-strongly convex F (lambda_F > 0) takes the
+    certified level-set radius sqrt(2 xi0 / lambda_F), from
+    F - F* >= lambda_F ||x - x*||^2 / 2; otherwise the sampled
+    `level_set_radius` estimate.
+    """
     xi0 = problem.xi(np.asarray(x0, dtype=float))
     if xi0 <= 0:
         raise NoParameterError("initial point is already optimal")
     if R is None:
-        R = level_set_radius(problem, x0, **radius_kwargs)
+        lam_F = (problem.objective.strong_convexity_f
+                 + problem.regularizer.strong_convexity_F)
+        R = (math.sqrt(2.0 * xi0 / lam_F) if lam_F > 0
+             else level_set_radius(problem, x0, **radius_kwargs))
     return min(L / (2.0 * xi0), 1.0 / (2.0 * R * R))
 
 

@@ -208,8 +208,10 @@ def test_flat_inflection_coefficient():
     xs = np.linspace(2.5, 4.5, 200001)
     fp = (xs - math.pi / c) - c * np.sin(c * xs)
     assert abs(fp.min()) < 1e-6
-    with pytest.raises(ValueError):
-        flat_inflection_coefficient(bracket=(3.0, 3.1))
+    # f' = f'' = 0 at the inflection point c x = 2 pi + arccos(1/c^2)
+    x = (2 * math.pi + math.acos(1 / c**2)) / c
+    assert abs((x - math.pi / c) - c * math.sin(c * x)) <= 1e-12
+    assert abs(1 - c * c * math.cos(c * x)) <= 1e-12
 
 
 def test_plateau_optimum():
@@ -220,6 +222,35 @@ def test_plateau_optimum():
     assert obj.known_minimizer[0] == pytest.approx(math.pi / c, abs=1e-9)
     with pytest.raises(ValueError):
         make_plateau_1d(-1.0)
+
+
+def _plateau_optimum_by_search(c):
+    """The former numerical optimum of the plateau: a global grid sweep and
+    a damped Newton polish on f'."""
+    center = math.pi / c
+    xs = np.linspace(center - 30.0, center + 30.0, 300001)
+    vals = 0.5 * (xs - center) ** 2 + np.cos(c * xs)
+    x = xs[int(vals.argmin())]
+    for _ in range(200):
+        g = (x - center) - c * math.sin(c * x)
+        h = 1.0 - c * c * math.cos(c * x)
+        if h <= 0:
+            break
+        step = g / h
+        x -= step
+        if abs(step) < 1e-15:
+            break
+    return x, float(0.5 * (x - center) ** 2 + math.cos(c * x))
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0, None, 3.0, 5.0, 10.0])
+def test_plateau_optimum_matches_grid_search_bit_for_bit(c):
+    c = flat_inflection_coefficient() if c is None else c
+    obj = make_plateau_1d(c)
+    x, value = _plateau_optimum_by_search(c)
+    assert obj.known_minimizer.tolist() == [x]
+    assert obj.known_opt_value == value
+    assert obj.eval_f(obj.known_minimizer) == value
 
 
 def test_objective_rejects_bad_smoothness():

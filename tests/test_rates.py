@@ -5,7 +5,14 @@ import pytest
 
 from blockprox import rates
 from blockprox.linalg import enumerate_subsets, eig_extremes
-from blockprox.objectives import CompositeProblem, make_l1, make_quadratic, random_spd
+from blockprox.descent import empirical_optimum
+from blockprox.objectives import (
+    CompositeProblem,
+    gen_instance,
+    make_l1,
+    make_quadratic,
+    random_spd,
+)
 from blockprox.rates import (
     FunctionClass,
     NoGuaranteeError,
@@ -13,6 +20,7 @@ from blockprox.rates import (
     L_tau,
     eso_v,
     expected_inverse_matrix,
+    general_nonconvex_epsilon,
     gradient_dominated_K,
     level_set_radius,
     predict_K,
@@ -277,6 +285,100 @@ def test_weakly_convex_rho():
         weakly_convex_rho(problem, np.zeros(2), L)  # x0 already optimal
 
 
+def test_weakly_convex_rho_takes_the_certified_radius():
+    # lambda_F > 0: the radius is sqrt(2 xi0 / lambda_F), the exact level-set
+    # radius of a quadratic, not a sampled estimate
+    M = random_spd(10, 10.0, 0)
+    problem = CompositeProblem(make_quadratic(M))
+    x0 = np.random.default_rng(0).standard_normal(10)
+    xi0 = problem.xi(x0)
+    L = problem.L_scalar
+    R = quadratic_level_radius(M, xi0)
+    assert weakly_convex_rho(problem, x0, L) == pytest.approx(
+        min(L / (2 * xi0), 1.0 / (2 * R * R)), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, cond, lam", [(6, 4.0, 0.1), (6, 5.0, 0.15),
+                                          (8, 6.0, 0.2)])
+def test_certified_radius_bounds_the_level_set(seed, n, cond, lam):
+    # the quadratic-plus-L1 problems of the check suite: every point found on
+    # the level set of x0 lies within R of the minimizer 0
+    problem = CompositeProblem(make_quadratic(random_spd(n, cond, seed)),
+                               make_l1(lam))
+    empirical_optimum(problem)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    xi0 = problem.xi(x0)
+    L = problem.L_scalar
+    R = math.sqrt(2.0 * xi0 / problem.objective.strong_convexity_f)
+    assert weakly_convex_rho(problem, x0, L) == min(L / (2 * xi0), 1 / (2 * R * R))
+    sampled = level_set_radius(problem, x0, x_star=np.zeros(n), n_dirs=200,
+                               seed=seed) / 1.1
+    assert sampled <= R * (1 + 1e-9)
+
+
+def _nonconvex_epsilon_by_bisection(xi0, c, ks):
+    """The former rate curve: k = (xi0/(c eps)) log(xi0/eps) inverted by 200
+    geometric bisection steps per k."""
+
+    def needed(eps):
+        return (xi0 / (c * eps)) * math.log(xi0 / eps)
+
+    out = []
+    for k in ks:
+        if k < 1 or xi0 <= 0:
+            out.append(xi0)
+            continue
+        lo, hi = xi0 * 1e-18, xi0 * (1 - 1e-12)
+        if needed(hi) > k:
+            out.append(xi0)
+            continue
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if needed(mid) > k:
+                lo = mid
+            else:
+                hi = mid
+        out.append(hi)
+    return out
+
+
+@pytest.mark.parametrize("xi0, c", [(3.0720049865290417, 0.1784650236211894),
+                                    (1.0, 0.1), (50.0, 2.5)])
+def test_general_nonconvex_epsilon_matches_bisection(xi0, c):
+    ks = list(range(1, 2001))
+    eps = general_nonconvex_epsilon(xi0, c, ks)
+    assert all(type(e) is float for e in eps)
+    np.testing.assert_allclose(eps, _nonconvex_epsilon_by_bisection(xi0, c, ks),
+                               rtol=1e-15, atol=0)
+    # epsilon(k) inverts predict_K's general_nonconvex K
+    for k, e in zip(ks[::97], eps[::97]):
+        assert (xi0 / (c * e)) * math.log(xi0 / e) == pytest.approx(k, rel=1e-12)
+
+
+def test_general_nonconvex_epsilon_edges():
+    # xi0 where k < 1 or xi0 <= 0
+    ks = [0, 0.5, 1, 2]
+    for xi0 in (0.0, -1.0):
+        assert general_nonconvex_epsilon(xi0, 0.3, ks) == [xi0] * 4
+    assert general_nonconvex_epsilon(2.0, 0.3, ks)[:2] == [2.0, 2.0]
+    assert general_nonconvex_epsilon(2.0, 0.3, []) == []
+
+
+def test_expected_inverse_monte_carlo_accuracy():
+    # past the budget: within 5% of the exact average entrywise (relative to
+    # its largest entry) and 3% in lambda_min
+    for seed in range(4):
+        M = gen_instance(40, 12, seed).objective.smoothness
+        for tau in (2, 3, 4):
+            exact = expected_inverse_matrix(M, tau)
+            with pytest.warns(UserWarning, match="Monte-Carlo"):
+                est = expected_inverse_matrix(M, tau, budget=10)
+            assert np.abs(est - exact).max() <= 0.05 * np.abs(exact).max()
+            lam = eig_extremes(exact)[0]
+            assert abs(eig_extremes(est)[0] - lam) <= 0.03 * lam
+
+
 def test_gradient_dominated_K():
     # phi(eps) >= xi0 -> 0
     assert gradient_dominated_K(1.0, 2.0, 3.0, xi0=1.0, epsilon=1.0) == 0
@@ -337,9 +439,9 @@ def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
     assert np.array_equal(expected_inverse_matrix(M, 3),
                           _expected_inverse_loop(M, 3, subsets))
 
-    # the Monte-Carlo branch draws the same sets as a per-sample loop
+    # the Monte-Carlo branch draws the same sets as one draw of all samples
     rng = np.random.default_rng(5)
-    draws = [np.sort(rng.choice(9, size=3, replace=False)) for _ in range(500)]
+    draws = np.sort(rng.random((500, 9)).argpartition(2, axis=1)[:, :3], axis=1)
     monkeypatch.setattr(rates, "INVERSE_MC_SAMPLES", 500)
     monkeypatch.setattr(rates, "INVERSE_MC_SEED", 5)
     with pytest.warns(UserWarning, match="Monte-Carlo"):
