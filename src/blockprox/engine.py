@@ -131,23 +131,29 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
     """Minimizer of the block model U_S at x and its model decrease.
 
     A one-coordinate block is stepped on Python floats (`_coordinate_step`)
-    with the same result as the array path."""
+    and the full set on grad and x themselves, without a gather, with the
+    same result as the array path."""
     grad = _gradient(problem, x, grad)
-    if len(S) == 1:
-        if len(grad) != S.ambient_dim:
-            raise InvalidSetError(f"gradient of length {len(grad)} does not match "
-                                  f"ambient dim {S.ambient_dim}")
+    serial = len(S) == 1
+    full = not serial and S.is_full()
+    if (serial or full) and len(grad) != S.ambient_dim:
+        raise InvalidSetError(f"gradient of length {len(grad)} does not match "
+                              f"ambient dim {S.ambient_dim}")
+    if serial:
         u, decrease = _coordinate_step(problem, x, S.indices[0], L, grad)
         return BlockStep(S=S, u_S=np.array([u]), decrease=decrease)
     if problem.smooth_path:
-        g_S = mask_vector(grad, S)
+        g_S = grad if full else mask_vector(grad, S)
         u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
         decrease = -0.5 * float(g_S @ u_S)
     else:
         L = _L_used(problem, L)
-        idx = S.array
-        u_S, lam_S = _prox_model(problem.regularizer, np.asarray(x, dtype=float)[idx],
-                                 grad[idx], L, idx)
+        x = np.asarray(x, dtype=float)
+        if full:
+            u_S, lam_S = _prox_model(problem.regularizer, x, grad, L)
+        else:
+            idx = S.array
+            u_S, lam_S = _prox_model(problem.regularizer, x[idx], grad[idx], L, idx)
         # sum_{i in S} lambda_i / L accumulated in index order, not pairwise;
         # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
         decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])

@@ -8,13 +8,16 @@ trace files) converts to 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 #: Hard default on the number of subsets any exact enumeration may visit.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
@@ -24,6 +27,10 @@ SYMMETRY_RTOL = 1e-12
 #: Working memory of one chunk in `block_inverse_forms`: the stacked
 #: tau x tau blocks and their inverses.
 FORMS_CHUNK_BYTES = 2**20
+
+#: Bytes of Cholesky factors an objective keeps (`Objective.factor_for`),
+#: summed over the factors' arrays; a single larger factor is kept alone.
+FACTOR_CACHE_BYTES = 2**24
 
 
 class InvalidSetError(ValueError):
@@ -46,11 +53,11 @@ class CoordSet:
     ambient_dim: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(int, self.indices))
         object.__setattr__(self, "indices", idx)
-        if len(idx) == 0:
+        if not idx:
             raise InvalidSetError("coordinate set must be non-empty")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if not all(map(operator.lt, idx, idx[1:])):
             raise InvalidSetError(f"indices must be strictly increasing: {idx}")
         if idx[0] < 0 or idx[-1] >= self.ambient_dim:
             raise InvalidSetError(
@@ -63,9 +70,12 @@ class CoordSet:
     def __iter__(self):
         return iter(self.indices)
 
-    @property
+    @functools.cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
+        """The indices as a read-only intp array, built on first read."""
+        arr = np.array(self.indices, dtype=np.intp)
+        arr.setflags(write=False)
+        return arr
 
     def is_full(self) -> bool:
         return len(self.indices) == self.ambient_dim
@@ -123,11 +133,22 @@ def principal_submatrix(M: np.ndarray, S: CoordSet) -> np.ndarray:
 
 
 def spd_factor(M: np.ndarray):
-    """Cholesky-class factorization; failure means not positive definite."""
-    try:
-        return scipy.linalg.cho_factor(np.asarray(M, dtype=float), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    """Lower Cholesky factor of M as `(c, True)`, the bytes and layout of
+    `scipy.linalg.cho_factor(M, lower=True)` through the same LAPACK call
+    without its wrapper.  Raises ValueError on a non-square or non-finite M
+    and NotPositiveDefiniteError when M is not positive definite."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return c, True
 
 
 def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

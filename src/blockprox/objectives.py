@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import rates
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
+    FACTOR_CACHE_BYTES,
     BlockInverseForms,
     CoordSet,
     block_inverse_forms,
@@ -65,8 +67,11 @@ class Objective:
     strong_convexity_f: float = 0.0
     known_opt_value: Optional[float] = None
     known_minimizer: Optional[np.ndarray] = None
-    # Cholesky factors of principal submatrices, keyed by index tuple
-    _factor_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # Cholesky factors of principal submatrices, keyed by index tuple, in
+    # the order they were computed, and the bytes of their arrays
+    _factor_cache: OrderedDict = field(default_factory=OrderedDict, repr=False,
+                                       compare=False)
+    _factor_bytes: int = field(default=0, repr=False, compare=False)
     # constants over the cardinality-tau principal submatrices of M, keyed
     # by (quantity, tau, enumeration budget)
     _subset_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -84,13 +89,21 @@ class Objective:
             self.known_minimizer = np.asarray(self.known_minimizer, dtype=float)
 
     def factor_for(self, indices: tuple):
-        """Cached SPD factorization of the principal submatrix M[indices]."""
-        fac = self._factor_cache.get(indices)
+        """Cached SPD factorization of the principal submatrix M[indices].
+
+        The cache holds at most FACTOR_CACHE_BYTES of factors: a new factor
+        evicts the oldest until it fits, and one larger than the whole
+        budget is the only one kept."""
+        cache = self._factor_cache
+        fac = cache.get(indices)
         if fac is None:
-            idx = np.asarray(indices, dtype=np.intp)
-            fac = spd_factor(self.smoothness[np.ix_(idx, idx)])
-            if len(self._factor_cache) < 100_000:
-                self._factor_cache[indices] = fac
+            idx = np.array(indices, dtype=np.intp)
+            fac = spd_factor(self.smoothness[idx[:, None], idx])
+            size = fac[0].nbytes
+            while cache and self._factor_bytes + size > FACTOR_CACHE_BYTES:
+                self._factor_bytes -= cache.popitem(last=False)[1][0].nbytes
+            cache[indices] = fac
+            self._factor_bytes += size
         return fac
 
     def _subset_constant(self, quantity: str, tau: int, budget: int, build):
@@ -171,10 +184,13 @@ class IterateState:
 
     def move(self, S: CoordSet, u_S: np.ndarray) -> None:
         """x <- x + u_S embedded at S."""
-        x = self.x.copy()
         if len(S) == 1:
+            x = self.x.copy()
             x[S.indices[0]] += u_S[0]
+        elif S.is_full():
+            x = self.x + u_S
         else:
+            x = self.x.copy()
             x[S.array] += u_S
         self.x = x
         self._grad = None

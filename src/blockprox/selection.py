@@ -125,12 +125,15 @@ def importance_probabilities(problem: CompositeProblem) -> np.ndarray:
 
 
 def _tau_nice_draw(rule: BlockRule) -> CoordSet:
-    # Fisher-Yates partial shuffle: exactly uniform over cardinality-tau sets
-    arr = np.arange(rule.n)
-    for j in range(rule.tau):
-        swap = j + int(rule.rng.integers(rule.n - j))
+    """Fisher-Yates partial shuffle of a Python list: exactly uniform over
+    cardinality-tau sets, one scalar `rng.integers(n - j)` draw per position
+    (cheaper than one vector draw of the same stream while tau is small)."""
+    n, tau, integers = rule.n, rule.tau, rule.rng.integers
+    arr = list(range(n))
+    for j in range(tau):
+        swap = j + int(integers(n - j))
         arr[j], arr[swap] = arr[swap], arr[j]
-    return CoordSet(tuple(sorted(int(i) for i in arr[: rule.tau])), rule.n)
+    return CoordSet(tuple(sorted(arr[:tau])), n)
 
 
 def _forward_greedy(M: np.ndarray, grad: np.ndarray, tau: int) -> list[int]:

@@ -1,0 +1,259 @@
+"""The block path: a step on a block of two or more coordinates factors
+M[S, S] by one direct LAPACK call, draws a tau-nice set on a Python list,
+reads the set's cached index array, and steps the full set on grad and x
+without a gather.  Each gives the same bits as the generic operations it
+replaces: `scipy.linalg.cho_factor` behind `np.ix_`, the Fisher-Yates draw
+on a numpy array, `mask_vector`, and a scatter of u_S into a copy of x.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from blockprox import engine, objectives, rates
+from blockprox.descent import RunConfig, empirical_optimum, run
+from blockprox.linalg import (
+    FACTOR_CACHE_BYTES,
+    CoordSet,
+    InvalidSetError,
+    NotPositiveDefiniteError,
+    mask_vector,
+    spd_factor,
+)
+from blockprox.objectives import (
+    MX_REFRESH_SWEEPS,
+    CompositeProblem,
+    gen_instance,
+    make_quadratic,
+    random_spd,
+)
+from blockprox.selection import (
+    BlockRule,
+    SelectionContext,
+    _tau_nice_draw,
+    parse_rule,
+    select,
+)
+
+
+def _bits(value) -> str:
+    """float.hex tells -0.0 from 0.0 and matches nan to nan."""
+    return float.hex(float(value))
+
+
+def _arange_draw(rng, n, tau):
+    """The tau-nice draw as a Fisher-Yates partial shuffle of np.arange(n)."""
+    arr = np.arange(n)
+    for j in range(tau):
+        swap = j + int(rng.integers(n - j))
+        arr[j], arr[swap] = arr[swap], arr[j]
+    return tuple(sorted(int(i) for i in arr[:tau]))
+
+
+@pytest.mark.parametrize("n, tau", [(100, 8), (12, 3), (32, 4), (5, 5)])
+def test_tau_nice_draw_matches_arange_shuffle(n, tau):
+    for seed in range(60):
+        rule = BlockRule("tau_nice", n, tau=tau, seed=seed)
+        oracle = np.random.default_rng(seed)
+        for _ in range(30):
+            S = _tau_nice_draw(rule)
+            assert S.indices == _arange_draw(oracle, n, tau), seed
+            assert S.ambient_dim == n
+        assert rule.rng.bit_generator.state == oracle.bit_generator.state
+
+
+def _principal_blocks():
+    """Principal submatrices of a least-squares-plus-cosine M and of a
+    conditioned SPD matrix, of sizes 1 to 40, at seeded random index sets."""
+    rng = np.random.default_rng(3)
+    for M in (gen_instance(300, 60, 1).objective.smoothness, random_spd(60, 1e6, 2)):
+        for size in (1, 2, 3, 5, 8, 13, 40, 60):
+            for _ in range(5):
+                idx = np.sort(rng.choice(60, size, replace=False))
+                yield M[np.ix_(idx, idx)]
+
+
+def test_spd_factor_bytes_match_cho_factor():
+    for block in _principal_blocks():
+        c, lower = spd_factor(block)
+        c_ref, lower_ref = scipy.linalg.cho_factor(block, lower=True)
+        assert lower is lower_ref is True
+        assert c.tobytes() == c_ref.tobytes()
+        assert c.flags.f_contiguous == c_ref.flags.f_contiguous
+        assert c.shape == c_ref.shape and c.dtype == c_ref.dtype
+
+
+def test_spd_factor_of_huge_entries_matches_cho_factor():
+    M = np.diag([1.5e308, 1.7e308, 4.0])
+    assert spd_factor(M)[0].tobytes() == scipy.linalg.cho_factor(M, lower=True)[0].tobytes()
+
+
+def test_spd_factor_errors():
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factor(np.diag([1.0, -1.0, 2.0]))
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    upper_nan = np.eye(3)
+    upper_nan[0, 2] = np.nan  # dpotrf(lower=1) never reads it
+    for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), upper_nan):
+        with pytest.raises(ValueError) as info:
+            spd_factor(bad)
+        assert not isinstance(info.value, NotPositiveDefiniteError)
+    with pytest.raises(ValueError):
+        spd_factor(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        spd_factor(np.ones(3))
+
+
+def test_coord_set_array_is_cached_and_read_only():
+    for S in (CoordSet((0, 3, 4), 6), CoordSet.full(50), CoordSet((2,), 3)):
+        arr = S.array
+        assert arr is S.array
+        assert arr.dtype == np.intp and tuple(arr.tolist()) == S.indices
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # the cached array is not a field: equal sets stay equal and hash alike
+    a, b = CoordSet((1, 2), 4), CoordSet((1, 2), 4)
+    a.array
+    assert a == b and hash(a) == hash(b)
+
+
+def test_factor_cache_stays_within_its_byte_budget():
+    problem = gen_instance(1000, 100, 1)
+    obj = problem.objective
+    result = run(problem, parse_rule("nice:40", 100, default_seed=1),
+                 RunConfig(max_iters=5000))
+    cache = obj._factor_cache
+    held = sum(fac[0].nbytes for fac in cache.values())
+    assert held == obj._factor_bytes <= FACTOR_CACHE_BYTES
+    assert held > FACTOR_CACHE_BYTES - 40 * 40 * 8  # it filled, then evicted
+    assert len(cache) < len(result.trace)
+    assert result.trace[-1].block.indices in cache  # the newest factors stay
+
+
+def test_factor_cache_evicts_oldest_and_keeps_one_oversized(monkeypatch):
+    obj = make_quadratic(random_spd(6, 4.0, 0))
+    monkeypatch.setattr(objectives, "FACTOR_CACHE_BYTES", 3 * 2 * 2 * 8)
+    sets = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    first = obj.factor_for(sets[0])
+    assert obj.factor_for(sets[0]) is first
+    for key in sets[1:]:
+        obj.factor_for(key)
+    assert list(obj._factor_cache) == sets[1:]
+    assert obj._factor_bytes == 3 * 32
+    full = tuple(range(6))
+    obj.factor_for(full)  # 288 bytes, more than the whole budget
+    assert list(obj._factor_cache) == [full]
+    assert obj._factor_bytes == 288
+
+
+def _reference_run(problem, spec, seed, iters):
+    """`descent.run` with diagnostics from x = 0, every block step through
+    the generic operations: a fresh `cho_factor` of M[np.ix_(S, S)] and
+    `cho_solve`, or the prox model on `mask_vector` gathers; x updated by a
+    scatter of u_S into a copy, and M x by M[:, S] u_S (from scratch every n
+    coordinates)."""
+    obj, reg = problem.objective, problem.regularizer
+    n, m, M = problem.dim, obj.m, obj.smoothness
+    rule = parse_rule(spec, n, default_seed=seed)
+    L, _ = rates.rule_L(problem, rule)
+
+    def f_and_grad(x, Mx):
+        cx = float(obj.c @ x)
+        f = (0.5 * float(x @ Mx) - 0.5 * cx * cx / m - float(obj.Atb_m @ x)
+             + obj.bb_2m + math.cos(cx) / m)
+        return f, Mx - (cx + math.sin(cx)) / m * obj.c - obj.Atb_m
+
+    x = np.zeros(n)
+    Mx, moved = M @ x, 0
+    f, grad = f_and_grad(x, Mx)
+    F = f + reg.value(x)
+    gap_floor = 1e-14 * max(1.0, abs(F))
+    rows = []
+    for k in range(iters):
+        cert = engine.certificate(problem, x, L, grad=grad)
+        lam, xi = cert.lambda_total, F - problem.opt_value
+        S = select(rule, problem, SelectionContext(
+            x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord, k=k))
+        idx = np.asarray(S.indices, dtype=np.intp)
+        g_S = mask_vector(grad, S)
+        if problem.smooth_path:
+            factor = scipy.linalg.cho_factor(M[np.ix_(idx, idx)], lower=True)
+            u_S = -scipy.linalg.cho_solve(factor, g_S)
+            decrease = max(-0.5 * float(g_S @ u_S), 0.0)
+        else:
+            u_S, lam_S = engine._prox_model(reg, mask_vector(x, S), g_S, L, idx)
+            decrease = max(0.0 + float(np.add.accumulate(lam_S / L)[-1]), 0.0)
+        if xi > gap_floor:
+            mu, theta = lam / xi, (decrease / lam if lam > 0 else 0.0)
+        else:
+            mu, theta = 0.0, 0.0
+        x = x.copy()
+        x[idx] += u_S
+        moved += len(idx)
+        if moved >= MX_REFRESH_SWEEPS * n:
+            Mx, moved = M @ x, 0
+        else:
+            Mx = Mx + M[:, idx] @ u_S
+        f, grad = f_and_grad(x, Mx)
+        rows.append((S.indices, F, xi, lam, mu, theta, float(np.linalg.norm(u_S)),
+                     rule.last_was_heuristic))
+        F = f + reg.value(x)
+    return rows, x, F
+
+
+BLOCK_RULES = ("full", "nice:3", "nice:8", "greedymb:3", "greedymb:8")
+
+
+@pytest.mark.filterwarnings("ignore:C\\(50,8\\) exceeds the enumeration budget")
+@pytest.mark.parametrize("seed", [1, 17])
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_block_runs_bit_identical_to_generic_operations(seed, kind):
+    problem = gen_instance(200, 50, seed)
+    if kind == "l1":
+        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(50))).max())
+        problem = gen_instance(200, 50, seed, lam=lam)
+    empirical_optimum(problem)
+    iters = 150
+    for spec in BLOCK_RULES:
+        result = run(problem, parse_rule(spec, 50, default_seed=seed),
+                     RunConfig(max_iters=iters, record_diagnostics=True))
+        rows, x, F = _reference_run(problem, spec, seed, iters)
+        got = [(r.block.indices,) + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta,
+                                                      r.step_norm))) + (r.heuristic,)
+               for r in result.trace]
+        want = [(row[0],) + tuple(map(_bits, row[1:7])) + (row[7],) for row in rows]
+        assert got == want, spec
+        assert result.x.tobytes() == x.tobytes(), spec
+        assert _bits(result.final_F) == _bits(F), spec
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the block path called a checked wrapper")
+
+
+@pytest.mark.filterwarnings("ignore:C\\(30,8\\) exceeds the enumeration budget")
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_block_runs_use_no_checked_wrappers(monkeypatch, lam):
+    """Guards the block path's cost without a clock: a smooth or L1 block
+    step neither factors through `scipy.linalg.cho_factor` nor gathers
+    through `np.ix_`."""
+    problem = gen_instance(200, 30, 4, lam=lam)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", _raise)
+    monkeypatch.setattr(np, "ix_", _raise)
+    for spec in ("nice:8", "full"):
+        result = run(problem, parse_rule(spec, 30, default_seed=2),
+                     RunConfig(max_iters=50))
+        assert len(result.trace) == 50 and math.isfinite(result.final_F)
+
+
+def test_full_set_step_rejects_a_gradient_of_another_dimension():
+    for lam in (0.0, 0.2):
+        problem = CompositeProblem(make_quadratic(random_spd(4, 5.0, 3)),
+                                   objectives.make_l1(lam))
+        with pytest.raises(InvalidSetError):
+            engine.block_step(problem, np.zeros(4), CoordSet.full(4), 1.0,
+                              grad=np.ones(5))

@@ -28,8 +28,9 @@ CHECK_NAMES = [
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("n, cond, lam", [(6, 4.0, 0.1), (6, 5.0, 0.15)])
 def test_forcing_check_problems_are_minimized_at_known_minimizer(seed, n, cond, lam):
-    # the weak-convexity forcing and certificate lower-bound checks take
-    # x* = known_minimizer on these quadratic-plus-L1 problems
+    # the certificate lower-bound check takes x* = known_minimizer on the
+    # second of these quadratic-plus-L1 problems; the weak-convexity forcing
+    # check, on the first, takes the certified radius and no x*
     problem = CompositeProblem(make_quadratic(random_spd(n, cond, seed)), make_l1(lam))
     x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
     result = run(problem, BlockRule("full_batch", n), RunConfig(max_iters=2000, x0=x0))

@@ -34,6 +34,11 @@ def test_coordset_validation():
         CoordSet((0, 5), 5)
     with pytest.raises(InvalidSetError):
         CoordSet((-1,), 5)
+    for indices in [(0, 2, 2, 3), (3, 4, 1)]:  # a repeat or a descent past the first pair
+        with pytest.raises(InvalidSetError):
+            CoordSet(indices, 5)
+    s = CoordSet(np.array([1, 4, 3])[[0, 2, 1]], 5)
+    assert s.indices == (1, 3, 4) and all(type(i) is int for i in s.indices)
 
 
 def test_coordset_full_and_roundtrip():
