@@ -36,9 +36,7 @@ from .engine import (
     Certificate,
     block_step,
     certificate,
-    evaluate_block_model,
     forcing,
-    lambda_i,
     proportion,
 )
 from .selection import (
@@ -55,11 +53,9 @@ from .rates import (
     NoParameterError,
     RateBound,
     L_tau,
-    eso_v,
     expected_inverse_matrix,
     general_nonconvex_epsilon,
     gradient_dominated_K,
-    level_set_radius,
     predict_K,
     quadratic_level_radius,
     rule_constant,

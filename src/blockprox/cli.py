@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -284,7 +285,7 @@ def cmd_run(cfg: ExperimentConfig):
 def cmd_rates(cfg: ExperimentConfig, epsilon=None, fmt="text", stream=None):
     stream = sys.stdout if stream is None else stream
     eps = cfg.epsilon if epsilon is None else epsilon
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError(f"epsilon must be positive, got {eps}")
     problem = build_problem(cfg)
     rules = build_rules(cfg, problem.dim)
@@ -339,23 +340,29 @@ def cmd_slice(cfg: ExperimentConfig, direction, radius: float, points: int,
         if direction == "random":
             d = np.random.default_rng(cfg.seed).standard_normal(n)
         elif direction.startswith("e"):
-            i = int(direction[1:])
+            try:
+                i = int(direction[1:])
+            except ValueError:
+                raise ConfigError(f"bad unit direction {direction!r}") from None
             if not 1 <= i <= n:
                 raise ConfigError(f"unit direction e{i} out of range 1..{n}")
             d = np.zeros(n)
             d[i - 1] = 1.0
         else:
-            d = np.array([float(t) for t in direction.split(",")])
+            try:
+                d = np.array([float(t) for t in direction.split(",")])
+            except ValueError:
+                raise ConfigError(f"bad direction {direction!r}") from None
     else:
         d = np.asarray(direction, dtype=float)
     if d.shape != (n,):
         raise ConfigError(f"direction has shape {d.shape}, expected ({n},)")
     norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ConfigError("direction must be nonzero")
+    if not 0 < norm < math.inf:
+        raise ConfigError("direction must be finite and nonzero")
     d = d / norm
-    if radius <= 0 or points < 2:
-        raise ConfigError("need radius > 0 and at least 2 sample points")
+    if not 0 < radius < math.inf or points < 2:
+        raise ConfigError("need a finite radius > 0 and at least 2 sample points")
 
     x_ref = problem.objective.known_minimizer
     if x_ref is None:

@@ -41,7 +41,7 @@ class RunConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.stop_on not in STOP_MODES:
             raise ValueError(f"stop_on must be one of {STOP_MODES}")

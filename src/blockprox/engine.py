@@ -46,18 +46,12 @@ def _L_used(problem: CompositeProblem, L) -> float:
     return problem.L_scalar if L is None else float(L)
 
 
-def lambda_i(problem: CompositeProblem, x: np.ndarray, i: int, L=None) -> float:
-    """-L * min_v { grad_i f(x) v + L v^2 / 2 + g_i(x_i + v) - g_i(x_i) }:
-    entry i of the certificate."""
-    return float(certificate(problem, x, L).lambda_per_coord[i])
-
-
 def _prox_model(reg, x, grad, L: float, idx=None):
     """The prox step v and the certificate entries lambda at the coordinates
     `idx` (all when None), given x and grad f(x) at those coordinates:
 
-        v_i      = prox_i(x_i - grad_i / L, L) - x_i
-        lambda_i = max(-L (grad_i v_i + L v_i^2 / 2 + g_i(x_i + v_i) - g_i(x_i)), 0)
+        v_i   = prox_i(x_i - grad_i / L, L) - x_i
+        lam_i = max(-L (grad_i v_i + L v_i^2 / 2 + g_i(x_i + v_i) - g_i(x_i)), 0)
     """
     v = reg.prox_array(x - grad / L, L, idx) - x
     model = (grad * v + 0.5 * L * v * v + reg.value_array(x + v, idx)
@@ -154,29 +148,10 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
         else:
             idx = S.array
             u_S, lam_S = _prox_model(problem.regularizer, x[idx], grad[idx], L, idx)
-        # sum_{i in S} lambda_i / L accumulated in index order, not pairwise;
+        # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
         # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
         decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
     return BlockStep(S=S, u_S=u_S, decrease=max(decrease, 0.0))
-
-
-def evaluate_block_model(problem, x, S, u_S, L=None) -> float:
-    """Direct evaluation of U_S(x, u); oracle for block_step.decrease."""
-    grad = problem.grad_f(x)
-    g_S = mask_vector(grad, S)
-    if problem.smooth_path:
-        idx = S.array
-        M_S = problem.objective.smoothness[np.ix_(idx, idx)]
-        quad = 0.5 * float(u_S @ (M_S @ u_S))
-        reg_term = 0.0
-    else:
-        L = _L_used(problem, L)
-        quad = 0.5 * L * float(u_S @ u_S)
-        reg, idx = problem.regularizer, S.array
-        x_S = np.asarray(x, dtype=float)[idx]
-        reg_term = float(np.sum(reg.value_array(x_S + u_S, idx)
-                                - reg.value_array(x_S, idx)))
-    return float(g_S @ u_S) + quad + reg_term
 
 
 def proportion(
@@ -197,7 +172,7 @@ def proportion(
     if cert.lambda_total <= 0.0:
         return 0.0
     step = block_step(problem, x, S, L=cert.L_used, grad=grad)
-    # In the scalar-L path the block decrease is sum_{i in S} lambda_i / L and
+    # In the scalar-L path the block decrease is sum_{i in S} lam_i / L and
     # the certificate is sum_j lambda_j, so the ratio carries the 1/L factor
     # the theory expects (theta of the full set equals 1/L there).
     return step.decrease / cert.lambda_total

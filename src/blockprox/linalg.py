@@ -1,4 +1,4 @@
-"""Masked indexing, small SPD solves, eigenvalue extremes, subset enumeration
+"""Masked indexing, SPD factors, eigenvalue extremes, subset enumeration
 and the batched computations over it: principal submatrices gathered from
 chunks of subset index arrays, and the greedy-minibatch quadratic forms.
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf
 
 #: Hard default on the number of subsets any exact enumeration may visit.
@@ -112,26 +111,6 @@ def mask_vector(x: np.ndarray, S: CoordSet) -> np.ndarray:
     return x[S.array]
 
 
-def embed_vector(u: np.ndarray, S: CoordSet, n: int) -> np.ndarray:
-    """Scatter u onto the support S of an n-vector, zeros elsewhere."""
-    u = np.asarray(u, dtype=float)
-    if n != S.ambient_dim:
-        raise InvalidSetError(f"dimension {n} does not match set ambient dim")
-    if u.shape != (len(S),):
-        raise InvalidSetError(f"payload of length {u.shape} does not match |S|={len(S)}")
-    out = np.zeros(n)
-    out[S.array] = u
-    return out
-
-
-def principal_submatrix(M: np.ndarray, S: CoordSet) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape != (S.ambient_dim, S.ambient_dim):
-        raise InvalidSetError("matrix shape does not match set ambient dim")
-    idx = S.array
-    return M[np.ix_(idx, idx)]
-
-
 def spd_factor(M: np.ndarray):
     """Lower Cholesky factor of M as `(c, True)`, the bytes and layout of
     `scipy.linalg.cho_factor(M, lower=True)` through the same LAPACK call
@@ -149,10 +128,6 @@ def spd_factor(M: np.ndarray):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of potrf")
     return c, True
-
-
-def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.cho_solve(spd_factor(M), np.asarray(rhs, dtype=float))
 
 
 def is_spd(M: np.ndarray) -> bool:

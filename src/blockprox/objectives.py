@@ -295,21 +295,20 @@ class CompositeProblem:
     """F = f + g with a scalar smoothness constant for the prox path.
 
     With a zero regularizer the solver takes the matrix-curvature path; any
-    nonzero regularizer forces the scalar L*I path.
+    nonzero regularizer forces the scalar L*I path.  The scalar constant
+    `L_scalar` is lambda_max(M), set from the objective (positive, as M is
+    SPD); a step or certificate that wants another L takes it as an argument.
     """
 
     objective: Objective
     regularizer: SeparableRegularizer = field(default_factory=ZeroRegularizer)
-    L_scalar: Optional[float] = None
     opt_value: Optional[float] = None
     # set when opt_value comes from a descent run rather than a known optimum
     opt_value_is_empirical: bool = False
+    L_scalar: float = field(init=False)
 
     def __post_init__(self):
-        if self.L_scalar is None:
-            self.L_scalar = eig_extremes(self.objective.smoothness)[1]
-        if self.L_scalar <= 0:
-            raise ValueError("L_scalar must be positive")
+        self.L_scalar = eig_extremes(self.objective.smoothness)[1]
         if self.opt_value is None and self.regularizer.is_zero:
             self.opt_value = self.objective.known_opt_value
 
@@ -320,19 +319,6 @@ class CompositeProblem:
     @property
     def smooth_path(self) -> bool:
         return self.regularizer.is_zero
-
-    # Read-only views of a least-squares-plus-cosine instance's data.
-    @property
-    def instance_A(self) -> np.ndarray:
-        return self.objective.A
-
-    @property
-    def instance_b(self) -> np.ndarray:
-        return self.objective.b
-
-    @property
-    def instance_c(self) -> np.ndarray:
-        return self.objective.c
 
     def F(self, x: np.ndarray) -> float:
         return float(self.objective.eval_f(x)) + self.regularizer.value(x)

@@ -170,23 +170,6 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     return out / subset_count(n, tau)
 
 
-def eso_v(A: np.ndarray, tau: int) -> np.ndarray:
-    """Per-coordinate curvature bounds from the factorization M = A'A.
-
-    v_i = sum_j [1 + (nnz(A_j:) - 1)(tau - 1)/(n - 1)] A_ji^2; the derived
-    bound lambda_min(E[M_[S]^-1]) >= 1/(n max_i v_i) is cheap to evaluate.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    if n < 2:
-        raise ValueError("the ESO vector is undefined for n = 1")
-    if not 1 <= tau <= n:
-        raise ValueError(f"need 1 <= tau <= n, got tau={tau}")
-    row_nnz = (A != 0).sum(axis=1)
-    weights = 1.0 + (row_nnz - 1) * (tau - 1) / (n - 1)
-    return (weights[:, None] * A * A).sum(axis=0)
-
-
 def rule_constant(rule, problem):
     """The published lower bound on (the expectation of) the proportion
     function for a selection rule, with provenance.  Enumerated constants
@@ -221,7 +204,7 @@ def rule_constant(rule, problem):
 def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
               xi0: float) -> RateBound:
     """K(epsilon) guaranteeing the target gap for a (rule, class) pair."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     # refuse before computing the rule's constant, which may be costly
     if fclass.kind == "gradient_dominated" and rule.kind != "full_batch":
@@ -281,42 +264,6 @@ def strongly_convex_mu(problem, L: float) -> float:
     return min(L / 2.0, L * lam_F / (lam_F - lam_f + L))
 
 
-def level_set_radius(problem, x0: np.ndarray, x_star: Optional[np.ndarray] = None,
-                     n_dirs: int = 10_000, seed: int = 0,
-                     t_cap: float = 1e8) -> float:
-    """Sampled estimate of max ||x - x*|| over the F-level set of x0: the
-    largest radius found by bisection along seeded random directions,
-    inflated by 10 percent.  Not a bound: the sampled directions can miss
-    the far ones, more so as the dimension grows (with 500 directions, 0.75
-    of the true radius on a 10-dimensional quadratic of condition 10)."""
-    if x_star is None:
-        x_star = problem.objective.known_minimizer
-    if x_star is None:
-        raise NoParameterError("level-set radius needs a minimizer")
-    x_star = np.asarray(x_star, dtype=float)
-    level = problem.F(np.asarray(x0, dtype=float))
-    rng = np.random.default_rng(seed)
-    n = problem.dim
-    worst = 0.0
-    for _ in range(n_dirs):
-        d = rng.standard_normal(n)
-        d /= np.linalg.norm(d)
-        t = 1.0
-        while problem.F(x_star + t * d) <= level:
-            t *= 2.0
-            if t > t_cap:
-                raise NoParameterError("level set appears unbounded")
-        lo, hi = t / 2.0, t
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if problem.F(x_star + mid * d) <= level:
-                lo = mid
-            else:
-                hi = mid
-        worst = max(worst, lo)
-    return 1.1 * worst
-
-
 def quadratic_level_radius(M: np.ndarray, xi0: float) -> float:
     """Exact level-set radius for xi = (x-x*)'M(x-x*)/2 <= xi0."""
     lam_min = eig_extremes(M)[0]
@@ -324,13 +271,14 @@ def quadratic_level_radius(M: np.ndarray, xi0: float) -> float:
 
 
 def weakly_convex_rho(problem, x0: np.ndarray, L: float,
-                      R: Optional[float] = None, **radius_kwargs) -> float:
-    """rho(x0) = min{L/(2 xi(x0)), 1/(2 R^2)} for convex composites.
+                      R: Optional[float] = None) -> float:
+    """rho(x0) = min{L/(2 xi(x0)), 1/(2 R^2)} for convex composites, with R
+    a radius of the level set {F <= F(x0)} about the minimizer.
 
     Without R, a lambda_F-strongly convex F (lambda_F > 0) takes the
-    certified level-set radius sqrt(2 xi0 / lambda_F), from
-    F - F* >= lambda_F ||x - x*||^2 / 2; otherwise the sampled
-    `level_set_radius` estimate.
+    certified radius sqrt(2 xi0 / lambda_F), from
+    F - F* >= lambda_F ||x - x*||^2 / 2.  With neither, no certified radius
+    exists and NoParameterError is raised.
     """
     xi0 = problem.xi(np.asarray(x0, dtype=float))
     if xi0 <= 0:
@@ -338,8 +286,10 @@ def weakly_convex_rho(problem, x0: np.ndarray, L: float,
     if R is None:
         lam_F = (problem.objective.strong_convexity_f
                  + problem.regularizer.strong_convexity_F)
-        R = (math.sqrt(2.0 * xi0 / lam_F) if lam_F > 0
-             else level_set_radius(problem, x0, **radius_kwargs))
+        if not lam_F > 0:
+            raise NoParameterError(
+                "level-set radius needs lambda_F > 0 or a given R")
+        R = math.sqrt(2.0 * xi0 / lam_F)
     return min(L / (2.0 * xi0), 1.0 / (2.0 * R * R))
 
 

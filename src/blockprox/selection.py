@@ -231,7 +231,7 @@ def exact_expected_theta(
 ) -> float:
     """E[theta(S, x) | x] over the rule's sampling distribution, in closed
     form.  With g = grad f(x), theta(S, x) is g_S' inv(M_S) g_S / ||g||^2 on
-    the smooth path and sum_{i in S} lambda_i / (L lambda_total) on the
+    the smooth path and sum_{i in S} lam_i / (L lambda_total) on the
     scalar-L path, with L the certificate's scalar.  So the expectation is
 
         rule        smooth path                       scalar-L path

@@ -200,7 +200,7 @@ def test_cmd_slice_lsq_cos_nonconvexity(tmp_path):
     # slice along the flattest direction of A, where the cosine term's
     # negative curvature can dominate the least-squares part
     problem = build_problem(cfg)
-    _, _, Vt = np.linalg.svd(problem.instance_A)
+    _, _, Vt = np.linalg.svd(problem.objective.A)
     d = ",".join(repr(float(v)) for v in Vt[-1])
     out = cmd_slice(cfg, d, radius=8.0, points=801)
     with open(out) as fh:
@@ -209,8 +209,9 @@ def test_cmd_slice_lsq_cos_nonconvexity(tmp_path):
     assert second.min() < 0  # a slice of the cosine-perturbed objective dips
 
 
-def test_cmd_slice_errors(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "o")))
+def test_cmd_slice_errors(tmp_path, capsys):
+    path = write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "o"))
+    cfg = load_config(path)
     with pytest.raises(ConfigError):
         cmd_slice(cfg, ",".join(["0"] * 8), radius=1.0, points=5)
     with pytest.raises(ConfigError):
@@ -219,6 +220,13 @@ def test_cmd_slice_errors(tmp_path):
         cmd_slice(cfg, "e1", radius=1.0, points=1)
     with pytest.raises(ConfigError):
         cmd_slice(cfg, "e99", radius=1.0, points=5)
+    # malformed or non-finite input ends in a config error, not a traceback
+    for extra in (["--direction", "a,b"], ["--direction", "e"],
+                  ["--direction", "ex"], ["--direction", ",".join(["nan"] * 8)],
+                  ["--radius", "nan"], ["--radius", "inf"]):
+        assert main(["slice", path] + extra) == EXIT_CONFIG, extra
+        assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "slice.csv").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -432,6 +440,9 @@ def test_report_carries_L_used_and_its_source(tmp_path):
     (None, ["rates", "--epsilon", "-1"], EXIT_CONFIG),
     # gap stopping without diagnostics still needs the optimum
     (("diagnostics = true", "diagnostics = false\nstop_on = gap"), ["run"], EXIT_OK),
+    # NaN is not positive: refused like -1, before any rate is priced
+    (("max_iters = 60", "max_iters = 60\nepsilon = nan"), ["rates"], EXIT_CONFIG),
+    (None, ["rates", "--epsilon", "nan"], EXIT_CONFIG),
 ])
 def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expected):
     body = SMOOTH_CFG.format(out=tmp_path / "out")
@@ -506,3 +517,22 @@ dir = {out}
     assert entry["iterations"] == 25
     assert entry["heuristic_selection_used"] is heuristic
     assert entry["heuristic_selections"] == (25 if heuristic else 0)
+
+
+def test_cli_import_defers_scipy_sparse_and_special():
+    """`scipy.sparse` (greedy-minibatch tables) and `scipy.special` (the
+    plateau's rate curve) load on first use, not with the package."""
+    import os
+    import subprocess
+    import sys
+
+    import blockprox
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blockprox.__file__)))
+    code = ("import sys, blockprox, blockprox.cli; "
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.special') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

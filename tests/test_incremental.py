@@ -121,7 +121,7 @@ def test_closure_objective_one_gradient_and_value_per_iteration(spec, lam):
 
 def _closure_twin(problem):
     """The same instance as a closure objective, which recomputes."""
-    A, b, c = problem.instance_A, problem.instance_b, problem.instance_c
+    A, b, c = problem.objective.A, problem.objective.b, problem.objective.c
     m = A.shape[0]
 
     def f(x):
@@ -192,10 +192,8 @@ def test_instance_metadata_lives_on_objective_and_regularizer(tmp_path):
     problem = gen_instance(m=20, n=5, seed=9, lam=0.25)
     assert problem.objective.seed == 9 and problem.regularizer.lam == 0.25
     assert not problem.opt_value_is_empirical
-    with pytest.raises(AttributeError):
-        problem.instance_A = np.zeros((20, 5))
     path = tmp_path / "inst.json"
     save_instance(problem, path)
     loaded = load_instance(path)
     assert loaded.objective.seed == 9 and loaded.regularizer.lam == 0.25
-    np.testing.assert_array_equal(loaded.instance_A, problem.instance_A)
+    np.testing.assert_array_equal(loaded.objective.A, problem.objective.A)

@@ -10,12 +10,9 @@ from blockprox.linalg import (
     NotPositiveDefiniteError,
     check_symmetric,
     eig_extremes,
-    embed_vector,
     enumerate_subsets,
     is_spd,
     mask_vector,
-    principal_submatrix,
-    solve_spd,
     subset_count,
 )
 
@@ -55,7 +52,8 @@ def test_mask_and_embed_are_adjoint():
     S = CoordSet((1, 3, 6), 7)
     u = mask_vector(x, S)
     assert u.tolist() == [x[1], x[3], x[6]]
-    e = embed_vector(u, S, 7)
+    e = np.zeros(7)
+    e[S.array] = u  # the scatter onto S, zeros elsewhere
     assert e[1] == x[1] and e[0] == 0.0 and e[5] == 0.0
     # <embed(u), y> == <u, mask(y)>
     y = rng.standard_normal(7)
@@ -66,19 +64,6 @@ def test_mask_embed_shape_errors():
     S = CoordSet((0, 1), 3)
     with pytest.raises(InvalidSetError):
         mask_vector(np.zeros(4), S)
-    with pytest.raises(InvalidSetError):
-        embed_vector(np.zeros(3), S, 3)
-    with pytest.raises(InvalidSetError):
-        embed_vector(np.zeros(2), S, 4)
-
-
-def test_principal_submatrix():
-    M = np.arange(16, dtype=float).reshape(4, 4)
-    M = (M + M.T) / 2
-    S = CoordSet((0, 2), 4)
-    sub = principal_submatrix(M, S)
-    assert sub.shape == (2, 2)
-    assert sub[0, 1] == M[0, 2]
 
 
 def test_check_symmetric_rejects_asymmetry():
@@ -91,15 +76,6 @@ def test_check_symmetric_rejects_asymmetry():
     N[0, 1] = 1e-14
     N[1, 0] = 0.0
     check_symmetric(N)
-
-
-def test_solve_spd_matches_numpy():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((6, 6))
-    M = A @ A.T + 6 * np.eye(6)
-    b = rng.standard_normal(6)
-    np.testing.assert_allclose(solve_spd(M, b), np.linalg.solve(M, b),
-                               rtol=1e-10)
 
 
 def test_is_spd():

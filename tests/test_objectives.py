@@ -114,6 +114,8 @@ def test_composite_paths():
     assert smooth.smooth_path
     assert smooth.opt_value == 0.0
     assert smooth.L_scalar == pytest.approx(2.0)
+    with pytest.raises(TypeError):  # lambda_max(M), not a constructor field
+        CompositeProblem(obj, L_scalar=1.0)
     nonsmooth = CompositeProblem(make_quadratic(np.diag([1.0, 2.0])),
                                  make_l1(0.1))
     assert not nonsmooth.smooth_path
@@ -125,16 +127,16 @@ def test_composite_paths():
 def test_gen_instance_determinism_and_structure():
     p1 = gen_instance(30, 8, seed=7)
     p2 = gen_instance(30, 8, seed=7)
-    np.testing.assert_array_equal(p1.instance_A, p2.instance_A)
-    np.testing.assert_array_equal(p1.instance_b, p2.instance_b)
-    np.testing.assert_array_equal(p1.instance_c, p2.instance_c)
+    np.testing.assert_array_equal(p1.objective.A, p2.objective.A)
+    np.testing.assert_array_equal(p1.objective.b, p2.objective.b)
+    np.testing.assert_array_equal(p1.objective.c, p2.objective.c)
     # prescribed singular values, linearly spaced in [1/m, 1]
-    sv = np.linalg.svd(p1.instance_A, compute_uv=False)
+    sv = np.linalg.svd(p1.objective.A, compute_uv=False)
     np.testing.assert_allclose(np.sort(sv), np.linspace(1 / 30, 1.0, 8),
                                rtol=1e-10)
     # unit-norm c; b lies in the range of A with unit-norm preimage
-    assert np.linalg.norm(p1.instance_c) == pytest.approx(1.0)
-    y, *_ = np.linalg.lstsq(p1.instance_A, p1.instance_b, rcond=None)
+    assert np.linalg.norm(p1.objective.c) == pytest.approx(1.0)
+    y, *_ = np.linalg.lstsq(p1.objective.A, p1.objective.b, rcond=None)
     assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-8)
 
 
@@ -142,7 +144,7 @@ def test_gen_instance_validation():
     with pytest.raises(ValueError):
         gen_instance(5, 6, seed=0)
     p = gen_instance(1, 1, seed=0)  # degenerate single-entry instance
-    assert p.dim == 1 and p.instance_A.shape == (1, 1)
+    assert p.dim == 1 and p.objective.A.shape == (1, 1)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -150,9 +152,9 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(p, path)
     q = load_instance(path)
-    np.testing.assert_array_equal(p.instance_A, q.instance_A)
-    np.testing.assert_array_equal(p.instance_b, q.instance_b)
-    np.testing.assert_array_equal(p.instance_c, q.instance_c)
+    np.testing.assert_array_equal(p.objective.A, q.objective.A)
+    np.testing.assert_array_equal(p.objective.b, q.objective.b)
+    np.testing.assert_array_equal(p.objective.c, q.objective.c)
     assert not q.smooth_path and q.regularizer.lam == 0.25
     x = np.random.default_rng(0).standard_normal(4)
     assert p.F(x) == q.F(x)

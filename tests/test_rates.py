@@ -18,11 +18,9 @@ from blockprox.rates import (
     NoGuaranteeError,
     NoParameterError,
     L_tau,
-    eso_v,
     expected_inverse_matrix,
     general_nonconvex_epsilon,
     gradient_dominated_K,
-    level_set_radius,
     predict_K,
     quadratic_level_radius,
     rule_constant,
@@ -89,35 +87,6 @@ def test_expected_inverse_mc_fallback(monkeypatch):
     with pytest.warns(UserWarning, match="Monte-Carlo"):
         E = expected_inverse_matrix(M, 4, budget=5)
     np.testing.assert_allclose(E, 0.4 * np.eye(10), atol=0.05)
-
-
-def test_eso_vector_hand_case():
-    # dense 2x3 A: every row has 3 nonzeros, weight 1 + 2(tau-1)/2 = tau
-    A = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 1.0]])
-    # row nnz: 3 and 2; tau=2, n=3 -> weights (1 + 2*1/2, 1 + 1*1/2) = (2, 1.5)
-    v = eso_v(A, 2)
-    expect = np.array([2 * 1, 2 * 4 + 1.5 * 1, 2 * 0.25 + 1.5 * 1])
-    np.testing.assert_allclose(v, expect)
-
-
-def test_eso_bound_dominated_by_expected_inverse():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((8, 6))
-    M = A.T @ A + 0.1 * np.eye(6)  # keep PD; ESO needs M = A'A so build A2
-    # use a PD Gram matrix directly: augment A with sqrt(0.1) I rows
-    A2 = np.vstack([A, math.sqrt(0.1) * np.eye(6)])
-    M = A2.T @ A2
-    for tau in (2, 3, 4):
-        v = eso_v(A2, tau)
-        eso_bound = 1.0 / (6 * float(v.max()))
-        lam_min = eig_extremes(expected_inverse_matrix(M, tau))[0]
-        assert lam_min >= eso_bound - 1e-12
-        assert lam_min > 0
-
-
-def test_eso_rejects_single_column():
-    with pytest.raises(ValueError):
-        eso_v(np.ones((3, 1)), 1)
 
 
 def test_rule_constants_smooth():
@@ -237,38 +206,6 @@ def test_quadratic_level_radius_closed_form():
     assert quadratic_level_radius(M, 2.0) == pytest.approx(2.0)
 
 
-def test_level_set_radius_overestimates_quadratic():
-    M = np.diag([1.0, 4.0])
-    problem = CompositeProblem(make_quadratic(M))
-    x0 = np.array([1.0, 1.0])
-    xi0 = problem.xi(x0)
-    exact = quadratic_level_radius(M, xi0)
-    est = level_set_radius(problem, x0, n_dirs=400, seed=0)
-    assert exact * 0.99 <= est <= exact * 1.2  # within the x1.1 inflation
-
-
-def test_level_set_radius_ellipsoid_upper_bound():
-    # classic ellipsoid geometry: R <= ||x0 - x*|| sqrt(lam_max/lam_min)
-    M = random_spd(2, 9.0, 8)
-    problem = CompositeProblem(make_quadratic(M))
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        x0 = rng.standard_normal(2)
-        est = level_set_radius(problem, x0, n_dirs=200, seed=0)
-        lam_min, lam_max = eig_extremes(M)
-        assert est <= 1.1 * np.linalg.norm(x0) * math.sqrt(lam_max / lam_min) + 1e-9
-
-
-def test_level_set_radius_unbounded_detection():
-    from blockprox.objectives import Objective
-    obj = Objective(dim=1, eval_f=lambda x: 0.0,
-                    grad_f=lambda x: np.zeros(1), smoothness=np.eye(1),
-                    known_opt_value=0.0, known_minimizer=np.zeros(1))
-    problem = CompositeProblem(obj)
-    with pytest.raises(NoParameterError):
-        level_set_radius(problem, np.ones(1), n_dirs=3, seed=0)
-
-
 def test_weakly_convex_rho():
     M = np.diag([1.0, 2.0])
     problem = CompositeProblem(make_quadratic(M))
@@ -283,6 +220,19 @@ def test_weakly_convex_rho():
     assert rho == pytest.approx(1.0 / (2 * R * R))
     with pytest.raises(NoParameterError):
         weakly_convex_rho(problem, np.zeros(2), L)  # x0 already optimal
+
+
+def test_weakly_convex_rho_refuses_without_a_radius():
+    # lambda_F = 0 and no R: no certified radius, so no rho; a given R is used
+    obj = make_quadratic(np.eye(2))
+    object.__setattr__(obj, "strong_convexity_f", 0.0)
+    problem = CompositeProblem(obj, make_l1(0.1))
+    empirical_optimum(problem)
+    x0 = np.array([1.0, -1.0])
+    with pytest.raises(NoParameterError):
+        weakly_convex_rho(problem, x0, 1.0)
+    xi0 = problem.xi(x0)
+    assert weakly_convex_rho(problem, x0, 1.0, R=2.0) == min(1.0 / (2 * xi0), 1 / 8)
 
 
 def test_weakly_convex_rho_takes_the_certified_radius():
@@ -302,8 +252,9 @@ def test_weakly_convex_rho_takes_the_certified_radius():
 @pytest.mark.parametrize("n, cond, lam", [(6, 4.0, 0.1), (6, 5.0, 0.15),
                                           (8, 6.0, 0.2)])
 def test_certified_radius_bounds_the_level_set(seed, n, cond, lam):
-    # the quadratic-plus-L1 problems of the check suite: every point found on
-    # the level set of x0 lies within R of the minimizer 0
+    # the quadratic-plus-L1 problems of the check suite: F is convex with
+    # minimizer 0, so F >= F(x0) just past R along a direction puts the whole
+    # ray beyond R outside the level set of x0
     problem = CompositeProblem(make_quadratic(random_spd(n, cond, seed)),
                                make_l1(lam))
     empirical_optimum(problem)
@@ -312,9 +263,10 @@ def test_certified_radius_bounds_the_level_set(seed, n, cond, lam):
     L = problem.L_scalar
     R = math.sqrt(2.0 * xi0 / problem.objective.strong_convexity_f)
     assert weakly_convex_rho(problem, x0, L) == min(L / (2 * xi0), 1 / (2 * R * R))
-    sampled = level_set_radius(problem, x0, x_star=np.zeros(n), n_dirs=200,
-                               seed=seed) / 1.1
-    assert sampled <= R * (1 + 1e-9)
+    level = problem.F(x0)
+    dirs = np.random.default_rng(seed).standard_normal((200, n))
+    for d in dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
+        assert problem.F((1 + 1e-9) * R * d) >= level
 
 
 def _nonconvex_epsilon_by_bisection(xi0, c, ks):
