@@ -17,8 +17,6 @@ from .objectives import (
     L1Regularizer,
     LsqCosObjective,
     Objective,
-    SeparableRegularizer,
-    ZeroRegularizer,
     flat_inflection_coefficient,
     gen_instance,
     load_instance,

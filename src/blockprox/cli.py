@@ -43,7 +43,6 @@ import numpy as np
 
 from . import descent, objectives, rates
 from .checks import EXIT_OK, EXIT_VERIFY, run_check_suite
-from .linalg import eig_extremes
 from .objectives import CompositeProblem, gen_instance, load_instance, make_l1
 from .selection import BlockRule, parse_rule
 
@@ -199,20 +198,19 @@ def cmd_run(cfg: ExperimentConfig):
 
     run_cfg = cfg.run_config()
     entries = {}
-    results = []
-    for rule in rules:
-        try:
-            results.append((rule.name, descent.run(problem, rule, run_cfg), None))
-        except descent.NumericFailureError as exc:
-            results.append((rule.name, None, str(exc)))
-
+    full_result = None
     any_numeric_failure = False
     all_verified = True
-    for name, result, error in results:
-        if error is not None:
+    for rule in rules:
+        name = rule.name
+        try:
+            result = descent.run(problem, rule, run_cfg)
+        except descent.NumericFailureError as exc:
             any_numeric_failure = True
-            entries[name] = {"rule": name, "error": error}
+            entries[name] = {"rule": name, "error": str(exc)}
             continue
+        if name == "full":
+            full_result = result
         trace_path = os.path.join(cfg.out_dir, f"trace_{_safe_name(name)}.csv")
         descent.write_trace_csv(result, trace_path)
         first_F = result.trace[0].F if result.trace else result.final_F
@@ -256,20 +254,18 @@ def cmd_run(cfg: ExperimentConfig):
         )
 
     # 1-D problems get the suboptimality / certificate / predicted-rate series
-    if problem.dim == 1 and cfg.diagnostics:
-        full = [r for name, r, err in results if name == "full" and err is None]
-        if full and full[0].trace:
-            result = full[0]
-            xi0 = result.trace[0].xi
-            c = 1.0 / eig_extremes(problem.objective.smoothness)[1]
-            rate = rates.general_nonconvex_epsilon(
-                xi0, c, [row.k + 1 for row in result.trace])
-            series_path = os.path.join(cfg.out_dir, "plateau_series.csv")
-            with open(series_path, "w") as fh:
-                fh.write("k,fx,dfx,rate\n")
-                for row, r_k in zip(result.trace, rate):
-                    fh.write(f"{row.k},{row.xi!r},{row.lam!r},{r_k!r}\n")
-            report["plateau_series"] = series_path
+    if problem.dim == 1 and cfg.diagnostics and full_result is not None \
+            and full_result.trace:
+        trace = full_result.trace
+        c = 1.0 / problem.objective.lambda_max
+        rate = rates.general_nonconvex_epsilon(
+            trace[0].xi, c, [row.k + 1 for row in trace])
+        series_path = os.path.join(cfg.out_dir, "plateau_series.csv")
+        with open(series_path, "w") as fh:
+            fh.write("k,fx,dfx,rate\n")
+            for row, r_k in zip(trace, rate):
+                fh.write(f"{row.k},{row.xi!r},{row.lam!r},{r_k!r}\n")
+        report["plateau_series"] = series_path
 
     report_path = os.path.join(cfg.out_dir, "report.json")
     with open(report_path, "w") as fh:

@@ -6,9 +6,9 @@ per-rule bounds live in the test suite as independent oracles.  Functions
 that need grad f(x) take it as an optional `grad` argument, so that a
 caller holding it already (the descent loop) does not recompute it.  On the
 scalar-L prox path the certificate and the block step are numpy expressions
-over the regularizer's array maps, one entry per coordinate.  A
-one-coordinate block step is computed on Python floats instead, with the
-same bits.
+over the L1 regularizer's array maps, one entry per coordinate of the block.
+A one-coordinate block step is computed on Python floats instead, through
+the regularizer's scalar `prox` and `value_i`, with the same bits.
 """
 
 from __future__ import annotations
@@ -46,16 +46,16 @@ def _L_used(problem: CompositeProblem, L) -> float:
     return problem.L_scalar if L is None else float(L)
 
 
-def _prox_model(reg, x, grad, L: float, idx=None):
-    """The prox step v and the certificate entries lambda at the coordinates
-    `idx` (all when None), given x and grad f(x) at those coordinates:
+def _prox_model(reg, x, grad, L: float):
+    """The prox step v and the certificate entries lambda, given x and
+    grad f(x) at the same coordinates (all, or a block's):
 
-        v_i   = prox_i(x_i - grad_i / L, L) - x_i
-        lam_i = max(-L (grad_i v_i + L v_i^2 / 2 + g_i(x_i + v_i) - g_i(x_i)), 0)
+        v_i   = prox(x_i - grad_i / L, L) - x_i
+        lam_i = max(-L (grad_i v_i + L v_i^2 / 2 + g(x_i + v_i) - g(x_i)), 0)
     """
-    v = reg.prox_array(x - grad / L, L, idx) - x
-    model = (grad * v + 0.5 * L * v * v + reg.value_array(x + v, idx)
-             - reg.value_array(x, idx))
+    v = reg.prox_array(x - grad / L, L) - x
+    model = (grad * v + 0.5 * L * v * v + reg.value_array(x + v)
+             - reg.value_array(x))
     lam = -L * model
     # max(lam, 0.0) entrywise, keeping lam when it is not below 0.0 (-0.0, nan)
     return v, np.where(0.0 > lam, 0.0, lam)
@@ -147,7 +147,7 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
             u_S, lam_S = _prox_model(problem.regularizer, x, grad, L)
         else:
             idx = S.array
-            u_S, lam_S = _prox_model(problem.regularizer, x[idx], grad[idx], L, idx)
+            u_S, lam_S = _prox_model(problem.regularizer, x[idx], grad[idx], L)
         # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
         # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
         decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])

@@ -86,10 +86,6 @@ class CoordSet:
     def one_based(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in self.indices)
 
-    @staticmethod
-    def from_one_based(indices, n: int) -> "CoordSet":
-        return CoordSet(tuple(sorted(int(i) - 1 for i in indices)), n)
-
 
 def check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)

@@ -1,15 +1,15 @@
-"""Concrete objectives, separable regularizers, and instance generation.
+"""Concrete objectives, the L1 regularizer, and instance generation.
 
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
-x, h, and caches what is derived from M: Cholesky factors of principal
-submatrices (and 1/sqrt(M_ii), by which a one-coordinate step scales), and
-per block size tau the block smoothness scalar L_tau, the expected inverse
-E[inv(M[S, S])] and the exact greedy-minibatch tables.  A
-SeparableRegularizer is the nonsmooth half of F = f + g; it is read through
-array maps (values g_i(v_i) and the prox of many coordinates at once with one
-scalar ell), so the certificate and the prox step are numpy expressions over
-a block.
+x, h, and caches what is derived from M: lambda_max(M), Cholesky factors
+of principal submatrices (and 1/sqrt(M_ii), by which a one-coordinate step
+scales), and per block size tau the block smoothness scalar L_tau, the
+expected inverse E[inv(M[S, S])] and the exact greedy-minibatch tables.  An L1Regularizer, lam ||x||_1 with lam = 0 for
+the smooth problem, is the nonsmooth half of F = f + g; it is read through
+array maps (values lam |v_i| and the prox of many coordinates at once with
+one scalar ell), so the certificate and the prox step are numpy expressions
+over a block.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -75,6 +75,8 @@ class Objective:
     # constants over the cardinality-tau principal submatrices of M, keyed
     # by (quantity, tau, enumeration budget)
     _subset_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # lambda_max(M), from the eigenvalue call that checks strong_convexity_f
+    lambda_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.smoothness = check_symmetric(self.smoothness)
@@ -82,7 +84,7 @@ class Objective:
             raise ValueError("smoothness matrix shape does not match dim")
         if not is_spd(self.smoothness):
             raise ValueError("smoothness matrix must be positive definite")
-        lam_min, _ = eig_extremes(self.smoothness)
+        lam_min, self.lambda_max = eig_extremes(self.smoothness)
         if self.strong_convexity_f > lam_min + 1e-10:
             raise ValueError("strong convexity parameter exceeds lambda_min(M)")
         if self.known_minimizer is not None:
@@ -200,68 +202,20 @@ class IterateState:
         self.f = float(self.objective.eval_f(self.x))
 
 
-class SeparableRegularizer:
-    """g(x) = sum_i g_i(x_i), each g_i with an exact prox.
+class L1Regularizer:
+    """g(x) = lam ||x||_1, the nonsmooth half of F = f + g; lam = 0 is the
+    smooth problem (`is_zero`).  The prox of g_i(v) = lam |v| is
+    soft-thresholding at lam / ell:
 
-    A regularizer is defined by two scalar callbacks:
+        prox(c, ell) = argmin_v { (ell/2) (v - c)^2 + lam |v| }
 
-        value_i(i, v)    = g_i(v)
-        prox(c, ell, i)  = argmin_v { (ell/2) (v - c)^2 + g_i(v) }
-
-    The descent engine reads it through their array maps, which take the
-    coordinates `idx` an array refers to (None: 0, 1, ..., len - 1):
-
-        value_array(v, idx)[j]     = g_{idx[j]}(v[j])
-        prox_array(c, ell, idx)[j] = prox(c[j], ell, idx[j])
-
-    Their defaults call the scalar callbacks once per entry; a concrete
-    regularizer overrides them with numpy expressions.
+    The certificate and block steps read g through array maps over a block,
+    `value_array(v)` (the entries lam |v_j|) and `prox_array(c, ell)`; a
+    one-coordinate step reads their scalar twins `value_i(i, v)` and
+    `prox(c, ell, i)`, whose coordinate i every g_i ignores.
     """
 
-    is_zero = False
     strong_convexity_F: float = 0.0
-
-    def value_i(self, i: int, v: float) -> float:
-        raise NotImplementedError
-
-    def prox(self, c: float, ell: float, i: int) -> float:
-        raise NotImplementedError
-
-    def value_array(self, v: np.ndarray, idx=None) -> np.ndarray:
-        idx = range(len(v)) if idx is None else idx
-        return np.array([self.value_i(int(i), float(vj)) for i, vj in zip(idx, v)],
-                        dtype=float)
-
-    def prox_array(self, c: np.ndarray, ell: float, idx=None) -> np.ndarray:
-        idx = range(len(c)) if idx is None else idx
-        return np.array([self.prox(float(cj), ell, int(i)) for i, cj in zip(idx, c)],
-                        dtype=float)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.value_array(x).sum())
-
-
-class ZeroRegularizer(SeparableRegularizer):
-    is_zero = True
-
-    def value_i(self, i, v):
-        return 0.0
-
-    def prox(self, c, ell, i):
-        return c
-
-    def value_array(self, v, idx=None):
-        return np.zeros(len(v))
-
-    def prox_array(self, c, ell, idx=None):
-        return c
-
-    def value(self, x):
-        return 0.0
-
-
-class L1Regularizer(SeparableRegularizer):
-    """g(x) = lam ||x||_1; the prox is soft-thresholding at lam / ell."""
 
     def __init__(self, lam: float):
         if lam < 0:
@@ -276,10 +230,10 @@ class L1Regularizer(SeparableRegularizer):
         t = self.lam / ell
         return math.copysign(max(abs(c) - t, 0.0), c)
 
-    def value_array(self, v, idx=None):
+    def value_array(self, v):
         return self.lam * np.abs(v)
 
-    def prox_array(self, c, ell, idx=None):
+    def prox_array(self, c, ell):
         return np.copysign(np.maximum(np.abs(c) - self.lam / ell, 0.0), c)
 
     def value(self, x):
@@ -294,21 +248,22 @@ def make_l1(lam: float) -> L1Regularizer:
 class CompositeProblem:
     """F = f + g with a scalar smoothness constant for the prox path.
 
-    With a zero regularizer the solver takes the matrix-curvature path; any
-    nonzero regularizer forces the scalar L*I path.  The scalar constant
-    `L_scalar` is lambda_max(M), set from the objective (positive, as M is
-    SPD); a step or certificate that wants another L takes it as an argument.
+    With L1 weight zero (the default regularizer) the solver takes the
+    matrix-curvature path; a positive weight forces the scalar L*I path.
+    The scalar constant `L_scalar` is the objective's lambda_max(M)
+    (positive, as M is SPD); a step or certificate that wants another L
+    takes it as an argument.
     """
 
     objective: Objective
-    regularizer: SeparableRegularizer = field(default_factory=ZeroRegularizer)
+    regularizer: L1Regularizer = field(default_factory=lambda: L1Regularizer(0.0))
     opt_value: Optional[float] = None
     # set when opt_value comes from a descent run rather than a known optimum
     opt_value_is_empirical: bool = False
     L_scalar: float = field(init=False)
 
     def __post_init__(self):
-        self.L_scalar = eig_extremes(self.objective.smoothness)[1]
+        self.L_scalar = self.objective.lambda_max
         if self.opt_value is None and self.regularizer.is_zero:
             self.opt_value = self.objective.known_opt_value
 

@@ -71,8 +71,6 @@ class FunctionClass:
 
 @dataclass
 class RateBound:
-    rule_name: str
-    class_kind: str
     K: Callable[[float], int]
     constant: float  # the rule's proportion-function lower bound
     provenance: dict = field(default_factory=dict)
@@ -181,7 +179,7 @@ def rule_constant(rule, problem):
     if kind == "cyclic_coord":
         raise NoGuaranteeError("cyclic selection carries no complexity bound")
     if kind == "full_batch":
-        lam_max = eig_extremes(M)[1]
+        lam_max = problem.objective.lambda_max
         return 1.0 / lam_max, {"lambda_max(M)": lam_max}
     if kind in ("uniform_coord",) or (not smooth and kind == "greedy_coord"):
         top = float(np.diag(M).max())
@@ -228,13 +226,12 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
                 return 0
             return math.ceil((xi0 / (c * eps)) * math.log(xi0 / eps))
     else:  # gradient_dominated: only the batch-descent bound is published
-        L = eig_extremes(problem.objective.smoothness)[1]
+        L = problem.objective.lambda_max
 
         def K(eps):
             return gradient_dominated_K(fclass.c, fclass.p, L, xi0, eps)
 
-    return RateBound(rule_name=rule.name, class_kind=fclass.kind, K=K,
-                     constant=c, provenance=provenance)
+    return RateBound(K=K, constant=c, provenance=provenance)
 
 
 def general_nonconvex_epsilon(xi0: float, c: float, ks) -> list:

@@ -185,7 +185,7 @@ def _reference_run(problem, spec, seed, iters):
             u_S = -scipy.linalg.cho_solve(factor, g_S)
             decrease = max(-0.5 * float(g_S @ u_S), 0.0)
         else:
-            u_S, lam_S = engine._prox_model(reg, mask_vector(x, S), g_S, L, idx)
+            u_S, lam_S = engine._prox_model(reg, mask_vector(x, S), g_S, L)
             decrease = max(0.0 + float(np.add.accumulate(lam_S / L)[-1]), 0.0)
         if xi > gap_floor:
             mu, theta = lam / xi, (decrease / lam if lam > 0 else 0.0)

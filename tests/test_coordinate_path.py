@@ -75,7 +75,7 @@ def test_l1_coordinate_step_matches_array_prox_model_on_a_grid(L):
                 x[i], grad[i] = x_i, g
                 step = engine.block_step(problem, x, CoordSet((i,), 4), L, grad=grad)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    v, lam_S = engine._prox_model(reg, x[[i]], grad[[i]], L, np.array([i]))
+                    v, lam_S = engine._prox_model(reg, x[[i]], grad[[i]], L)
                     decrease_ref = max(0.0 + float(np.add.accumulate(lam_S / L)[-1]), 0.0)
                 assert step.u_S.tobytes() == v.tobytes(), (x_i, g)
                 assert _bits(step.decrease) == _bits(decrease_ref), (x_i, g)
@@ -122,7 +122,7 @@ def _reference_run(problem, spec, seed, iters):
             u_S = -engine._cho_solve(obj.factor_for(S.indices), g_S)
             decrease = max(-0.5 * float(g_S @ u_S), 0.0)
         else:
-            u_S, lam_S = engine._prox_model(reg, x[idx], grad[idx], L, idx)
+            u_S, lam_S = engine._prox_model(reg, x[idx], grad[idx], L)
             decrease = max(0.0 + float(np.add.accumulate(lam_S / L)[-1]), 0.0)
         if xi > gap_floor:
             mu, theta = lam / xi, (decrease / lam if lam > 0 else 0.0)

@@ -32,8 +32,8 @@ def evaluate_block_model(problem, x, S, u_S):
         quad = 0.5 * problem.L_scalar * float(u_S @ u_S)
         reg = problem.regularizer
         x_S = np.asarray(x, dtype=float)[idx]
-        reg_term = float(np.sum(reg.value_array(x_S + u_S, idx)
-                                - reg.value_array(x_S, idx)))
+        reg_term = float(np.sum(reg.value_array(x_S + u_S)
+                                - reg.value_array(x_S)))
     return float(grad[idx] @ u_S) + quad + reg_term
 
 
@@ -215,8 +215,6 @@ def test_generated_instance_certificate_paths():
 
 import math  # noqa: E402
 
-from blockprox.objectives import SeparableRegularizer  # noqa: E402
-
 
 def _lambda_oracle(reg, x_i, g_i, i, L):
     """The per-coordinate certificate in scalar arithmetic, one coordinate."""
@@ -269,9 +267,12 @@ def test_nonsmooth_block_step_matches_scalar_oracle_bitwise():
             assert _bits(step.decrease) == _bits(max(decrease, 0.0))
 
 
-class _ScalarL1(SeparableRegularizer):
-    """L1 through the scalar callbacks only: the base class's array maps
-    call them once per coordinate."""
+class _ScalarL1:
+    """L1 through scalar callbacks only: its array maps call them once per
+    coordinate, an oracle for L1Regularizer's numpy expressions."""
+
+    is_zero = False
+    strong_convexity_F = 0.0
 
     def __init__(self, lam):
         self.lam = lam
@@ -281,6 +282,15 @@ class _ScalarL1(SeparableRegularizer):
 
     def prox(self, c, ell, i):
         return math.copysign(max(abs(c) - self.lam / ell, 0.0), c)
+
+    def value_array(self, v):
+        return np.array([self.value_i(i, float(vi)) for i, vi in enumerate(v)])
+
+    def prox_array(self, c, ell):
+        return np.array([self.prox(float(ci), ell, i) for i, ci in enumerate(c)])
+
+    def value(self, x):
+        return float(self.value_array(x).sum())
 
 
 def test_array_maps_match_scalar_callback_twin_runs():

@@ -41,9 +41,7 @@ def test_coordset_validation():
 def test_coordset_full_and_roundtrip():
     s = CoordSet.full(4)
     assert s.is_full() and s.indices == (0, 1, 2, 3)
-    t = CoordSet.from_one_based([3, 1], 4)
-    assert t.indices == (0, 2)
-    assert CoordSet.from_one_based(t.one_based(), 4) == t
+    assert CoordSet((0, 2), 4).one_based() == (1, 3)
 
 
 def test_mask_and_embed_are_adjoint():

@@ -8,7 +8,6 @@ from blockprox import objectives
 from blockprox.objectives import (
     CompositeProblem,
     L1Regularizer,
-    ZeroRegularizer,
     flat_inflection_coefficient,
     gen_instance,
     load_instance,
@@ -103,7 +102,8 @@ def test_l1_value_and_zero():
     assert reg.value(x) == pytest.approx(1.5)
     assert not reg.is_zero
     assert make_l1(0.0).is_zero
-    assert ZeroRegularizer().value(x) == 0.0
+    assert make_l1(0.0).value(x) == 0.0
+    assert CompositeProblem(make_quadratic(np.eye(3))).regularizer.is_zero
     with pytest.raises(ValueError):
         L1Regularizer(-0.1)
 
@@ -161,6 +161,19 @@ def test_save_load_roundtrip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["m"] == 12 and payload["n"] == 4 and payload["seed"] == 3
     assert len(payload["A"]) == 48  # row-major flat
+
+
+def test_save_load_roundtrip_default_regularizer(tmp_path):
+    # a problem built without a regularizer saves with L1 weight 0
+    p = CompositeProblem(make_plateau_1d(flat_inflection_coefficient()))
+    path = tmp_path / "plateau.json"
+    save_instance(p, path)
+    q = load_instance(path)
+    for name in ("A", "b", "c"):
+        np.testing.assert_array_equal(getattr(p.objective, name),
+                                      getattr(q.objective, name))
+    assert q.regularizer.lam == 0.0 and q.smooth_path
+    assert json.loads(path.read_text())["lambda"] == 0.0
 
 
 def test_save_identical_bytes(tmp_path):
@@ -282,42 +295,18 @@ def test_l1_prox_array_matches_scalar_formula_bitwise():
     # the scalar method is the same map, and the coordinate index is ignored
     np.testing.assert_array_equal(
         _bits([reg.prox(float(ci), ell, 0) for ci in c]), _bits(expected))
-    np.testing.assert_array_equal(
-        _bits(reg.prox_array(c, ell, np.arange(len(c)))), _bits(expected))
     np.testing.assert_array_equal(_bits(reg.value_array(c)),
                                   _bits([reg.value_i(0, float(ci)) for ci in c]))
 
 
 def test_zero_regularizer_array_maps():
-    reg = ZeroRegularizer()
-    c = np.array([1.5, -0.0, 2.0])
-    np.testing.assert_array_equal(reg.prox_array(c, 3.0), c)
-    np.testing.assert_array_equal(reg.value_array(c, np.array([0, 4, 7])), np.zeros(3))
-
-
-class _ScaledAbs(objectives.SeparableRegularizer):
-    """g_i(v) = w_i |v| through the scalar callbacks only."""
-
-    def __init__(self, w):
-        self.w = np.asarray(w, dtype=float)
-
-    def value_i(self, i, v):
-        return float(self.w[i]) * abs(v)
-
-    def prox(self, c, ell, i):
-        return math.copysign(max(abs(c) - float(self.w[i]) / ell, 0.0), c)
-
-
-def test_default_array_maps_call_the_scalar_callbacks_per_coordinate():
-    reg = _ScaledAbs([0.1, 0.2, 0.3, 0.4])
-    v = np.array([1.0, -2.0, 0.05])
-    idx = np.array([3, 0, 2])
-    np.testing.assert_array_equal(reg.value_array(v, idx), [0.4, 0.2, 0.3 * 0.05])
+    reg = make_l1(0.0)
+    c = np.array([1.5, -0.0, 2.0, -3.0, 0.0, 1e-300])
+    np.testing.assert_array_equal(_bits(reg.prox_array(c, 3.0)), _bits(c))
+    np.testing.assert_array_equal(_bits(reg.value_array(c)), _bits(np.zeros(6)))
     np.testing.assert_array_equal(
-        reg.prox_array(v, 2.0, idx),
-        [reg.prox(1.0, 2.0, 3), reg.prox(-2.0, 2.0, 0), reg.prox(0.05, 2.0, 2)])
-    x = np.array([1.0, -1.0, 2.0, 0.5])
-    assert reg.value(x) == pytest.approx(0.1 + 0.2 + 0.6 + 0.2, rel=1e-15)
+        _bits([reg.prox(float(ci), 3.0, 0) for ci in c]), _bits(c))
+    assert reg.value(c) == 0.0
 
 
 def test_block_smoothness_cached_with_provenance():
