@@ -253,7 +253,7 @@ def check_rate_monotonicity(seed=0, **_):
     problem = CompositeProblem(objectives.make_quadratic(M))
     rule = BlockRule("full_batch", 8)
     xi0 = 10.0
-    fclass = rates.FunctionClass("strongly_pl", mu=eig_extremes(M)[0])
+    fclass = rates.FunctionClass("strongly_pl", mu=problem.objective.lambda_min)
     bound = rates.predict_K(rule, fclass, problem, 1e-8, xi0)
     eps = np.logspace(-10, 0, 30)
     Ks = [bound.K(e) for e in eps]
@@ -264,7 +264,7 @@ def check_rate_monotonicity(seed=0, **_):
 def check_polyak_rate(seed=0, **_):
     M = objectives.random_spd(10, 12.0, seed)
     problem = CompositeProblem(objectives.make_quadratic(M))
-    lam_min, lam_max = eig_extremes(M)
+    lam_min, lam_max = problem.objective.lambda_min, problem.objective.lambda_max
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(10)
     eps = 1e-8

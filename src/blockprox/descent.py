@@ -83,7 +83,9 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
     The gradient and f come from the objective's iterate state, once per
     iterate, and are shared by the certificate, the selection, the step and
-    the diagnostics.
+    the diagnostics.  On the prox path an iteration that holds a certificate
+    (diagnostics, stop_on "certificate", or a greedy rule) reads its block
+    step off it, so the prox model is evaluated once per iterate.
     """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
@@ -116,7 +118,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     gap_floor = 1e-14 * max(1.0, abs(F_init))
     trace: list[IterationRecord] = []
     termination = "exhausted_iters"
-    lam = None
+    lam = cert = None
     ctx = SelectionContext(x=x)  # its fields are set every iteration
     clock = time.perf_counter_ns
 
@@ -144,7 +146,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
         ctx.x, ctx.grad, ctx.k = x, grad, k
         S = select(rule, problem, ctx)
-        step = engine.block_step(problem, x, S, L_used, grad=grad)
+        step = engine.block_step(problem, x, S, L_used, grad=grad, cert=cert)
         u_S = step.u_S
 
         mu = theta = None

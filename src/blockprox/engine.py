@@ -5,10 +5,15 @@ All quantities are computed from their definitions; the closed-form
 per-rule bounds live in the test suite as independent oracles.  Functions
 that need grad f(x) take it as an optional `grad` argument, so that a
 caller holding it already (the descent loop) does not recompute it.  On the
-scalar-L prox path the certificate and the block step are numpy expressions
-over the L1 regularizer's array maps, one entry per coordinate of the block.
-A one-coordinate block step is computed on Python floats instead, through
-the regularizer's scalar `prox` and `value_i`, with the same bits.
+scalar-L prox path the certificate is a numpy expression over the L1
+regularizer's array maps, one entry per coordinate.  There the block model
+U_S is the full-space separable model restricted to S, so a block step
+reads its step and decrease off the model's entries at S, whatever the
+block: given the certificate at the same (x, grad f(x), L), the model is
+evaluated once per iterate.  Without a certificate a block of two or more
+coordinates evaluates the model over all n coordinates, and a
+one-coordinate step is taken on Python floats, through the regularizer's
+scalar `prox` and `value_i`, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,11 +33,17 @@ class AtOptimumError(ValueError):
 
 @dataclass
 class Certificate:
-    """Value and per-coordinate split of the full-space prox model optimum."""
+    """Value and per-coordinate split of the full-space prox model optimum.
+
+    On the prox path `step_per_coord` is the model's minimizer v (the prox
+    step from x), from which every block step at (x, grad f(x), L_used)
+    is read; on the smooth path it is None.
+    """
 
     lambda_total: float
     lambda_per_coord: np.ndarray
     L_used: float
+    step_per_coord: np.ndarray | None
 
 
 @dataclass
@@ -70,10 +81,11 @@ def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
     L = _L_used(problem, L)
     grad = _gradient(problem, x, grad)
     if problem.smooth_path:
-        per = 0.5 * grad * grad
+        v, per = None, 0.5 * grad * grad
     else:
-        _, per = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
-    return Certificate(lambda_total=float(per.sum()), lambda_per_coord=per, L_used=L)
+        v, per = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
+    return Certificate(lambda_total=float(per.sum()), lambda_per_coord=per, L_used=L,
+                       step_per_coord=v)
 
 
 def forcing(problem: CompositeProblem, x: np.ndarray, L=None, gap_tol=None) -> float:
@@ -102,16 +114,15 @@ def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L,
     decrease, bit-identical to the array path.
 
     Smooth path: dpotrs on the 1 x 1 factor sqrt(M_ii) multiplies twice by
-    its reciprocal r_i, and a length-1 dot is 0.0 + g_i u_i.  Scalar-L path:
-    `_prox_model` in the same operation order, through the regularizer's
-    scalar `prox` and `value_i`.
+    its reciprocal r_i, and a length-1 dot is 0.0 + g_i u_i.  Scalar-L path,
+    taken only without a certificate: `_prox_model` in the same operation
+    order, through the regularizer's scalar `prox` and `value_i`.
     """
     g_i = float(grad[i])
     if problem.smooth_path:
         r_i = problem.objective.inverse_sqrt_diagonal[i]
         u = -((g_i * r_i) * r_i)
         return u, max(-0.5 * (0.0 + g_i * u), 0.0)
-    L = _L_used(problem, L)
     reg, x_i = problem.regularizer, float(x[i])
     u = reg.prox(x_i - g_i / L, L, i) - x_i
     # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
@@ -120,37 +131,70 @@ def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L,
     return u, max(0.0 + lam / L, 0.0)
 
 
+def _check_length(name: str, vec: np.ndarray, S: CoordSet) -> None:
+    if len(vec) != S.ambient_dim:
+        raise InvalidSetError(f"{name} of length {len(vec)} does not match "
+                              f"ambient dim {S.ambient_dim}")
+
+
+def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L: float,
+               grad, cert: Certificate | None) -> BlockStep:
+    """block_step on the prox path: u_S = v[S] and lam_S = lam[S], read off
+    the full-space model (v, lam) at (x, grad f(x), L), which gives the bits
+    of the model evaluated on the block's gather.  (v, lam) is the
+    certificate's, or is evaluated here; without a certificate a
+    one-coordinate step is `_coordinate_step` instead.  u_S may be a view
+    of v."""
+    if cert is None:
+        grad = _gradient(problem, x, grad)
+        _check_length("gradient", grad, S)
+        if len(S) == 1:
+            u, decrease = _coordinate_step(problem, x, S.indices[0], L, grad)
+            return BlockStep(S=S, u_S=np.array([u]), decrease=decrease)
+        v, lam = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
+    elif cert.L_used != L:
+        raise ValueError(f"certificate computed at L={cert.L_used}, "
+                         f"step asked at L={L}")
+    else:
+        v, lam = cert.step_per_coord, cert.lambda_per_coord
+        _check_length("certificate", v, S)
+    if len(S) == 1:
+        i = S.indices[0]
+        return BlockStep(S=S, u_S=v[i:i + 1], decrease=max(0.0 + lam.item(i) / L, 0.0))
+    if S.is_full():
+        u_S, lam_S = v, lam
+    else:
+        u_S, lam_S = v[S.array], lam[S.array]
+    # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
+    # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
+    decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
+    return BlockStep(S=S, u_S=u_S, decrease=max(decrease, 0.0))
+
+
 def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
-               grad=None) -> BlockStep:
+               grad=None, cert: Certificate | None = None) -> BlockStep:
     """Minimizer of the block model U_S at x and its model decrease.
 
-    A one-coordinate block is stepped on Python floats (`_coordinate_step`)
-    and the full set on grad and x themselves, without a gather, with the
-    same result as the array path."""
+    On the prox path the step is read off the full-space model's entries at
+    S (`_prox_step`): those of `cert`, the certificate at the same x, grad
+    and L (one at another L is refused), or of the model evaluated here.
+    The smooth path ignores `cert`: a one-coordinate block is stepped on
+    Python floats (`_coordinate_step`) and the full set on grad itself,
+    without a gather.  Each gives the bits of the model solved on the
+    block's gather."""
+    if not problem.smooth_path:
+        return _prox_step(problem, x, S, _L_used(problem, L), grad, cert)
     grad = _gradient(problem, x, grad)
     serial = len(S) == 1
     full = not serial and S.is_full()
-    if (serial or full) and len(grad) != S.ambient_dim:
-        raise InvalidSetError(f"gradient of length {len(grad)} does not match "
-                              f"ambient dim {S.ambient_dim}")
+    if serial or full:
+        _check_length("gradient", grad, S)
     if serial:
-        u, decrease = _coordinate_step(problem, x, S.indices[0], L, grad)
+        u, decrease = _coordinate_step(problem, x, S.indices[0], None, grad)
         return BlockStep(S=S, u_S=np.array([u]), decrease=decrease)
-    if problem.smooth_path:
-        g_S = grad if full else mask_vector(grad, S)
-        u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
-        decrease = -0.5 * float(g_S @ u_S)
-    else:
-        L = _L_used(problem, L)
-        x = np.asarray(x, dtype=float)
-        if full:
-            u_S, lam_S = _prox_model(problem.regularizer, x, grad, L)
-        else:
-            idx = S.array
-            u_S, lam_S = _prox_model(problem.regularizer, x[idx], grad[idx], L)
-        # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
-        # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
-        decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
+    g_S = grad if full else mask_vector(grad, S)
+    u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
+    decrease = -0.5 * float(g_S @ u_S)
     return BlockStep(S=S, u_S=u_S, decrease=max(decrease, 0.0))
 
 
@@ -171,7 +215,7 @@ def proportion(
         cert = certificate(problem, x, L, grad=grad)
     if cert.lambda_total <= 0.0:
         return 0.0
-    step = block_step(problem, x, S, L=cert.L_used, grad=grad)
+    step = block_step(problem, x, S, L=cert.L_used, grad=grad, cert=cert)
     # In the scalar-L path the block decrease is sum_{i in S} lam_i / L and
     # the certificate is sum_j lambda_j, so the ratio carries the 1/L factor
     # the theory expects (theta of the full set equals 1/L there).

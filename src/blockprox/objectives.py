@@ -2,7 +2,8 @@
 
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
-x, h, and caches what is derived from M: lambda_max(M), Cholesky factors
+x, h, and caches what is derived from M: lambda_min(M) and lambda_max(M)
+(from one eigenvalue call), Cholesky factors
 of principal submatrices (and 1/sqrt(M_ii), by which a one-coordinate step
 scales), and per block size tau the block smoothness scalar L_tau, the
 expected inverse E[inv(M[S, S])] and the exact greedy-minibatch tables.  An L1Regularizer, lam ||x||_1 with lam = 0 for
@@ -75,7 +76,9 @@ class Objective:
     # constants over the cardinality-tau principal submatrices of M, keyed
     # by (quantity, tau, enumeration budget)
     _subset_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # lambda_max(M), from the eigenvalue call that checks strong_convexity_f
+    # lambda_min(M) and lambda_max(M), from the eigenvalue call that checks
+    # strong_convexity_f
+    lambda_min: float = field(init=False, repr=False, compare=False)
     lambda_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,8 +87,8 @@ class Objective:
             raise ValueError("smoothness matrix shape does not match dim")
         if not is_spd(self.smoothness):
             raise ValueError("smoothness matrix must be positive definite")
-        lam_min, self.lambda_max = eig_extremes(self.smoothness)
-        if self.strong_convexity_f > lam_min + 1e-10:
+        self.lambda_min, self.lambda_max = eig_extremes(self.smoothness)
+        if self.strong_convexity_f > self.lambda_min + 1e-10:
             raise ValueError("strong convexity parameter exceeds lambda_min(M)")
         if self.known_minimizer is not None:
             self.known_minimizer = np.asarray(self.known_minimizer, dtype=float)
@@ -209,10 +212,11 @@ class L1Regularizer:
 
         prox(c, ell) = argmin_v { (ell/2) (v - c)^2 + lam |v| }
 
-    The certificate and block steps read g through array maps over a block,
-    `value_array(v)` (the entries lam |v_j|) and `prox_array(c, ell)`; a
-    one-coordinate step reads their scalar twins `value_i(i, v)` and
-    `prox(c, ell, i)`, whose coordinate i every g_i ignores.
+    The certificate and block steps read g through array maps over all
+    coordinates, `value_array(v)` (the entries lam |v_j|) and
+    `prox_array(c, ell)`; a one-coordinate step without a certificate reads
+    their scalar twins `value_i(i, v)` and `prox(c, ell, i)`, whose
+    coordinate i every g_i ignores.
     """
 
     strong_convexity_F: float = 0.0
@@ -393,22 +397,30 @@ def make_lsq_cos(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LsqCosObjective
 
 
 def make_quadratic(Q: np.ndarray, smoothness: Optional[np.ndarray] = None) -> Objective:
-    """f(x) = x'Qx / 2 with SPD Q; optionally a looser smoothness matrix."""
+    """f(x) = x'Qx / 2 with SPD Q; optionally a looser smoothness matrix.
+
+    Its strong convexity is lambda_min(Q): with M = Q, the objective's own
+    lambda_min, so Q's spectrum is computed once."""
     Q = check_symmetric(Q)
     if not is_spd(Q):
         raise ValueError("quadratic matrix must be positive definite")
     n = Q.shape[0]
     M = Q if smoothness is None else check_symmetric(smoothness)
-    lam_min = eig_extremes(Q)[0]
-    return Objective(
+    objective = Objective(
         dim=n,
         eval_f=lambda x: 0.5 * float(x @ (Q @ x)),
         grad_f=lambda x: Q @ x,
         smoothness=M,
-        strong_convexity_f=lam_min,
+        strong_convexity_f=0.0 if smoothness is None else eig_extremes(Q)[0],
         known_opt_value=0.0,
         known_minimizer=np.zeros(n),
     )
+    if smoothness is None:
+        # M = Q: lambda_min(Q) is the lambda_min(M) the constructor just took
+        # from its one eigvalsh, so its check strong_convexity_f <= lambda_min
+        # holds with equality and need not run again
+        objective.strong_convexity_f = objective.lambda_min
+    return objective
 
 
 def random_spd(n: int, cond: float, seed: int) -> np.ndarray:

@@ -4,6 +4,8 @@ reads the set's cached index array, and steps the full set on grad and x
 without a gather.  Each gives the same bits as the generic operations it
 replaces: `scipy.linalg.cho_factor` behind `np.ix_`, the Fisher-Yates draw
 on a numpy array, `mask_vector`, and a scatter of u_S into a copy of x.
+On the L1 path every step reads its entries at S off the iteration's
+certificate, with the bits of the prox model evaluated on the block's gather.
 """
 
 import math
@@ -38,9 +40,9 @@ from blockprox.selection import (
 )
 
 
-def _bits(value) -> str:
-    """float.hex tells -0.0 from 0.0 and matches nan to nan."""
-    return float.hex(float(value))
+def _bits(value) -> str | None:
+    """float.hex tells -0.0 from 0.0 and matches nan to nan; None stays None."""
+    return None if value is None else float.hex(float(value))
 
 
 def _arange_draw(rng, n, tau):
@@ -150,12 +152,13 @@ def test_factor_cache_evicts_oldest_and_keeps_one_oversized(monkeypatch):
     assert obj._factor_bytes == 288
 
 
-def _reference_run(problem, spec, seed, iters):
+def _reference_run(problem, spec, seed, iters, stop_on_certificate=False):
     """`descent.run` with diagnostics from x = 0, every block step through
     the generic operations: a fresh `cho_factor` of M[np.ix_(S, S)] and
     `cho_solve`, or the prox model on `mask_vector` gathers; x updated by a
     scatter of u_S into a copy, and M x by M[:, S] u_S (from scratch every n
-    coordinates)."""
+    coordinates).  With `stop_on_certificate` it stops as `empirical_optimum`
+    does: at a certificate below 1e-24 or after a step that left F in place."""
     obj, reg = problem.objective, problem.regularizer
     n, m, M = problem.dim, obj.m, obj.smoothness
     rule = parse_rule(spec, n, default_seed=seed)
@@ -172,10 +175,13 @@ def _reference_run(problem, spec, seed, iters):
     f, grad = f_and_grad(x, Mx)
     F = f + reg.value(x)
     gap_floor = 1e-14 * max(1.0, abs(F))
-    rows = []
+    rows, stagnant = [], False
     for k in range(iters):
         cert = engine.certificate(problem, x, L, grad=grad)
-        lam, xi = cert.lambda_total, F - problem.opt_value
+        lam = cert.lambda_total
+        if stop_on_certificate and (lam < 1e-24 or stagnant):
+            break
+        xi = None if problem.opt_value is None else F - problem.opt_value
         S = select(rule, problem, SelectionContext(
             x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord, k=k))
         idx = np.asarray(S.indices, dtype=np.intp)
@@ -187,7 +193,9 @@ def _reference_run(problem, spec, seed, iters):
         else:
             u_S, lam_S = engine._prox_model(reg, mask_vector(x, S), g_S, L)
             decrease = max(0.0 + float(np.add.accumulate(lam_S / L)[-1]), 0.0)
-        if xi > gap_floor:
+        if xi is None:
+            mu = theta = None
+        elif xi > gap_floor:
             mu, theta = lam / xi, (decrease / lam if lam > 0 else 0.0)
         else:
             mu, theta = 0.0, 0.0
@@ -201,34 +209,96 @@ def _reference_run(problem, spec, seed, iters):
         f, grad = f_and_grad(x, Mx)
         rows.append((S.indices, F, xi, lam, mu, theta, float(np.linalg.norm(u_S)),
                      rule.last_was_heuristic))
-        F = f + reg.value(x)
+        F_next = f + reg.value(x)
+        stagnant = F - F_next < 1e-16 * (1.0 + abs(F))
+        F = F_next
     return rows, x, F
 
 
-BLOCK_RULES = ("full", "nice:3", "nice:8", "greedymb:3", "greedymb:8")
+BLOCK_RULES = {"smooth": ("full", "nice:3", "nice:8", "greedymb:3", "greedymb:8"),
+               "l1": ("full", "nice:2", "nice:3", "nice:8", "greedymb:2", "greedymb:3",
+                      "greedymb:8")}
+# gen_instance(m, n, seed); the (200, 50) pair keeps the bare seed as its id
+INSTANCES = [pytest.param(200, 50, 1, id="1"), pytest.param(200, 50, 17, id="17"),
+             pytest.param(1000, 100, 17, id="1000-100-17"),
+             *(pytest.param(40, 12, s, id=f"40-12-{s}") for s in range(4))]
+L1_INSTANCES = INSTANCES[2:]
 
 
-@pytest.mark.filterwarnings("ignore:C\\(50,8\\) exceeds the enumeration budget")
-@pytest.mark.parametrize("seed", [1, 17])
-@pytest.mark.parametrize("kind", ["smooth", "l1"])
-def test_block_runs_bit_identical_to_generic_operations(seed, kind):
-    problem = gen_instance(200, 50, seed)
+def _instance(kind, m, n, seed):
+    """gen_instance, smooth or with the L1 weight 0.2 ||grad f(0)||_inf."""
+    problem = gen_instance(m, n, seed)
     if kind == "l1":
-        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(50))).max())
-        problem = gen_instance(200, 50, seed, lam=lam)
+        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(n))).max())
+        problem = gen_instance(m, n, seed, lam=lam)
+    return problem
+
+
+@pytest.mark.filterwarnings("ignore:C\\(\\d+,8\\) exceeds the enumeration budget")
+@pytest.mark.parametrize("m, n, seed", INSTANCES)
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_block_runs_bit_identical_to_generic_operations(kind, m, n, seed):
+    """Runs with diagnostics on and off against one reference loop.  Without
+    diagnostics a row keeps lambda only where the rule selects by it (greedy
+    on L1), and has no mu or theta."""
+    problem = _instance(kind, m, n, seed)
     empirical_optimum(problem)
     iters = 150
-    for spec in BLOCK_RULES:
-        result = run(problem, parse_rule(spec, 50, default_seed=seed),
-                     RunConfig(max_iters=iters, record_diagnostics=True))
+    for spec in BLOCK_RULES[kind]:
         rows, x, F = _reference_run(problem, spec, seed, iters)
-        got = [(r.block.indices,) + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta,
-                                                      r.step_norm))) + (r.heuristic,)
-               for r in result.trace]
-        want = [(row[0],) + tuple(map(_bits, row[1:7])) + (row[7],) for row in rows]
-        assert got == want, spec
-        assert result.x.tobytes() == x.tobytes(), spec
-        assert _bits(result.final_F) == _bits(F), spec
+        for diagnostics in (True, False):
+            result = run(problem, parse_rule(spec, n, default_seed=seed),
+                         RunConfig(max_iters=iters, record_diagnostics=diagnostics))
+            keeps_lam = diagnostics or (kind == "l1" and spec.startswith("greedy"))
+            got = [(r.block.indices, r.heuristic)
+                   + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta, r.step_norm)))
+                   for r in result.trace]
+            want = [(S, heuristic)
+                    + tuple(map(_bits, (F_k, xi, lam if keeps_lam else None,
+                                        *((mu, theta) if diagnostics else (None, None)),
+                                        norm)))
+                    for S, F_k, xi, lam, mu, theta, norm, heuristic in rows]
+            assert got == want, (spec, diagnostics)
+            assert result.x.tobytes() == x.tobytes(), (spec, diagnostics)
+            assert _bits(result.final_F) == _bits(F), (spec, diagnostics)
+
+
+@pytest.mark.parametrize("m, n, seed", L1_INSTANCES)
+def test_l1_empirical_optimum_bit_identical_to_a_reference_loop(m, n, seed):
+    problem = _instance("l1", m, n, seed)
+    F_star = empirical_optimum(problem)
+    rows, _, F = _reference_run(problem, "full", 0, 200_000, stop_on_certificate=True)
+    assert 0 < len(rows) < 200_000
+    assert _bits(F_star) == _bits(min(F, rows[-1][1]))
+
+
+def test_prox_model_is_evaluated_once_per_iterate(monkeypatch):
+    """A k-step L1 run that holds certificates (diagnostics, or a greedy
+    rule) evaluates the prox model k + 1 times, each over all n coordinates
+    (the last after the final step), and reads its block steps off them.
+    Without one a block step evaluates the model once over all n
+    coordinates, and a serial step not at all (it takes the scalar path)."""
+    problem = _instance("l1", 40, 12, 1)
+    empirical_optimum(problem)
+    sizes = []
+    prox_model = engine._prox_model
+
+    def counting(reg, x, grad, L):
+        sizes.append(len(x))
+        return prox_model(reg, x, grad, L)
+
+    monkeypatch.setattr(engine, "_prox_model", counting)
+    k = 25
+    for spec in ("uniform", "greedy", "cyclic") + BLOCK_RULES["l1"]:
+        for diagnostics in (True, False):
+            if diagnostics or spec.startswith("greedy"):
+                want = [12] * (k + 1)
+            else:
+                want = [] if spec in ("uniform", "cyclic") else [12] * k
+            sizes.clear()
+            result = run(problem, parse_rule(spec, 12, default_seed=3),
+                         RunConfig(max_iters=k, record_diagnostics=diagnostics))
+            assert len(result.trace) == k and sizes == want, (spec, diagnostics)
 
 
 def _raise(*args, **kwargs):

@@ -1,7 +1,9 @@
-"""The one-coordinate path: `block_step` and the iterate state's move at
-|S| = 1 work on Python floats and a contiguous column of M, and give the same
-bits as the generic block operations (the Cholesky solve or the array prox
-model, M[:, S] u_S, np.linalg.norm).
+"""The one-coordinate path: the smooth `block_step` and the iterate state's
+move at |S| = 1 work on Python floats and a contiguous column of M, and the
+L1 step reads one entry of the iteration's certificate or, without one,
+works on Python floats too.  Each gives the same bits as the generic block
+operations (the Cholesky solve or the array prox model on the block's
+gather, M[:, S] u_S, np.linalg.norm).
 
 These equalities rest on the BLAS arithmetic (dpotrs multiplying by the
 reciprocal of a 1 x 1 factor, a length-1 dot adding to 0.0); the pytest
@@ -29,9 +31,9 @@ from blockprox.selection import SelectionContext, parse_rule, select
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
 
-def _bits(value) -> str:
-    """float.hex tells -0.0 from 0.0 and matches nan to nan."""
-    return float.hex(float(value))
+def _bits(value) -> str | None:
+    """float.hex tells -0.0 from 0.0 and matches nan to nan; None stays None."""
+    return None if value is None else float.hex(float(value))
 
 
 def test_smooth_coordinate_step_matches_cholesky_solve_on_a_grid():
@@ -145,23 +147,37 @@ SERIAL_RULES = {"smooth": ("uniform", "importance", "greedy", "cyclic"),
                 "l1": ("uniform", "greedy", "cyclic")}
 
 
-@pytest.mark.parametrize("seed", [1, 17])
+# gen_instance(m, n, seed); the (200, 50) pair keeps the bare seed as its id
+INSTANCES = [pytest.param(200, 50, 1, id="1"), pytest.param(200, 50, 17, id="17"),
+             pytest.param(1000, 100, 17, id="1000-100-17"),
+             *(pytest.param(40, 12, s, id=f"40-12-{s}") for s in range(4))]
+
+
+@pytest.mark.parametrize("m, n, seed", INSTANCES)
 @pytest.mark.parametrize("kind", ["smooth", "l1"])
-def test_serial_runs_bit_identical_to_generic_operations(seed, kind):
-    problem = gen_instance(200, 50, seed)
+def test_serial_runs_bit_identical_to_generic_operations(kind, m, n, seed):
+    """Runs with diagnostics on and off against one reference loop.  Without
+    diagnostics a row keeps lambda only where the rule selects by it (greedy
+    on L1), and has no mu or theta."""
+    problem = gen_instance(m, n, seed)
     if kind == "l1":
-        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(50))).max())
-        problem = gen_instance(200, 50, seed, lam=lam)
+        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(n))).max())
+        problem = gen_instance(m, n, seed, lam=lam)
     empirical_optimum(problem)
-    iters = 1000  # 20 sweeps: M x is rebuilt from scratch 20 times
+    iters = 20 * n  # M x is rebuilt from scratch 20 times
     for spec in SERIAL_RULES[kind]:
-        result = run(problem, parse_rule(spec, 50, default_seed=seed),
-                     RunConfig(max_iters=iters, record_diagnostics=True))
         rows, x, F = _reference_run(problem, spec, seed, iters)
-        got = [(r.block.indices,) + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta,
-                                                      r.step_norm)))
-               for r in result.trace]
-        want = [(row[0],) + tuple(map(_bits, row[1:])) for row in rows]
-        assert got == want, spec
-        assert result.x.tobytes() == x.tobytes(), spec
-        assert _bits(result.final_F) == _bits(F), spec
+        for diagnostics in (True, False):
+            result = run(problem, parse_rule(spec, n, default_seed=seed),
+                         RunConfig(max_iters=iters, record_diagnostics=diagnostics))
+            keeps_lam = diagnostics or (kind == "l1" and spec == "greedy")
+            got = [(r.block.indices,)
+                   + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta, r.step_norm)))
+                   for r in result.trace]
+            want = [(S,) + tuple(map(_bits, (F_k, xi, lam if keeps_lam else None,
+                                             *((mu, theta) if diagnostics else (None, None)),
+                                             norm)))
+                    for S, F_k, xi, lam, mu, theta, norm in rows]
+            assert got == want, (spec, diagnostics)
+            assert result.x.tobytes() == x.tobytes(), (spec, diagnostics)
+            assert _bits(result.final_F) == _bits(F), (spec, diagnostics)

@@ -322,3 +322,60 @@ def test_array_maps_match_scalar_callback_twin_runs():
                                        rtol=1e-12, atol=1e-12 * scale,
                                        err_msg=f"{spec} {name}")
         assert a.final_F == pytest.approx(b.final_F, rel=1e-12, abs=1e-12 * scale)
+
+
+def _edge_grids(lam, n, rng):
+    """x and grad f(x) vectors over entries that put c = x - grad / L at the
+    soft-threshold edge +-lam / L (x = +-0.0, grad = -+lam, L a power of
+    two), at +-0.0, and on either side of the edge."""
+    xs = np.array([0.0, -0.0, 0.0, 0.3, -2.0, 1e-3])
+    grads = np.array([lam, -lam, 0.0, -0.0, lam * (1 + 2**-52), -lam * (1 - 2**-53),
+                      1.5, -0.01, 5e-324])
+    yield np.zeros(n), np.zeros(n)
+    yield -np.zeros(n), np.full(n, lam)
+    for _ in range(12):
+        yield rng.choice(xs, n), rng.choice(grads, n)
+
+
+@pytest.mark.parametrize("L", [None, 0.5, 4.0, 2.7])
+def test_prox_step_equals_the_gathered_model_bitwise(L):
+    """block_step on L1, given the certificate or computing its own, has the
+    bits of the prox model evaluated on the block's gather."""
+    lam, n = 0.2, 12
+    p = CompositeProblem(make_quadratic(random_spd(n, 5.0, 3)), make_l1(lam))
+    L_used = p.L_scalar if L is None else L
+    rng = np.random.default_rng(11)
+    for x, g in _edge_grids(lam, n, rng):
+        cert = certificate(p, x, L, grad=g)
+        for size in (1, 2, 3, 8, n):
+            for _ in range(4 if size < n else 1):
+                S = CoordSet(tuple(sorted(rng.choice(n, size=size, replace=False))), n)
+                idx = S.array
+                u_S, lam_S = engine._prox_model(p.regularizer, x[idx], g[idx], L_used)
+                decrease = max(0.0 + float(np.add.accumulate(lam_S / L_used)[-1]), 0.0)
+                for step in (block_step(p, x, S, L, grad=g, cert=cert),
+                             block_step(p, x, S, L, grad=g)):
+                    assert step.S == S
+                    assert step.u_S.dtype == u_S.dtype and step.u_S.shape == (size,)
+                    assert step.u_S.tobytes() == u_S.tobytes(), (x, g, S)
+                    assert float.hex(step.decrease) == float.hex(decrease), (x, g, S)
+                    assert type(step.decrease) is float
+
+
+def test_prox_step_refuses_a_certificate_at_another_L():
+    p = CompositeProblem(make_quadratic(random_spd(6, 5.0, 3)), make_l1(0.2))
+    x = np.linspace(-1.0, 1.0, 6)
+    g = p.grad_f(x)
+    cert = certificate(p, x, 2.0, grad=g)
+    for S in (CoordSet((1,), 6), CoordSet((0, 4), 6), CoordSet.full(6)):
+        block_step(p, x, S, 2.0, grad=g, cert=cert)
+        for L in (4.0, None):
+            with pytest.raises(ValueError, match="certificate computed at L="):
+                block_step(p, x, S, L, grad=g, cert=cert)
+    # the smooth path steps on M and ignores the certificate's scalar
+    smooth = CompositeProblem(p.objective)
+    S = CoordSet((0, 4), 6)
+    step = block_step(smooth, x, S, 4.0, grad=g,
+                      cert=certificate(smooth, x, 2.0, grad=g))
+    assert step.u_S.tobytes() == block_step(smooth, x, S, grad=g).u_S.tobytes()
+    assert certificate(smooth, x, grad=g).step_per_coord is None

@@ -84,6 +84,34 @@ def test_quadratic_with_loose_smoothness():
     assert obj.strong_convexity_f == 1.0
 
 
+def test_make_quadratic_computes_the_spectrum_once(monkeypatch):
+    from blockprox.linalg import eig_extremes
+
+    Q = objectives.random_spd(30, 50.0, 4)
+    lo, hi = eig_extremes(Q)
+    loose = 2.0 * Q
+    loose_lo, loose_hi = eig_extremes(loose)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(M):
+        calls.append(M.shape)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    obj = make_quadratic(Q)
+    assert calls == [(30, 30)]
+    for got, want in ((obj.strong_convexity_f, lo), (obj.lambda_min, lo),
+                      (obj.lambda_max, hi)):
+        assert float.hex(got) == float.hex(want)
+    # a looser smoothness matrix has a spectrum of its own: one call each
+    calls.clear()
+    obj = make_quadratic(Q, smoothness=loose)
+    assert len(calls) == 2
+    assert float.hex(obj.strong_convexity_f) == float.hex(lo)
+    assert (obj.lambda_min, obj.lambda_max) == (loose_lo, loose_hi)
+
+
 def test_l1_prox_grid_oracle():
     reg = make_l1(0.3)
     grid = np.arange(-5, 5, 1e-4)
