@@ -39,9 +39,7 @@ from .engine import (
 )
 from .selection import (
     BlockRule,
-    SelectionContext,
     exact_expected_theta,
-    importance_probabilities,
     parse_rule,
     select,
 )
@@ -55,7 +53,6 @@ from .rates import (
     general_nonconvex_epsilon,
     gradient_dominated_K,
     predict_K,
-    quadratic_level_radius,
     rule_constant,
     strongly_convex_mu,
     weakly_convex_rho,

@@ -71,9 +71,7 @@ def theta_for_rule(problem, rule, x, cert_cache=None):
     if key not in cert_cache:
         cert_cache[key] = engine.certificate(problem, x, L, grad=grad)
     cert = cert_cache[key]
-    ctx = selection.SelectionContext(
-        x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord)
-    S = selection.select(rule, problem, ctx)
+    S = selection.select(rule, problem, 0, grad, cert.lambda_per_coord)
     return engine.proportion(problem, x, S, L=L, cert=cert, grad=grad)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import engine, rates
 from .linalg import CoordSet
 from .objectives import CompositeProblem
-from .selection import BlockRule, SelectionContext, select
+from .selection import BlockRule, select
 
 STOP_MODES = ("iters", "gap", "certificate")
 
@@ -118,8 +118,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     gap_floor = 1e-14 * max(1.0, abs(F_init))
     trace: list[IterationRecord] = []
     termination = "exhausted_iters"
-    lam = cert = None
-    ctx = SelectionContext(x=x)  # its fields are set every iteration
+    lam = cert = lam_per_coord = None
     clock = time.perf_counter_ns
 
     for k in range(cfg.max_iters):
@@ -130,8 +129,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
         if need_cert:
             cert = engine.certificate(problem, x, L_used, grad=grad)
-            lam = cert.lambda_total
-            ctx.lambda_per_coord = cert.lambda_per_coord
+            lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
         xi_cur = F_cur - problem.opt_value if has_opt else None
 
         if cfg.stop_on == "gap" and xi_cur <= cfg.epsilon:
@@ -144,8 +142,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             termination = "stagnated"
             break
 
-        ctx.x, ctx.grad, ctx.k = x, grad, k
-        S = select(rule, problem, ctx)
+        S = select(rule, problem, k, grad, lam_per_coord)
         step = engine.block_step(problem, x, S, L_used, grad=grad, cert=cert)
         u_S = step.u_S
 
@@ -207,9 +204,12 @@ class TraceReport:
 
 def verify_trace(result: RunResult, rel_tol: float = 1e-9) -> TraceReport:
     """Check the per-step descent inequality, monotonicity, and the K-step
-    product bound on a diagnostics-enabled run."""
+    product bound on a diagnostics-enabled run.  A run that stopped before
+    its first step has nothing to audit: its report has no checks."""
     rows = result.trace
-    if not rows or rows[0].xi is None or rows[0].theta is None:
+    if not rows:
+        return TraceReport(checks=[])
+    if rows[0].xi is None or rows[0].theta is None:
         raise UnverifiableError("trace is missing diagnostics (xi, theta, mu)")
 
     F = np.array([r.F for r in rows], dtype=float)

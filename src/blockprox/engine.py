@@ -88,12 +88,11 @@ def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
                        step_per_coord=v)
 
 
-def forcing(problem: CompositeProblem, x: np.ndarray, L=None, gap_tol=None) -> float:
-    """lambda(x) / xi(x); raises AtOptimumError when the gap is below tolerance."""
-    xi = problem.xi(x)
-    if gap_tol is None:
-        ref = problem.opt_value if problem.opt_value is not None else 0.0
-        gap_tol = 1e-14 * max(1.0, abs(ref))
+def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:
+    """lambda(x) / xi(x); raises AtOptimumError when the gap is at most
+    1e-14 max(1, |F*|)."""
+    xi = problem.xi(x)  # raises without a known or empirical F*
+    gap_tol = 1e-14 * max(1.0, abs(problem.opt_value))
     if xi <= gap_tol:
         raise AtOptimumError(f"optimality gap {xi} below tolerance {gap_tol}")
     return certificate(problem, x, L).lambda_total / xi

@@ -23,9 +23,10 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 SYMMETRY_RTOL = 1e-12
 
-#: Working memory of one chunk in `block_inverse_forms`: the stacked
-#: tau x tau blocks and their inverses.
-FORMS_CHUNK_BYTES = 2**20
+#: Working memory of one chunk of any walk over the cardinality-tau subsets
+#: (`rates.L_tau`, `rates.expected_inverse_matrix`, `block_inverse_forms`):
+#: the stacked tau x tau arrays of 8-byte entries its subsets need.
+SUBSET_CHUNK_BYTES = 2**20
 
 #: Bytes of Cholesky factors an objective keeps (`Objective.factor_for`),
 #: summed over the factors' arrays; a single larger factor is kept alone.
@@ -165,7 +166,8 @@ def subset_index_chunks(n: int, tau: int,
                         budget: int = DEFAULT_ENUMERATION_BUDGET,
                         rows: int = 2**16):
     """Every cardinality-tau subset of range(n) in lexicographic order, as
-    consecutive (k, tau) intp arrays of at most `rows` rows each.
+    consecutive (k, tau) intp arrays of at most `rows` rows each; the walks
+    over them size `rows` by `chunk_rows`, within SUBSET_CHUNK_BYTES.
 
     Raises on a bad tau or EnumerationTooLargeError when called, before any
     row is built; the chunks are then produced lazily.
@@ -185,10 +187,10 @@ def subset_index_chunks(n: int, tau: int,
     return chunks()
 
 
-def chunk_rows(tau: int, chunk_bytes: int, arrays: int = 1) -> int:
-    """Subsets per chunk so that `arrays` stacked tau x tau float blocks of
-    every subset fit in `chunk_bytes`."""
-    return max(1, chunk_bytes // (arrays * 8 * tau * tau))
+def chunk_rows(tau: int, arrays: int = 1) -> int:
+    """Subsets per chunk so that `arrays` stacked tau x tau arrays of 8-byte
+    entries per subset fit in SUBSET_CHUNK_BYTES."""
+    return max(1, SUBSET_CHUNK_BYTES // (arrays * 8 * tau * tau))
 
 
 def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -213,9 +215,9 @@ class BlockInverseForms(NamedTuple):
 
 def block_inverse_forms(M: np.ndarray, tau: int,
                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockInverseForms:
-    """`BlockInverseForms` of M, built a chunk of subsets at a time
-    (FORMS_CHUNK_BYTES) into preallocated tables of the smallest index
-    types that hold them.
+    """`BlockInverseForms` of M, built a chunk of subsets at a time (the
+    blocks and their inverses within SUBSET_CHUNK_BYTES) into preallocated
+    tables of the smallest index types that hold them.
 
     Raises EnumerationTooLargeError, before allocating, when C(n, tau)
     exceeds the budget.
@@ -226,7 +228,7 @@ def block_inverse_forms(M: np.ndarray, tau: int,
 
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, FORMS_CHUNK_BYTES, 2))
+    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, 2))
     count = subset_count(n, tau)
     a, b = np.triu_indices(tau)
     off = a < b

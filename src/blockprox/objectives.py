@@ -222,8 +222,8 @@ class L1Regularizer:
     strong_convexity_F: float = 0.0
 
     def __init__(self, lam: float):
-        if lam < 0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
         self.lam = float(lam)
         self.is_zero = lam == 0.0
 
@@ -432,8 +432,27 @@ def random_spd(n: int, cond: float, seed: int) -> np.ndarray:
     return (Q * np.linspace(1.0, cond, n)) @ Q.T
 
 
-def _box_spd(scale: float, n: int) -> np.ndarray:
-    return scale * np.eye(n)
+def _box_product(h, dh, scale: float) -> Objective:
+    """f(x1, x2) = h(x1) h(x2), with h >= 0 vanishing only at 0, so that f
+    is minimized (value 0) on both axes; `scale` I bounds its Hessian on the
+    box of the caller.  h and its derivative dh take the entries of x as
+    they are."""
+
+    def f(x):
+        return float(h(x[0]) * h(x[1]))
+
+    def grad(x):
+        x1, x2 = x[0], x[1]
+        return np.array([dh(x1) * h(x2), h(x1) * dh(x2)])
+
+    return Objective(
+        dim=2,
+        eval_f=f,
+        grad_f=grad,
+        smoothness=scale * np.eye(2),
+        known_opt_value=0.0,
+        known_minimizer=np.zeros(2),
+    )
 
 
 def make_product_square(box: float = 2.0) -> Objective:
@@ -444,22 +463,8 @@ def make_product_square(box: float = 2.0) -> Objective:
     """
     if box <= 0:
         raise ValueError("box must be positive")
-    scale = 6.0 * box * box  # |f_11| + |f_12| <= 2 box^2 + 4 box^2 on the box
-
-    def f(x):
-        return float(x[0] ** 2 * x[1] ** 2)
-
-    def grad(x):
-        return np.array([2.0 * x[0] * x[1] ** 2, 2.0 * x[0] ** 2 * x[1]])
-
-    return Objective(
-        dim=2,
-        eval_f=f,
-        grad_f=grad,
-        smoothness=_box_spd(scale, 2),
-        known_opt_value=0.0,
-        known_minimizer=np.zeros(2),
-    )
+    # |f_11| + |f_12| <= 2 box^2 + 4 box^2 on the box
+    return _box_product(lambda t: t ** 2, lambda t: 2.0 * t, 6.0 * box * box)
 
 
 def _huber(z: float) -> float:
@@ -475,23 +480,7 @@ def make_huber_product(box: float = 2.0) -> Objective:
     if box < 1:
         raise ValueError("box must cover the quadratic region, need box >= 1")
     # On the box: |H''| <= 2, H <= 2 box - 1, |H'| <= 2.
-    scale = 2.0 * (2.0 * box - 1.0) + 4.0
-
-    def f(x):
-        return _huber(float(x[0])) * _huber(float(x[1]))
-
-    def grad(x):
-        x1, x2 = float(x[0]), float(x[1])
-        return np.array([_huber_d(x1) * _huber(x2), _huber(x1) * _huber_d(x2)])
-
-    return Objective(
-        dim=2,
-        eval_f=f,
-        grad_f=grad,
-        smoothness=_box_spd(scale, 2),
-        known_opt_value=0.0,
-        known_minimizer=np.zeros(2),
-    )
+    return _box_product(_huber, _huber_d, 2.0 * (2.0 * box - 1.0) + 4.0)
 
 
 def flat_inflection_coefficient() -> float:

@@ -24,18 +24,10 @@ from .linalg import (
 )
 
 
-#: Working memory of one chunk in `expected_inverse_matrix`: the stacked
-#: tau x tau blocks, their inverses, and the row and column indices that
-#: scatter them back (four arrays of 8-byte entries per subset).
-INVERSE_CHUNK_BYTES = 4 * 2**20
-
 #: Past the enumeration budget `expected_inverse_matrix` averages this many
 #: sets drawn from `default_rng(INVERSE_MC_SEED)`.
 INVERSE_MC_SAMPLES = 20_000
 INVERSE_MC_SEED = 0
-
-#: Stacked tau x tau blocks per `eigvalsh` call in `L_tau`.
-EIGVALSH_CHUNK_BYTES = 2**20
 
 
 class NoGuaranteeError(ValueError):
@@ -88,9 +80,9 @@ def L_tau(M: np.ndarray, tau: int,
     """Largest eigenvalue over all cardinality-tau principal submatrices.
 
     The submatrices are gathered and their eigenvalues computed a chunk at a
-    time (EIGVALSH_CHUNK_BYTES).  Falls back to the trace upper bound (sum of
-    the tau largest diagonal entries) with a warning when enumeration is
-    infeasible.  Callers with an objective read it through
+    time (the blocks within SUBSET_CHUNK_BYTES).  Falls back to the trace
+    upper bound (sum of the tau largest diagonal entries) with a warning
+    when enumeration is infeasible.  Callers with an objective read it through
     `Objective.block_smoothness`, which caches it.
     """
     M = np.asarray(M, dtype=float)
@@ -103,10 +95,9 @@ def L_tau(M: np.ndarray, tau: int,
         return eig_extremes(M)[1]
     if L_tau_is_exact(n, tau, budget):
         check_symmetric(M)
-        rows = chunk_rows(tau, EIGVALSH_CHUNK_BYTES)
         return float(max(
             np.linalg.eigvalsh(gather_blocks(M, chunk))[:, -1].max()
-            for chunk in subset_index_chunks(n, tau, budget, rows)
+            for chunk in subset_index_chunks(n, tau, budget, chunk_rows(tau))
         ))
     bound = float(np.sort(np.diag(M))[-tau:].sum())
     warnings.warn(
@@ -139,14 +130,17 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     """Average over all cardinality-tau sets S of the inverse block of M
     embedded back at the rows/columns of S.
 
-    Blocks are inverted a chunk at a time (INVERSE_CHUNK_BYTES) and summed
-    in enumeration (or draw) order.  Callers with an objective read it
+    Blocks are inverted a chunk at a time (the blocks, their inverses and
+    their row and column indices within SUBSET_CHUNK_BYTES) and summed in
+    enumeration (or draw) order, so the result does not depend on the chunk
+    size: each block is inverted on its own, and the Monte-Carlo sets are
+    consecutive rows of one random stream.  Callers with an objective read it
     through `Objective.expected_inverse`, which caches it.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     out = np.zeros_like(M)
-    chunk = chunk_rows(tau, INVERSE_CHUNK_BYTES, 4)
+    chunk = chunk_rows(tau, 4)
     try:
         chunks = subset_index_chunks(n, tau, budget, chunk)
     except EnumerationTooLargeError:
@@ -259,12 +253,6 @@ def strongly_convex_mu(problem, L: float) -> float:
     if lam_F <= 0:
         raise NoParameterError("strong convexity parameter of F not declared")
     return min(L / 2.0, L * lam_F / (lam_F - lam_f + L))
-
-
-def quadratic_level_radius(M: np.ndarray, xi0: float) -> float:
-    """Exact level-set radius for xi = (x-x*)'M(x-x*)/2 <= xi0."""
-    lam_min = eig_extremes(M)[0]
-    return math.sqrt(2.0 * xi0 / lam_min)
 
 
 def weakly_convex_rho(problem, x0: np.ndarray, L: float,

@@ -8,7 +8,6 @@ nice:<tau> | greedymb:<tau>`` optionally followed by ``seed=<u64>``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,16 +37,6 @@ RULE_KINDS = {
     "greedymb": "greedy_minibatch",
 }
 RULE_NAMES = {kind: name for name, kind in RULE_KINDS.items()}
-
-
-@dataclass
-class SelectionContext:
-    """Per-iteration state a rule may consult."""
-
-    x: np.ndarray
-    grad: Optional[np.ndarray] = None
-    lambda_per_coord: Optional[np.ndarray] = None
-    k: int = 0
 
 
 class BlockRule:
@@ -119,11 +108,6 @@ def parse_rule(text: str, n: int, default_seed: int = 0,
     return BlockRule(kind, n, tau=tau, seed=seed, budget=budget)
 
 
-def importance_probabilities(problem: CompositeProblem) -> np.ndarray:
-    d = np.diag(problem.objective.smoothness)
-    return d / d.sum()
-
-
 def _tau_nice_draw(rule: BlockRule) -> CoordSet:
     """Fisher-Yates partial shuffle of a Python list: exactly uniform over
     cardinality-tau sets, one scalar `rng.integers(n - j)` draw per position
@@ -184,8 +168,13 @@ def _greedy_minibatch_smooth(rule: BlockRule, problem, grad: np.ndarray) -> Coor
     return CoordSet(tuple(sorted(chosen)), rule.n)
 
 
-def select(rule: BlockRule, problem: CompositeProblem, ctx: SelectionContext) -> CoordSet:
-    """Produce the active coordinate set for one iteration."""
+def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
+           lambda_per_coord: Optional[np.ndarray] = None) -> CoordSet:
+    """The active coordinate set of iteration k, from what the rule reads of
+    the current iterate: the counter k (cyclic), the gradient grad f(x)
+    (smooth greedy rules) or the per-coordinate certificate (greedy rules on
+    the prox path, which raise ValueError without it).  The random rules
+    draw from their own generator.  No path evaluates a gradient."""
     rule.last_was_heuristic = False
     n = rule.n
     kind = rule.kind
@@ -194,32 +183,29 @@ def select(rule: BlockRule, problem: CompositeProblem, ctx: SelectionContext) ->
     if kind == "uniform_coord":
         return rule.singletons[rule.rng.integers(n)]
     if kind == "cyclic_coord":
-        return rule.singletons[ctx.k % n]
+        return rule.singletons[k % n]
     if kind == "importance_coord":
         if not problem.smooth_path:
             raise ValueError("importance sampling has no scalar-L guarantee; "
                              "not offered for nonsmooth problems")
-        # the draw rng.choice(n, p=importance_probabilities(problem)) makes,
-        # without re-validating p on every call
+        # the draw rng.choice(n, p=diag(M) / trace(M)) makes, without
+        # re-validating p on every call
         cdf = problem.objective.importance_cdf
         return rule.singletons[cdf.searchsorted(rule.rng.random(), side="right")]
     if kind == "tau_nice":
         return _tau_nice_draw(rule)
 
-    # Greedy kinds need gradient (smooth) or per-coordinate certificates.
     if problem.smooth_path:
-        grad = ctx.grad if ctx.grad is not None else problem.grad_f(ctx.x)
         if kind == "greedy_coord":
             scores = grad * grad / np.diag(problem.objective.smoothness)
             return rule.singletons[scores.argmax()]
         return _greedy_minibatch_smooth(rule, problem, grad)
-    lam = ctx.lambda_per_coord
-    if lam is None:
+    if lambda_per_coord is None:
         raise ValueError("greedy selection on a nonsmooth problem needs "
-                         "per-coordinate certificates in the context")
+                         "per-coordinate certificates")
     if kind == "greedy_coord":
-        return rule.singletons[np.argmax(lam)]
-    order = np.argsort(-lam, kind="stable")  # ties resolve to lowest index
+        return rule.singletons[np.argmax(lambda_per_coord)]
+    order = np.argsort(-lambda_per_coord, kind="stable")  # ties resolve to lowest index
     return CoordSet(tuple(sorted(int(i) for i in order[: rule.tau])), n)
 
 

@@ -33,7 +33,6 @@ from blockprox.objectives import (
 )
 from blockprox.selection import (
     BlockRule,
-    SelectionContext,
     _tau_nice_draw,
     parse_rule,
     select,
@@ -182,8 +181,7 @@ def _reference_run(problem, spec, seed, iters, stop_on_certificate=False):
         if stop_on_certificate and (lam < 1e-24 or stagnant):
             break
         xi = None if problem.opt_value is None else F - problem.opt_value
-        S = select(rule, problem, SelectionContext(
-            x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord, k=k))
+        S = select(rule, problem, k, grad, cert.lambda_per_coord)
         idx = np.asarray(S.indices, dtype=np.intp)
         g_S = mask_vector(grad, S)
         if problem.smooth_path:

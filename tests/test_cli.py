@@ -20,6 +20,7 @@ from blockprox.cli import (
     load_config,
     main,
 )
+from blockprox.objectives import gen_instance, save_instance
 
 
 def write_cfg(tmp_path, body, name="cfg.ini"):
@@ -332,6 +333,58 @@ def test_bad_instance_file_is_config_error(tmp_path, capsys, content):
         "kind = generated", f"instance = {inst}")
     assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_l1_weight_is_config_error(tmp_path, capsys, command, lam):
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "kind = generated", f"kind = generated\nlambda = {lam}").replace(
+        "importance, ", "")  # a weight != 0 refuses importance otherwise
+    assert main([command, write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "l1 weight" in err
+
+
+def test_nan_l1_weight_in_instance_file_is_config_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    save_instance(gen_instance(10, 3, seed=0), inst)
+    payload = json.loads(inst.read_text())
+    payload["lambda"] = float("nan")
+    inst.write_text(json.dumps(payload))  # written as the JSON token NaN
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "kind = generated", f"instance = {inst}").replace("importance, ", "")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "l1 weight" in err
+
+
+def test_run_that_stops_before_its_first_step_verifies(tmp_path, capsys):
+    """x0 = 0 is the quadratic's optimum, so gap stopping ends every run
+    before its first step: an empty trace, nothing to audit, exit 0."""
+    body = f"""
+[problem]
+kind = quadratic
+n = 4
+
+[rules]
+rules = full, uniform, greedy
+
+[run]
+max_iters = 10
+diagnostics = true
+stop_on = gap
+
+[output]
+dir = {tmp_path / "out"}
+"""
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for entry in report["runs"]:
+        assert entry["termination"] == "reached_gap"
+        assert entry["iterations"] == 0
+        assert entry["verified"] is True and entry["verification"] == []
 
 
 def test_duplicate_rule_names_are_config_error(tmp_path, capsys):

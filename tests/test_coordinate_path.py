@@ -26,7 +26,7 @@ from blockprox.objectives import (
     make_quadratic,
     random_spd,
 )
-from blockprox.selection import SelectionContext, parse_rule, select
+from blockprox.selection import parse_rule, select
 
 TINY, HUGE = 5e-324, 1.7976931348623157e308
 
@@ -116,8 +116,7 @@ def _reference_run(problem, spec, seed, iters):
     for k in range(iters):
         cert = engine.certificate(problem, x, L, grad=grad)
         lam, xi = cert.lambda_total, F - problem.opt_value
-        S = select(rule, problem, SelectionContext(
-            x=x, grad=grad, lambda_per_coord=cert.lambda_per_coord, k=k))
+        S = select(rule, problem, k, grad, cert.lambda_per_coord)
         idx = S.array
         if problem.smooth_path:
             g_S = grad[idx]

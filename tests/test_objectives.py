@@ -132,8 +132,9 @@ def test_l1_value_and_zero():
     assert make_l1(0.0).is_zero
     assert make_l1(0.0).value(x) == 0.0
     assert CompositeProblem(make_quadratic(np.eye(3))).regularizer.is_zero
-    with pytest.raises(ValueError):
-        L1Regularizer(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            L1Regularizer(bad)
 
 
 def test_composite_paths():
@@ -241,6 +242,39 @@ def test_huber_product_gradient():
     assert obj.eval_f(np.array([0.0, 3.0])) == 0.0
     with pytest.raises(ValueError):
         make_huber_product(box=0.5)
+
+
+@pytest.mark.parametrize("box", [1.0, 2.0, 3.5])
+def test_box_products_bit_identical_to_their_closed_forms(box):
+    """f and grad of both box products, bit for bit against the formulas
+    written out: x1^2 x2^2 on the array's entries and H(x1) H(x2) on Python
+    floats, on seeded points of the box and on its edges and kinks."""
+    def huber(z):
+        return z * z if abs(z) < 1 else 2.0 * abs(z) - 1.0
+
+    def huber_d(z):
+        return 2.0 * z if abs(z) < 1 else 2.0 * math.copysign(1.0, z)
+
+    square, hub = make_product_square(box), make_huber_product(box)
+    assert np.array_equal(square.smoothness, 6.0 * box * box * np.eye(2))
+    assert np.array_equal(hub.smoothness,
+                          (2.0 * (2.0 * box - 1.0) + 4.0) * np.eye(2))
+    edges = [0.0, -0.0, 1.0, -1.0, box, -box, 5e-324, 0.5]
+    points = np.concatenate([
+        np.random.default_rng(int(box * 10)).uniform(-box, box, (5000, 2)),
+        np.array([[a, b] for a in edges for b in edges])])
+    for x in points:
+        f = float(x[0] ** 2 * x[1] ** 2)
+        g = np.array([2.0 * x[0] * x[1] ** 2, 2.0 * x[0] ** 2 * x[1]])
+        assert float.hex(square.eval_f(x)) == float.hex(f)
+        assert square.grad_f(x).tobytes() == g.tobytes()
+        x1, x2 = float(x[0]), float(x[1])
+        f = huber(x1) * huber(x2)
+        g = np.array([huber_d(x1) * huber(x2), huber(x1) * huber_d(x2)])
+        assert float.hex(hub.eval_f(x)) == float.hex(f)
+        assert hub.grad_f(x).tobytes() == g.tobytes()
+    with pytest.raises(ValueError):
+        make_product_square(box=0.0)
 
 
 def test_flat_inflection_coefficient():

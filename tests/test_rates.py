@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blockprox import rates
+from blockprox import linalg, rates
 from blockprox.linalg import enumerate_subsets, eig_extremes
 from blockprox.descent import empirical_optimum
 from blockprox.objectives import (
@@ -22,7 +22,6 @@ from blockprox.rates import (
     general_nonconvex_epsilon,
     gradient_dominated_K,
     predict_K,
-    quadratic_level_radius,
     rule_constant,
     strongly_convex_mu,
     weakly_convex_rho,
@@ -198,6 +197,11 @@ def test_strongly_convex_mu_requires_parameter():
     p = CompositeProblem(obj, make_l1(0.1))
     with pytest.raises(NoParameterError):
         strongly_convex_mu(p, 1.0)
+
+
+def quadratic_level_radius(M, xi0):
+    """Oracle: the exact level-set radius for xi = (x-x*)'M(x-x*)/2 <= xi0."""
+    return math.sqrt(2.0 * xi0 / eig_extremes(M)[0])
 
 
 def test_quadratic_level_radius_closed_form():
@@ -385,7 +389,7 @@ def _expected_inverse_loop(M, tau, subsets):
 @pytest.mark.parametrize("chunk_bytes", [None, 4 * 8 * 9 * 7])
 def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
     if chunk_bytes is not None:  # seven 3x3 subsets per chunk
-        monkeypatch.setattr(rates, "INVERSE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)
     M = random_spd(9, 7.0, 4)
     subsets = [S.array for S in enumerate_subsets(9, 3)]
     assert np.array_equal(expected_inverse_matrix(M, 3),

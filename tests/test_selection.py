@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockprox import engine, rates, selection
+from blockprox import engine, rates
 from blockprox.linalg import CoordSet, enumerate_subsets, subset_count
 from blockprox.objectives import (
     CompositeProblem,
@@ -15,18 +15,22 @@ from blockprox.objectives import (
 )
 from blockprox.selection import (
     BlockRule,
-    SelectionContext,
     exact_expected_theta,
-    importance_probabilities,
     parse_rule,
     select,
 )
 
 
-def _ctx(problem, x, L=None):
-    cert = engine.certificate(problem, x, L)
-    return SelectionContext(x=x, grad=problem.grad_f(x),
-                            lambda_per_coord=cert.lambda_per_coord)
+def _select_at(rule, problem, x):
+    """select at iteration 0 with the gradient and certificate at x."""
+    return select(rule, problem, 0, problem.grad_f(x),
+                  engine.certificate(problem, x).lambda_per_coord)
+
+
+def importance_probabilities(problem):
+    """Oracle: the importance rule's probabilities M_ii / trace(M)."""
+    d = np.diag(problem.objective.smoothness)
+    return d / d.sum()
 
 
 def test_parse_rule_grammar():
@@ -74,11 +78,9 @@ def test_full_batch_and_cyclic():
     problem = CompositeProblem(make_quadratic(np.eye(4)))
     rule = parse_rule("full", 4)
     x = np.ones(4)
-    assert select(rule, problem, _ctx(problem, x)).is_full()
+    assert _select_at(rule, problem, x).is_full()
     cyc = parse_rule("cyclic", 4)
-    picks = [select(cyc, problem,
-                    SelectionContext(x=x, grad=problem.grad_f(x), k=k)).indices
-             for k in range(6)]
+    picks = [select(cyc, problem, k, problem.grad_f(x)).indices for k in range(6)]
     assert picks == [(0,), (1,), (2,), (3,), (0,), (1,)]
 
 
@@ -86,7 +88,7 @@ def test_uniform_distribution():
     problem = CompositeProblem(make_quadratic(np.eye(5)))
     rule = parse_rule("uniform seed=0", 5)
     x = np.ones(5)
-    counts = Counter(select(rule, problem, _ctx(problem, x)).indices[0]
+    counts = Counter(_select_at(rule, problem, x).indices[0]
                      for _ in range(5000))
     for i in range(5):
         assert abs(counts[i] / 5000 - 0.2) < 0.03
@@ -98,7 +100,7 @@ def test_importance_distribution_and_probabilities():
     np.testing.assert_allclose(importance_probabilities(problem), [0.25, 0.75])
     rule = parse_rule("importance seed=1", 2)
     x = np.ones(2)
-    counts = Counter(select(rule, problem, _ctx(problem, x)).indices[0]
+    counts = Counter(_select_at(rule, problem, x).indices[0]
                      for _ in range(4000))
     assert abs(counts[1] / 4000 - 0.75) < 0.03
 
@@ -107,14 +109,14 @@ def test_importance_nonsmooth_is_config_error():
     problem = CompositeProblem(make_quadratic(np.eye(3)), make_l1(0.1))
     rule = parse_rule("importance", 3)
     with pytest.raises(ValueError):
-        select(rule, problem, _ctx(problem, np.ones(3)))
+        _select_at(rule, problem, np.ones(3))
 
 
 def test_tau_nice_uniform_over_subsets():
     problem = CompositeProblem(make_quadratic(np.eye(4)))
     rule = parse_rule("nice:2 seed=3", 4)
     x = np.ones(4)
-    counts = Counter(select(rule, problem, _ctx(problem, x)).indices
+    counts = Counter(_select_at(rule, problem, x).indices
                      for _ in range(6000))
     assert set(counts) == {s.indices for s in enumerate_subsets(4, 2)}
     for c in counts.values():
@@ -126,7 +128,7 @@ def test_greedy_coord_smooth_score():
     problem = CompositeProblem(make_quadratic(M))
     x = np.array([1.0, 1.0, 1.0])  # grad = (1, 4, 2); scores g_i^2/M_ii = (1, 4, 2)
     rule = parse_rule("greedy", 3)
-    assert select(rule, problem, _ctx(problem, x)).indices == (1,)
+    assert _select_at(rule, problem, x).indices == (1,)
 
 
 def test_greedy_coord_nonsmooth_takes_largest_certificate():
@@ -135,16 +137,15 @@ def test_greedy_coord_nonsmooth_takes_largest_certificate():
     x = np.random.default_rng(3).standard_normal(5)
     cert = engine.certificate(problem, x)
     rule = parse_rule("greedy", 5)
-    picked = select(rule, problem, _ctx(problem, x)).indices[0]
+    picked = _select_at(rule, problem, x).indices[0]
     assert picked == int(np.argmax(cert.lambda_per_coord))
 
 
 def test_greedy_nonsmooth_requires_certificates():
     problem = CompositeProblem(make_quadratic(np.eye(3)), make_l1(0.1))
     rule = parse_rule("greedy", 3)
-    ctx = SelectionContext(x=np.ones(3), grad=problem.grad_f(np.ones(3)))
-    with pytest.raises(ValueError):
-        select(rule, problem, ctx)
+    with pytest.raises(ValueError, match="certificates"):
+        select(rule, problem, 0, problem.grad_f(np.ones(3)))
 
 
 def test_greedy_minibatch_exact_matches_brute_force():
@@ -153,7 +154,7 @@ def test_greedy_minibatch_exact_matches_brute_force():
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = rng.standard_normal(7)
-        S = select(rule, problem, _ctx(problem, x))
+        S = _select_at(rule, problem, x)
         assert not rule.last_was_heuristic
         best = max(
             enumerate_subsets(7, 3),
@@ -168,7 +169,7 @@ def test_greedy_minibatch_heuristic_fallback_flagged():
     rule = BlockRule("greedy_minibatch", 12, tau=5, budget=10)
     x = np.random.default_rng(7).standard_normal(12)
     assert subset_count(12, 5) > 10
-    S = select(rule, problem, _ctx(problem, x))
+    S = _select_at(rule, problem, x)
     assert rule.last_was_heuristic
     assert len(S) == 5
     # the heuristic still beats the best singleton extended arbitrarily:
@@ -182,7 +183,7 @@ def test_greedy_minibatch_nonsmooth_top_tau():
     x = np.random.default_rng(9).standard_normal(6)
     cert = engine.certificate(problem, x)
     rule = parse_rule("greedymb:3", 6)
-    S = select(rule, problem, _ctx(problem, x))
+    S = _select_at(rule, problem, x)
     top = set(np.argsort(-cert.lambda_per_coord, kind="stable")[:3])
     assert set(S.indices) == {int(i) for i in top}
 
@@ -192,8 +193,8 @@ def test_rule_determinism_and_clone():
     x = np.ones(6)
     a = parse_rule("nice:2 seed=11", 6)
     b = parse_rule("nice:2 seed=11", 6)
-    seq_a = [select(a, problem, _ctx(problem, x)).indices for _ in range(20)]
-    seq_b = [select(b, problem, _ctx(problem, x)).indices for _ in range(20)]
+    seq_a = [_select_at(a, problem, x).indices for _ in range(20)]
+    seq_b = [_select_at(b, problem, x).indices for _ in range(20)]
     assert seq_a == seq_b
 
 
@@ -248,7 +249,7 @@ def test_selection_on_generated_instance_all_rules():
     for text in ("full", "uniform", "importance", "greedy", "cyclic",
                  "nice:3", "greedymb:3"):
         rule = parse_rule(text, 8, default_seed=1)
-        S = select(rule, problem, _ctx(problem, x))
+        S = _select_at(rule, problem, x)
         assert 1 <= len(S) <= rule.max_block_size
 
 
@@ -257,8 +258,8 @@ def test_importance_draws_match_generator_choice():
     p = importance_probabilities(problem)
     rule = parse_rule("importance seed=5", 40)
     reference = np.random.default_rng(5)
-    ctx = SelectionContext(x=np.zeros(40))
-    drawn = [select(rule, problem, ctx).indices[0] for _ in range(20_000)]
+    grad = problem.grad_f(np.zeros(40))
+    drawn = [select(rule, problem, 0, grad).indices[0] for _ in range(20_000)]
     expected = [int(reference.choice(40, p=p)) for _ in range(20_000)]
     assert drawn == expected
 
@@ -267,16 +268,15 @@ def test_serial_and_full_rules_return_prebuilt_sets():
     problem = gen_instance(20, 6, seed=0, lam=0.05)
     x = np.random.default_rng(0).standard_normal(6)
     cert = engine.certificate(problem, x)
-    ctx = selection.SelectionContext(x=x, grad=problem.grad_f(x),
-                                     lambda_per_coord=cert.lambda_per_coord, k=8)
+    args = (8, problem.grad_f(x), cert.lambda_per_coord)
     for spec in ("uniform", "cyclic", "greedy"):
         rule = parse_rule(spec, 6)
-        S = select(rule, problem, ctx)
+        S = select(rule, problem, *args)
         assert S is rule.singletons[S.indices[0]]
-        assert select(rule, problem, ctx).ambient_dim == 6
-    assert select(parse_rule("cyclic", 6), problem, ctx).indices == (2,)
+        assert select(rule, problem, *args).ambient_dim == 6
+    assert select(parse_rule("cyclic", 6), problem, *args).indices == (2,)
     full = parse_rule("full", 6)
-    assert select(full, problem, ctx) is select(full, problem, ctx) is full.full_set
+    assert select(full, problem, *args) is select(full, problem, *args) is full.full_set
     assert full.full_set == CoordSet.full(6)
     assert [S.indices for S in full.singletons] == [(i,) for i in range(6)]
 

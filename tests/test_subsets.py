@@ -23,7 +23,7 @@ from blockprox.objectives import (
     make_quadratic,
     random_spd,
 )
-from blockprox.selection import SelectionContext, parse_rule, select
+from blockprox.selection import parse_rule, select
 
 
 # -- per-subset oracles -----------------------------------------------------
@@ -100,7 +100,7 @@ def test_L_tau_batched_bit_identical_to_loop(n, tau, monkeypatch):
     oracle = _L_tau_loop(M, tau)
     assert rates.L_tau(M, tau) == oracle
     # across chunk boundaries, the last chunk partial
-    monkeypatch.setattr(rates, "EIGVALSH_CHUNK_BYTES", 13 * 8 * tau * tau)
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 13 * 8 * tau * tau)
     assert subset_count(n, tau) % 13
     assert rates.L_tau(M, tau) == oracle
 
@@ -120,7 +120,7 @@ def test_inverse_forms_match_einsum_oracle_on_200_gradients():
         ref = oracle.values(g)
         got = forms.values(g)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        S = select(rule, problem, SelectionContext(x=np.zeros(32), grad=g))
+        S = select(rule, problem, 0, g)
         assert not rule.last_was_heuristic
         assert S.indices == tuple(oracle.subsets[ref.argmax()].tolist())
 
@@ -129,7 +129,7 @@ def test_inverse_forms_small_chunks_and_tau_one(monkeypatch):
     M = random_spd(8, 5.0, 3)
     g = np.random.default_rng(1).standard_normal(8)
     whole = linalg.block_inverse_forms(M, 3)
-    monkeypatch.setattr(linalg, "FORMS_CHUNK_BYTES", 2 * 8 * 9 * 5)  # five sets a chunk
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 2 * 8 * 9 * 5)  # five sets a chunk
     chunked = linalg.block_inverse_forms(M, 3)
     assert np.array_equal(chunked.values(g), whole.values(g))
     assert np.allclose(whole.values(g), _EinsumForms(M, 3).values(g), rtol=1e-12)
@@ -167,7 +167,7 @@ def test_heuristic_fallback_uses_forward_greedy():
     rule = parse_rule("greedymb:8", 32)
     assert subset_count(32, 8) > rule.budget
     g = np.random.default_rng(3).standard_normal(32)
-    S = select(rule, problem, SelectionContext(x=np.zeros(32), grad=g))
+    S = select(rule, problem, 0, g)
     assert rule.last_was_heuristic
     assert S.indices == tuple(sorted(
         _forward_greedy_loop(problem.objective.smoothness, g, 8)))
@@ -187,9 +187,8 @@ def test_greedy_tables_built_once_per_objective_and_tau(monkeypatch):
     a = gen_instance(60, 10, seed=1)
     b = gen_instance(60, 10, seed=2)
     g = np.random.default_rng(4).standard_normal(10)
-    ctx = SelectionContext(x=np.zeros(10), grad=g)
     first, second = parse_rule("greedymb:3", 10), parse_rule("greedymb:3 seed=9", 10)
-    assert select(first, a, ctx) == select(second, a, ctx)
+    assert select(first, a, 0, g) == select(second, a, 0, g)
     assert built == [3]
     forms = a.objective.inverse_forms(3)
     assert forms is a.objective.inverse_forms(3)
@@ -197,10 +196,10 @@ def test_greedy_tables_built_once_per_objective_and_tau(monkeypatch):
         forms.subsets[0, 0] = 9  # shared, so read-only
     with pytest.raises(ValueError):
         forms.weights.data[0] = 0.0
-    select(parse_rule("greedymb:2", 10), a, ctx)
+    select(parse_rule("greedymb:2", 10), a, 0, g)
     assert built == [3, 2]
     # another objective gets its own tables, and picks by its own M
-    S_b = select(first, b, ctx)
+    S_b = select(first, b, 0, g)
     assert built == [3, 2, 3]
     oracle = _EinsumForms(b.objective.smoothness, 3)
     assert S_b.indices == tuple(oracle.subsets[oracle.values(g).argmax()].tolist())

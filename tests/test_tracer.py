@@ -1,7 +1,7 @@
 """The benchmark's tracer (`bench/tracer.py`) patches blockprox functions and
 methods by name; installing it fails if a traced target is renamed or
 deleted.  The test suite runs no traced benchmark, so this test installs it,
-traces a short L1 run and uninstalls it."""
+traces a short L1 run and two smooth greedy runs, and uninstalls it."""
 
 import importlib.util
 import pathlib
@@ -48,6 +48,18 @@ def test_tracer_installs_runs_and_uninstalls():
         stats = tracer.merged()["stats"]
         assert stats["descent.run"][0] == 1
         assert stats["objectives.reg.prox"][0] == 5
+        # the smooth greedy rules select on the loop's gradient: a run
+        # without diagnostics evaluates neither grad f nor F through the
+        # problem
+        smooth = blockprox.gen_instance(40, 8, seed=1)
+        for spec in ("greedy", "greedymb:3"):
+            blockprox.descent.run(smooth, blockprox.parse_rule(spec, 8),
+                                  blockprox.RunConfig(max_iters=20))
+        merged = tracer.merged()
+        assert merged["stats"]["descent.run"][0] == 3
+        assert merged["stats"]["selection.select"][0] == 5 + 2 * 20
+        assert merged["run_calls"]["objectives.grad_f"] == 0
+        assert merged["run_calls"]["objectives.F"] == 0
     finally:
         tracer.uninstall()
 
