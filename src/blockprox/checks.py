@@ -35,13 +35,13 @@ def _campaign_rules(n, tau, seed, smooth):
     return [parse_rule(t, n, default_seed=seed + j) for j, t in enumerate(names)]
 
 
-def check_spd(problem, **_):
+def check_spd(problem):
     lam_min = eig_extremes(problem.objective.smoothness)[0]
     return TraceCheck("smoothness_spd",
                       is_spd(problem.objective.smoothness), lam_min)
 
 
-def check_descent_inequalities(problem, seed=0, iters=150, tau=3, **_):
+def check_descent_inequalities(problem, seed=0, iters=150, tau=3):
     if problem.opt_value is None:
         descent.empirical_optimum(problem)
     worst = np.inf
@@ -59,23 +59,12 @@ def check_descent_inequalities(problem, seed=0, iters=150, tau=3, **_):
     return TraceCheck(f"descent_inequalities_{tag}", ok, worst, detail)
 
 
-def theta_for_rule(problem, rule, x, cert_cache=None):
-    """theta(S, x) for deterministic rules, the exact conditional expectation
-    for randomized ones; certificates use the block-size-matched scalar."""
-    L, _ = rates.rule_L(problem, rule)
-    if rule.is_randomized:
-        return selection.exact_expected_theta(rule, problem, x, L=L)
-    grad = problem.grad_f(x)
-    cert_cache = {} if cert_cache is None else cert_cache
-    key = rule.max_block_size
-    if key not in cert_cache:
-        cert_cache[key] = engine.certificate(problem, x, L, grad=grad)
-    cert = cert_cache[key]
-    S = selection.select(rule, problem, 0, grad, cert.lambda_per_coord)
-    return engine.proportion(problem, x, S, L=L, cert=cert, grad=grad)
-
-
-def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):
+def check_theta_bounds(problem, seed=0, tau=3, n_points=50):
+    """Each rule's theta at n_points random x against the published bound
+    that `rates` predicts with (on the conditional expectation for a
+    randomized rule); greedy minibatch must also reach the tau-nice
+    expectation.  One gradient per point, one certificate per distinct
+    `rates.rule_L`."""
     rng = np.random.default_rng(seed)
     n = problem.dim
     worst = np.inf
@@ -83,23 +72,28 @@ def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):
     names = ["full", "uniform"] + (
         ["importance", "greedy", f"nice:{tau}"] if problem.smooth_path
         else ["greedy", f"nice:{tau}", f"greedymb:{tau}"])
-    rules = {name: parse_rule(name, n, default_seed=seed) for name in names}
-    # the published constants that `rates` predicts with
-    bounds = {name: rates.rule_constant(rule, problem)[0]
-              for name, rule in rules.items()}
-    nice = parse_rule(f"nice:{tau}", n, default_seed=seed)
-    gmb = parse_rule(f"greedymb:{tau}", n, default_seed=seed)
+    rules = [parse_rule(name, n, default_seed=seed) for name in names]
+    bounds = {rule.name: rates.rule_constant(rule, problem)[0] for rule in rules}
+    nice, gmb = f"nice:{tau}", f"greedymb:{tau}"
+    if gmb not in bounds:
+        rules.append(parse_rule(gmb, n, default_seed=seed))
+    Ls = [rates.rule_L(problem, rule)[0] for rule in rules]
     for _ in range(n_points):
         x = rng.standard_normal(n)
-        cert_cache = {}
-        vals = {name: theta_for_rule(problem, rule, x, cert_cache)
-                for name, rule in rules.items()}
-        # greedy minibatch also dominates the tau-nice expectation
-        vals[gmb.name] = theta_for_rule(problem, gmb, x, cert_cache)
+        grad = problem.grad_f(x)
+        certs = {L: engine.certificate(problem, x, L, grad=grad) for L in set(Ls)}
+        vals = {}
+        for rule, L in zip(rules, Ls):
+            cert = certs[L]
+            if rule.is_randomized:
+                vals[rule.name] = selection.exact_expected_theta(
+                    rule, problem, grad, cert)
+            else:
+                S = selection.select(rule, problem, 0, grad, cert.lambda_per_coord)
+                vals[rule.name] = engine.proportion(problem, x, S, cert=cert,
+                                                    grad=grad)
         bounds_here = dict(bounds)
-        bounds_here[gmb.name] = max(
-            bounds_here.get(gmb.name, 0.0),
-            theta_for_rule(problem, nice, x, cert_cache))
+        bounds_here[gmb] = max(bounds_here.get(gmb, 0.0), vals[nice])
         for name, lo in bounds_here.items():
             margin = vals[name] - lo * (1 - 1e-9)
             worst = min(worst, margin)
@@ -110,7 +104,7 @@ def check_theta_bounds(problem, seed=0, tau=3, n_points=50, **_):
     return TraceCheck(f"theta_bounds_{tag}", ok, worst, detail)
 
 
-def check_certificate_oracle(seed=0, n_points=20, **_):
+def check_certificate_oracle(seed=0, n_points=20):
     """Per-coordinate certificates vs a scalar grid search over [-3, 3]."""
     rng = np.random.default_rng(seed)
     M = objectives.random_spd(10, 8.0, seed)
@@ -121,7 +115,7 @@ def check_certificate_oracle(seed=0, n_points=20, **_):
     for _ in range(n_points):
         x = rng.uniform(-1.0, 1.0, 10)
         grad = problem.grad_f(x)
-        cert = engine.certificate(problem, x)
+        cert = engine.certificate(problem, x, grad=grad)
         lam_grid = 0.0
         for i in range(10):
             vals = (grad[i] * grid + 0.5 * L * grid * grid
@@ -132,7 +126,7 @@ def check_certificate_oracle(seed=0, n_points=20, **_):
     return TraceCheck("certificate_grid_oracle", worst <= 1e-3, 1e-3 - worst)
 
 
-def check_strong_convexity_forcing(seed=0, n_points=50, **_):
+def check_strong_convexity_forcing(seed=0, n_points=50):
     M = objectives.random_spd(8, 6.0, seed)
     problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.2))
     descent.empirical_optimum(problem)
@@ -149,7 +143,7 @@ def check_strong_convexity_forcing(seed=0, n_points=50, **_):
     return TraceCheck("strongly_convex_forcing", worst >= 0, worst)
 
 
-def check_weak_convexity_forcing(seed=0, n_points=50, **_):
+def check_weak_convexity_forcing(seed=0, n_points=50):
     M = objectives.random_spd(6, 4.0, seed)
     problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.1))
     descent.empirical_optimum(problem)
@@ -172,7 +166,7 @@ def check_weak_convexity_forcing(seed=0, n_points=50, **_):
     return TraceCheck("weakly_convex_forcing", worst >= 0, worst)
 
 
-def check_convex_certificate_lower_bound(seed=0, n_points=50, **_):
+def check_convex_certificate_lower_bound(seed=0, n_points=50):
     """lambda/L >= min{xi/2, (xi + lam_F d^2/2)^2 / (2 (lam_F - lam_f + L) d^2)}
     on a strongly convex composite with d = ||x - x*||."""
     M = objectives.random_spd(6, 5.0, seed)
@@ -198,7 +192,7 @@ def check_convex_certificate_lower_bound(seed=0, n_points=50, **_):
     return TraceCheck("convex_certificate_lower_bound", worst >= 0, worst)
 
 
-def check_wpl_product(seed=0, n_points=2000, **_):
+def check_wpl_product(seed=0, n_points=2000):
     obj = objectives.make_product_square()
     problem = CompositeProblem(obj)
     rng = np.random.default_rng(seed)
@@ -210,7 +204,7 @@ def check_wpl_product(seed=0, n_points=2000, **_):
     return TraceCheck("weak_pl_product_square", worst >= 0, worst)
 
 
-def check_plateau_disjunction(seed=0, epsilon=1e-6, **_):
+def check_plateau_disjunction(seed=0, epsilon=1e-6):
     c = objectives.flat_inflection_coefficient()
     problem = CompositeProblem(objectives.make_plateau_1d(c))
     rule = BlockRule("full_batch", 1)
@@ -232,7 +226,7 @@ def check_plateau_disjunction(seed=0, epsilon=1e-6, **_):
                       margin, f"K={K}, used={used}")
 
 
-def check_sequence_bound(seed=0, n_seqs=20, **_):
+def check_sequence_bound(seed=0, n_seqs=20):
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(n_seqs):
@@ -246,7 +240,7 @@ def check_sequence_bound(seed=0, n_seqs=20, **_):
     return TraceCheck("sequence_recursion_bound", ok, 0.0)
 
 
-def check_rate_monotonicity(seed=0, **_):
+def check_rate_monotonicity(seed=0):
     M = objectives.random_spd(8, 6.0, seed)
     problem = CompositeProblem(objectives.make_quadratic(M))
     rule = BlockRule("full_batch", 8)
@@ -259,7 +253,7 @@ def check_rate_monotonicity(seed=0, **_):
     return TraceCheck("predicted_K_monotone_in_epsilon", ok, 0.0)
 
 
-def check_polyak_rate(seed=0, **_):
+def check_polyak_rate(seed=0):
     M = objectives.random_spd(10, 12.0, seed)
     problem = CompositeProblem(objectives.make_quadratic(M))
     lam_min, lam_max = problem.objective.lambda_min, problem.objective.lambda_max

@@ -105,6 +105,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         raise ConfigError(f"bad run/output settings: {exc}") from exc
     if seed_override is not None:
         cfg.seed = seed_override
+    if cfg.seed < 0:
+        # numpy's generators take nonnegative seeds only
+        raise ConfigError(f"global seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 

@@ -123,10 +123,10 @@ def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L,
         u = -((g_i * r_i) * r_i)
         return u, max(-0.5 * (0.0 + g_i * u), 0.0)
     reg, x_i = problem.regularizer, float(x[i])
-    u = reg.prox(x_i - g_i / L, L, i) - x_i
+    u = reg.prox(x_i - g_i / L, L) - x_i
     # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
-    lam = max(-L * (g_i * u + 0.5 * L * u * u + reg.value_i(i, x_i + u)
-                    - reg.value_i(i, x_i)), 0.0)
+    lam = max(-L * (g_i * u + 0.5 * L * u * u + reg.value_i(x_i + u)
+                    - reg.value_i(x_i)), 0.0)
     return u, max(0.0 + lam / L, 0.0)
 
 

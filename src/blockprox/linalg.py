@@ -187,10 +187,10 @@ def subset_index_chunks(n: int, tau: int,
     return chunks()
 
 
-def chunk_rows(tau: int, arrays: int = 1) -> int:
-    """Subsets per chunk so that `arrays` stacked tau x tau arrays of 8-byte
-    entries per subset fit in SUBSET_CHUNK_BYTES."""
-    return max(1, SUBSET_CHUNK_BYTES // (arrays * 8 * tau * tau))
+def chunk_rows(tau: int, arrays: int = 1, extra: int = 0) -> int:
+    """Subsets per chunk so that `arrays` stacked tau x tau arrays, plus
+    `extra` entries, of 8 bytes each per subset fit in SUBSET_CHUNK_BYTES."""
+    return max(1, SUBSET_CHUNK_BYTES // (8 * (arrays * tau * tau + extra)))
 
 
 def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:

@@ -215,8 +215,7 @@ class L1Regularizer:
     The certificate and block steps read g through array maps over all
     coordinates, `value_array(v)` (the entries lam |v_j|) and
     `prox_array(c, ell)`; a one-coordinate step without a certificate reads
-    their scalar twins `value_i(i, v)` and `prox(c, ell, i)`, whose
-    coordinate i every g_i ignores.
+    their scalar twins `value_i(v)` and `prox(c, ell)`.
     """
 
     strong_convexity_F: float = 0.0
@@ -227,10 +226,10 @@ class L1Regularizer:
         self.lam = float(lam)
         self.is_zero = lam == 0.0
 
-    def value_i(self, i, v):
+    def value_i(self, v):
         return self.lam * abs(v)
 
-    def prox(self, c, ell, i):
+    def prox(self, c, ell):
         t = self.lam / ell
         return math.copysign(max(abs(c) - t, 0.0), c)
 

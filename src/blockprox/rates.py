@@ -131,7 +131,8 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     embedded back at the rows/columns of S.
 
     Blocks are inverted a chunk at a time (the blocks, their inverses and
-    their row and column indices within SUBSET_CHUNK_BYTES) and summed in
+    their row and column indices, and for drawn sets each draw's n uniforms
+    and their argpartition indices, within SUBSET_CHUNK_BYTES) and summed in
     enumeration (or draw) order, so the result does not depend on the chunk
     size: each block is inverted on its own, and the Monte-Carlo sets are
     consecutive rows of one random stream.  Callers with an objective read it
@@ -140,15 +141,15 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     out = np.zeros_like(M)
-    chunk = chunk_rows(tau, 4)
     try:
-        chunks = subset_index_chunks(n, tau, budget, chunk)
+        chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, 4))
     except EnumerationTooLargeError:
         warnings.warn(
             f"C({n},{tau}) exceeds the enumeration budget; Monte-Carlo "
             f"estimate over {INVERSE_MC_SAMPLES} samples"
         )
         rng = np.random.default_rng(INVERSE_MC_SEED)
+        chunk = chunk_rows(tau, 4, extra=2 * n)
         done = 0
         while done < INVERSE_MC_SAMPLES:
             size = min(chunk, INVERSE_MC_SAMPLES - done)

@@ -209,19 +209,16 @@ def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
     return CoordSet(tuple(sorted(int(i) for i in order[: rule.tau])), n)
 
 
-def exact_expected_theta(
-    rule: BlockRule,
-    problem: CompositeProblem,
-    x: np.ndarray,
-    L=None,
-) -> float:
-    """E[theta(S, x) | x] over the rule's sampling distribution, in closed
-    form.  With g = grad f(x), theta(S, x) is g_S' inv(M_S) g_S / ||g||^2 on
-    the smooth path and sum_{i in S} lam_i / (L lambda_total) on the
-    scalar-L path, with L the certificate's scalar.  So the expectation is
+def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
+                         grad: np.ndarray, cert: engine.Certificate) -> float:
+    """E[theta(S, x) | x] over a randomized rule's sampling distribution, in
+    closed form, from what the caller holds at x: the gradient
+    grad = grad f(x) and the certificate `cert` at the same x, whose scalar
+    `L_used` is the rule's on the prox path.  With g = grad, theta(S, x) is
+    g_S' inv(M_S) g_S / ||g||^2 on the smooth path and
+    sum_{i in S} lam_i / (L lambda_total) on the scalar-L path, so
 
         rule        smooth path                       scalar-L path
-        full        theta of the full set             theta of the full set
         uniform     mean_i(g_i^2 / M_ii) / ||g||^2    1 / (n L)
         importance  1 / trace(M)                      (not offered)
         nice:tau    g' E[inv(M_S)] g / ||g||^2        tau / (n L)
@@ -229,18 +226,16 @@ def exact_expected_theta(
     and zero where the certificate vanishes.  E[inv(M_S)] is
     `Objective.expected_inverse`; its Monte-Carlo estimate past the
     enumeration budget, flagged by a warning, is the only sampled path.
+    No gradient or certificate is evaluated here; a deterministic rule's
+    theta is `engine.proportion` of the set it selects.
     """
-    if not rule.is_randomized and rule.kind != "full_batch":
+    if not rule.is_randomized:
         raise ValueError(
             f"no expectation defined for deterministic rule {rule.name!r}")
     if rule.kind == "importance_coord" and not problem.smooth_path:
         raise ValueError("importance sampling is smooth-only")
-    grad = problem.grad_f(x)
-    cert = engine.certificate(problem, x, L, grad=grad)
     if cert.lambda_total <= 0.0:
         return 0.0
-    if rule.kind == "full_batch":
-        return engine.proportion(problem, x, rule.full_set, cert=cert, grad=grad)
     if not problem.smooth_path:
         return rule.max_block_size / (problem.dim * cert.L_used)
     M = problem.objective.smoothness

@@ -220,6 +220,8 @@ def _trace_monotone(path):
     return all(b <= a + 1e-12 * (1.0 + abs(a)) for a, b in zip(Fs, Fs[1:]))
 
 
+# the nonsmooth campaign's minibatch rules take the trace bound for L_8
+@pytest.mark.filterwarnings("ignore:C\\(100,8\\) exceeds the enumeration budget")
 def test_criterion_09_paper_scale_campaigns(tmp_path, report):
     t0 = time.perf_counter()
     ok = True

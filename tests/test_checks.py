@@ -45,3 +45,22 @@ def test_check_prints_every_check_in_order(tmp_path, capsys):
     assert [line.split()[1] for line in lines] == CHECK_NAMES
     assert all(line.startswith("PASS") for line in lines)
 
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_theta_bounds_read_one_gradient_per_point(monkeypatch, lam):
+    from blockprox import checks
+    from blockprox.objectives import gen_instance
+
+    problem = gen_instance(m=40, n=12, seed=0, lam=lam)
+    calls = [0]
+    grad_f = CompositeProblem.grad_f
+
+    def counted_grad_f(self, x):
+        calls[0] += 1
+        return grad_f(self, x)
+
+    monkeypatch.setattr(CompositeProblem, "grad_f", counted_grad_f)
+    assert checks.check_theta_bounds(problem, seed=0, n_points=50).passed
+    # check_theta_bounds reads one gradient per point itself, so 50 calls
+    # leave none for exact_expected_theta
+    assert calls[0] == 50

@@ -434,26 +434,36 @@ def _count_L_tau(monkeypatch):
     return calls
 
 
-def test_theta_for_rule_computes_L_tau_once_per_tau(monkeypatch):
+def test_theta_bounds_compute_L_tau_once_per_tau(monkeypatch):
     from blockprox.objectives import gen_instance
-    from blockprox.selection import parse_rule
 
     calls = _count_L_tau(monkeypatch)
     problem = gen_instance(m=40, n=12, seed=1, lam=0.05)
-    rules = [parse_rule(t, 12, default_seed=1)
-             for t in ("full", "uniform", "greedy", "cyclic", "nice:3", "greedymb:3")]
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        x = rng.standard_normal(12)
-        for rule in rules:
-            checks.theta_for_rule(problem, rule, x)
-    assert calls == {12: 1, 1: 1, 3: 1}
-    check = checks.check_theta_bounds(problem, seed=1, tau=3, n_points=3)
-    assert check.passed
-    assert calls == {12: 1, 1: 1, 3: 1}
+    for n_points in (5, 3):
+        check = checks.check_theta_bounds(problem, seed=1, tau=3, n_points=n_points)
+        assert check.passed
+        assert calls == {12: 1, 1: 1, 3: 1}
     # another objective has its own cache
-    checks.theta_for_rule(gen_instance(m=40, n=12, seed=2, lam=0.05), rules[4], x)
-    assert calls[3] == 2
+    other = gen_instance(m=40, n=12, seed=2, lam=0.05)
+    assert checks.check_theta_bounds(other, seed=1, tau=3, n_points=1).passed
+    assert calls == {12: 2, 1: 2, 3: 2}
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["rates"], ["slice", "--direction", "random"], ["run"]])
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, where):
+    body = SMOOTH_CFG.format(out=tmp_path / "out")
+    if where == "file":  # the [run] seed; [problem] has its own
+        body = body.replace("diagnostics = true\nseed = 0",
+                            "diagnostics = true\nseed = -1")
+        assert "seed = -1" in body
+    argv = [command[0], write_cfg(tmp_path, body)] + command[1:]
+    if where == "flag":
+        argv = ["--seed", "-1"] + argv
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "seed" in err
 
 
 def test_report_carries_L_used_and_its_source(tmp_path):

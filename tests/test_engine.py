@@ -216,10 +216,10 @@ def test_generated_instance_certificate_paths():
 import math  # noqa: E402
 
 
-def _lambda_oracle(reg, x_i, g_i, i, L):
+def _lambda_oracle(reg, x_i, g_i, L):
     """The per-coordinate certificate in scalar arithmetic, one coordinate."""
-    v = reg.prox(x_i - g_i / L, L, i) - x_i
-    model = g_i * v + 0.5 * L * v * v + reg.value_i(i, x_i + v) - reg.value_i(i, x_i)
+    v = reg.prox(x_i - g_i / L, L) - x_i
+    model = g_i * v + 0.5 * L * v * v + reg.value_i(x_i + v) - reg.value_i(x_i)
     return max(-L * model, 0.0)
 
 
@@ -244,7 +244,7 @@ def test_nonsmooth_certificate_matches_scalar_oracle_bitwise():
         grad = p.grad_f(x)
         for L in (p.L_scalar, 3.0 * p.L_scalar):
             cert = certificate(p, x, L)
-            oracle = [_lambda_oracle(reg, float(x[i]), float(grad[i]), i, L)
+            oracle = [_lambda_oracle(reg, float(x[i]), float(grad[i]), L)
                       for i in range(20)]
             np.testing.assert_array_equal(_bits(cert.lambda_per_coord), _bits(oracle))
 
@@ -261,8 +261,8 @@ def test_nonsmooth_block_step_matches_scalar_oracle_bitwise():
             u, decrease = [], 0.0
             for i in S:
                 xi_val, gi = float(x[i]), float(grad[i])
-                u.append(reg.prox(xi_val - gi / L, L, i) - xi_val)
-                decrease += _lambda_oracle(reg, xi_val, gi, i, L) / L
+                u.append(reg.prox(xi_val - gi / L, L) - xi_val)
+                decrease += _lambda_oracle(reg, xi_val, gi, L) / L
             np.testing.assert_array_equal(_bits(step.u_S), _bits(u))
             assert _bits(step.decrease) == _bits(max(decrease, 0.0))
 
@@ -277,17 +277,17 @@ class _ScalarL1:
     def __init__(self, lam):
         self.lam = lam
 
-    def value_i(self, i, v):
+    def value_i(self, v):
         return self.lam * abs(v)
 
-    def prox(self, c, ell, i):
+    def prox(self, c, ell):
         return math.copysign(max(abs(c) - self.lam / ell, 0.0), c)
 
     def value_array(self, v):
-        return np.array([self.value_i(i, float(vi)) for i, vi in enumerate(v)])
+        return np.array([self.value_i(float(vi)) for vi in v])
 
     def prox_array(self, c, ell):
-        return np.array([self.prox(float(ci), ell, i) for i, ci in enumerate(c)])
+        return np.array([self.prox(float(ci), ell) for ci in c])
 
     def value(self, x):
         return float(self.value_array(x).sum())
@@ -302,6 +302,10 @@ def test_array_maps_match_scalar_callback_twin_runs():
     p = gen_instance(1000, 100, seed=5, lam=lam)
     empirical_optimum(p)
     twin = CompositeProblem(p.objective, _ScalarL1(lam), opt_value=p.opt_value)
+    # C(100,8) is past the enumeration budget: the minibatch rules' L_8 is
+    # the trace bound, computed (and warned about) once on the shared objective
+    with pytest.warns(UserWarning, match=r"C\(100,8\) exceeds the enumeration budget"):
+        p.objective.block_smoothness(8)
     for j, spec in enumerate(("full", "uniform", "greedy", "cyclic", "nice:8",
                               "greedymb:8")):
         cfg = RunConfig(max_iters=400, record_diagnostics=True)

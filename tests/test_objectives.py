@@ -121,7 +121,7 @@ def test_l1_prox_grid_oracle():
         ell = float(rng.uniform(0.5, 5.0))
         vals = 0.5 * ell * (grid - c) ** 2 + 0.3 * np.abs(grid)
         best = grid[int(vals.argmin())]
-        assert abs(reg.prox(c, ell, 0) - best) < 2e-4
+        assert abs(reg.prox(c, ell) - best) < 2e-4
 
 
 def test_l1_value_and_zero():
@@ -354,11 +354,11 @@ def test_l1_prox_array_matches_scalar_formula_bitwise():
     reg = make_l1(lam)
     expected = [math.copysign(max(abs(ci) - t, 0.0), ci) for ci in c]
     np.testing.assert_array_equal(_bits(reg.prox_array(c, ell)), _bits(expected))
-    # the scalar method is the same map, and the coordinate index is ignored
+    # the scalar methods are the same maps
     np.testing.assert_array_equal(
-        _bits([reg.prox(float(ci), ell, 0) for ci in c]), _bits(expected))
+        _bits([reg.prox(float(ci), ell) for ci in c]), _bits(expected))
     np.testing.assert_array_equal(_bits(reg.value_array(c)),
-                                  _bits([reg.value_i(0, float(ci)) for ci in c]))
+                                  _bits([reg.value_i(float(ci)) for ci in c]))
 
 
 def test_zero_regularizer_array_maps():
@@ -367,7 +367,7 @@ def test_zero_regularizer_array_maps():
     np.testing.assert_array_equal(_bits(reg.prox_array(c, 3.0)), _bits(c))
     np.testing.assert_array_equal(_bits(reg.value_array(c)), _bits(np.zeros(6)))
     np.testing.assert_array_equal(
-        _bits([reg.prox(float(ci), 3.0, 0) for ci in c]), _bits(c))
+        _bits([reg.prox(float(ci), 3.0) for ci in c]), _bits(c))
     assert reg.value(c) == 0.0
 
 

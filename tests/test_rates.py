@@ -48,11 +48,13 @@ def test_L_tau_brute_force_and_interlacing():
 
 
 def test_L_tau_budget_fallback_trace_bound():
-    M = random_spd(24, 4.0, 2)
+    M = random_spd(16, 4.0, 2)
     with pytest.warns(UserWarning, match="trace"):
-        bound = L_tau(M, 12, budget=100)
-    assert bound >= L_tau(M, 12) - 1e-12  # honest over-estimate
-    assert bound == pytest.approx(float(np.sort(np.diag(M))[-12:].sum()))
+        bound = L_tau(M, 8, budget=100)
+    # C(16,8) = 12,870 subsets: the default budget enumerates them exactly
+    assert rates.L_tau_is_exact(16, 8)
+    assert bound >= L_tau(M, 8) - 1e-12  # honest over-estimate
+    assert bound == pytest.approx(float(np.sort(np.diag(M))[-8:].sum()))
 
 
 def test_L_tau_validation():
@@ -403,3 +405,19 @@ def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
     with pytest.warns(UserWarning, match="Monte-Carlo"):
         E = expected_inverse_matrix(M, 3, budget=10)
     assert np.array_equal(E, _expected_inverse_loop(M, 3, draws))
+
+
+@pytest.mark.parametrize("tau, budget", [(2, 10), (4, linalg.DEFAULT_ENUMERATION_BUDGET)])
+def test_expected_inverse_monte_carlo_stays_within_chunk_budget(tau, budget):
+    import tracemalloc
+
+    M = random_spd(100, 4.0, 0)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="Monte-Carlo"):
+            expected_inverse_matrix(M, tau, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one batch of draws, plus the n x n sum and the average returned
+    assert peak <= linalg.SUBSET_CHUNK_BYTES + 2 * M.nbytes

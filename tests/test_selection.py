@@ -198,13 +198,20 @@ def test_rule_determinism_and_clone():
     assert seq_a == seq_b
 
 
+def _expected_theta(rule, problem, x, L=None):
+    """exact_expected_theta handed the gradient and the certificate at x."""
+    grad = problem.grad_f(x)
+    cert = engine.certificate(problem, x, L, grad=grad)
+    return exact_expected_theta(rule, problem, grad, cert)
+
+
 def test_exact_expected_theta_uniform():
     problem = CompositeProblem(make_quadratic(random_spd(5, 3.0, 10)))
     x = np.random.default_rng(11).standard_normal(5)
     rule = parse_rule("uniform", 5)
     expected = np.mean([engine.proportion(problem, x, CoordSet((i,), 5))
                         for i in range(5)])
-    assert exact_expected_theta(rule, problem, x) == pytest.approx(expected)
+    assert _expected_theta(rule, problem, x) == pytest.approx(expected)
 
 
 def test_exact_expected_theta_importance_weighting():
@@ -215,7 +222,7 @@ def test_exact_expected_theta_importance_weighting():
     p = importance_probabilities(problem)
     expected = sum(p[i] * engine.proportion(problem, x, CoordSet((i,), 3))
                    for i in range(3))
-    assert exact_expected_theta(rule, problem, x) == pytest.approx(expected)
+    assert _expected_theta(rule, problem, x) == pytest.approx(expected)
 
 
 def test_exact_expected_theta_tau_nice_enumeration():
@@ -223,7 +230,7 @@ def test_exact_expected_theta_tau_nice_enumeration():
     x = np.random.default_rng(13).standard_normal(6)
     rule = parse_rule("nice:2", 6)
     vals = [engine.proportion(problem, x, S) for S in enumerate_subsets(6, 2)]
-    assert exact_expected_theta(rule, problem, x) == pytest.approx(np.mean(vals))
+    assert _expected_theta(rule, problem, x) == pytest.approx(np.mean(vals))
 
 
 def test_exact_expected_theta_mc_fallback_warns():
@@ -232,15 +239,16 @@ def test_exact_expected_theta_mc_fallback_warns():
     rule = BlockRule("tau_nice", 8, tau=4, seed=0, budget=5)
     exact = BlockRule("tau_nice", 8, tau=4, seed=0)
     with pytest.warns(UserWarning, match="Monte-Carlo"):
-        est = exact_expected_theta(rule, problem, x)
-    truth = exact_expected_theta(exact, problem, x)
+        est = _expected_theta(rule, problem, x)
+    truth = _expected_theta(exact, problem, x)
     assert est == pytest.approx(truth, rel=0.05)
 
 
 def test_exact_expected_theta_rejects_deterministic():
     problem = CompositeProblem(make_quadratic(np.eye(4)))
-    with pytest.raises(ValueError):
-        exact_expected_theta(parse_rule("greedy", 4), problem, np.ones(4))
+    for spec in ("full", "greedy", "cyclic", "greedymb:2"):
+        with pytest.raises(ValueError, match="deterministic"):
+            _expected_theta(parse_rule(spec, 4), problem, np.ones(4))
 
 
 def test_selection_on_generated_instance_all_rules():
@@ -291,8 +299,6 @@ def _expected_theta_by_enumeration(rule, problem, x, L):
     def theta(S):
         return engine.proportion(problem, x, S, cert=cert, grad=grad)
 
-    if rule.kind == "full_batch":
-        return theta(CoordSet.full(n))
     if rule.kind == "uniform_coord":
         return float(np.mean([theta(CoordSet((i,), n)) for i in range(n)]))
     if rule.kind == "importance_coord":
@@ -308,19 +314,19 @@ def test_exact_expected_theta_closed_forms_match_enumeration(seed, lam):
     n = problem.dim
     M = problem.objective.smoothness
     x = np.random.default_rng(100 + seed).standard_normal(n)
-    specs = ["full", "uniform", "nice:2", "nice:3", "nice:4"]
+    specs = ["uniform", "nice:2", "nice:3", "nice:4"]
     if problem.smooth_path:
         specs.append("importance")
     for spec in specs:
         rule = parse_rule(spec, n)
         L, _ = rates.rule_L(problem, rule)
-        got = exact_expected_theta(rule, problem, x, L=L)
+        got = _expected_theta(rule, problem, x, L)
         want = _expected_theta_by_enumeration(rule, problem, x, L)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), spec
         # the published bounds that these closed forms meet with equality
         if spec == "importance":
             assert got == 1.0 / float(np.diag(M).sum())
-        elif not problem.smooth_path and spec != "full":
+        elif not problem.smooth_path:
             assert got == rule.max_block_size / (n * L)
 
 
@@ -329,8 +335,8 @@ def test_exact_expected_theta_is_zero_where_the_certificate_vanishes():
     g0 = gen_instance(40, 12, seed=1).grad_f(x)
     l1 = gen_instance(40, 12, seed=1, lam=float(np.abs(g0).max()))
     quad = CompositeProblem(make_quadratic(random_spd(12, 5.0, 3)))
-    for problem, specs in ((l1, ["full", "uniform", "nice:3"]),
-                           (quad, ["full", "uniform", "importance", "nice:3"])):
+    for problem, specs in ((l1, ["uniform", "nice:3"]),
+                           (quad, ["uniform", "importance", "nice:3"])):
         assert engine.certificate(problem, x).lambda_total == 0.0
         for spec in specs:
-            assert exact_expected_theta(parse_rule(spec, 12), problem, x) == 0.0, spec
+            assert _expected_theta(parse_rule(spec, 12), problem, x) == 0.0, spec
