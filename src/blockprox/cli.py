@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -172,17 +173,31 @@ def _safe_name(rule_name: str) -> str:
     return rule_name.replace(":", "_")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError from creating or writing `path` (an output
+    directory or file) as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+
+
+def _output_file(cfg: ExperimentConfig, name: str) -> str:
+    """The path of `name` in the output directory, which is created."""
+    with _writing(cfg.out_dir):
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, name)
+
+
 def cmd_gen(cfg: ExperimentConfig, out_path=None) -> str:
     p = cfg.problem
     if p.get("kind", "generated") != "generated":
         raise ConfigError("gen only serializes generated instances")
     problem = build_problem(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = out_path or os.path.join(cfg.out_dir, "instance.json")
-    try:
+    path = out_path or _output_file(cfg, "instance.json")
+    with _writing(path):
         objectives.save_instance(problem, path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write instance to {path!r}: {exc}") from exc
     return path
 
 
@@ -197,7 +212,7 @@ def cmd_run(cfg: ExperimentConfig):
     # the gap, in the diagnostics and as a stopping rule, needs the optimum
     if (cfg.diagnostics or cfg.stop_on == "gap") and problem.opt_value is None:
         descent.empirical_optimum(problem)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    report_path = _output_file(cfg, "report.json")
 
     run_cfg = cfg.run_config()
     entries = {}
@@ -215,7 +230,8 @@ def cmd_run(cfg: ExperimentConfig):
         if name == "full":
             full_result = result
         trace_path = os.path.join(cfg.out_dir, f"trace_{_safe_name(name)}.csv")
-        descent.write_trace_csv(result, trace_path)
+        with _writing(trace_path):
+            descent.write_trace_csv(result, trace_path)
         first_F = result.trace[0].F if result.trace else result.final_F
         entry = {
             "rule": name,
@@ -264,14 +280,13 @@ def cmd_run(cfg: ExperimentConfig):
         rate = rates.general_nonconvex_epsilon(
             trace[0].xi, c, [row.k + 1 for row in trace])
         series_path = os.path.join(cfg.out_dir, "plateau_series.csv")
-        with open(series_path, "w") as fh:
+        with _writing(series_path), open(series_path, "w") as fh:
             fh.write("k,fx,dfx,rate\n")
             for row, r_k in zip(trace, rate):
                 fh.write(f"{row.k},{row.xi!r},{row.lam!r},{r_k!r}\n")
         report["plateau_series"] = series_path
 
-    report_path = os.path.join(cfg.out_dir, "report.json")
-    with open(report_path, "w") as fh:
+    with _writing(report_path), open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
 
     if any_numeric_failure:
@@ -370,10 +385,9 @@ def cmd_slice(cfg: ExperimentConfig, direction, radius: float, points: int,
         x_ref = descent.run(problem, rule, run_cfg).x
     x_ref = np.asarray(x_ref, dtype=float)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = out_path or os.path.join(cfg.out_dir, "slice.csv")
+    path = out_path or _output_file(cfg, "slice.csv")
     ts = np.linspace(-radius, radius, points)
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write("t,F\n")
         for t in ts:
             fh.write(f"{float(t)!r},{problem.F(x_ref + t * d)!r}\n")

@@ -4,7 +4,6 @@ records, and trace verification against the one-step descent inequality.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -285,18 +284,24 @@ TRACE_HEADER = ["k", "rule", "block", "F", "xi", "lambda", "mu", "theta",
 
 
 def write_trace_csv(result: RunResult, path) -> None:
-    """Stream trace rows to CSV; block is a ';'-joined 1-based index list."""
+    """Write the trace as CSV: the bytes `csv.writer` gives for TRACE_HEADER
+    and one row per record (CRLF row ends, float reprs, int strs, None as an
+    empty field, and `rule` quoted as QUOTE_MINIMAL would quote it).
 
-    def fmt(v):
+    `block` is the set's `CoordSet.block_text`, built once per set object,
+    so a row costs its six float reprs.  Rows are formatted one at a time
+    and streamed to the file, never held as one string.
+    """
+    name = result.rule_name
+    if any(c in name for c in ',"\r\n'):
+        name = '"' + name.replace('"', '""') + '"'
+
+    def opt(v):
         return "" if v is None else repr(v)
 
+    rows = (f"{r.k},{name},{r.block.block_text},{opt(r.F)},{opt(r.xi)},"
+            f"{opt(r.lam)},{opt(r.mu)},{opt(r.theta)},{opt(r.step_norm)},"
+            f"{r.elapsed_ns}\r\n" for r in result.trace)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in result.trace:
-            writer.writerow([
-                r.k, result.rule_name,
-                ";".join(str(i) for i in r.block.one_based()),
-                fmt(r.F), fmt(r.xi), fmt(r.lam), fmt(r.mu), fmt(r.theta),
-                fmt(r.step_norm), r.elapsed_ns,
-            ])
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.writelines(rows)

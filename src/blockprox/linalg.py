@@ -47,7 +47,11 @@ class EnumerationTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class CoordSet:
-    """A non-empty, strictly increasing set of coordinate indices in [0, n)."""
+    """A non-empty, strictly increasing set of coordinate indices in [0, n).
+
+    `array` and `block_text` are derived once per set object, on first read,
+    and kept on it; the set is frozen, so neither can be assigned.
+    """
 
     indices: tuple[int, ...]
     ambient_dim: int
@@ -76,6 +80,12 @@ class CoordSet:
         arr = np.array(self.indices, dtype=np.intp)
         arr.setflags(write=False)
         return arr
+
+    @functools.cached_property
+    def block_text(self) -> str:
+        """The 1-based indices joined by ';', the `block` field of a trace
+        CSV row, built on first read."""
+        return ";".join(map(str, self.one_based()))
 
     def is_full(self) -> bool:
         return len(self.indices) == self.ambient_dim

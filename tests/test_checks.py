@@ -64,3 +64,31 @@ def test_theta_bounds_read_one_gradient_per_point(monkeypatch, lam):
     # check_theta_bounds reads one gradient per point itself, so 50 calls
     # leave none for exact_expected_theta
     assert calls[0] == 50
+
+
+def _full_grid_min(model, grid):
+    return float(model(grid).min())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_oracle_matches_the_full_grid_search(monkeypatch, seed):
+    from blockprox import checks
+
+    coarse_to_fine = checks.check_certificate_oracle(seed=seed)
+    monkeypatch.setattr(checks, "convex_grid_min", _full_grid_min)
+    assert checks.check_certificate_oracle(seed=seed) == coarse_to_fine
+
+
+def test_convex_grid_min_is_the_full_grid_minimum_bit_for_bit():
+    from blockprox.checks import convex_grid_min
+
+    grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
+    rng = np.random.default_rng(0)
+    # minimizers inside the grid, on a coarse point, and past either end
+    gs = np.concatenate([rng.uniform(-5.0, 5.0, 300), [0.0, 1e-4, -1e-4, 50.0, -50.0]])
+    for g in gs:
+        for L, x_i in [(1.0, rng.uniform(-1, 1)), (float(rng.uniform(0.5, 20)), 0.0),
+                       (float(rng.uniform(0.5, 20)), float(rng.uniform(-2, 2)))]:
+            def model(t):
+                return g * t + 0.5 * L * t * t + 0.1 * (np.abs(x_i + t) - abs(x_i))
+            assert convex_grid_min(model, grid) == float(model(grid).min())

@@ -599,3 +599,27 @@ def test_cli_import_defers_scipy_sparse_and_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("where", ["an existing file", "a path under a file"])
+@pytest.mark.parametrize("command", ["gen", "run", "slice"])
+def test_unusable_output_dir_is_config_error(tmp_path, capsys, command, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "an existing file" else blocker / "out"
+    body = ("[problem]\nkind = generated\nm = 10\nn = 3\n[rules]\nrules = full\n"
+            f"[run]\nmax_iters = 5\n[output]\ndir = {out}\n")
+    assert main([command, write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen", "slice"])
+def test_out_option_leaves_the_output_dir_alone(tmp_path, capsys, command):
+    unused = tmp_path / "unused"
+    body = ("[problem]\nkind = generated\nm = 10\nn = 3\n[rules]\nrules = full\n"
+            f"[output]\ndir = {unused}\n")
+    target = tmp_path / "written"
+    assert main([command, write_cfg(tmp_path, body), "--out", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{target}\n"
+    assert target.is_file() and not unused.exists()

@@ -1,12 +1,16 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from blockprox import engine, rates
 from blockprox.descent import (
+    TRACE_HEADER,
+    IterationRecord,
     NumericFailureError,
     RunConfig,
+    RunResult,
     UnverifiableError,
     empirical_optimum,
     run,
@@ -14,6 +18,7 @@ from blockprox.descent import (
     verify_trace,
     write_trace_csv,
 )
+from blockprox.linalg import CoordSet
 from blockprox.objectives import (
     CompositeProblem,
     Objective,
@@ -228,6 +233,115 @@ def test_trace_csv_empty_diagnostics(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][4] == ""  # xi column empty without diagnostics
+
+
+def _csv_writer_trace(result, path):
+    """The trace CSV as `csv.writer` writes it: the byte oracle of
+    `write_trace_csv`."""
+
+    def fmt(v):
+        return "" if v is None else repr(v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        for r in result.trace:
+            writer.writerow([
+                r.k, result.rule_name,
+                ";".join(str(i) for i in r.block.one_based()),
+                fmt(r.F), fmt(r.xi), fmt(r.lam), fmt(r.mu), fmt(r.theta),
+                fmt(r.step_norm), r.elapsed_ns,
+            ])
+
+
+def _assert_csv_bytes_match(result, tmp_path):
+    expected, written = tmp_path / "expected.csv", tmp_path / "written.csv"
+    _csv_writer_trace(result, expected)
+    write_trace_csv(result, written)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def n100_problems():
+    smooth = gen_instance(200, 100, seed=3)
+    l1 = gen_instance(200, 100, seed=3, lam=0.05)
+    for problem in (smooth, l1):
+        empirical_optimum(problem)
+    return {"smooth": smooth, "l1": l1}
+
+
+# the L1 block rules price their steps with the trace bound on L_8
+@pytest.mark.filterwarnings("ignore:C\\(100,8\\) exceeds the enumeration budget")
+@pytest.mark.parametrize("diagnostics", [True, False])
+@pytest.mark.parametrize("kind, spec", [
+    (kind, spec) for kind in ("smooth", "l1")
+    for spec in ("full", "uniform", "importance", "greedy", "cyclic", "nice:8",
+                 "greedymb:8")
+    if kind == "smooth" or spec != "importance"  # smooth-path only
+])
+def test_trace_csv_bytes_match_csv_writer(n100_problems, tmp_path, kind, spec,
+                                          diagnostics):
+    result = run(n100_problems[kind], parse_rule(spec, 100, default_seed=7),
+                 RunConfig(max_iters=25, record_diagnostics=diagnostics))
+    _assert_csv_bytes_match(result, tmp_path)
+
+
+def _hand_built_result(rows, rule_name="full", n=3):
+    return RunResult(x=np.zeros(n), trace=rows, termination="exhausted_iters",
+                     final_F=0.0, final_xi=None, final_lambda=None,
+                     rule_name=rule_name, L_used=None)
+
+
+def test_trace_csv_bytes_match_csv_writer_on_an_empty_trace(tmp_path):
+    _assert_csv_bytes_match(_hand_built_result([]), tmp_path)
+
+
+def test_trace_csv_bytes_match_csv_writer_on_edge_values(tmp_path):
+    S = CoordSet((0, 2), 3)
+    rows = [
+        IterationRecord(0, S, -0.0, math.nan, math.inf, None, 5e-324, -math.inf, 12),
+        IterationRecord(1, S, 5e-324, None, None, None, None, -0.0, 0),
+        IterationRecord(2, CoordSet.full(3), math.nan, 0.1, -0.0, math.inf, None,
+                        1e300, 2**63),
+    ]
+    for name in ['a,b"c', "full", "line\nbreak", "cr\rhere", ""]:
+        _assert_csv_bytes_match(_hand_built_result(rows, name), tmp_path)
+
+
+def test_trace_csv_builds_each_block_text_once(monkeypatch, tmp_path):
+    calls = [0]
+    one_based = CoordSet.one_based
+
+    def counted(self):
+        calls[0] += 1
+        return one_based(self)
+
+    monkeypatch.setattr(CoordSet, "one_based", counted)
+    problem = gen_instance(200, 100, seed=0)
+    result = run(problem, BlockRule("full_batch", 100), RunConfig(max_iters=400))
+    assert len(result.trace) == 400
+    write_trace_csv(result, tmp_path / "full.csv")
+    # every row shares the rule's one full set, whose text is kept on it
+    assert calls[0] == 1
+
+
+def test_trace_csv_streams_its_rows(tmp_path):
+    import tracemalloc
+
+    full = CoordSet.full(1000)
+    rows = [IterationRecord(k, full, 1.0 / (k + 3), 2.0 / (k + 3), 0.1 * k, 0.5,
+                            1.0 / 7, 3.0 ** -k, 1000 + k) for k in range(5000)]
+    result = _hand_built_result(rows, n=1000)
+    path = tmp_path / "full.csv"
+    tracemalloc.start()
+    try:
+        write_trace_csv(result, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file is about 20 MB; the writer holds one row at a time
+    assert path.stat().st_size > 5000 * 3893
+    assert peak < 2**20
 
 
 def test_randomized_runs_reproducible():

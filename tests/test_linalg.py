@@ -44,6 +44,14 @@ def test_coordset_full_and_roundtrip():
     assert CoordSet((0, 2), 4).one_based() == (1, 3)
 
 
+def test_coordset_block_text_is_built_once_and_read_only():
+    s = CoordSet((0, 2, 9), 10)
+    assert s.block_text == "1;3;10"
+    assert s.block_text is s.block_text
+    with pytest.raises(AttributeError):  # a frozen dataclass
+        s.block_text = "2"
+
+
 def test_mask_and_embed_are_adjoint():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(7)
