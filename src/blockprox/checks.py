@@ -15,7 +15,7 @@ from . import descent, engine, objectives, rates, selection
 from .descent import TraceCheck
 from .linalg import eig_extremes, is_spd
 from .objectives import CompositeProblem, make_l1
-from .selection import BlockRule, parse_rule
+from .selection import KINDS, BlockRule
 
 EXIT_OK = 0
 EXIT_VERIFY = 3  # some check failed
@@ -28,11 +28,10 @@ def _small_instances(seed):
 
 
 def _campaign_rules(n, tau, seed, smooth):
-    names = ["full", "uniform", "greedy", "cyclic", f"nice:{tau}",
-             f"greedymb:{tau}"]
-    if smooth:
-        names.insert(2, "importance")
-    return [parse_rule(t, n, default_seed=seed + j) for j, t in enumerate(names)]
+    """Every rule the path offers, in table order, the j-th seeded seed + j."""
+    kinds = [kind for kind, row in KINDS.items() if smooth or row.prox]
+    return [BlockRule(kind, n, tau=tau if KINDS[kind].shape == "minibatch" else None,
+                      seed=seed + j) for j, kind in enumerate(kinds)]
 
 
 def check_spd(problem):
@@ -60,23 +59,23 @@ def check_descent_inequalities(problem, seed=0, iters=150, tau=3):
 
 
 def check_theta_bounds(problem, seed=0, tau=3, n_points=50):
-    """Each rule's theta at n_points random x against the published bound
+    """Each campaign rule's theta at n_points random x against the bound
     that `rates` predicts with (on the conditional expectation for a
-    randomized rule); greedy minibatch must also reach the tau-nice
-    expectation.  One gradient per point, one certificate per distinct
-    `rates.rule_L`."""
+    randomized rule), where one is published; greedy minibatch must also
+    reach the tau-nice expectation.  One gradient per point, one
+    certificate per distinct `rates.rule_L`."""
     rng = np.random.default_rng(seed)
     n = problem.dim
     worst = np.inf
     ok, detail = True, ""
-    names = ["full", "uniform"] + (
-        ["importance", "greedy", f"nice:{tau}"] if problem.smooth_path
-        else ["greedy", f"nice:{tau}", f"greedymb:{tau}"])
-    rules = [parse_rule(name, n, default_seed=seed) for name in names]
-    bounds = {rule.name: rates.rule_constant(rule, problem)[0] for rule in rules}
+    rules, bounds = [], {}
+    for rule in _campaign_rules(n, tau, seed, problem.smooth_path):
+        try:
+            bounds[rule.name] = rates.rule_constant(rule, problem)[0]
+        except rates.NoGuaranteeError:
+            continue  # cyclic
+        rules.append(rule)
     nice, gmb = f"nice:{tau}", f"greedymb:{tau}"
-    if gmb not in bounds:
-        rules.append(parse_rule(gmb, n, default_seed=seed))
     Ls = [rates.rule_L(problem, rule)[0] for rule in rules]
     for _ in range(n_points):
         x = rng.standard_normal(n)
@@ -93,7 +92,7 @@ def check_theta_bounds(problem, seed=0, tau=3, n_points=50):
                 vals[rule.name] = engine.proportion(problem, x, S, cert=cert,
                                                     grad=grad)
         bounds_here = dict(bounds)
-        bounds_here[gmb] = max(bounds_here.get(gmb, 0.0), vals[nice])
+        bounds_here[gmb] = max(bounds[gmb], vals[nice])
         for name, lo in bounds_here.items():
             margin = vals[name] - lo * (1 - 1e-9)
             worst = min(worst, margin)

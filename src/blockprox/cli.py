@@ -20,6 +20,7 @@ Config files are INI text with four sections::
     diagnostics = true | false
     stop_on = iters | gap | certificate
     seed = 0            # global seed; --seed on the command line overrides
+    budget = 2000000    # subsets a rule may enumerate (>= 0)
 
     [output]
     dir = out
@@ -109,6 +110,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if cfg.seed < 0:
         # numpy's generators take nonnegative seeds only
         raise ConfigError(f"global seed must be nonnegative, got {cfg.seed}")
+    if cfg.budget is not None and cfg.budget < 0:
+        raise ConfigError(f"budget must be nonnegative, got {cfg.budget}")
     return cfg
 
 
@@ -204,11 +207,8 @@ def cmd_gen(cfg: ExperimentConfig, out_path=None) -> str:
 def cmd_run(cfg: ExperimentConfig):
     problem = build_problem(cfg)
     rules = build_rules(cfg, problem.dim)
-    if not problem.smooth_path:
-        for rule in rules:
-            if rule.kind == "importance_coord":
-                raise ConfigError(
-                    "importance sampling is not offered on nonsmooth problems")
+    for rule in rules:
+        rule.refuse_off_path(problem, ConfigError)
     # the gap, in the diagnostics and as a stopping rule, needs the optimum
     if (cfg.diagnostics or cfg.stop_on == "gap") and problem.opt_value is None:
         descent.empirical_optimum(problem)

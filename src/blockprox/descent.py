@@ -103,14 +103,13 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     if cfg.stop_on == "gap" and not has_opt:
         raise ValueError("gap stopping needs a known or empirical optimum")
 
-    greedy_nonsmooth = (not problem.smooth_path
-                        and rule.kind in ("greedy_coord", "greedy_minibatch"))
+    greedy_nonsmooth = rule.row.greedy and not problem.smooth_path
     stop_on_cert = cfg.stop_on == "certificate"
     need_cert = cfg.record_diagnostics or stop_on_cert or greedy_nonsmooth
     # a full-batch step depends on x alone, so one that leaves F in place is
     # repeated forever; a serial or minibatch step that does only says its
     # block is at a minimum
-    stop_on_stagnation = stop_on_cert and rule.kind == "full_batch"
+    stop_on_stagnation = stop_on_cert and rule.row.shape == "full"
     stagnant = False
 
     F_init = F_cur

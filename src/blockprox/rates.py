@@ -165,33 +165,35 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
 
 def rule_constant(rule, problem):
     """The published lower bound on (the expectation of) the proportion
-    function for a selection rule, with provenance.  Enumerated constants
-    read the rule's own budget, as its steps do (`rule_L`)."""
+    function for a selection rule, with provenance, from its row's shape and
+    the problem's path.  Enumerated constants read the rule's own budget, as
+    its steps do (`rule_L`)."""
+    rule.refuse_off_path(problem, NoGuaranteeError,
+                         "no nonsmooth bound published for {} sampling")
     M = problem.objective.smoothness
     n = M.shape[0]
     smooth = problem.smooth_path
-    kind = rule.kind
-    if kind == "cyclic_coord":
-        raise NoGuaranteeError("cyclic selection carries no complexity bound")
-    if kind == "full_batch":
+    row = rule.row
+    if row.shape == "full":
         lam_max = problem.objective.lambda_max
         return 1.0 / lam_max, {"lambda_max(M)": lam_max}
-    if kind in ("uniform_coord",) or (not smooth and kind == "greedy_coord"):
-        top = float(np.diag(M).max())
-        return 1.0 / (n * top), {"n*max_diag(M)": n * top}
-    if kind in ("importance_coord", "greedy_coord"):
-        if not smooth:
-            raise NoGuaranteeError(
-                "no nonsmooth bound published for importance sampling")
+    if row.shape == "minibatch":
+        if smooth:
+            E = problem.objective.expected_inverse(rule.tau, rule.budget)
+            lam_min = eig_extremes(E)[0]
+            return lam_min, {"lambda_min(E[inv])": lam_min}
+        lt = problem.objective.block_smoothness(rule.tau, rule.budget).value
+        return rule.tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / rule.tau}
+    if not (row.randomized or row.greedy):
+        raise NoGuaranteeError(f"{row.name} selection carries no complexity bound")
+    if smooth and (row.greedy or not row.prox):
+        # the smooth-only draw p_i = M_ii / trace(M), and the greedy pick,
+        # which does at least as well; the uniform draw and every serial
+        # rule on the prox path take n * max M_ii below
         trace = float(np.diag(M).sum())
         return 1.0 / trace, {"trace(M)": trace}
-    # minibatch kinds
-    if smooth:
-        E = problem.objective.expected_inverse(rule.tau, rule.budget)
-        lam_min = eig_extremes(E)[0]
-        return lam_min, {"lambda_min(E[inv])": lam_min}
-    lt = problem.objective.block_smoothness(rule.tau, rule.budget).value
-    return rule.tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / rule.tau}
+    top = float(np.diag(M).max())
+    return 1.0 / (n * top), {"n*max_diag(M)": n * top}
 
 
 def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
@@ -200,7 +202,7 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     # refuse before computing the rule's constant, which may be costly
-    if fclass.kind == "gradient_dominated" and rule.kind != "full_batch":
+    if fclass.kind == "gradient_dominated" and rule.row.shape != "full":
         raise NoGuaranteeError(
             "gradient-dominated bounds are published for batch descent only")
     c, provenance = rule_constant(rule, problem)

@@ -1,14 +1,15 @@
 """Block selection procedures: deterministic, randomized, and greedy,
 serial and minibatch.
 
-Config grammar: ``full | uniform | importance | greedy | cyclic |
-nice:<tau> | greedymb:<tau>`` optionally followed by ``seed=<u64>``.
+What a selection kind is lives in its row of `KINDS`.  Config grammar:
+``full | uniform | importance | greedy | cyclic | nice:<tau> |
+greedymb:<tau>`` optionally followed by ``seed=<u64>``.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,36 +21,43 @@ from .linalg import (
 )
 from .objectives import CompositeProblem
 
-SERIAL_KINDS = ("uniform_coord", "importance_coord", "greedy_coord", "cyclic_coord")
-MINIBATCH_KINDS = ("tau_nice", "greedy_minibatch")
-ALL_KINDS = ("full_batch",) + SERIAL_KINDS + MINIBATCH_KINDS
 
-RANDOMIZED_KINDS = ("uniform_coord", "importance_coord", "tau_nice")
+class RuleRow(NamedTuple):
+    name: str         # config name
+    shape: str        # block size: "full" (n), "serial" (1), "minibatch" (tau)
+    randomized: bool  # draws its block from the rule's own generator
+    prox: bool        # offered on the prox (scalar-L) path
+    greedy: bool      # reads the gradient, or the certificate on the prox path
 
-# config name -> kind; minibatch names take ":<tau>"
-RULE_KINDS = {
-    "full": "full_batch",
-    "uniform": "uniform_coord",
-    "importance": "importance_coord",
-    "greedy": "greedy_coord",
-    "cyclic": "cyclic_coord",
-    "nice": "tau_nice",
-    "greedymb": "greedy_minibatch",
+
+#: One row per selection kind, in the order campaigns list them.
+KINDS = {
+    "full_batch": RuleRow("full", "full", False, True, False),
+    "uniform_coord": RuleRow("uniform", "serial", True, True, False),
+    "importance_coord": RuleRow("importance", "serial", True, False, False),
+    "greedy_coord": RuleRow("greedy", "serial", False, True, True),
+    "cyclic_coord": RuleRow("cyclic", "serial", False, True, False),
+    "tau_nice": RuleRow("nice", "minibatch", True, True, False),
+    "greedy_minibatch": RuleRow("greedymb", "minibatch", False, True, True),
 }
-RULE_NAMES = {kind: name for name, kind in RULE_KINDS.items()}
 
 
 class BlockRule:
     def __init__(self, kind: str, n: int, tau: Optional[int] = None, seed: int = 0,
                  budget: int = DEFAULT_ENUMERATION_BUDGET):
-        if kind not in ALL_KINDS:
+        row = KINDS.get(kind)
+        if row is None:
             raise ValueError(f"unknown selection kind {kind!r}")
-        if kind in MINIBATCH_KINDS:
+        if row.shape == "minibatch":
             if tau is None or not 1 <= tau <= n:
                 raise ValueError(f"minibatch rule needs tau in [1, {n}], got {tau}")
-        else:
-            tau = None
+        elif tau is not None:
+            raise ValueError(f"rule {row.name!r} takes no block size, got {tau}")
         self.kind = kind
+        self.row = row
+        self.name = row.name if tau is None else f"{row.name}:{tau}"
+        self.max_block_size = {"full": n, "serial": 1}.get(row.shape, tau)
+        self.is_randomized = row.randomized
         self.n = n
         self.tau = tau
         self.seed = seed
@@ -66,22 +74,12 @@ class BlockRule:
     def full_set(self) -> CoordSet:
         return CoordSet.full(self.n)
 
-    @property
-    def max_block_size(self) -> int:
-        if self.kind == "full_batch":
-            return self.n
-        if self.kind in SERIAL_KINDS:
-            return 1
-        return self.tau
-
-    @property
-    def is_randomized(self) -> bool:
-        return self.kind in RANDOMIZED_KINDS
-
-    @property
-    def name(self) -> str:
-        name = RULE_NAMES[self.kind]
-        return f"{name}:{self.tau}" if self.kind in MINIBATCH_KINDS else name
+    def refuse_off_path(self, problem, error=ValueError,
+                        text="{} sampling is not offered on nonsmooth problems"):
+        """Raise `error(text)`, formatted with the rule's name, when the
+        problem is on the prox path and the rule's row does not offer it."""
+        if not (self.row.prox or problem.smooth_path):
+            raise error(text.format(self.name))
 
     def __repr__(self):
         return f"BlockRule({self.name!r}, n={self.n}, seed={self.seed})"
@@ -102,10 +100,10 @@ def parse_rule(text: str, n: int, default_seed: int = 0,
     if ":" in head:
         head, tau_text = head.split(":", 1)
         tau = int(tau_text)
-    kind = RULE_KINDS.get(head)
-    if kind is None:
-        raise ValueError(f"unknown rule {head!r}")
-    return BlockRule(kind, n, tau=tau, seed=seed, budget=budget)
+    for kind, row in KINDS.items():
+        if row.name == head:
+            return BlockRule(kind, n, tau=tau, seed=seed, budget=budget)
+    raise ValueError(f"unknown rule {head!r}")
 
 
 def _tau_nice_draw(rule: BlockRule) -> CoordSet:
@@ -174,8 +172,10 @@ def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
     the current iterate: the counter k (cyclic), the gradient grad f(x)
     (smooth greedy rules) or the per-coordinate certificate (greedy rules on
     the prox path, which raise ValueError without it).  The random rules
-    draw from their own generator.  No path evaluates a gradient."""
+    draw from their own generator.  No path evaluates a gradient.  A rule
+    the prox path does not offer raises ValueError there."""
     rule.last_was_heuristic = False
+    rule.refuse_off_path(problem)
     n = rule.n
     kind = rule.kind
     if kind == "full_batch":
@@ -185,9 +185,6 @@ def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
     if kind == "cyclic_coord":
         return rule.singletons[k % n]
     if kind == "importance_coord":
-        if not problem.smooth_path:
-            raise ValueError("importance sampling has no scalar-L guarantee; "
-                             "not offered for nonsmooth problems")
         # the draw rng.choice(n, p=diag(M) / trace(M)) makes, without
         # re-validating p on every call
         cdf = problem.objective.importance_cdf
@@ -232,8 +229,7 @@ def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
     if not rule.is_randomized:
         raise ValueError(
             f"no expectation defined for deterministic rule {rule.name!r}")
-    if rule.kind == "importance_coord" and not problem.smooth_path:
-        raise ValueError("importance sampling is smooth-only")
+    rule.refuse_off_path(problem)
     if cert.lambda_total <= 0.0:
         return 0.0
     if not problem.smooth_path:

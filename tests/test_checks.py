@@ -92,3 +92,18 @@ def test_convex_grid_min_is_the_full_grid_minimum_bit_for_bit():
             def model(t):
                 return g * t + 0.5 * L * t * t + 0.1 * (np.abs(x_i + t) - abs(x_i))
             assert convex_grid_min(model, grid) == float(model(grid).min())
+
+
+def test_campaign_rules_keep_their_order_and_seeds():
+    """The campaign lists the offered rows in table order, the j-th seeded
+    seed + j, so the check suite's draws do not move."""
+    from blockprox import checks
+
+    for smooth, names in (
+            (True, ["full", "uniform", "importance", "greedy", "cyclic",
+                    "nice:3", "greedymb:3"]),
+            (False, ["full", "uniform", "greedy", "cyclic", "nice:3",
+                     "greedymb:3"])):
+        rules = checks._campaign_rules(12, 3, 5, smooth)
+        assert [r.name for r in rules] == names
+        assert [r.seed for r in rules] == list(range(5, 5 + len(names)))

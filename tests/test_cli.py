@@ -255,9 +255,9 @@ seed = 0
 [output]
 dir = {out}
 """.format(out=tmp_path / "outn"), "nim.ini")
-    # selection raises ValueError inside the run -> surfaces as numeric/config;
-    # the campaign records it per-rule, so exit is non-zero either way
-    assert main(["run", nim]) != EXIT_OK
+    # run refuses the rule before any run and before writing a report
+    assert main(["run", nim]) == EXIT_CONFIG
+    assert not (tmp_path / "outn" / "report.json").exists()
 
 
 def test_main_seed_override_changes_outputs(tmp_path):
@@ -506,6 +506,10 @@ def test_report_carries_L_used_and_its_source(tmp_path):
     # NaN is not positive: refused like -1, before any rate is priced
     (("max_iters = 60", "max_iters = 60\nepsilon = nan"), ["rates"], EXIT_CONFIG),
     (None, ["rates", "--epsilon", "nan"], EXIT_CONFIG),
+    # a block size on a serial rule, say greedy:3 meant as greedymb:3
+    (("greedymb:3", "greedy:3"), ["run"], EXIT_CONFIG),
+    (("max_iters = 60", "max_iters = 60\nbudget = -5"), ["run"], EXIT_CONFIG),
+    (("max_iters = 60", "max_iters = 60\nbudget = -5"), ["rates"], EXIT_CONFIG),
 ])
 def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expected):
     body = SMOOTH_CFG.format(out=tmp_path / "out")
@@ -515,6 +519,18 @@ def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expecte
     assert main([command[0], path] + command[1:]) == expected
     err = capsys.readouterr().err
     assert ("config error:" in err) == (expected == EXIT_CONFIG)
+
+
+def test_negative_budget_is_config_error(tmp_path):
+    body = SMOOTH_CFG.format(out=tmp_path / "out")
+    for budget, ok in ((-5, False), (-1, False), (0, True), (20, True)):
+        path = write_cfg(tmp_path, body.replace(
+            "max_iters = 60", f"max_iters = 60\nbudget = {budget}"))
+        if ok:
+            assert load_config(path).budget == budget
+        else:
+            with pytest.raises(ConfigError, match="budget must be nonnegative"):
+                load_config(path)
 
 
 def test_rates_constant_reads_the_run_budget(tmp_path, capsys):

@@ -4,7 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockprox import engine, rates
+from blockprox import checks, engine, rates
+from blockprox.cli import EXIT_CONFIG, main
+from blockprox.descent import RunConfig, run
 from blockprox.linalg import CoordSet, enumerate_subsets, subset_count
 from blockprox.objectives import (
     CompositeProblem,
@@ -14,6 +16,7 @@ from blockprox.objectives import (
     random_spd,
 )
 from blockprox.selection import (
+    KINDS,
     BlockRule,
     exact_expected_theta,
     parse_rule,
@@ -66,6 +69,10 @@ def test_parse_rule_errors():
         parse_rule("nice:11", 10)
     with pytest.raises(ValueError):
         parse_rule("full frobnicate=1", 10)
+    # only the minibatch shape takes a block size
+    for text in ("uniform:5", "full:0", "greedy:4", "cyclic:1", "importance:2"):
+        with pytest.raises(ValueError, match="takes no block size"):
+            parse_rule(text, 10)
 
 
 def test_max_block_size():
@@ -340,3 +347,57 @@ def test_exact_expected_theta_is_zero_where_the_certificate_vanishes():
         assert engine.certificate(problem, x).lambda_total == 0.0
         for spec in specs:
             assert _expected_theta(parse_rule(spec, 12), problem, x) == 0.0, spec
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_row_of_the_rule_table(kind, tmp_path, capsys):
+    """Each fact of a row reaches selection, the expectations, rates, the
+    CLI and the check campaign."""
+    row, n, tau = KINDS[kind], 6, 3
+    spec = f"{row.name}:{tau}" if row.shape == "minibatch" else row.name
+    rule = parse_rule(spec, n)
+    assert (rule.kind, rule.row, rule.name) == (kind, row, spec)
+    assert rule.max_block_size == {"full": n, "serial": 1, "minibatch": tau}[row.shape]
+
+    M = random_spd(n, 4.0, 1)
+    x = np.random.default_rng(0).standard_normal(n)
+    smooth = CompositeProblem(make_quadratic(M))
+    grad = smooth.grad_f(x)
+    cert = engine.certificate(smooth, x, grad=grad)
+    if rule.is_randomized:
+        assert exact_expected_theta(rule, smooth, grad, cert) > 0
+    else:
+        with pytest.raises(ValueError, match="deterministic"):
+            exact_expected_theta(rule, smooth, grad, cert)
+
+    prox = CompositeProblem(make_quadratic(M), make_l1(0.1))
+    grad = prox.grad_f(x)
+    cert = engine.certificate(prox, x, rates.rule_L(prox, rule)[0], grad=grad)
+    if row.prox:
+        S = select(rule, prox, 0, grad, cert.lambda_per_coord)
+        assert len(S) == rule.max_block_size
+        # a greedy row needs the certificate there, and `run` computes it
+        if row.greedy:
+            with pytest.raises(ValueError, match="certificates"):
+                select(rule, prox, 0, grad)
+        else:
+            select(rule, prox, 0, grad)
+        assert len(run(prox, rule, RunConfig(max_iters=3)).trace) == 3
+    else:
+        with pytest.raises(ValueError, match="not offered"):
+            select(rule, prox, 0, grad, cert.lambda_per_coord)
+        if rule.is_randomized:
+            with pytest.raises(ValueError, match="not offered"):
+                exact_expected_theta(rule, prox, grad, cert)
+        with pytest.raises(rates.NoGuaranteeError):
+            rates.rule_constant(rule, prox)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[problem]\nkind = quadratic\nn = {n}\nlambda = 0.1\n"
+                       f"[rules]\nrules = {spec}\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    for on_smooth in (True, False):
+        listed = [r.kind for r in checks._campaign_rules(n, tau, 0, on_smooth)]
+        assert (kind in listed) == (on_smooth or row.prox)
