@@ -131,7 +131,8 @@ class Objective:
     def expected_inverse(self, tau: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """`rates.expected_inverse_matrix` of M, computed once per
-        (tau, budget) and read-only."""
+        (tau, budget) and read-only.  Raises EnumerationTooLargeError over
+        the budget."""
         def build():
             E = rates.expected_inverse_matrix(self.smoothness, tau, budget)
             E.setflags(write=False)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
-    EnumerationTooLargeError,
     check_symmetric,
     chunk_rows,
     eig_extremes,
@@ -22,12 +21,6 @@ from .linalg import (
     subset_count,
     subset_index_chunks,
 )
-
-
-#: Past the enumeration budget `expected_inverse_matrix` averages this many
-#: sets drawn from `default_rng(INVERSE_MC_SEED)`.
-INVERSE_MC_SAMPLES = 20_000
-INVERSE_MC_SEED = 0
 
 
 class NoGuaranteeError(ValueError):
@@ -116,50 +109,28 @@ def rule_L(problem, rule):
     return problem.objective.block_smoothness(rule.max_block_size, rule.budget)
 
 
-def _accumulate_inverses(out: np.ndarray, M: np.ndarray, subsets: np.ndarray) -> None:
-    """out[S, S] += inv(M[S, S]) for each row S of `subsets`, in row order
-    (np.add.at adds repeated entries in index order)."""
-    inv = np.linalg.inv(gather_blocks(M, subsets))
-    rows = np.broadcast_to(subsets[:, :, None], inv.shape).ravel()
-    cols = np.broadcast_to(subsets[:, None, :], inv.shape).ravel()
-    np.add.at(out, (rows, cols), inv.ravel())
-
-
 def expected_inverse_matrix(M: np.ndarray, tau: int,
                             budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     """Average over all cardinality-tau sets S of the inverse block of M
     embedded back at the rows/columns of S.
 
     Blocks are inverted a chunk at a time (the blocks, their inverses and
-    their row and column indices, and for drawn sets each draw's n uniforms
-    and their argpartition indices, within SUBSET_CHUNK_BYTES) and summed in
-    enumeration (or draw) order, so the result does not depend on the chunk
-    size: each block is inverted on its own, and the Monte-Carlo sets are
-    consecutive rows of one random stream.  Callers with an objective read it
-    through `Objective.expected_inverse`, which caches it.
+    their row and column indices within SUBSET_CHUNK_BYTES) and summed in
+    enumeration order, so the result does not depend on the chunk size:
+    each block is inverted on its own.  Raises EnumerationTooLargeError,
+    before inverting any block, when C(n, tau) exceeds the budget.  Callers
+    with an objective read it through `Objective.expected_inverse`, which
+    caches it.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     out = np.zeros_like(M)
-    try:
-        chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, 4))
-    except EnumerationTooLargeError:
-        warnings.warn(
-            f"C({n},{tau}) exceeds the enumeration budget; Monte-Carlo "
-            f"estimate over {INVERSE_MC_SAMPLES} samples"
-        )
-        rng = np.random.default_rng(INVERSE_MC_SEED)
-        chunk = chunk_rows(tau, 4, extra=2 * n)
-        done = 0
-        while done < INVERSE_MC_SAMPLES:
-            size = min(chunk, INVERSE_MC_SAMPLES - done)
-            # the tau smallest of n iid uniforms index a uniform tau-subset
-            _accumulate_inverses(out, M, np.sort(
-                rng.random((size, n)).argpartition(tau - 1, axis=1)[:, :tau], axis=1))
-            done += size
-        return out / INVERSE_MC_SAMPLES
-    for block in chunks:
-        _accumulate_inverses(out, M, block)
+    for subsets in subset_index_chunks(n, tau, budget, chunk_rows(tau, 4)):
+        inv = np.linalg.inv(gather_blocks(M, subsets))
+        rows = np.broadcast_to(subsets[:, :, None], inv.shape).ravel()
+        cols = np.broadcast_to(subsets[:, None, :], inv.shape).ravel()
+        # np.add.at adds repeated entries in index order
+        np.add.at(out, (rows, cols), inv.ravel())
     return out / subset_count(n, tau)
 
 
@@ -167,7 +138,8 @@ def rule_constant(rule, problem):
     """The published lower bound on (the expectation of) the proportion
     function for a selection rule, with provenance, from its row's shape and
     the problem's path.  Enumerated constants read the rule's own budget, as
-    its steps do (`rule_L`)."""
+    its steps do (`rule_L`); past it a smooth minibatch row takes a
+    certified floor that enumerates nothing."""
     rule.refuse_off_path(problem, NoGuaranteeError,
                          "no nonsmooth bound published for {} sampling")
     M = problem.objective.smoothness
@@ -178,12 +150,30 @@ def rule_constant(rule, problem):
         lam_max = problem.objective.lambda_max
         return 1.0 / lam_max, {"lambda_max(M)": lam_max}
     if row.shape == "minibatch":
-        if smooth:
-            E = problem.objective.expected_inverse(rule.tau, rule.budget)
+        tau = rule.tau
+        if not smooth:
+            lt = problem.objective.block_smoothness(tau, rule.budget).value
+            return tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / tau}
+        if subset_count(n, tau) <= rule.budget:
+            E = problem.objective.expected_inverse(tau, rule.budget)
             lam_min = eig_extremes(E)[0]
             return lam_min, {"lambda_min(E[inv])": lam_min}
-        lt = problem.objective.block_smoothness(rule.tau, rule.budget).value
-        return rule.tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / rule.tau}
+        if row.greedy:
+            # past the budget `select` runs the forward-greedy heuristic: its
+            # first pick maximises g_i^2 / M_ii >= ||g||^2 / trace(M), and
+            # g_S' inv(M_S) g_S only grows with S
+            trace = float(np.diag(M).sum())
+            return 1.0 / trace, {"trace(M), forward-greedy heuristic": trace}
+        # For each S and h, h' inv(M_S) h = max_y (2 y' I_S h - y' I_S M I_S y),
+        # I_S the projection onto S.  The expectation of a max is at least
+        # the max of the expectation, so E[inv(M_S)] >= D_p inv(P o M) D_p
+        # with p_i = P(i in S) and P_ij = P(i, j in S); for tau-nice sets
+        # that is (tau/n) inv(B), B = (1 - beta) Diag(M) + beta M with
+        # beta = (tau - 1)/(n - 1), exact at tau = 1 and at tau = n
+        B = (tau - 1) / max(n - 1, 1) * M
+        np.fill_diagonal(B, np.diag(M))
+        floor = tau / (n * eig_extremes(B)[1])
+        return floor, {"(tau/n)/lambda_max(B)": floor}
     if not (row.randomized or row.greedy):
         raise NoGuaranteeError(f"{row.name} selection carries no complexity bound")
     if smooth and (row.greedy or not row.prox):

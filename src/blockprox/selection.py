@@ -221,10 +221,10 @@ def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
         nice:tau    g' E[inv(M_S)] g / ||g||^2        tau / (n L)
 
     and zero where the certificate vanishes.  E[inv(M_S)] is
-    `Objective.expected_inverse`; its Monte-Carlo estimate past the
-    enumeration budget, flagged by a warning, is the only sampled path.
-    No gradient or certificate is evaluated here; a deterministic rule's
-    theta is `engine.proportion` of the set it selects.
+    `Objective.expected_inverse`, which raises EnumerationTooLargeError
+    past the rule's enumeration budget.  No gradient or certificate is
+    evaluated here; a deterministic rule's theta is `engine.proportion` of
+    the set it selects.
     """
     if not rule.is_randomized:
         raise ValueError(

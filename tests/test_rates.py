@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from blockprox.rates import (
     strongly_convex_mu,
     weakly_convex_rho,
 )
-from blockprox.selection import parse_rule
+from blockprox.selection import parse_rule, select
 
 
 def test_L_tau_endpoints():
@@ -80,14 +81,6 @@ def test_expected_inverse_brute_force():
         idx = S.array
         acc[np.ix_(idx, idx)] += np.linalg.inv(M[np.ix_(idx, idx)])
     np.testing.assert_allclose(E, acc / len(sets), rtol=1e-12)
-
-
-def test_expected_inverse_mc_fallback(monkeypatch):
-    monkeypatch.setattr(rates, "INVERSE_MC_SAMPLES", 3000)
-    M = np.eye(10)
-    with pytest.warns(UserWarning, match="Monte-Carlo"):
-        E = expected_inverse_matrix(M, 4, budget=5)
-    np.testing.assert_allclose(E, 0.4 * np.eye(10), atol=0.05)
 
 
 def test_rule_constants_smooth():
@@ -323,20 +316,6 @@ def test_general_nonconvex_epsilon_edges():
     assert general_nonconvex_epsilon(2.0, 0.3, []) == []
 
 
-def test_expected_inverse_monte_carlo_accuracy():
-    # past the budget: within 5% of the exact average entrywise (relative to
-    # its largest entry) and 3% in lambda_min
-    for seed in range(4):
-        M = gen_instance(40, 12, seed).objective.smoothness
-        for tau in (2, 3, 4):
-            exact = expected_inverse_matrix(M, tau)
-            with pytest.warns(UserWarning, match="Monte-Carlo"):
-                est = expected_inverse_matrix(M, tau, budget=10)
-            assert np.abs(est - exact).max() <= 0.05 * np.abs(exact).max()
-            lam = eig_extremes(exact)[0]
-            assert abs(eig_extremes(est)[0] - lam) <= 0.03 * lam
-
-
 def test_gradient_dominated_K():
     # phi(eps) >= xi0 -> 0
     assert gradient_dominated_K(1.0, 2.0, 3.0, xi0=1.0, epsilon=1.0) == 0
@@ -397,27 +376,82 @@ def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
     assert np.array_equal(expected_inverse_matrix(M, 3),
                           _expected_inverse_loop(M, 3, subsets))
 
-    # the Monte-Carlo branch draws the same sets as one draw of all samples
-    rng = np.random.default_rng(5)
-    draws = np.sort(rng.random((500, 9)).argpartition(2, axis=1)[:, :3], axis=1)
-    monkeypatch.setattr(rates, "INVERSE_MC_SAMPLES", 500)
-    monkeypatch.setattr(rates, "INVERSE_MC_SEED", 5)
-    with pytest.warns(UserWarning, match="Monte-Carlo"):
-        E = expected_inverse_matrix(M, 3, budget=10)
-    assert np.array_equal(E, _expected_inverse_loop(M, 3, draws))
+
+def _tau_nice_B(M, tau):
+    """Oracle: B = (1 - beta) Diag(M) + beta M with beta = (tau-1)/(n-1)."""
+    n = M.shape[0]
+    beta = (tau - 1) / (n - 1)
+    return (1 - beta) * np.diag(np.diag(M)) + beta * M
 
 
-@pytest.mark.parametrize("tau, budget", [(2, 10), (4, linalg.DEFAULT_ENUMERATION_BUDGET)])
-def test_expected_inverse_monte_carlo_stays_within_chunk_budget(tau, budget):
-    import tracemalloc
+@pytest.mark.parametrize("n, tau", [(12, 3), (16, 4), (20, 5), (24, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tau_nice_floor_is_below_the_exact_expected_inverse(n, tau, seed):
+    for M in (gen_instance(2 * n, n, seed).objective.smoothness,
+              random_spd(n, 50.0, seed)):
+        E = expected_inverse_matrix(M, tau)
+        B = _tau_nice_B(M, tau)
+        gap = np.linalg.eigvalsh(E - (tau / n) * np.linalg.inv(B))
+        assert gap[0] >= -1e-12 * np.abs(E).max()
+        # past the budget the smooth tau-nice row is priced with this floor
+        problem = CompositeProblem(make_quadratic(M))
+        c, provenance = rule_constant(parse_rule(f"nice:{tau}", n, budget=0), problem)
+        assert provenance == {"(tau/n)/lambda_max(B)": c}
+        assert c == pytest.approx(tau / (n * eig_extremes(B)[1]), rel=1e-12)
+        assert c <= eig_extremes(E)[0] * (1 + 1e-12)
 
-    M = random_spd(100, 4.0, 0)
-    tracemalloc.start()
-    try:
-        with pytest.warns(UserWarning, match="Monte-Carlo"):
-            expected_inverse_matrix(M, tau, budget)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one batch of draws, plus the n x n sum and the average returned
-    assert peak <= linalg.SUBSET_CHUNK_BYTES + 2 * M.nbytes
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tau_nice_floor_is_exact_at_tau_one_and_n(seed):
+    M = random_spd(9, 30.0, seed)
+    problem = CompositeProblem(make_quadratic(M))
+    for tau in (1, 9):
+        floor, _ = rule_constant(parse_rule(f"nice:{tau}", 9, budget=0), problem)
+        exact, provenance = rule_constant(parse_rule(f"nice:{tau}", 9), problem)
+        assert "lambda_min(E[inv])" in provenance
+        assert floor == pytest.approx(exact, rel=1e-12)
+    # n = 1 at a zero budget: beta is 0, not 0/0
+    one = CompositeProblem(make_quadratic(np.array([[4.0]])))
+    assert rule_constant(parse_rule("nice:1", 1, budget=0), one)[0] == 0.25
+
+
+def test_smooth_nice_past_the_budget_never_enumerates(monkeypatch):
+    # C(100, 8) exceeds the default budget: the paper-scale row takes the
+    # floor, without the expected inverse and without a warning
+    problem = gen_instance(1000, 100, seed=0)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("expected_inverse_matrix called past the budget")
+
+    monkeypatch.setattr(rates, "expected_inverse_matrix", fail)
+    M = problem.objective.smoothness
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, provenance = rule_constant(parse_rule("nice:8", 100), problem)
+    assert provenance == {"(tau/n)/lambda_max(B)": c}
+    assert c == pytest.approx(0.08 / eig_extremes(_tau_nice_B(M, 8))[1], rel=1e-12)
+    assert c == pytest.approx(168.8, rel=1e-3)
+
+
+def test_smooth_greedy_minibatch_past_the_budget_is_priced_as_its_heuristic():
+    problem = gen_instance(40, 12, seed=3)
+    M = problem.objective.smoothness
+    trace = float(np.diag(M).sum())
+    rule = parse_rule("greedymb:4", 12, budget=10)
+    c, provenance = rule_constant(rule, problem)
+    assert c == 1.0 / trace
+    assert provenance == {"trace(M), forward-greedy heuristic": trace}
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        g = rng.standard_normal(12)
+        S = select(rule, problem, 0, g).array
+        assert rule.last_was_heuristic
+        theta = g[S] @ np.linalg.solve(M[np.ix_(S, S)], g[S]) / (g @ g)
+        assert theta >= c
+    # a budget of C(12, 4) = 495 sets runs, and prices, the exact rule
+    exact = parse_rule("greedymb:4", 12, budget=495)
+    select(exact, problem, 0, g)
+    assert not exact.last_was_heuristic
+    c, provenance = rule_constant(exact, problem)
+    assert c == eig_extremes(expected_inverse_matrix(M, 4))[0]
+    assert "lambda_min(E[inv])" in provenance

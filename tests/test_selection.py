@@ -7,7 +7,12 @@ import pytest
 from blockprox import checks, engine, rates
 from blockprox.cli import EXIT_CONFIG, main
 from blockprox.descent import RunConfig, run
-from blockprox.linalg import CoordSet, enumerate_subsets, subset_count
+from blockprox.linalg import (
+    CoordSet,
+    EnumerationTooLargeError,
+    enumerate_subsets,
+    subset_count,
+)
 from blockprox.objectives import (
     CompositeProblem,
     gen_instance,
@@ -240,15 +245,12 @@ def test_exact_expected_theta_tau_nice_enumeration():
     assert _expected_theta(rule, problem, x) == pytest.approx(np.mean(vals))
 
 
-def test_exact_expected_theta_mc_fallback_warns():
+def test_exact_expected_theta_refuses_past_the_budget():
     problem = CompositeProblem(make_quadratic(np.eye(8)))
     x = np.random.default_rng(14).standard_normal(8)
     rule = BlockRule("tau_nice", 8, tau=4, seed=0, budget=5)
-    exact = BlockRule("tau_nice", 8, tau=4, seed=0)
-    with pytest.warns(UserWarning, match="Monte-Carlo"):
-        est = _expected_theta(rule, problem, x)
-    truth = _expected_theta(exact, problem, x)
-    assert est == pytest.approx(truth, rel=0.05)
+    with pytest.raises(EnumerationTooLargeError):
+        _expected_theta(rule, problem, x)
 
 
 def test_exact_expected_theta_rejects_deterministic():
