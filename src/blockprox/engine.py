@@ -84,8 +84,9 @@ def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
         v, per = None, 0.5 * grad * grad
     else:
         v, per = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
-    return Certificate(lambda_total=float(per.sum()), lambda_per_coord=per, L_used=L,
-                       step_per_coord=v)
+    # np.add.reduce is the reduction per.sum() makes, without its wrapper
+    return Certificate(lambda_total=float(np.add.reduce(per)), lambda_per_coord=per,
+                       L_used=L, step_per_coord=v)
 
 
 def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:

@@ -103,7 +103,7 @@ class Objective:
         fac = cache.get(indices)
         if fac is None:
             idx = np.array(indices, dtype=np.intp)
-            fac = spd_factor(self.smoothness[idx[:, None], idx])
+            fac = spd_factor(self.smoothness.take(idx, 0).take(idx, 1))
             size = fac[0].nbytes
             while cache and self._factor_bytes + size > FACTOR_CACHE_BYTES:
                 self._factor_bytes -= cache.popitem(last=False)[1][0].nbytes
@@ -149,20 +149,28 @@ class Objective:
             lambda: block_inverse_forms(self.smoothness, tau, budget))
 
     @functools.cached_property
-    def importance_cdf(self) -> np.ndarray:
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of M, a read-only copy."""
+        d = np.diag(self.smoothness).copy()
+        d.setflags(write=False)
+        return d
+
+    @functools.cached_property
+    def importance_cdf(self) -> list[float]:
         """CDF of drawing coordinate i with probability M_ii / trace(M),
-        normalised as numpy's `Generator.choice` does, so that a
-        `searchsorted` of one uniform draw gives the same stream."""
-        d = np.diag(self.smoothness)
+        normalised as numpy's `Generator.choice` does, as Python floats, so
+        that a `bisect_right` of one uniform draw gives the same stream as
+        `searchsorted(side="right")`."""
+        d = self.diagonal
         cdf = (d / d.sum()).cumsum()
         cdf /= cdf[-1]
-        return cdf
+        return cdf.tolist()
 
     @functools.cached_property
     def inverse_sqrt_diagonal(self) -> list[float]:
         """1 / sqrt(M_ii) per coordinate as Python floats: the reciprocal of
         each 1 x 1 Cholesky factor, by which a one-coordinate step scales."""
-        return (1.0 / np.sqrt(np.diag(self.smoothness))).tolist()
+        return (1.0 / np.sqrt(self.diagonal)).tolist()
 
     def state_at(self, x: np.ndarray) -> "IterateState":
         """f and its gradient at x, kept current by `IterateState.move`."""
@@ -347,8 +355,9 @@ class LsqCosObjective(Objective):
 
 class LsqCosState(IterateState):
     """Iterate state of a least-squares-plus-cosine objective: a move by u_S
-    updates M x by M[:, S] u_S (column i times u_i when S = {i}), and f and
-    the gradient follow in O(n)."""
+    updates M x by M[:, S] u_S (column i times u_i when S = {i}), read as
+    contiguous rows of `smoothness_columns`, and f and the gradient follow
+    in O(n)."""
 
     def __init__(self, objective: LsqCosObjective, x: np.ndarray):
         self.objective = objective
@@ -370,7 +379,10 @@ class LsqCosState(IterateState):
             # either leaves M x the same, as M x never holds -0.0
             self._Mx += self.objective.smoothness_columns[S.indices[0]] * u_S
         else:
-            self._Mx += self.objective.smoothness[:, S.array] @ u_S
+            # u_S' times the rows S of M' is the transposed dgemv that
+            # M[:, S] @ u_S makes on its F-ordered gather: the same bits,
+            # without the strided copy
+            self._Mx += u_S @ self.objective.smoothness_columns.take(S.array, 0)
         self._update_f()
 
     def _update_f(self) -> None:

@@ -8,6 +8,7 @@ greedymb:<tau>`` optionally followed by ``seed=<u64>``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import NamedTuple, Optional
 
@@ -62,8 +63,21 @@ class BlockRule:
         self.tau = tau
         self.seed = seed
         self.budget = budget
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self.last_was_heuristic = False
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The rule's own generator, read-only: `_draws` points into its
+        memory, so the rule keeps this generator for as long as it lives."""
+        return self._rng
+
+    @functools.cached_property
+    def _draws(self):
+        """The C entry points of the rule's generator (numpy's public
+        `BitGenerator.ctypes`: `next_uint32`, `next_double` and the `state`
+        pointer they take), built on the first draw."""
+        return self._rng.bit_generator.ctypes
 
     @functools.cached_property
     def singletons(self) -> tuple[CoordSet, ...]:
@@ -106,16 +120,49 @@ def parse_rule(text: str, n: int, default_seed: int = 0,
     raise ValueError(f"unknown rule {head!r}")
 
 
+_UINT32_SPAN = 1 << 32
+
+
+def _bounded_draw(next_uint32, state, r: int) -> int:
+    """`Generator.integers(r)` drawn through the generator's C entry point
+    `next_uint32(state)`: the same value, and the same generator state after
+    it, for 1 <= r < 2**32.
+
+    numpy draws such a bound by Lemire's multiply-shift on 32-bit words:
+    r = 1 returns 0 and consumes nothing; otherwise m = word * r, and while
+    the low 32 bits of m fall below (2**32 - r) mod r, a new word is drawn
+    (that threshold is below r, so a low word of r or more is kept at once).
+    The value is m >> 32.
+    """
+    if not 1 <= r < _UINT32_SPAN:
+        raise ValueError(f"bounded draw needs 1 <= r < 2**32, got {r}")
+    if r == 1:
+        return 0
+    m = next_uint32(state) * r
+    low = m & 0xFFFFFFFF
+    if low < r:
+        threshold = (_UINT32_SPAN - r) % r
+        while low < threshold:
+            m = next_uint32(state) * r
+            low = m & 0xFFFFFFFF
+    return m >> 32
+
+
 def _tau_nice_draw(rule: BlockRule) -> CoordSet:
-    """Fisher-Yates partial shuffle of a Python list: exactly uniform over
-    cardinality-tau sets, one scalar `rng.integers(n - j)` draw per position
-    (cheaper than one vector draw of the same stream while tau is small)."""
-    n, tau, integers = rule.n, rule.tau, rule.rng.integers
-    arr = list(range(n))
+    """Fisher-Yates partial shuffle of range(n), exactly uniform over
+    cardinality-tau sets, with one `_bounded_draw(n - j)` per position j:
+    the stream of `rng.integers(n - j)`.  A dict holds the positions a swap
+    has moved, so a draw costs O(tau), whatever n."""
+    n, tau = rule.n, rule.tau
+    draws = rule._draws
+    next_uint32, state = draws.next_uint32, draws.state
+    moved = {}
+    chosen = []
     for j in range(tau):
-        swap = j + int(integers(n - j))
-        arr[j], arr[swap] = arr[swap], arr[j]
-    return CoordSet(tuple(sorted(arr[:tau])), n)
+        swap = j + _bounded_draw(next_uint32, state, n - j)
+        chosen.append(moved.get(swap, swap))
+        moved[swap] = moved.get(j, j)
+    return CoordSet(tuple(sorted(chosen)), n)
 
 
 def _forward_greedy(M: np.ndarray, grad: np.ndarray, tau: int) -> list[int]:
@@ -181,20 +228,23 @@ def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
     if kind == "full_batch":
         return rule.full_set
     if kind == "uniform_coord":
-        return rule.singletons[rule.rng.integers(n)]
+        draws = rule._draws
+        return rule.singletons[_bounded_draw(draws.next_uint32, draws.state, n)]
     if kind == "cyclic_coord":
         return rule.singletons[k % n]
     if kind == "importance_coord":
         # the draw rng.choice(n, p=diag(M) / trace(M)) makes, without
-        # re-validating p on every call
-        cdf = problem.objective.importance_cdf
-        return rule.singletons[cdf.searchsorted(rule.rng.random(), side="right")]
+        # re-validating p on every call: one rng.random(), located in the
+        # CDF as searchsorted(side="right") would
+        draws = rule._draws
+        u = draws.next_double(draws.state)
+        return rule.singletons[bisect.bisect_right(problem.objective.importance_cdf, u)]
     if kind == "tau_nice":
         return _tau_nice_draw(rule)
 
     if problem.smooth_path:
         if kind == "greedy_coord":
-            scores = grad * grad / np.diag(problem.objective.smoothness)
+            scores = grad * grad / problem.objective.diagonal
             return rule.singletons[scores.argmax()]
         return _greedy_minibatch_smooth(rule, problem, grad)
     if lambda_per_coord is None:
@@ -234,11 +284,11 @@ def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
         return 0.0
     if not problem.smooth_path:
         return rule.max_block_size / (problem.dim * cert.L_used)
-    M = problem.objective.smoothness
+    diagonal = problem.objective.diagonal
     if rule.kind == "importance_coord":
-        return 1.0 / float(np.diag(M).sum())
+        return 1.0 / float(diagonal.sum())
     g2 = float(grad @ grad)
     if rule.kind == "uniform_coord":
-        return float(np.mean(grad * grad / np.diag(M))) / g2
+        return float(np.mean(grad * grad / diagonal)) / g2
     E = problem.objective.expected_inverse(rule.tau, rule.budget)
     return float(grad @ E @ grad) / g2

@@ -1,11 +1,15 @@
 """The block path: a step on a block of two or more coordinates factors
-M[S, S] by one direct LAPACK call, draws a tau-nice set on a Python list,
-reads the set's cached index array, and steps the full set on grad and x
-without a gather.  Each gives the same bits as the generic operations it
-replaces: `scipy.linalg.cho_factor` behind `np.ix_`, the Fisher-Yates draw
-on a numpy array, `mask_vector`, and a scatter of u_S into a copy of x.
-On the L1 path every step reads its entries at S off the iteration's
-certificate, with the bits of the prox model evaluated on the block's gather.
+M[S, S] by one direct LAPACK call on a `take` gather, draws a tau-nice set
+by a Fisher-Yates shuffle over a dict of moved positions with one bounded
+draw through the generator's C entry point per position, reads the set's
+cached index array, moves M x by u_S' times the contiguous rows S of M',
+and steps the full set on grad and x without a gather.  Each gives the
+same bits as the generic operations it replaces: `scipy.linalg.cho_factor`
+behind `np.ix_`, the Fisher-Yates draw on a numpy array with
+`rng.integers`, the column gather M[:, S] @ u_S, `mask_vector`, and a
+scatter of u_S into a copy of x.  On the L1 path every step reads its
+entries at S off the iteration's certificate, with the bits of the prox
+model evaluated on the block's gather.
 """
 
 import math
@@ -149,6 +153,57 @@ def test_factor_cache_evicts_oldest_and_keeps_one_oversized(monkeypatch):
     obj.factor_for(full)  # 288 bytes, more than the whole budget
     assert list(obj._factor_cache) == [full]
     assert obj._factor_bytes == 288
+
+
+class _ColumnGatherState(objectives.LsqCosState):
+    """The iterate state with the block move M x += M[:, S] @ u_S."""
+
+    def _update(self, S, u_S):
+        if len(S) == 1:
+            return super()._update(S, u_S)
+        self._moved += len(S)
+        if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
+            self._refresh()
+        else:
+            self._Mx += self.objective.smoothness[:, S.array] @ u_S
+        self._update_f()
+
+
+def _state_bits(state):
+    return state._Mx.tobytes(), _bits(state.f), state.grad.tobytes()
+
+
+@pytest.mark.parametrize("tau", [2, 3, 8, 16, 40])
+def test_block_moves_match_the_column_gather(tau):
+    """k block moves from a random x at paper scale: M x, f and grad f in
+    the bits of the column gather, refreshes included."""
+    obj = gen_instance(1000, 100, 17).objective
+    rng = np.random.default_rng(tau)
+    x = rng.standard_normal(100)
+    state, oracle = obj.state_at(x), _ColumnGatherState(obj, x)
+    for _ in range(3 * MX_REFRESH_SWEEPS * 100 // tau + 5):
+        S = CoordSet(tuple(np.sort(rng.choice(100, tau, replace=False)).tolist()), 100)
+        u_S = rng.standard_normal(tau) * 10.0 ** rng.uniform(-8, 1)
+        state.move(S, u_S)
+        oracle.move(S, u_S)
+        assert _state_bits(state) == _state_bits(oracle)
+        assert state.x.tobytes() == oracle.x.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:C\\(100,8\\) exceeds the enumeration budget")
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_block_runs_match_the_column_gather(monkeypatch, kind):
+    problem = _instance(kind, 1000, 100, 17)
+    specs = ("full", "nice:8", "greedymb:8")
+    want = [run(problem, parse_rule(spec, 100, default_seed=5), RunConfig(max_iters=300))
+            for spec in specs]
+    monkeypatch.setattr(objectives.LsqCosObjective, "state_at",
+                        lambda obj, x: _ColumnGatherState(obj, x))
+    for spec, result in zip(specs, want):
+        oracle = run(problem, parse_rule(spec, 100, default_seed=5), RunConfig(max_iters=300))
+        assert ([(r.block.indices, _bits(r.F), _bits(r.step_norm)) for r in result.trace]
+                == [(r.block.indices, _bits(r.F), _bits(r.step_norm)) for r in oracle.trace])
+        assert result.x.tobytes() == oracle.x.tobytes(), spec
 
 
 def _reference_run(problem, spec, seed, iters, stop_on_certificate=False):

@@ -23,6 +23,7 @@ from blockprox.objectives import (
 from blockprox.selection import (
     KINDS,
     BlockRule,
+    _bounded_draw,
     exact_expected_theta,
     parse_rule,
     select,
@@ -106,6 +107,56 @@ def test_uniform_distribution():
         assert abs(counts[i] / 5000 - 0.2) < 0.03
 
 
+@pytest.mark.parametrize("n", [1, 12, 100])
+def test_uniform_draws_match_generator_integers(n):
+    problem = CompositeProblem(make_quadratic(np.eye(n)))
+    grad = np.ones(n)
+    for seed in range(20):
+        rule = parse_rule(f"uniform seed={seed}", n)
+        oracle = np.random.default_rng(seed)
+        drawn = [select(rule, problem, k, grad).indices[0] for k in range(300)]
+        assert drawn == [int(oracle.integers(n)) for _ in range(300)], seed
+        assert rule.rng.bit_generator.state == oracle.bit_generator.state
+
+
+# 2**31 + 1 rejects a first word about half the time, 3 * 2**30 a quarter
+DRAW_BOUNDS = [1, 2, 3, 12, 100, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+@pytest.mark.parametrize("r", DRAW_BOUNDS)
+def test_bounded_draw_matches_generator_integers(r):
+    """Value and generator state after every draw, against
+    `Generator.integers(r)` on a generator of the same seed."""
+    words = 0
+    for seed in range(50):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        handle = rng.bit_generator.ctypes
+
+        def next_uint32(state):
+            nonlocal words
+            words += 1
+            return handle.next_uint32(state)
+
+        for _ in range(200):
+            value = _bounded_draw(next_uint32, handle.state, r)
+            assert value == int(oracle.integers(r)), (seed, r)
+            assert rng.bit_generator.state == oracle.bit_generator.state, (seed, r)
+    if r == 1:
+        assert words == 0
+    elif r == 2**31 + 1:
+        assert words > 1.3 * 50 * 200  # the rejection loop ran
+
+
+def test_bounded_draw_refuses_bounds_outside_32_bits():
+    rng = np.random.default_rng(0)
+    handle = rng.bit_generator.ctypes
+    before = rng.bit_generator.state
+    for r in (0, -1, 2**32, 2**40):
+        with pytest.raises(ValueError, match=r"1 <= r < 2\*\*32"):
+            _bounded_draw(handle.next_uint32, handle.state, r)
+    assert rng.bit_generator.state == before
+
+
 def test_importance_distribution_and_probabilities():
     M = np.diag([1.0, 3.0])
     problem = CompositeProblem(make_quadratic(M))
@@ -141,6 +192,21 @@ def test_greedy_coord_smooth_score():
     x = np.array([1.0, 1.0, 1.0])  # grad = (1, 4, 2); scores g_i^2/M_ii = (1, 4, 2)
     rule = parse_rule("greedy", 3)
     assert _select_at(rule, problem, x).indices == (1,)
+
+
+def test_greedy_coord_smooth_scores_read_the_cached_diagonal():
+    problem = gen_instance(200, 40, seed=2)
+    obj = problem.objective
+    diagonal = obj.diagonal
+    assert diagonal is obj.diagonal and not diagonal.flags.writeable
+    assert diagonal.tobytes() == np.diag(obj.smoothness).tobytes()
+    rule = parse_rule("greedy", 40)
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        g = rng.standard_normal(40) * 10.0 ** rng.uniform(-6, 3, 40)
+        want = g * g / np.diag(obj.smoothness)
+        assert (g * g / diagonal).tobytes() == want.tobytes()
+        assert select(rule, problem, 0, g).indices == (int(want.argmax()),)
 
 
 def test_greedy_coord_nonsmooth_takes_largest_certificate():
@@ -208,6 +274,19 @@ def test_rule_determinism_and_clone():
     seq_a = [_select_at(a, problem, x).indices for _ in range(20)]
     seq_b = [_select_at(b, problem, x).indices for _ in range(20)]
     assert seq_a == seq_b
+
+
+def test_rule_generator_is_read_only():
+    """A rule's draws read its generator's state through a raw pointer, so
+    the generator cannot be swapped for another."""
+    problem = CompositeProblem(make_quadratic(np.eye(6)))
+    rule = parse_rule("nice:2 seed=4", 6)
+    rng = rule.rng
+    _select_at(rule, problem, np.ones(6))
+    with pytest.raises(AttributeError):
+        rule.rng = np.random.default_rng(4)
+    assert rule.rng is rng
+    assert rule._draws.state_address == rng.bit_generator.ctypes.state_address
 
 
 def _expected_theta(rule, problem, x, L=None):
