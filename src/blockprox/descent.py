@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from . import engine, rates
 from .linalg import CoordSet
@@ -77,6 +78,16 @@ class RunResult:
     L_used_source: Optional[str] = None
 
 
+def _finite_gradient(grad: np.ndarray) -> bool:
+    """Whether every entry of grad is finite.  One BLAS dot decides it: a sum
+    of squares is finite only when every entry is (no inf - inf can arise).
+    Entries are tested one by one only when the dot is not finite, so a
+    finite gradient whose squared norm overflows passes.  scipy's `ddot`
+    is the BLAS call without numpy's floating-point error check, so no
+    overflow warning fires either."""
+    return math.isfinite(ddot(grad, grad)) or bool(np.isfinite(grad).all())
+
+
 def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult:
     """Block descent from x0 under `rule`.
 
@@ -97,15 +108,18 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         raise NumericFailureError("objective not finite at the initial point", x)
 
     L_used, L_used_source = rates.rule_L(problem, rule)
-    has_opt = problem.opt_value is not None
-    if cfg.record_diagnostics and not has_opt:
+    opt_value = problem.opt_value
+    has_opt = opt_value is not None
+    diagnostics, epsilon = cfg.record_diagnostics, cfg.epsilon
+    stop_on_gap = cfg.stop_on == "gap"
+    stop_on_cert = cfg.stop_on == "certificate"
+    if diagnostics and not has_opt:
         raise ValueError("diagnostics need a known or empirical optimum for the gap")
-    if cfg.stop_on == "gap" and not has_opt:
+    if stop_on_gap and not has_opt:
         raise ValueError("gap stopping needs a known or empirical optimum")
 
     greedy_nonsmooth = rule.row.greedy and not problem.smooth_path
-    stop_on_cert = cfg.stop_on == "certificate"
-    need_cert = cfg.record_diagnostics or stop_on_cert or greedy_nonsmooth
+    need_cert = diagnostics or stop_on_cert or greedy_nonsmooth
     # a full-batch step depends on x alone, so one that leaves F in place is
     # repeated forever; a serial or minibatch step that does only says its
     # block is at a minimum
@@ -122,18 +136,18 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     for k in range(cfg.max_iters):
         t0 = clock()
         grad = state.grad
-        if not np.isfinite(grad).all():
+        if not _finite_gradient(grad):
             raise NumericFailureError(f"gradient not finite at iteration {k}", x)
 
         if need_cert:
             cert = engine.certificate(problem, x, L_used, grad=grad)
             lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
-        xi_cur = F_cur - problem.opt_value if has_opt else None
+        xi_cur = F_cur - opt_value if has_opt else None
 
-        if cfg.stop_on == "gap" and xi_cur <= cfg.epsilon:
+        if stop_on_gap and xi_cur <= epsilon:
             termination = "reached_gap"
             break
-        if stop_on_cert and lam < cfg.epsilon:
+        if stop_on_cert and lam < epsilon:
             termination = "reached_certificate"
             break
         if stagnant:
@@ -145,7 +159,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         u_S = step.u_S
 
         mu = theta = None
-        if cfg.record_diagnostics:
+        if diagnostics:
             if xi_cur > gap_floor:
                 mu = lam / xi_cur
                 theta = step.decrease / lam if lam > 0 else 0.0
@@ -163,8 +177,13 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
                 f"divergence guard tripped at iteration {k}: "
                 f"F={F_next} exceeds initial {F_init}", x_next)
 
-        # what np.linalg.norm computes for a 1-D array
-        step_norm = math.sqrt(float(u_S.dot(u_S)))
+        # what np.linalg.norm computes for a 1-D array: sqrt(u_S . u_S), a
+        # length-1 dot being 0.0 + u * u
+        if len(S.indices) == 1:
+            u = u_S.item(0)
+            step_norm = math.sqrt(0.0 + u * u)
+        else:
+            step_norm = math.sqrt(float(u_S.dot(u_S)))
         trace.append(IterationRecord(k, S, F_cur, xi_cur, lam, mu, theta, step_norm,
                                      clock() - t0, rule.last_was_heuristic))
         stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
@@ -177,7 +196,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
                                                 grad=state.grad).lambda_total)
     return RunResult(
         x=x, trace=trace, termination=termination,
-        final_F=F_cur, final_xi=F_cur - problem.opt_value if has_opt else None,
+        final_F=F_cur, final_xi=F_cur - opt_value if has_opt else None,
         final_lambda=final_lambda, rule_name=rule.name, L_used=L_used,
         L_used_source=L_used_source,
     )

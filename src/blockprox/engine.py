@@ -78,15 +78,19 @@ def _gradient(problem: CompositeProblem, x: np.ndarray, grad) -> np.ndarray:
 
 def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
                 grad=None) -> Certificate:
-    L = _L_used(problem, L)
-    grad = _gradient(problem, x, grad)
-    if problem.smooth_path:
-        v, per = None, 0.5 * grad * grad
+    # `_L_used`, `_gradient` and `smooth_path` written out: the descent loop
+    # calls this once per iteration
+    L = problem.L_scalar if L is None else float(L)
+    if grad is None:
+        grad = problem.grad_f(x)
+    if problem.regularizer.is_zero:
+        # 0.5 * grad * grad, its second product taken in place
+        v, per = None, 0.5 * grad
+        per *= grad
     else:
         v, per = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
     # np.add.reduce is the reduction per.sum() makes, without its wrapper
-    return Certificate(lambda_total=float(np.add.reduce(per)), lambda_per_coord=per,
-                       L_used=L, step_per_coord=v)
+    return Certificate(float(np.add.reduce(per)), per, L, v)
 
 
 def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:
@@ -108,21 +112,14 @@ def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L,
+def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L: float,
                      grad: np.ndarray) -> tuple[float, float]:
-    """block_step at S = {i} on Python floats: the step u_i and the model
-    decrease, bit-identical to the array path.
-
-    Smooth path: dpotrs on the 1 x 1 factor sqrt(M_ii) multiplies twice by
-    its reciprocal r_i, and a length-1 dot is 0.0 + g_i u_i.  Scalar-L path,
-    taken only without a certificate: `_prox_model` in the same operation
-    order, through the regularizer's scalar `prox` and `value_i`.
+    """block_step at S = {i} on the prox path without a certificate, on
+    Python floats: the step u_i and the model decrease, bit-identical to
+    `_prox_model` on the block's gather, in the same operation order,
+    through the regularizer's scalar `prox` and `value_i`.
     """
     g_i = float(grad[i])
-    if problem.smooth_path:
-        r_i = problem.objective.inverse_sqrt_diagonal[i]
-        u = -((g_i * r_i) * r_i)
-        return u, max(-0.5 * (0.0 + g_i * u), 0.0)
     reg, x_i = problem.regularizer, float(x[i])
     u = reg.prox(x_i - g_i / L, L) - x_i
     # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
@@ -148,9 +145,9 @@ def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L: float,
     if cert is None:
         grad = _gradient(problem, x, grad)
         _check_length("gradient", grad, S)
-        if len(S) == 1:
+        if len(S.indices) == 1:
             u, decrease = _coordinate_step(problem, x, S.indices[0], L, grad)
-            return BlockStep(S=S, u_S=np.array([u]), decrease=decrease)
+            return BlockStep(S, np.array([u]), decrease)
         v, lam = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
     elif cert.L_used != L:
         raise ValueError(f"certificate computed at L={cert.L_used}, "
@@ -158,9 +155,9 @@ def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L: float,
     else:
         v, lam = cert.step_per_coord, cert.lambda_per_coord
         _check_length("certificate", v, S)
-    if len(S) == 1:
+    if len(S.indices) == 1:
         i = S.indices[0]
-        return BlockStep(S=S, u_S=v[i:i + 1], decrease=max(0.0 + lam.item(i) / L, 0.0))
+        return BlockStep(S, v[i:i + 1], max(0.0 + lam.item(i) / L, 0.0))
     if S.is_full():
         u_S, lam_S = v, lam
     else:
@@ -168,7 +165,7 @@ def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L: float,
     # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
     # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
     decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
-    return BlockStep(S=S, u_S=u_S, decrease=max(decrease, 0.0))
+    return BlockStep(S, u_S, max(decrease, 0.0))
 
 
 def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
@@ -178,24 +175,29 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
     On the prox path the step is read off the full-space model's entries at
     S (`_prox_step`): those of `cert`, the certificate at the same x, grad
     and L (one at another L is refused), or of the model evaluated here.
-    The smooth path ignores `cert`: a one-coordinate block is stepped on
-    Python floats (`_coordinate_step`) and the full set on grad itself,
-    without a gather.  Each gives the bits of the model solved on the
-    block's gather."""
-    if not problem.smooth_path:
+    The smooth path ignores `cert`: a one-coordinate block {i} is stepped
+    on Python floats and the full set on grad itself, without a gather.
+    Each gives the bits of the model solved on the block's gather."""
+    if not problem.regularizer.is_zero:
         return _prox_step(problem, x, S, _L_used(problem, L), grad, cert)
-    grad = _gradient(problem, x, grad)
-    serial = len(S) == 1
-    full = not serial and S.is_full()
-    if serial or full:
+    if grad is None:
+        grad = problem.grad_f(x)
+    if len(S.indices) == 1:
         _check_length("gradient", grad, S)
-    if serial:
-        u, decrease = _coordinate_step(problem, x, S.indices[0], None, grad)
-        return BlockStep(S=S, u_S=np.array([u]), decrease=decrease)
+        i = S.indices[0]
+        g_i = grad.item(i)
+        # dpotrs on the 1 x 1 factor sqrt(M_ii) multiplies twice by its
+        # reciprocal r_i, and a length-1 dot is 0.0 + g_i u_i
+        r_i = problem.objective.inverse_sqrt_diagonal[i]
+        u = -((g_i * r_i) * r_i)
+        return BlockStep(S, np.array([u]), max(-0.5 * (0.0 + g_i * u), 0.0))
+    full = S.is_full()
+    if full:
+        _check_length("gradient", grad, S)
     g_S = grad if full else mask_vector(grad, S)
     u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
     decrease = -0.5 * float(g_S @ u_S)
-    return BlockStep(S=S, u_S=u_S, decrease=max(decrease, 0.0))
+    return BlockStep(S, u_S, max(decrease, 0.0))
 
 
 def proportion(

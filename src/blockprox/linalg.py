@@ -68,6 +68,21 @@ class CoordSet:
                 f"indices {idx} out of range for dimension {self.ambient_dim}"
             )
 
+    @classmethod
+    def _trusted(cls, indices: tuple[int, ...], n: int, array: np.ndarray) -> "CoordSet":
+        """The set a draw or a sorted pick has built: `indices` strictly
+        increasing Python ints in [0, n), and `array` the same indices as an
+        intp array, which becomes the set's read-only `array`.  The public
+        constructor's checks are skipped; the caller vouches for them."""
+        S = object.__new__(cls)
+        array.setflags(write=False)
+        # set as the frozen dataclass's __init__ sets its fields, so the
+        # instance keeps the compact dict its class's instances share
+        object.__setattr__(S, "indices", indices)
+        object.__setattr__(S, "ambient_dim", n)
+        object.__setattr__(S, "array", array)
+        return S
+
     def __len__(self):
         return len(self.indices)
 

@@ -197,10 +197,13 @@ class IterateState:
         return self._grad
 
     def move(self, S: CoordSet, u_S: np.ndarray) -> None:
-        """x <- x + u_S embedded at S."""
-        if len(S) == 1:
+        """x <- x + u_S embedded at S, into a new array.  A one-coordinate
+        move adds u_S's entry to x_i on Python floats, the bits of the
+        array addition."""
+        if len(S.indices) == 1:
             x = self.x.copy()
-            x[S.indices[0]] += u_S[0]
+            i = S.indices[0]
+            x[i] = x.item(i) + u_S.item(0)
         elif S.is_full():
             x = self.x + u_S
         else:
@@ -370,14 +373,18 @@ class LsqCosState(IterateState):
         self._moved = 0
 
     def _update(self, S: CoordSet, u_S: np.ndarray) -> None:
-        self._moved += len(S)
+        """M x <- M x + M[:, S] u_S, rebuilt from x instead once
+        MX_REFRESH_SWEEPS * n coordinates have moved since the last rebuild.
+        A one-coordinate move scales column i by the Python float u_i."""
+        size = len(S.indices)
+        self._moved += size
         if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
             self._refresh()
-        elif len(S) == 1:
+        elif size == 1:
             # u_i times column i: the length-1 matvec's products, except that
             # a zero product may be -0.0 where the matvec gives +0.0; adding
             # either leaves M x the same, as M x never holds -0.0
-            self._Mx += self.objective.smoothness_columns[S.indices[0]] * u_S
+            self._Mx += self.objective.smoothness_columns[S.indices[0]] * u_S.item(0)
         else:
             # u_S' times the rows S of M' is the transposed dgemv that
             # M[:, S] @ u_S makes on its F-ordered gather: the same bits,

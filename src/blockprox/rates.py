@@ -68,14 +68,21 @@ def L_tau_is_exact(n: int, tau: int,
     return tau in (1, n) or subset_count(n, tau) <= budget
 
 
+#: Blocks of largest Gershgorin bound per chunk that `L_tau` solves first,
+#: to raise the running maximum the chunk's other blocks are pruned against.
+_L_TAU_FIRST = 64
+
+
 def L_tau(M: np.ndarray, tau: int,
           budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """Largest eigenvalue over all cardinality-tau principal submatrices.
 
-    The submatrices are gathered and their eigenvalues computed a chunk at a
-    time (the blocks within SUBSET_CHUNK_BYTES).  Falls back to the trace
-    upper bound (sum of the tau largest diagonal entries) with a warning
-    when enumeration is infeasible.  Callers with an objective read it through
+    Within the budget the blocks are enumerated a chunk at a time (the
+    blocks within SUBSET_CHUNK_BYTES), and `eigvalsh` runs only on those
+    that can reach the maximum (`_largest_block_eigenvalue`), with the bits
+    of running it on all of them.  Past the budget it falls back to the
+    trace upper bound (sum of the tau largest diagonal entries) with a
+    warning.  Callers with an objective read it through
     `Objective.block_smoothness`, which caches it.
     """
     M = np.asarray(M, dtype=float)
@@ -88,16 +95,51 @@ def L_tau(M: np.ndarray, tau: int,
         return eig_extremes(M)[1]
     if L_tau_is_exact(n, tau, budget):
         check_symmetric(M)
-        return float(max(
-            np.linalg.eigvalsh(gather_blocks(M, chunk))[:, -1].max()
-            for chunk in subset_index_chunks(n, tau, budget, chunk_rows(tau))
-        ))
+        return _largest_block_eigenvalue(M, tau, budget)
     bound = float(np.sort(np.diag(M))[-tau:].sum())
     warnings.warn(
         f"C({n},{tau}) exceeds the enumeration budget; using the trace "
         f"upper bound {bound} for L_tau"
     )
     return bound
+
+
+def _largest_block_eigenvalue(M: np.ndarray, tau: int, budget: int) -> float:
+    """max over cardinality-tau sets S of eigvalsh(M[S, S])[-1], solving
+    only the blocks that can reach it.
+
+    A block's Gershgorin bound G_S = max_{i in S} sum_{j in S} |M_ij| is at
+    least its largest eigenvalue and its norm ||M[S, S]||_2, and eigvalsh
+    returns an eigenvalue within a few eps ||M[S, S]||_2 of the true one.
+    So a block with G_S (1 + 1e-8) below an eigenvalue already computed
+    cannot give the maximum, and skipping it leaves the result's bits as
+    they are: eigvalsh solves each block of a stack on its own.  In each
+    chunk the _L_TAU_FIRST blocks of largest bound are solved first, then
+    every block whose bound the running maximum does not rule out.  A bound
+    that is nan rules nothing out, and a nan eigenvalue makes the result nan.
+    """
+    magnitudes = np.abs(M)
+    best = -math.inf
+
+    def larger(best, blocks):
+        top = float(np.linalg.eigvalsh(gather_blocks(M, blocks))[:, -1].max())
+        # a nan eigenvalue makes the result nan, as numpy's max over all would
+        return best if best != best or top <= best else top
+
+    for chunk in subset_index_chunks(M.shape[0], tau, budget, chunk_rows(tau)):
+        # each block's Gershgorin bound, widened past eigvalsh's error
+        bound = gather_blocks(magnitudes, chunk).sum(axis=2).max(axis=1) * (1.0 + 1e-8)
+        first = np.arange(len(chunk))
+        if len(chunk) > _L_TAU_FIRST:
+            first = np.argpartition(bound, -_L_TAU_FIRST)[-_L_TAU_FIRST:]
+        first = first[~(bound[first] < best)]
+        if len(first):
+            best = larger(best, chunk[first])
+        rest = ~(bound < best)
+        rest[first] = False
+        if rest.any():
+            best = larger(best, chunk[rest])
+    return best
 
 
 def rule_L(problem, rule):

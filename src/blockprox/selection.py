@@ -162,7 +162,14 @@ def _tau_nice_draw(rule: BlockRule) -> CoordSet:
         swap = j + _bounded_draw(next_uint32, state, n - j)
         chosen.append(moved.get(swap, swap))
         moved[swap] = moved.get(j, j)
-    return CoordSet(tuple(sorted(chosen)), n)
+    return _sorted_set(chosen, n)
+
+
+def _sorted_set(chosen: list[int], n: int) -> CoordSet:
+    """The set of `chosen`, distinct Python ints in [0, n) in any order,
+    sorted in place, built without the public constructor's checks."""
+    chosen.sort()
+    return CoordSet._trusted(tuple(chosen), n, np.array(chosen, dtype=np.intp))
 
 
 def _forward_greedy(M: np.ndarray, grad: np.ndarray, tau: int) -> list[int]:
@@ -207,10 +214,10 @@ def _greedy_minibatch_smooth(rule: BlockRule, problem, grad: np.ndarray) -> Coor
     if subset_count(rule.n, rule.tau) <= rule.budget:
         forms = objective.inverse_forms(rule.tau, rule.budget)
         best = int(forms.values(grad).argmax())  # first max: lexicographic tie-break
-        return CoordSet(tuple(forms.subsets[best].tolist()), rule.n)
+        row = forms.subsets[best]
+        return CoordSet._trusted(tuple(row.tolist()), rule.n, row.astype(np.intp))
     rule.last_was_heuristic = True
-    chosen = _forward_greedy(objective.smoothness, grad, rule.tau)
-    return CoordSet(tuple(sorted(chosen)), rule.n)
+    return _sorted_set(_forward_greedy(objective.smoothness, grad, rule.tau), rule.n)
 
 
 def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
@@ -253,7 +260,8 @@ def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
     if kind == "greedy_coord":
         return rule.singletons[np.argmax(lambda_per_coord)]
     order = np.argsort(-lambda_per_coord, kind="stable")  # ties resolve to lowest index
-    return CoordSet(tuple(sorted(int(i) for i in order[: rule.tau])), n)
+    picked = np.sort(order[: rule.tau])
+    return CoordSet._trusted(tuple(picked.tolist()), n, picked)
 
 
 def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,

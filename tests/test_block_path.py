@@ -69,6 +69,48 @@ def test_tau_nice_draw_matches_arange_shuffle(n, tau):
         assert rule.rng.bit_generator.state == oracle.bit_generator.state
 
 
+def _same_set(S, n):
+    """S equals the set the public constructor checks and builds from its
+    indices: indices, array bytes and flags, block text, ==, hash."""
+    ref = CoordSet(S.indices, n)
+    assert all(type(i) is int for i in S.indices)
+    assert S.indices == ref.indices and S.ambient_dim == ref.ambient_dim == n
+    assert S.array.dtype == np.intp and S.array.tobytes() == ref.array.tobytes()
+    assert not S.array.flags.writeable
+    assert S.block_text == ref.block_text
+    assert S == ref and hash(S) == hash(ref)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 8, 100])
+def test_tau_nice_draws_equal_checked_sets(tau):
+    rule = BlockRule("tau_nice", 100, tau=tau, seed=tau)
+    for _ in range(1000):
+        _same_set(_tau_nice_draw(rule), 100)
+
+
+def test_greedy_minibatch_picks_equal_checked_sets():
+    smooth = gen_instance(60, 12, 1)
+    l1 = CompositeProblem(smooth.objective, objectives.make_l1(0.01))
+    rng = np.random.default_rng(0)
+    # exact tables (C(12, 3)), the forward-greedy heuristic past a budget of
+    # 100 subsets, and the certificate order on the L1 path
+    rules = [(smooth, BlockRule("greedy_minibatch", 12, tau=3)),
+             (smooth, BlockRule("greedy_minibatch", 12, tau=5, budget=100)),
+             (l1, BlockRule("greedy_minibatch", 12, tau=4))]
+    for problem, rule in rules:
+        for k in range(50):
+            grad = rng.standard_normal(12)
+            S = select(rule, problem, k, grad, 0.5 * grad * grad)
+            assert len(S) == rule.tau
+            _same_set(S, 12)
+
+
+def test_public_constructor_still_checks_what_draws_skip():
+    for bad in [(), (3, 1), (2, 2), (-1, 4), (0, 12)]:
+        with pytest.raises(InvalidSetError):
+            CoordSet(bad, 12)
+
+
 def _principal_blocks():
     """Principal submatrices of a least-squares-plus-cosine M and of a
     conditioned SPD matrix, of sizes 1 to 40, at seeded random index sets."""

@@ -180,3 +180,31 @@ def test_serial_runs_bit_identical_to_generic_operations(kind, m, n, seed):
             assert got == want, (spec, diagnostics)
             assert result.x.tobytes() == x.tobytes(), (spec, diagnostics)
             assert _bits(result.final_F) == _bits(F), (spec, diagnostics)
+
+
+@pytest.mark.parametrize("m, n, seed", [INSTANCES[0], INSTANCES[2], INSTANCES[3],
+                                        INSTANCES[6]])
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_one_element_minibatch_runs_bit_identical_to_generic_operations(kind, m, n, seed):
+    """`nice:1` and `greedymb:1` draw or pick one-element sets, so their
+    steps take every serial branch (the step, the move, the step norm) that
+    the serial rules do, against the same reference loop."""
+    problem = gen_instance(m, n, seed)
+    if kind == "l1":
+        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(n))).max())
+        problem = gen_instance(m, n, seed, lam=lam)
+    empirical_optimum(problem)
+    iters = 3 * n  # past MX_REFRESH_SWEEPS * n coordinates, so M x is rebuilt
+    for spec in ("nice:1", "greedymb:1"):
+        rows, x, F = _reference_run(problem, spec, seed, iters)
+        assert all(len(S) == 1 for S, *_ in rows)
+        result = run(problem, parse_rule(spec, n, default_seed=seed),
+                     RunConfig(max_iters=iters, record_diagnostics=True))
+        got = [(r.block.indices,)
+               + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta, r.step_norm)))
+               for r in result.trace]
+        want = [(S,) + tuple(map(_bits, (F_k, xi, lam, mu, theta, norm)))
+                for S, F_k, xi, lam, mu, theta, norm in rows]
+        assert got == want, spec
+        assert result.x.tobytes() == x.tobytes(), spec
+        assert _bits(result.final_F) == _bits(F), spec

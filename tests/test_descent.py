@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from blockprox.descent import (
     RunConfig,
     RunResult,
     UnverifiableError,
+    _finite_gradient,
     empirical_optimum,
     run,
     sequence_bound_check,
@@ -446,7 +448,26 @@ def _turning_quadratic(nan_gradient_at=None, inf_value_after=None):
                                       smoothness=Q, known_opt_value=0.0))
 
 
-@pytest.mark.parametrize("spec", ["uniform", "full"])
+def test_finite_gradient_guard_flags_every_non_finite_entry():
+    """One dot decides a finite gradient; entries are tested only when the
+    dot is not finite, so a finite gradient whose squared norm overflows
+    passes.  No RuntimeWarning fires on either path."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in (0, 37, 99):
+                grad = np.linspace(-1.0, 1.0, 100)
+                grad[where] = bad
+                assert not _finite_gradient(grad), (bad, where)
+        huge = np.full(100, 1e200)
+        huge[::2] *= -1.0
+        assert sum(v * v for v in huge.tolist()) == math.inf
+        assert _finite_gradient(huge)
+        assert _finite_gradient(np.full(1, -1e300))
+        assert _finite_gradient(np.zeros(3)) and _finite_gradient(np.array([-0.0]))
+
+
+@pytest.mark.parametrize("spec", ["uniform", "full", "cyclic", "importance", "nice:2"])
 def test_gradient_turning_nan_mid_run_is_a_numeric_failure(spec):
     problem = _turning_quadratic(nan_gradient_at=7)
     with pytest.raises(NumericFailureError, match=r"^gradient not finite at iteration 7$"):

@@ -105,6 +105,54 @@ def test_L_tau_batched_bit_identical_to_loop(n, tau, monkeypatch):
     assert rates.L_tau(M, tau) == oracle
 
 
+def _count_eigvalsh_blocks(monkeypatch):
+    """Patch np.linalg.eigvalsh to count the matrices it is handed."""
+    seen = {"blocks": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen["blocks"] += len(a) if np.ndim(a) == 3 else 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen
+
+
+def test_L_tau_solves_at_most_five_percent_of_the_blocks(monkeypatch):
+    # its bits are the loop's: test_L_tau_batched_bit_identical_to_loop[32-4]
+    M = gen_instance(200, 32, seed=1).objective.smoothness
+    seen = _count_eigvalsh_blocks(monkeypatch)
+    rates.L_tau(M, 4)
+    assert 0 < seen["blocks"] <= 0.05 * subset_count(32, 4)
+
+
+def _two_equal_blocks():
+    B = random_spd(4, 6.0, 7)
+    M = np.zeros((8, 8))
+    M[:4, :4] = M[4:, 4:] = B
+    return M
+
+
+@pytest.mark.parametrize("M, tau", [
+    (np.eye(9), 3),                        # every block ties at 1
+    (_two_equal_blocks(), 4),              # the maximum is reached twice
+    (_two_equal_blocks(), 3),
+    (random_spd(10, 8.0, 4) - 3.0 * np.eye(10), 4),   # indefinite
+    (-random_spd(10, 8.0, 5), 3),          # every eigenvalue negative
+])
+def test_L_tau_pruned_walk_matches_loop_on_ties_and_indefinite_matrices(M, tau, monkeypatch):
+    oracle = _L_tau_loop(M, tau)
+    assert rates.L_tau(M, tau) == oracle
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 7 * 8 * tau * tau)
+    assert rates.L_tau(M, tau) == oracle
+
+
+def test_L_tau_of_a_matrix_with_a_nan_entry_is_nan():
+    M = np.eye(6)
+    M[2, 3] = M[3, 2] = np.nan
+    assert np.isnan(rates.L_tau(M, 3))
+
+
 # -- exact greedy-minibatch scores ---------------------------------------------
 
 def test_inverse_forms_match_einsum_oracle_on_200_gradients():
