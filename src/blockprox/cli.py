@@ -172,10 +172,6 @@ def build_rules(cfg: ExperimentConfig, n: int) -> list:
     return rules
 
 
-def _safe_name(rule_name: str) -> str:
-    return rule_name.replace(":", "_")
-
-
 @contextlib.contextmanager
 def _writing(path):
     """Report an OSError from creating or writing `path` (an output
@@ -229,7 +225,7 @@ def cmd_run(cfg: ExperimentConfig):
             continue
         if name == "full":
             full_result = result
-        trace_path = os.path.join(cfg.out_dir, f"trace_{_safe_name(name)}.csv")
+        trace_path = os.path.join(cfg.out_dir, f"trace_{name.replace(':', '_')}.csv")
         with _writing(trace_path):
             descent.write_trace_csv(result, trace_path)
         first_F = result.trace[0].F if result.trace else result.final_F

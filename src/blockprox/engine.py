@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .linalg import CoordSet, InvalidSetError, mask_vector
+from .linalg import CoordSet, InvalidSetError, mask_vector, spd_solve
 from .objectives import CompositeProblem
 
 
@@ -53,10 +53,6 @@ class BlockStep:
     decrease: float  # -min_u U_S(x, u), always >= 0
 
 
-def _L_used(problem: CompositeProblem, L) -> float:
-    return problem.L_scalar if L is None else float(L)
-
-
 def _prox_model(reg, x, grad, L: float):
     """The prox step v and the certificate entries lambda, given x and
     grad f(x) at the same coordinates (all, or a block's):
@@ -78,8 +74,8 @@ def _gradient(problem: CompositeProblem, x: np.ndarray, grad) -> np.ndarray:
 
 def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
                 grad=None) -> Certificate:
-    # `_L_used`, `_gradient` and `smooth_path` written out: the descent loop
-    # calls this once per iteration
+    # `_gradient` and `smooth_path` written out: the descent loop calls this
+    # once per iteration
     L = problem.L_scalar if L is None else float(L)
     if grad is None:
         grad = problem.grad_f(x)
@@ -134,14 +130,15 @@ def _check_length(name: str, vec: np.ndarray, S: CoordSet) -> None:
                               f"ambient dim {S.ambient_dim}")
 
 
-def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L: float,
+def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L,
                grad, cert: Certificate | None) -> BlockStep:
     """block_step on the prox path: u_S = v[S] and lam_S = lam[S], read off
-    the full-space model (v, lam) at (x, grad f(x), L), which gives the bits
-    of the model evaluated on the block's gather.  (v, lam) is the
+    the full-space model (v, lam) at (x, grad f(x), L, or L_scalar for None),
+    with the bits of the model evaluated on the block's gather.  (v, lam) is the
     certificate's, or is evaluated here; without a certificate a
     one-coordinate step is `_coordinate_step` instead.  u_S may be a view
     of v."""
+    L = problem.L_scalar if L is None else float(L)
     if cert is None:
         grad = _gradient(problem, x, grad)
         _check_length("gradient", grad, S)
@@ -179,7 +176,7 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
     on Python floats and the full set on grad itself, without a gather.
     Each gives the bits of the model solved on the block's gather."""
     if not problem.regularizer.is_zero:
-        return _prox_step(problem, x, S, _L_used(problem, L), grad, cert)
+        return _prox_step(problem, x, S, L, grad, cert)
     if grad is None:
         grad = problem.grad_f(x)
     if len(S.indices) == 1:
@@ -191,11 +188,13 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
         r_i = problem.objective.inverse_sqrt_diagonal[i]
         u = -((g_i * r_i) * r_i)
         return BlockStep(S, np.array([u]), max(-0.5 * (0.0 + g_i * u), 0.0))
-    full = S.is_full()
-    if full:
+    if S.is_full():
         _check_length("gradient", grad, S)
-    g_S = grad if full else mask_vector(grad, S)
-    u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
+        g_S = grad
+        u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
+    else:
+        g_S, idx = mask_vector(grad, S), S.array
+        u_S = -spd_solve(problem.objective.smoothness.take(idx, 0).take(idx, 1), g_S)
     decrease = -0.5 * float(g_S @ u_S)
     return BlockStep(S, u_S, max(decrease, 0.0))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dposv, dpotrf
 
 #: Hard default on the number of subsets any exact enumeration may visit.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
@@ -25,12 +25,9 @@ SYMMETRY_RTOL = 1e-12
 
 #: Working memory of one chunk of any walk over the cardinality-tau subsets
 #: (`rates.L_tau`, `rates.expected_inverse_matrix`, `block_inverse_forms`):
-#: the stacked tau x tau arrays of 8-byte entries its subsets need.
+#: the stacked tau x tau arrays of 8-byte entries its subsets need.  Block
+#: steps keep no factor: each solves its gather by one `spd_solve`.
 SUBSET_CHUNK_BYTES = 2**20
-
-#: Bytes of Cholesky factors an objective keeps (`Objective.factor_for`),
-#: summed over the factors' arrays; a single larger factor is kept alone.
-FACTOR_CACHE_BYTES = 2**24
 
 
 class InvalidSetError(ValueError):
@@ -113,12 +110,21 @@ class CoordSet:
         return tuple(i + 1 for i in self.indices)
 
 
-def check_symmetric(M: np.ndarray) -> np.ndarray:
+def _square(M: np.ndarray, finite: bool = True) -> np.ndarray:
+    """M as a float array, or ValueError unless square (and `finite`)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if finite and not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return M
+
+
+def check_symmetric(M: np.ndarray) -> np.ndarray:
+    """M as a float array, or ValueError unless finite, square and symmetric."""
+    M = _square(M)
     scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > SYMMETRY_RTOL * scale:
+    if not np.abs(M - M.T).max() <= SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric to within tolerance")
     return M
 
@@ -133,23 +139,32 @@ def mask_vector(x: np.ndarray, S: CoordSet) -> np.ndarray:
     return x[S.array]
 
 
+def _check_info(info: int, routine: str) -> None:
+    """The exception of a LAPACK Cholesky call's nonzero `info`."""
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
 def spd_factor(M: np.ndarray):
     """Lower Cholesky factor of M as `(c, True)`, the bytes and layout of
     `scipy.linalg.cho_factor(M, lower=True)` through the same LAPACK call
     without its wrapper.  Raises ValueError on a non-square or non-finite M
     and NotPositiveDefiniteError when M is not positive definite."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("array must not contain infs or NaNs")
-    c, info = dpotrf(M, lower=1, clean=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
+    c, info = dpotrf(_square(M), lower=1, clean=0)
+    _check_info(info, "potrf")
     return c, True
+
+
+def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b by one LAPACK `dposv(lower=1)`, the bits of `spd_factor`
+    and `dpotrs`; A's finiteness is not checked (an objective checks M once).
+    Raises ValueError on a non-square A, NotPositiveDefiniteError on a non-SPD one."""
+    _, x, info = dposv(_square(A, finite=False), b, lower=1)
+    _check_info(info, "posv")
+    return x
 
 
 def is_spd(M: np.ndarray) -> bool:

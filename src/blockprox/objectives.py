@@ -2,15 +2,16 @@
 
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
-x, h, and caches what is derived from M: lambda_min(M) and lambda_max(M)
-(from one eigenvalue call), Cholesky factors
-of principal submatrices (and 1/sqrt(M_ii), by which a one-coordinate step
-scales), and per block size tau the block smoothness scalar L_tau, the
-expected inverse E[inv(M[S, S])] and the exact greedy-minibatch tables.  An L1Regularizer, lam ||x||_1 with lam = 0 for
-the smooth problem, is the nonsmooth half of F = f + g; it is read through
-array maps (values lam |v_i| and the prox of many coordinates at once with
-one scalar ell), so the certificate and the prox step are numpy expressions
-over a block.
+x, h, and keeps what is derived from M: lambda_min(M) and lambda_max(M) (from
+one eigenvalue call), M's own Cholesky factor (every full step's; a step on
+any other block solves its gather in one LAPACK call and keeps no factor),
+the 1/sqrt(M_ii) by which a one-coordinate step scales, and per block size
+tau the block smoothness scalar L_tau, the expected inverse E[inv(M[S, S])]
+and the exact greedy-minibatch tables.  An L1Regularizer, lam ||x||_1 with
+lam = 0 for the smooth problem, is the nonsmooth half of F = f + g; it is
+read through array maps (values lam |v_i| and the prox of many coordinates
+at once with one scalar ell), so the certificate and the prox step are numpy
+expressions over a block.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -23,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -32,7 +32,6 @@ import numpy as np
 from . import rates
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
-    FACTOR_CACHE_BYTES,
     BlockInverseForms,
     CoordSet,
     block_inverse_forms,
@@ -61,6 +60,8 @@ class BlockSmoothness(NamedTuple):
 
 @dataclass
 class Objective:
+    """f with its curvature matrix M and what it keeps of M (module docstring)."""
+
     dim: int
     eval_f: Callable[[np.ndarray], float]
     grad_f: Callable[[np.ndarray], np.ndarray]
@@ -68,11 +69,6 @@ class Objective:
     strong_convexity_f: float = 0.0
     known_opt_value: Optional[float] = None
     known_minimizer: Optional[np.ndarray] = None
-    # Cholesky factors of principal submatrices, keyed by index tuple, in
-    # the order they were computed, and the bytes of their arrays
-    _factor_cache: OrderedDict = field(default_factory=OrderedDict, repr=False,
-                                       compare=False)
-    _factor_bytes: int = field(default=0, repr=False, compare=False)
     # constants over the cardinality-tau principal submatrices of M, keyed
     # by (quantity, tau, enumeration budget)
     _subset_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -94,22 +90,16 @@ class Objective:
             self.known_minimizer = np.asarray(self.known_minimizer, dtype=float)
 
     def factor_for(self, indices: tuple):
-        """Cached SPD factorization of the principal submatrix M[indices].
+        """`spd_factor` of M[indices], indices strictly increasing in [0, dim):
+        M's own kept factor for the full set, else a fresh one not kept."""
+        if len(indices) == self.dim:
+            return self.smoothness_factor
+        return spd_factor(self.smoothness.take(indices, 0).take(indices, 1))
 
-        The cache holds at most FACTOR_CACHE_BYTES of factors: a new factor
-        evicts the oldest until it fits, and one larger than the whole
-        budget is the only one kept."""
-        cache = self._factor_cache
-        fac = cache.get(indices)
-        if fac is None:
-            idx = np.array(indices, dtype=np.intp)
-            fac = spd_factor(self.smoothness.take(idx, 0).take(idx, 1))
-            size = fac[0].nbytes
-            while cache and self._factor_bytes + size > FACTOR_CACHE_BYTES:
-                self._factor_bytes -= cache.popitem(last=False)[1][0].nbytes
-            cache[indices] = fac
-            self._factor_bytes += size
-        return fac
+    @functools.cached_property
+    def smoothness_factor(self):
+        """`spd_factor` of M, computed on first use and kept for full steps."""
+        return spd_factor(self.smoothness)
 
     def _subset_constant(self, quantity: str, tau: int, budget: int, build):
         key = (quantity, tau, budget)
@@ -275,12 +265,14 @@ class CompositeProblem:
     opt_value: Optional[float] = None
     # set when opt_value comes from a descent run rather than a known optimum
     opt_value_is_empirical: bool = False
-    L_scalar: float = field(init=False)
 
     def __post_init__(self):
-        self.L_scalar = self.objective.lambda_max
         if self.opt_value is None and self.regularizer.is_zero:
             self.opt_value = self.objective.known_opt_value
+
+    @property
+    def L_scalar(self) -> float:
+        return self.objective.lambda_max
 
     @property
     def dim(self) -> int:
@@ -424,12 +416,11 @@ def make_quadratic(Q: np.ndarray, smoothness: Optional[np.ndarray] = None) -> Ob
     if not is_spd(Q):
         raise ValueError("quadratic matrix must be positive definite")
     n = Q.shape[0]
-    M = Q if smoothness is None else check_symmetric(smoothness)
     objective = Objective(
         dim=n,
         eval_f=lambda x: 0.5 * float(x @ (Q @ x)),
         grad_f=lambda x: Q @ x,
-        smoothness=M,
+        smoothness=Q if smoothness is None else smoothness,  # checked by Objective
         strong_convexity_f=0.0 if smoothness is None else eig_extremes(Q)[0],
         known_opt_value=0.0,
         known_minimizer=np.zeros(n),

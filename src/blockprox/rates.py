@@ -115,16 +115,14 @@ def _largest_block_eigenvalue(M: np.ndarray, tau: int, budget: int) -> float:
     cannot give the maximum, and skipping it leaves the result's bits as
     they are: eigvalsh solves each block of a stack on its own.  In each
     chunk the _L_TAU_FIRST blocks of largest bound are solved first, then
-    every block whose bound the running maximum does not rule out.  A bound
-    that is nan rules nothing out, and a nan eigenvalue makes the result nan.
+    every block whose bound the running maximum does not rule out.  M is
+    finite (`L_tau` checks it).
     """
     magnitudes = np.abs(M)
     best = -math.inf
 
     def larger(best, blocks):
-        top = float(np.linalg.eigvalsh(gather_blocks(M, blocks))[:, -1].max())
-        # a nan eigenvalue makes the result nan, as numpy's max over all would
-        return best if best != best or top <= best else top
+        return max(best, float(np.linalg.eigvalsh(gather_blocks(M, blocks))[:, -1].max()))
 
     for chunk in subset_index_chunks(M.shape[0], tau, budget, chunk_rows(tau)):
         # each block's Gershgorin bound, widened past eigvalsh's error

@@ -1,11 +1,12 @@
-"""The block path: a step on a block of two or more coordinates factors
-M[S, S] by one direct LAPACK call on a `take` gather, draws a tau-nice set
+"""The block path: a step on a block of two or more coordinates solves
+M[S, S] u = -g_S by one LAPACK `dposv` on a `take` gather (a full step by M's
+own factor, kept on the objective), draws a tau-nice set
 by a Fisher-Yates shuffle over a dict of moved positions with one bounded
 draw through the generator's C entry point per position, reads the set's
 cached index array, moves M x by u_S' times the contiguous rows S of M',
 and steps the full set on grad and x without a gather.  Each gives the
 same bits as the generic operations it replaces: `scipy.linalg.cho_factor`
-behind `np.ix_`, the Fisher-Yates draw on a numpy array with
+and `cho_solve` behind `np.ix_`, the Fisher-Yates draw on a numpy array with
 `rng.integers`, the column gather M[:, S] @ u_S, `mask_vector`, and a
 scatter of u_S into a copy of x.  On the L1 path every step reads its
 entries at S off the iteration's certificate, with the bits of the prox
@@ -18,15 +19,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blockprox import engine, objectives, rates
+from blockprox import engine, linalg, objectives, rates
 from blockprox.descent import RunConfig, empirical_optimum, run
 from blockprox.linalg import (
-    FACTOR_CACHE_BYTES,
     CoordSet,
     InvalidSetError,
     NotPositiveDefiniteError,
     mask_vector,
     spd_factor,
+    spd_solve,
 )
 from blockprox.objectives import (
     MX_REFRESH_SWEEPS,
@@ -123,6 +124,9 @@ def _principal_blocks():
 
 
 def test_spd_factor_bytes_match_cho_factor():
+    """`spd_factor` gives the factor `cho_factor` does, and `spd_solve` the
+    solution of `cho_solve` with it."""
+    rng = np.random.default_rng(4)
     for block in _principal_blocks():
         c, lower = spd_factor(block)
         c_ref, lower_ref = scipy.linalg.cho_factor(block, lower=True)
@@ -130,6 +134,9 @@ def test_spd_factor_bytes_match_cho_factor():
         assert c.tobytes() == c_ref.tobytes()
         assert c.flags.f_contiguous == c_ref.flags.f_contiguous
         assert c.shape == c_ref.shape and c.dtype == c_ref.dtype
+        rhs = rng.standard_normal(len(block))
+        want = scipy.linalg.cho_solve((c_ref, lower_ref), rhs)
+        assert spd_solve(block, rhs).tobytes() == want.tobytes()
 
 
 def test_spd_factor_of_huge_entries_matches_cho_factor():
@@ -152,6 +159,11 @@ def test_spd_factor_errors():
         spd_factor(np.ones((2, 3)))
     with pytest.raises(ValueError):
         spd_factor(np.ones(3))
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_solve(np.diag([1.0, -1.0, 2.0]), np.ones(3))
+    with pytest.raises(ValueError) as info:
+        spd_solve(np.ones((2, 3)), np.ones(2))
+    assert not isinstance(info.value, NotPositiveDefiniteError)
 
 
 def test_coord_set_array_is_cached_and_read_only():
@@ -168,33 +180,42 @@ def test_coord_set_array_is_cached_and_read_only():
     assert a == b and hash(a) == hash(b)
 
 
-def test_factor_cache_stays_within_its_byte_budget():
+def _arrays(value):
+    """Every ndarray in value, looking into tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+def test_objective_keeps_only_the_factor_of_M(monkeypatch):
+    """M's factor is computed once and serves `empirical_optimum` and every
+    full step; block steps solve their gathers by `spd_solve` and keep no
+    factor, and `factor_for` of any other set factors afresh."""
     problem = gen_instance(1000, 100, 1)
     obj = problem.objective
-    result = run(problem, parse_rule("nice:40", 100, default_seed=1),
-                 RunConfig(max_iters=5000))
-    cache = obj._factor_cache
-    held = sum(fac[0].nbytes for fac in cache.values())
-    assert held == obj._factor_bytes <= FACTOR_CACHE_BYTES
-    assert held > FACTOR_CACHE_BYTES - 40 * 40 * 8  # it filled, then evicted
-    assert len(cache) < len(result.trace)
-    assert result.trace[-1].block.indices in cache  # the newest factors stay
+    factored = []
 
+    def dpotrf(a, *args, **kwargs):
+        factored.append(a.shape)
+        return scipy.linalg.lapack.dpotrf(a, *args, **kwargs)
 
-def test_factor_cache_evicts_oldest_and_keeps_one_oversized(monkeypatch):
-    obj = make_quadratic(random_spd(6, 4.0, 0))
-    monkeypatch.setattr(objectives, "FACTOR_CACHE_BYTES", 3 * 2 * 2 * 8)
-    sets = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    first = obj.factor_for(sets[0])
-    assert obj.factor_for(sets[0]) is first
-    for key in sets[1:]:
-        obj.factor_for(key)
-    assert list(obj._factor_cache) == sets[1:]
-    assert obj._factor_bytes == 3 * 32
-    full = tuple(range(6))
-    obj.factor_for(full)  # 288 bytes, more than the whole budget
-    assert list(obj._factor_cache) == [full]
-    assert obj._factor_bytes == 288
+    monkeypatch.setattr(linalg, "dpotrf", dpotrf)
+    empirical_optimum(problem)
+    for spec, iters in (("full", 50), ("nice:40", 5000)):
+        result = run(problem, parse_rule(spec, 100, default_seed=1),
+                     RunConfig(max_iters=iters))
+        assert len(result.trace) == iters
+    assert factored == [(100, 100)]
+    assert obj.factor_for(tuple(range(100))) is obj.smoothness_factor
+    assert not any(a.shape == (40, 40) for a in _arrays(vars(obj)))
+    first, second = obj.factor_for((3, 7)), obj.factor_for((3, 7))
+    assert first is not second and first[0].tobytes() == second[0].tobytes()
+    assert factored == [(100, 100), (2, 2), (2, 2)]
 
 
 class _ColumnGatherState(objectives.LsqCosState):

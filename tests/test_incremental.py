@@ -160,7 +160,7 @@ def test_structured_and_closure_runs_agree(kind):
         assert abs(structured.final_F - closure.final_F) <= TWIN_RTOL * scale
 
 
-@pytest.mark.parametrize("size", [1, 8])
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 12])
 def test_block_step_solve_bit_identical_to_cho_solve(size):
     problem = gen_instance(m=40, n=12, seed=2)
     x = np.linspace(-1.0, 1.0, 12)

@@ -77,6 +77,11 @@ def test_check_symmetric_rejects_asymmetry():
     M[0, 1] = 1e-6
     with pytest.raises(ValueError):
         check_symmetric(M)
+    for bad in (np.nan, np.inf):
+        P = np.eye(3)
+        P[0, 1] = P[1, 0] = bad
+        with pytest.raises(ValueError):
+            check_symmetric(P)
     # tiny asymmetry within tolerance is accepted
     N = np.eye(3)
     N[0, 1] = 1e-14

@@ -147,10 +147,14 @@ def test_L_tau_pruned_walk_matches_loop_on_ties_and_indefinite_matrices(M, tau, 
     assert rates.L_tau(M, tau) == oracle
 
 
-def test_L_tau_of_a_matrix_with_a_nan_entry_is_nan():
-    M = np.eye(6)
-    M[2, 3] = M[3, 2] = np.nan
-    assert np.isnan(rates.L_tau(M, 3))
+def test_L_tau_rejects_a_matrix_with_a_non_finite_entry():
+    for bad in (np.nan, np.inf):
+        M = np.eye(6)
+        M[2, 3] = M[3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(ValueError):
+                rates.L_tau(M, 3)
 
 
 # -- exact greedy-minibatch scores ---------------------------------------------

@@ -1,7 +1,8 @@
 """The benchmark's tracer (`bench/tracer.py`) patches blockprox functions and
 methods by name; installing it fails if a traced target is renamed or
 deleted.  The test suite runs no traced benchmark, so this test installs it,
-traces a short L1 run and two smooth greedy runs, and uninstalls it."""
+traces a short L1 run, two smooth greedy runs and two smooth block runs, and
+uninstalls it."""
 
 import importlib.util
 import pathlib
@@ -60,6 +61,15 @@ def test_tracer_installs_runs_and_uninstalls():
         assert merged["stats"]["selection.select"][0] == 5 + 2 * 20
         assert merged["run_calls"]["objectives.grad_f"] == 0
         assert merged["run_calls"]["objectives.F"] == 0
+        # a full step solves by M's factor, read through `factor_for` once
+        # per step; a block step solves its gather without it
+        for spec, iters in (("full", 7), ("nice:3", 9)):
+            blockprox.descent.run(smooth, blockprox.parse_rule(spec, 8),
+                                  blockprox.RunConfig(max_iters=iters))
+        merged = tracer.merged()
+        assert merged["stats"]["descent.run"][0] == 5
+        assert merged["stats"]["objectives.factor_for"][0] == 7
+        assert merged["counters"]["objectives.factor_for.distinct"] == 1
     finally:
         tracer.uninstall()
 
