@@ -17,7 +17,7 @@ Config files are INI text with four sections::
     [run]
     max_iters = 500
     epsilon = 1e-8
-    diagnostics = true | false
+    diagnostics = true | false    # any configparser boolean
     stop_on = iters | gap | certificate
     seed = 0            # global seed; --seed on the command line overrides
     budget = 2000000    # subsets a rule may enumerate (>= 0)
@@ -95,8 +95,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
             rule_specs=rule_specs,
             max_iters=int(run_sec.get("max_iters", 500)),
             epsilon=float(run_sec.get("epsilon", 1e-8)),
-            diagnostics=str(run_sec.get("diagnostics", "false")).lower()
-            in ("1", "true", "yes", "on"),
+            diagnostics=parser.getboolean("run", "diagnostics", fallback=False),
             stop_on=str(run_sec.get("stop_on", "iters")),
             seed=int(run_sec.get("seed", 0)),
             out_dir=str(out_sec.get("dir", "out")),
@@ -324,10 +323,16 @@ def cmd_rates(cfg: ExperimentConfig, epsilon=None, fmt="text", stream=None):
         for fclass in classes:
             try:
                 bound = rates.predict_K(rule, fclass, problem, eps, xi0)
-                rows.append((rule.name, fclass.kind, bound.constant,
-                             bound.K(eps)))
             except rates.NoGuaranteeError as exc:
                 rows.append((rule.name, fclass.kind, None, str(exc)))
+                continue
+            try:
+                K = bound.K(eps)
+            except (OverflowError, ZeroDivisionError):
+                # the bound's float arithmetic overflows at this epsilon
+                raise ConfigError(f"epsilon {eps!r} is too small: K(epsilon) "
+                                  f"of {rule.name}, {fclass.kind} is not finite") from None
+            rows.append((rule.name, fclass.kind, bound.constant, K))
 
     if fmt == "csv":
         stream.write("rule,class,constant,K\n")

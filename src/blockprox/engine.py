@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
-from .linalg import CoordSet, InvalidSetError, mask_vector, spd_solve
+from .linalg import CoordSet, InvalidSetError, factor_solve, mask_vector, spd_solve
 from .objectives import CompositeProblem
 
 
@@ -97,15 +96,6 @@ def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:
     if xi <= gap_tol:
         raise AtOptimumError(f"optimality gap {xi} below tolerance {gap_tol}")
     return certificate(problem, x, L).lambda_total / xi
-
-
-def _cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """scipy.linalg.cho_solve without its input checks (same LAPACK call)."""
-    c, lower = factor
-    sol, info = dpotrs(c, rhs, lower=int(lower))
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return sol
 
 
 def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L: float,
@@ -191,7 +181,7 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
     if S.is_full():
         _check_length("gradient", grad, S)
         g_S = grad
-        u_S = -_cho_solve(problem.objective.factor_for(S.indices), g_S)
+        u_S = -factor_solve(problem.objective.factor_for(S.indices), g_S)
     else:
         g_S, idx = mask_vector(grad, S), S.array
         u_S = -spd_solve(problem.objective.smoothness.take(idx, 0).take(idx, 1), g_S)

@@ -1,6 +1,11 @@
-"""Masked indexing, SPD factors, eigenvalue extremes, subset enumeration
-and the batched computations over it: principal submatrices gathered from
-chunks of subset index arrays, and the greedy-minibatch quadratic forms.
+"""Masked indexing, SPD factors and solves, eigenvalue extremes, subset
+enumeration and the batched computations over it: principal submatrices
+gathered from chunks of subset index arrays, and the greedy-minibatch
+quadratic forms.
+
+This is the one module that calls LAPACK directly (`spd_factor`,
+`factor_solve`, `spd_solve`), each call without scipy's checked wrappers and
+with their bytes; the caller vouches for its inputs as stated per function.
 
 Coordinate indices are 0-based internally.  All user-facing I/O (configs,
 trace files) converts to 1-based.
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 #: Hard default on the number of subsets any exact enumeration may visit.
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
@@ -158,6 +163,15 @@ def spd_factor(M: np.ndarray):
     return c, True
 
 
+def factor_solve(factor, b: np.ndarray) -> np.ndarray:
+    """x with A x = b given `spd_factor(A)`: LAPACK `dpotrs`, the call and
+    bytes of `scipy.linalg.cho_solve` without its input checks."""
+    c, lower = factor
+    x, info = dpotrs(c, b, lower=int(lower))
+    _check_info(info, "potrs")
+    return x
+
+
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b by one LAPACK `dposv(lower=1)`, the bits of `spd_factor`
     and `dpotrs`; A's finiteness is not checked (an objective checks M once).
@@ -165,14 +179,6 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     _, x, info = dposv(_square(A, finite=False), b, lower=1)
     _check_info(info, "posv")
     return x
-
-
-def is_spd(M: np.ndarray) -> bool:
-    try:
-        spd_factor(M)
-        return True
-    except NotPositiveDefiniteError:
-        return False
 
 
 def eig_extremes(M: np.ndarray) -> tuple[float, float]:

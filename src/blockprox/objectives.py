@@ -2,16 +2,18 @@
 
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
-x, h, and keeps what is derived from M: lambda_min(M) and lambda_max(M) (from
-one eigenvalue call), M's own Cholesky factor (every full step's; a step on
-any other block solves its gather in one LAPACK call and keeps no factor),
-the 1/sqrt(M_ii) by which a one-coordinate step scales, and per block size
-tau the block smoothness scalar L_tau, the expected inverse E[inv(M[S, S])]
-and the exact greedy-minibatch tables.  An L1Regularizer, lam ||x||_1 with
-lam = 0 for the smooth problem, is the nonsmooth half of F = f + g; it is
-read through array maps (values lam |v_i| and the prox of many coordinates
-at once with one scalar ell), so the certificate and the prox step are numpy
-expressions over a block.
+x, h.  At construction it checks M once (finite, square, symmetric to
+within tolerance) and derives from it, once each, M's own Cholesky factor
+(the positive definiteness check, and every full step's factor; a step on
+any other block solves its gather in one LAPACK call and keeps no factor)
+and lambda_min(M) and lambda_max(M) (one eigenvalue call).  It keeps, on
+first use, the 1/sqrt(M_ii) by which a one-coordinate step scales, and per
+block size tau the block smoothness scalar L_tau, the expected inverse
+E[inv(M[S, S])] and the exact greedy-minibatch tables.  An L1Regularizer,
+lam ||x||_1 with lam = 0 for the smooth problem, is the nonsmooth half of
+F = f + g; it is read through array maps (values lam |v_i| and the prox of
+many coordinates at once with one scalar ell), so the certificate and the
+prox step are numpy expressions over a block.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -34,10 +36,10 @@ from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockInverseForms,
     CoordSet,
+    NotPositiveDefiniteError,
     block_inverse_forms,
     check_symmetric,
     eig_extremes,
-    is_spd,
     spd_factor,
 )
 
@@ -72,6 +74,8 @@ class Objective:
     # constants over the cardinality-tau principal submatrices of M, keyed
     # by (quantity, tau, enumeration budget)
     _subset_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # `spd_factor` of M, whose success is the positive definiteness check
+    smoothness_factor: tuple = field(init=False, repr=False, compare=False)
     # lambda_min(M) and lambda_max(M), from the eigenvalue call that checks
     # strong_convexity_f
     lambda_min: float = field(init=False, repr=False, compare=False)
@@ -81,25 +85,21 @@ class Objective:
         self.smoothness = check_symmetric(self.smoothness)
         if self.smoothness.shape != (self.dim, self.dim):
             raise ValueError("smoothness matrix shape does not match dim")
-        if not is_spd(self.smoothness):
-            raise ValueError("smoothness matrix must be positive definite")
-        self.lambda_min, self.lambda_max = eig_extremes(self.smoothness)
+        try:
+            self.smoothness_factor = spd_factor(self.smoothness)
+        except NotPositiveDefiniteError:
+            raise ValueError("smoothness matrix must be positive definite") from None
+        w = np.linalg.eigvalsh(self.smoothness)
+        self.lambda_min, self.lambda_max = float(w[0]), float(w[-1])
         if self.strong_convexity_f > self.lambda_min + 1e-10:
             raise ValueError("strong convexity parameter exceeds lambda_min(M)")
         if self.known_minimizer is not None:
             self.known_minimizer = np.asarray(self.known_minimizer, dtype=float)
 
     def factor_for(self, indices: tuple):
-        """`spd_factor` of M[indices], indices strictly increasing in [0, dim):
-        M's own kept factor for the full set, else a fresh one not kept."""
-        if len(indices) == self.dim:
-            return self.smoothness_factor
-        return spd_factor(self.smoothness.take(indices, 0).take(indices, 1))
-
-    @functools.cached_property
-    def smoothness_factor(self):
-        """`spd_factor` of M, computed on first use and kept for full steps."""
-        return spd_factor(self.smoothness)
+        """M's factor `smoothness_factor`, for `indices` the full set: a step
+        on any other block solves its gather without a factor."""
+        return self.smoothness_factor
 
     def _subset_constant(self, quantity: str, tau: int, budget: int, build):
         key = (quantity, tau, budget)
@@ -309,7 +309,9 @@ class LsqCosObjective(Objective):
     """f(x) = ||Ax - b||^2 / (2m) + cos(<c, x>) / m, holding A, b, c as data.
 
     Curvature bound M = (A'A + cc') / m dominates the Hessian
-    (A'A - cos(<c,x>) cc') / m uniformly since |cos| <= 1.  With
+    (A'A - cos(<c,x>) cc') / m uniformly since |cos| <= 1.  A is kept
+    C-contiguous, so A'A is numpy's symmetric rank-k product of A with itself
+    and M is exactly symmetric: row i of M is column i.  With
     A'A/m = M - cc'/m, an iterate state keeps only M x current:
 
         grad f = M x - c <c,x>/m - A'b/m - sin(<c,x>) c / m
@@ -322,7 +324,7 @@ class LsqCosObjective(Objective):
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  seed: Optional[int] = None):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        A = np.ascontiguousarray(np.atleast_2d(np.asarray(A, dtype=float)))
         b = np.asarray(b, dtype=float).ravel()
         c = np.asarray(c, dtype=float).ravel()
         m, n = A.shape
@@ -340,19 +342,12 @@ class LsqCosObjective(Objective):
     def state_at(self, x: np.ndarray) -> "LsqCosState":
         return LsqCosState(self, x)
 
-    @functools.cached_property
-    def smoothness_columns(self) -> np.ndarray:
-        """Row i is column i of M, contiguous: M itself when it is exactly
-        symmetric, otherwise a copy of M'."""
-        M = self.smoothness
-        return M if np.array_equal(M, M.T) else np.ascontiguousarray(M.T)
-
 
 class LsqCosState(IterateState):
     """Iterate state of a least-squares-plus-cosine objective: a move by u_S
     updates M x by M[:, S] u_S (column i times u_i when S = {i}), read as
-    contiguous rows of `smoothness_columns`, and f and the gradient follow
-    in O(n)."""
+    the contiguous rows S of the exactly symmetric M, and f and the gradient
+    follow in O(n)."""
 
     def __init__(self, objective: LsqCosObjective, x: np.ndarray):
         self.objective = objective
@@ -376,12 +371,12 @@ class LsqCosState(IterateState):
             # u_i times column i: the length-1 matvec's products, except that
             # a zero product may be -0.0 where the matvec gives +0.0; adding
             # either leaves M x the same, as M x never holds -0.0
-            self._Mx += self.objective.smoothness_columns[S.indices[0]] * u_S.item(0)
+            self._Mx += self.objective.smoothness[S.indices[0]] * u_S.item(0)
         else:
-            # u_S' times the rows S of M' is the transposed dgemv that
+            # u_S' times the rows S of M = M' is the transposed dgemv that
             # M[:, S] @ u_S makes on its F-ordered gather: the same bits,
             # without the strided copy
-            self._Mx += u_S @ self.objective.smoothness_columns.take(S.array, 0)
+            self._Mx += u_S @ self.objective.smoothness.take(S.array, 0)
         self._update_f()
 
     def _update_f(self) -> None:
@@ -410,20 +405,23 @@ def make_lsq_cos(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LsqCosObjective
 def make_quadratic(Q: np.ndarray, smoothness: Optional[np.ndarray] = None) -> Objective:
     """f(x) = x'Qx / 2 with SPD Q; optionally a looser smoothness matrix.
 
-    Its strong convexity is lambda_min(Q): with M = Q, the objective's own
-    lambda_min, so Q's spectrum is computed once."""
-    Q = check_symmetric(Q)
-    if not is_spd(Q):
-        raise ValueError("quadratic matrix must be positive definite")
-    n = Q.shape[0]
+    Its strong convexity is lambda_min(Q).  With M = Q the objective checks,
+    factors and takes the spectrum of Q once; a looser M leaves Q's spectrum,
+    which checks Q, to be taken here."""
+    Q = np.asarray(Q, dtype=float)
+    lambda_min_Q = 0.0
+    if smoothness is not None:
+        lambda_min_Q = eig_extremes(Q)[0]
+        if not lambda_min_Q > 0:
+            raise ValueError("quadratic matrix must be positive definite")
     objective = Objective(
-        dim=n,
+        dim=len(Q),
         eval_f=lambda x: 0.5 * float(x @ (Q @ x)),
         grad_f=lambda x: Q @ x,
         smoothness=Q if smoothness is None else smoothness,  # checked by Objective
-        strong_convexity_f=0.0 if smoothness is None else eig_extremes(Q)[0],
+        strong_convexity_f=lambda_min_Q,
         known_opt_value=0.0,
-        known_minimizer=np.zeros(n),
+        known_minimizer=np.zeros(len(Q)),
     )
     if smoothness is None:
         # M = Q: lambda_min(Q) is the lambda_min(M) the constructor just took

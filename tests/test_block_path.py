@@ -1,14 +1,14 @@
 """The block path: a step on a block of two or more coordinates solves
 M[S, S] u = -g_S by one LAPACK `dposv` on a `take` gather (a full step by M's
-own factor, kept on the objective), draws a tau-nice set
-by a Fisher-Yates shuffle over a dict of moved positions with one bounded
-draw through the generator's C entry point per position, reads the set's
-cached index array, moves M x by u_S' times the contiguous rows S of M',
-and steps the full set on grad and x without a gather.  Each gives the
-same bits as the generic operations it replaces: `scipy.linalg.cho_factor`
-and `cho_solve` behind `np.ix_`, the Fisher-Yates draw on a numpy array with
-`rng.integers`, the column gather M[:, S] @ u_S, `mask_vector`, and a
-scatter of u_S into a copy of x.  On the L1 path every step reads its
+own factor, made and kept at construction), draws a tau-nice set by a
+Fisher-Yates shuffle over a dict of moved positions with one bounded draw
+through the generator's C entry point per position, reads the set's cached
+index array, moves M x by u_S' times the contiguous rows S of the exactly
+symmetric M, and steps the full set on grad and x without a gather.  Each
+gives the same bits as the generic operations it replaces:
+`scipy.linalg.cho_factor` and `cho_solve` behind `np.ix_`, the Fisher-Yates
+draw on a numpy array with `rng.integers`, the column gather
+M[:, S] @ u_S, `mask_vector`, and a scatter of u_S into a copy of x.  On the L1 path every step reads its
 entries at S off the iteration's certificate, with the bits of the prox
 model evaluated on the block's gather.
 """
@@ -192,30 +192,54 @@ def _arrays(value):
             yield from _arrays(item)
 
 
-def test_objective_keeps_only_the_factor_of_M(monkeypatch):
-    """M's factor is computed once and serves `empirical_optimum` and every
-    full step; block steps solve their gathers by `spd_solve` and keep no
-    factor, and `factor_for` of any other set factors afresh."""
-    problem = gen_instance(1000, 100, 1)
-    obj = problem.objective
-    factored = []
+def _count_factors_and_symmetry_checks(monkeypatch):
+    """Patches linalg's `dpotrf` and every module's `check_symmetric` to
+    record the shapes they see: (factored, checked)."""
+    factored, checked = [], []
+    check_symmetric = linalg.check_symmetric
 
     def dpotrf(a, *args, **kwargs):
         factored.append(a.shape)
         return scipy.linalg.lapack.dpotrf(a, *args, **kwargs)
 
+    def counting_check(M):
+        checked.append(np.shape(M))
+        return check_symmetric(M)
+
     monkeypatch.setattr(linalg, "dpotrf", dpotrf)
+    for module in (linalg, objectives, rates):
+        monkeypatch.setattr(module, "check_symmetric", counting_check)
+    return factored, checked
+
+
+def test_one_factor_and_one_symmetry_check_per_objective(monkeypatch):
+    """Construction checks M and factors it once; `empirical_optimum` and
+    every full step read that factor, block steps solve their gathers by
+    `spd_solve` and keep no factor, and nothing checks M again."""
+    factored, checked = _count_factors_and_symmetry_checks(monkeypatch)
+    problem = gen_instance(1000, 100, 1)
+    obj = problem.objective
+    assert factored == checked == [(100, 100)]
     empirical_optimum(problem)
     for spec, iters in (("full", 50), ("nice:40", 5000)):
         result = run(problem, parse_rule(spec, 100, default_seed=1),
                      RunConfig(max_iters=iters))
         assert len(result.trace) == iters
-    assert factored == [(100, 100)]
+    assert factored == checked == [(100, 100)]
     assert obj.factor_for(tuple(range(100))) is obj.smoothness_factor
     assert not any(a.shape == (40, 40) for a in _arrays(vars(obj)))
-    first, second = obj.factor_for((3, 7)), obj.factor_for((3, 7))
-    assert first is not second and first[0].tobytes() == second[0].tobytes()
-    assert factored == [(100, 100), (2, 2), (2, 2)]
+    factored.clear()
+    checked.clear()
+    quadratic = make_quadratic(random_spd(30, 50.0, 2))
+    assert factored == checked == [(30, 30)]
+    assert quadratic.strong_convexity_f == quadratic.lambda_min
+    run(CompositeProblem(quadratic), parse_rule("full", 30), RunConfig(max_iters=20))
+    assert factored == checked == [(30, 30)]
+    # a looser M is checked and factored; Q is checked by its eigenvalue call
+    factored.clear()
+    checked.clear()
+    make_quadratic(random_spd(30, 50.0, 2), smoothness=2.0 * random_spd(30, 50.0, 2))
+    assert factored == [(30, 30)] and checked == [(30, 30), (30, 30)]
 
 
 class _ColumnGatherState(objectives.LsqCosState):
@@ -236,21 +260,41 @@ def _state_bits(state):
     return state._Mx.tobytes(), _bits(state.f), state.grad.tobytes()
 
 
+def _strided_objective():
+    """A least-squares-plus-cosine objective built from a strided view of A,
+    whose M numpy's general matrix product would leave asymmetric."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((2000, 200))[::2, ::2]
+    return objectives.LsqCosObjective(A, rng.standard_normal(1000),
+                                      rng.standard_normal(100))
+
+
+def test_lsq_cos_smoothness_is_exactly_symmetric():
+    rng = np.random.default_rng(6)
+    for m, n in ((40, 12), (300, 60), (1000, 100)):
+        A = rng.standard_normal((2 * m, 2 * n))[::2, ::2]
+        b, c = rng.standard_normal(m), rng.standard_normal(n)
+        for layout in (np.ascontiguousarray(A), np.asfortranarray(A), A):
+            M = objectives.LsqCosObjective(layout, b, c).smoothness
+            assert np.array_equal(M, M.T), (m, n, layout.flags)
+
+
 @pytest.mark.parametrize("tau", [2, 3, 8, 16, 40])
 def test_block_moves_match_the_column_gather(tau):
     """k block moves from a random x at paper scale: M x, f and grad f in
-    the bits of the column gather, refreshes included."""
-    obj = gen_instance(1000, 100, 17).objective
-    rng = np.random.default_rng(tau)
-    x = rng.standard_normal(100)
-    state, oracle = obj.state_at(x), _ColumnGatherState(obj, x)
-    for _ in range(3 * MX_REFRESH_SWEEPS * 100 // tau + 5):
-        S = CoordSet(tuple(np.sort(rng.choice(100, tau, replace=False)).tolist()), 100)
-        u_S = rng.standard_normal(tau) * 10.0 ** rng.uniform(-8, 1)
-        state.move(S, u_S)
-        oracle.move(S, u_S)
-        assert _state_bits(state) == _state_bits(oracle)
-        assert state.x.tobytes() == oracle.x.tobytes()
+    the bits of the column gather, refreshes included, on a generated
+    instance and on one built from a strided A."""
+    for obj in (gen_instance(1000, 100, 17).objective, _strided_objective()):
+        rng = np.random.default_rng(tau)
+        x = rng.standard_normal(100)
+        state, oracle = obj.state_at(x), _ColumnGatherState(obj, x)
+        for _ in range(3 * MX_REFRESH_SWEEPS * 100 // tau + 5):
+            S = CoordSet(tuple(np.sort(rng.choice(100, tau, replace=False)).tolist()), 100)
+            u_S = rng.standard_normal(tau) * 10.0 ** rng.uniform(-8, 1)
+            state.move(S, u_S)
+            oracle.move(S, u_S)
+            assert _state_bits(state) == _state_bits(oracle)
+            assert state.x.tobytes() == oracle.x.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:C\\(100,8\\) exceeds the enumeration budget")

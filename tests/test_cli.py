@@ -510,6 +510,9 @@ def test_report_carries_L_used_and_its_source(tmp_path):
     (("greedymb:3", "greedy:3"), ["run"], EXIT_CONFIG),
     (("max_iters = 60", "max_iters = 60\nbudget = -5"), ["run"], EXIT_CONFIG),
     (("max_iters = 60", "max_iters = 60\nbudget = -5"), ["rates"], EXIT_CONFIG),
+    # only configparser's booleans, not a misspelt one read as false
+    (("diagnostics = true", "diagnostics = ture"), ["run"], EXIT_CONFIG),
+    (("diagnostics = true", "diagnostics = off"), ["run"], EXIT_OK),
 ])
 def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expected):
     body = SMOOTH_CFG.format(out=tmp_path / "out")
@@ -519,6 +522,20 @@ def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expecte
     assert main([command[0], path] + command[1:]) == expected
     err = capsys.readouterr().err
     assert ("config error:" in err) == (expected == EXIT_CONFIG)
+
+
+@pytest.mark.parametrize("kind", ["generated", "quadratic"])
+@pytest.mark.parametrize("epsilon", ["1e-320", "5e-324"])
+def test_rates_at_a_tiny_epsilon_is_config_error(tmp_path, capsys, kind, epsilon):
+    """At these epsilons K(epsilon) overflows to inf (general nonconvex,
+    weakly PL) or divides by an epsilon product that underflows to 0."""
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "kind = generated\nm = 30", f"kind = {kind}\nm = 30")
+    path = write_cfg(tmp_path, body)
+    assert main(["rates", path, "--epsilon", epsilon]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"epsilon {float(epsilon)!r} is too small" in err
 
 
 def test_negative_budget_is_config_error(tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockprox
 from blockprox.linalg import (
     CoordSet,
     EnumerationTooLargeError,
@@ -11,10 +14,10 @@ from blockprox.linalg import (
     check_symmetric,
     eig_extremes,
     enumerate_subsets,
-    is_spd,
     mask_vector,
     subset_count,
 )
+from blockprox.objectives import Objective
 
 
 def test_coordset_validation():
@@ -89,10 +92,32 @@ def test_check_symmetric_rejects_asymmetry():
     check_symmetric(N)
 
 
-def test_is_spd():
-    assert is_spd(np.eye(3))
-    assert not is_spd(np.diag([1.0, -1.0, 2.0]))
-    assert not is_spd(np.zeros((2, 2)))
+def test_objective_factor_is_its_positive_definiteness_check():
+    def objective(M):
+        return Objective(dim=len(M), eval_f=lambda x: 0.0, grad_f=np.zeros_like,
+                         smoothness=M)
+
+    assert objective(np.eye(3)).smoothness_factor[0].tobytes() == np.eye(3).tobytes()
+    for M in (np.diag([1.0, -1.0, 2.0]), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="smoothness matrix must be positive definite"):
+            objective(M)
+
+
+def test_only_linalg_calls_lapack():
+    """`linalg` is the one module of the package importing from
+    `scipy.linalg.lapack`, in any import form."""
+    importers = set()
+    for path in sorted(Path(blockprox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.linalg.lapack") for name in names):
+                importers.add(path.name)
+    assert importers == {"linalg.py"}
 
 
 def test_eig_extremes():

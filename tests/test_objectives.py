@@ -82,6 +82,8 @@ def test_quadratic_with_loose_smoothness():
     obj = make_quadratic(Q, smoothness=3.0 * np.eye(2))
     np.testing.assert_allclose(obj.smoothness, 3.0 * np.eye(2))
     assert obj.strong_convexity_f == 1.0
+    with pytest.raises(ValueError, match="quadratic matrix must be positive definite"):
+        make_quadratic(np.diag([1.0, -1.0]), smoothness=3.0 * np.eye(2))
 
 
 def test_make_quadratic_computes_the_spectrum_once(monkeypatch):
