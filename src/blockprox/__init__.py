@@ -50,6 +50,7 @@ from .rates import (
     RateBound,
     L_tau,
     expected_inverse_matrix,
+    function_classes,
     general_nonconvex_epsilon,
     gradient_dominated_K,
     predict_K,

@@ -26,8 +26,10 @@ Config files are INI text with four sections::
     dir = out
 
 Subcommands: gen, run, rates, check, slice.  Exit codes: 0 success,
-1 config error, 2 numeric failure, 3 verification failure.  The
-verification suite behind `check` lives in `blockprox.checks`.
+1 config error, 2 numeric failure, 3 verification failure.  The module
+builds problems and rules, calls the library and prints: `rates` takes each
+rule's function classes, constant and K(epsilon) from `blockprox.rates`,
+and the verification suite behind `check` lives in `blockprox.checks`.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def cmd_run(cfg: ExperimentConfig):
             entries[name] = {"rule": name, "error": str(exc)}
             continue
         if name == "full":
-            full_result = result
+            full_rule, full_result = rule, result
         trace_path = os.path.join(cfg.out_dir, f"trace_{name.replace(':', '_')}.csv")
         with _writing(trace_path):
             descent.write_trace_csv(result, trace_path)
@@ -271,7 +273,7 @@ def cmd_run(cfg: ExperimentConfig):
     if problem.dim == 1 and cfg.diagnostics and full_result is not None \
             and full_result.trace:
         trace = full_result.trace
-        c = 1.0 / problem.objective.lambda_max
+        c = rates.rule_constant(full_rule, problem)[0]
         rate = rates.general_nonconvex_epsilon(
             trace[0].xi, c, [row.k + 1 for row in trace])
         series_path = os.path.join(cfg.out_dir, "plateau_series.csv")
@@ -304,35 +306,18 @@ def cmd_rates(cfg: ExperimentConfig, epsilon=None, fmt="text", stream=None):
     x0 = np.random.default_rng(cfg.seed).standard_normal(problem.dim)
     xi0 = problem.xi(x0)
 
-    classes = [rates.FunctionClass("general_nonconvex")]
-    lam_f = problem.objective.strong_convexity_f
-    if lam_f > 0:
-        if problem.smooth_path:
-            mu = lam_f
-        else:
-            mu = rates.strongly_convex_mu(problem, problem.L_scalar)
-        classes.append(rates.FunctionClass("strongly_pl", mu=mu))
-        try:
-            rho = rates.weakly_convex_rho(problem, x0, problem.L_scalar)
-            classes.append(rates.FunctionClass("weakly_pl", rho=rho))
-        except rates.NoParameterError:
-            pass
-
     rows = []
     for rule in rules:
-        for fclass in classes:
+        for fclass in rates.function_classes(rule, problem, x0):
             try:
                 bound = rates.predict_K(rule, fclass, problem, eps, xi0)
             except rates.NoGuaranteeError as exc:
                 rows.append((rule.name, fclass.kind, None, str(exc)))
                 continue
             try:
-                K = bound.K(eps)
-            except (OverflowError, ZeroDivisionError):
-                # the bound's float arithmetic overflows at this epsilon
-                raise ConfigError(f"epsilon {eps!r} is too small: K(epsilon) "
-                                  f"of {rule.name}, {fclass.kind} is not finite") from None
-            rows.append((rule.name, fclass.kind, bound.constant, K))
+                rows.append((rule.name, fclass.kind, bound.constant, bound.K(eps)))
+            except ValueError as exc:
+                raise ConfigError(f"{exc} ({rule.name}, {fclass.kind})") from None
 
     if fmt == "csv":
         stream.write("rule,class,constant,K\n")

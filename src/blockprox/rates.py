@@ -1,10 +1,12 @@
 """Iteration-complexity predictors and the constants they are built from:
-block smoothness scalars, expected embedded inverses, and the per-class
-K(epsilon) formulas for each selection rule.
+block smoothness scalars, expected embedded inverses, each selection rule's
+function classes, and the per-class K(epsilon) formulas (a ValueError where
+float arithmetic leaves K(epsilon) infinite).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -182,7 +184,7 @@ def rule_constant(rule, problem):
     certified floor that enumerates nothing."""
     rule.refuse_off_path(problem, NoGuaranteeError,
                          "no nonsmooth bound published for {} sampling")
-    M = problem.objective.smoothness
+    M, diagonal = problem.objective.smoothness, problem.objective.diagonal
     n = M.shape[0]
     smooth = problem.smooth_path
     row = rule.row
@@ -202,7 +204,7 @@ def rule_constant(rule, problem):
             # past the budget `select` runs the forward-greedy heuristic: its
             # first pick maximises g_i^2 / M_ii >= ||g||^2 / trace(M), and
             # g_S' inv(M_S) g_S only grows with S
-            trace = float(np.diag(M).sum())
+            trace = float(diagonal.sum())
             return 1.0 / trace, {"trace(M), forward-greedy heuristic": trace}
         # For each S and h, h' inv(M_S) h = max_y (2 y' I_S h - y' I_S M I_S y),
         # I_S the projection onto S.  The expectation of a max is at least
@@ -211,7 +213,7 @@ def rule_constant(rule, problem):
         # that is (tau/n) inv(B), B = (1 - beta) Diag(M) + beta M with
         # beta = (tau - 1)/(n - 1), exact at tau = 1 and at tau = n
         B = (tau - 1) / max(n - 1, 1) * M
-        np.fill_diagonal(B, np.diag(M))
+        np.fill_diagonal(B, diagonal)
         floor = tau / (n * eig_extremes(B)[1])
         return floor, {"(tau/n)/lambda_max(B)": floor}
     if not (row.randomized or row.greedy):
@@ -220,9 +222,9 @@ def rule_constant(rule, problem):
         # the smooth-only draw p_i = M_ii / trace(M), and the greedy pick,
         # which does at least as well; the uniform draw and every serial
         # rule on the prox path take n * max M_ii below
-        trace = float(np.diag(M).sum())
+        trace = float(diagonal.sum())
         return 1.0 / trace, {"trace(M)": trace}
-    top = float(np.diag(M).max())
+    top = float(diagonal.max())
     return 1.0 / (n * top), {"n*max_diag(M)": n * top}
 
 
@@ -236,29 +238,25 @@ def predict_K(rule, fclass: FunctionClass, problem, epsilon: float,
         raise NoGuaranteeError(
             "gradient-dominated bounds are published for batch descent only")
     c, provenance = rule_constant(rule, problem)
-
-    if fclass.kind == "strongly_pl":
-        def K(eps):
-            if eps >= xi0:
-                return 0
-            return math.ceil(math.log(xi0 / eps) / (c * fclass.mu))
-    elif fclass.kind == "weakly_pl":
-        def K(eps):
-            if eps >= xi0:
-                return 0
-            return math.ceil(1.0 / (fclass.rho * c * eps))
-    elif fclass.kind == "general_nonconvex":
-        def K(eps):
-            if eps >= xi0:
-                return 0
-            return math.ceil((xi0 / (c * eps)) * math.log(xi0 / eps))
-    else:  # gradient_dominated: only the batch-descent bound is published
+    if fclass.kind == "gradient_dominated":  # only the batch-descent bound
         L = problem.objective.lambda_max
+        return RateBound(K=lambda eps: gradient_dominated_K(fclass.c, fclass.p, L, xi0, eps),
+                         constant=c, provenance=provenance)
+    steps = {
+        "strongly_pl": lambda eps: math.log(xi0 / eps) / (c * fclass.mu),
+        "weakly_pl": lambda eps: 1.0 / (fclass.rho * c * eps),
+        "general_nonconvex": lambda eps: (xi0 / (c * eps)) * math.log(xi0 / eps),
+    }[fclass.kind]
+    return RateBound(K=lambda eps: 0 if eps >= xi0 else _ceil_finite(steps, eps),
+                     constant=c, provenance=provenance)
 
-        def K(eps):
-            return gradient_dominated_K(fclass.c, fclass.p, L, xi0, eps)
 
-    return RateBound(K=K, constant=c, provenance=provenance)
+def _ceil_finite(steps, epsilon: float) -> int:
+    """ceil(steps(epsilon)), or a ValueError naming epsilon where that is not finite."""
+    try:
+        return math.ceil(steps(epsilon))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"epsilon {epsilon!r} is too small: K(epsilon) is not finite") from None
 
 
 def general_nonconvex_epsilon(xi0: float, c: float, ks) -> list:
@@ -311,6 +309,21 @@ def weakly_convex_rho(problem, x0: np.ndarray, L: float,
     return min(L / (2.0 * xi0), 1.0 / (2.0 * R * R))
 
 
+def function_classes(rule, problem, x0: np.ndarray) -> list:
+    """The classes `predict_K` prices `rule` in: general nonconvex and, where
+    lambda_f > 0, strongly PL and (given a certified radius) weakly PL, with
+    mu and rho taken on the prox path at the rule's own L (`rule_L`)."""
+    classes = [FunctionClass("general_nonconvex")]
+    lam_f = problem.objective.strong_convexity_f
+    if lam_f > 0:
+        L = rule_L(problem, rule)[0] or problem.L_scalar  # rule_L: None when smooth
+        mu = lam_f if problem.smooth_path else strongly_convex_mu(problem, L)
+        classes.append(FunctionClass("strongly_pl", mu=mu))
+        with contextlib.suppress(NoParameterError):  # x0 already optimal
+            classes.append(FunctionClass("weakly_pl", rho=weakly_convex_rho(problem, x0, L)))
+    return classes
+
+
 def gradient_dominated_K(c: float, p: float, L: float, xi0: float,
                          epsilon: float) -> int:
     """Smallest k with k >= (2 L xi0 / eps) log(xi0 / phi(eps)) for the
@@ -320,4 +333,4 @@ def gradient_dominated_K(c: float, p: float, L: float, xi0: float,
     phi = c * epsilon ** p
     if phi >= xi0:
         return 0
-    return math.ceil(2.0 * L * xi0 / epsilon * math.log(xi0 / phi))
+    return _ceil_finite(lambda eps: 2.0 * L * xi0 / eps * math.log(xi0 / phi), epsilon)

@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +288,8 @@ seed = 0
 [output]
 dir = {out}
 """.format(out=tmp_path / "out")
-    report, code = cmd_run(load_config(write_cfg(tmp_path, body)))
+    cfg = load_config(write_cfg(tmp_path, body))
+    report, code = cmd_run(cfg)
     assert code == EXIT_OK
     series = report["plateau_series"]
     with open(series) as fh:
@@ -296,6 +299,11 @@ dir = {out}
     rate = [float(r[3]) for r in rows[1:]]
     assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(rate, rate[1:]))
     assert fx[0] > 0 and rate[0] <= fx[0]
+    # the rate is the general nonconvex bound at the full rule's 1/lambda_max
+    from blockprox import rates
+
+    c = 1.0 / build_problem(cfg).objective.lambda_max
+    assert rate == rates.general_nonconvex_epsilon(fx[0], c, [int(r[0]) + 1 for r in rows[1:]])
 
 
 def test_check_suite_negative_control():
@@ -312,14 +320,17 @@ def test_check_suite_negative_control():
     assert not res.passed
 
 
-def test_check_suite_passes(tmp_path, capsys):
-    cfg = load_config(write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "o")))
+@pytest.mark.parametrize("seed", range(4))
+def test_check_suite_passes(tmp_path, capsys, seed):
+    """`check` prints its 14 checks, one line each, all passing."""
+    cfg = load_config(write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "o")),
+                      seed_override=seed)
     checks, code = cli.run_check_suite(cfg)
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == EXIT_OK
+    assert len(checks) == len(lines) == 14
     assert all(c.passed for c in checks)
-    assert out.count("PASS") == len(checks)
-    assert "worst_margin" in out
+    assert all(line.startswith("PASS  ") and "worst_margin=" in line for line in lines)
 
 
 @pytest.mark.parametrize("content", [None, "{not json", '{"m": 2, "n": 2}',
@@ -536,6 +547,50 @@ def test_rates_at_a_tiny_epsilon_is_config_error(tmp_path, capsys, kind, epsilon
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert f"epsilon {float(epsilon)!r} is too small" in err
+
+
+def test_rates_prices_strong_pl_at_each_rules_own_L(tmp_path):
+    """On the prox path a rule's strongly-PL mu is taken at the L its
+    constant uses (L_1 = max M_ii for the serial rules), not at lambda_max:
+    strongly_convex_mu grows with L, so lambda_max would overstate it."""
+    from blockprox import descent, rates
+    from blockprox.selection import parse_rule
+
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "kind = generated\nm = 30\nn = 8", "kind = quadratic\nn = 10\ncond = 1.5\nlambda = 0.05")
+    cfg = load_config(write_cfg(tmp_path, body))
+    buf = io.StringIO()
+    rows = {(name, kind): K for name, kind, _, K in cmd_rates(cfg, fmt="csv", stream=buf)}
+    problem = build_problem(cfg)
+    descent.empirical_optimum(problem)
+    x0 = np.random.default_rng(cfg.seed).standard_normal(problem.dim)
+    L_1 = rates.L_tau(problem.objective.smoothness, 1)
+    mu = rates.strongly_convex_mu(problem, L_1)
+    assert mu < rates.strongly_convex_mu(problem, problem.L_scalar)
+    for spec in ("uniform", "greedy"):
+        bound = rates.predict_K(parse_rule(spec, problem.dim),
+                                rates.FunctionClass("strongly_pl", mu=mu), problem,
+                                cfg.epsilon, problem.xi(x0))
+        assert rows[(spec, "strongly_pl")] == bound.K(cfg.epsilon)
+
+
+def test_cli_leaves_rate_arithmetic_to_rates():
+    """`cli` reads from `rates` only what prices and refuses a rule, and
+    catches none of the arithmetic errors that `rates` turns into a
+    ValueError naming epsilon."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "rates"}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in ("rates", "blockprox.rates")
+             for alias in node.names}
+    assert used <= {"predict_K", "function_classes", "rule_constant",
+                    "general_nonconvex_epsilon", "NoGuaranteeError", "NoParameterError"}
+    caught = {node.id for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+              and handler.type is not None for node in ast.walk(handler.type)
+              if isinstance(node, ast.Name)}
+    assert not caught & {"OverflowError", "ZeroDivisionError", "ArithmeticError"}
 
 
 def test_negative_budget_is_config_error(tmp_path):

@@ -20,6 +20,7 @@ from blockprox.rates import (
     NoParameterError,
     L_tau,
     expected_inverse_matrix,
+    function_classes,
     general_nonconvex_epsilon,
     gradient_dominated_K,
     predict_K,
@@ -160,6 +161,60 @@ def test_function_class_validation():
         FunctionClass("gradient_dominated", c=1.0)
     with pytest.raises(ValueError):
         FunctionClass("mystery")
+
+
+def _classes(rule, problem, x0):
+    return {fclass.kind: fclass for fclass in function_classes(rule, problem, x0)}
+
+
+def test_function_classes_take_mu_at_the_rules_own_L():
+    """A serial rule on the prox path is priced at L_1 = max M_ii, where its
+    proportion bound 1/(n L_1) is taken, and the forcing ratio measured at
+    L_1 stays above that mu."""
+    from blockprox.engine import forcing
+
+    M = random_spd(10, 1.5, 0)
+    problem = CompositeProblem(make_quadratic(M), make_l1(0.05), opt_value=0.0)
+    rng = np.random.default_rng(0)
+    x0 = rng.standard_normal(10)
+    L_1, lam_max = L_tau(M, 1), problem.objective.lambda_max
+    classes = _classes(parse_rule("uniform", 10), problem, x0)
+    assert list(classes) == ["general_nonconvex", "strongly_pl", "weakly_pl"]
+    mu = classes["strongly_pl"].mu
+    assert mu == strongly_convex_mu(problem, L_1) < strongly_convex_mu(problem, lam_max)
+    assert classes["weakly_pl"].rho == weakly_convex_rho(problem, x0, lam_max)
+    assert _classes(parse_rule("nice:3", 10), problem, x0)["strongly_pl"].mu == \
+        strongly_convex_mu(problem, L_tau(M, 3))
+    assert _classes(parse_rule("full", 10), problem, x0)["strongly_pl"].mu == \
+        strongly_convex_mu(problem, lam_max)
+    for _ in range(200):
+        assert forcing(problem, rng.uniform(-2.0, 2.0, 10), L_1) >= mu
+
+
+def test_function_classes_by_path_and_convexity():
+    M = random_spd(6, 4.0, 1)
+    x0 = np.ones(6)
+    smooth = CompositeProblem(make_quadratic(M))
+    classes = _classes(parse_rule("uniform", 6), smooth, x0)
+    assert classes["strongly_pl"].mu == smooth.objective.strong_convexity_f
+    nonconvex = gen_instance(m=20, n=6, seed=0, lam=0.05)
+    assert list(_classes(parse_rule("uniform", 6), nonconvex, x0)) == ["general_nonconvex"]
+
+
+@pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
+def test_K_at_a_tiny_epsilon_is_a_value_error_naming_it(epsilon):
+    """Where the float arithmetic of a bound overflows or divides by an
+    underflowed product, K(epsilon) raises ValueError, not OverflowError or
+    ZeroDivisionError."""
+    problem = CompositeProblem(make_quadratic(np.eye(3)))
+    message = f"epsilon {epsilon!r} is too small"
+    for fclass in (FunctionClass("strongly_pl", mu=0.5), FunctionClass("weakly_pl", rho=0.5),
+                   FunctionClass("general_nonconvex")):
+        bound = predict_K(parse_rule("full", 3), fclass, problem, epsilon, 1.0)
+        with pytest.raises(ValueError, match=message):
+            bound.K(epsilon)
+    with pytest.raises(ValueError, match=message):
+        gradient_dominated_K(1.0, 2.0, 1.0, 1.0, epsilon)
 
 
 def test_strongly_convex_mu_substitutions():
