@@ -136,19 +136,24 @@ def check_certificate_oracle(seed=0, n_points=20):
 
 
 def check_strong_convexity_forcing(seed=0, n_points=50):
+    """engine.forcing at each prox rule's own L (`rates.rule_L`) against the
+    strongly PL mu `rates.function_classes` prices that rule with."""
     M = objectives.random_spd(8, 6.0, seed)
     problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.2))
     descent.empirical_optimum(problem)
-    mu_bound = rates.strongly_convex_mu(problem, problem.L_scalar)
+    mus = {rates.rule_L(problem, rule)[0]:  # [1] is strongly PL; rho alone reads x0
+           rates.function_classes(rule, problem, np.zeros(8))[1].mu
+           for rule in _campaign_rules(8, 3, seed, smooth=False)}
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(n_points):
         x = rng.uniform(-2.0, 2.0, 8)
-        try:
-            mu = engine.forcing(problem, x)
-        except engine.AtOptimumError:
-            continue
-        worst = min(worst, mu - mu_bound + 1e-8)
+        for L, mu_bound in mus.items():
+            try:
+                mu = engine.forcing(problem, x, L)
+            except engine.AtOptimumError:
+                break
+            worst = min(worst, mu - mu_bound + 1e-8)
     return TraceCheck("strongly_convex_forcing", worst >= 0, worst)
 
 

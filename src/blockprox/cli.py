@@ -372,11 +372,12 @@ def cmd_slice(cfg: ExperimentConfig, direction, radius: float, points: int,
     x_ref = np.asarray(x_ref, dtype=float)
 
     path = out_path or _output_file(cfg, "slice.csv")
-    ts = np.linspace(-radius, radius, points)
+    step = 2.0 * radius / (points - 1)  # np.linspace's points, one at a time
     with _writing(path), open(path, "w") as fh:
         fh.write("t,F\n")
-        for t in ts:
-            fh.write(f"{float(t)!r},{problem.F(x_ref + t * d)!r}\n")
+        for j in range(points):
+            t = j * step - radius if j < points - 1 else float(radius)
+            fh.write(f"{t!r},{problem.F(x_ref + t * d)!r}\n")
     return path
 
 

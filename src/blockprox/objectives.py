@@ -2,18 +2,17 @@
 
 An Objective bundles f (value, gradient) with a positive definite curvature
 matrix M such that f(x+h) <= f(x) + <grad f(x), h> + h'Mh/2 for all admissible
-x, h.  At construction it checks M once (finite, square, symmetric to
-within tolerance) and derives from it, once each, M's own Cholesky factor
-(the positive definiteness check, and every full step's factor; a step on
-any other block solves its gather in one LAPACK call and keeps no factor)
-and lambda_min(M) and lambda_max(M) (one eigenvalue call).  It keeps, on
-first use, the 1/sqrt(M_ii) by which a one-coordinate step scales, and per
-block size tau the block smoothness scalar L_tau, the expected inverse
-E[inv(M[S, S])] and the exact greedy-minibatch tables.  An L1Regularizer,
-lam ||x||_1 with lam = 0 for the smooth problem, is the nonsmooth half of
-F = f + g; it is read through array maps (values lam |v_i| and the prox of
-many coordinates at once with one scalar ell), so the certificate and the
-prox step are numpy expressions over a block.
+x, h, and owns M's constants, each computed once; `rates` and `selection`
+only read them.  At construction it checks M (finite, square, symmetric to
+within tolerance), factors it (the positive definiteness check, and every
+full step's factor) and takes lambda_min(M) and lambda_max(M) from one
+eigenvalue call.  On first use it keeps 1/sqrt(M_ii), and per block size tau
+and enumeration budget: L_tau (the held lambda_max at tau = n), the smooth
+tau-nice floor on lambda_min(E[inv(M[S, S])]), and the tables E[inv(M[S, S])]
+and greedy-minibatch forms.  One test, C(n, tau) <= budget, decides them:
+past it a table is None, and L_tau and the floor are certified bounds.  An
+L1Regularizer, lam ||x||_1 with lam = 0 for the smooth problem, is the
+nonsmooth half of F = f + g, read through array maps over many coordinates.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -41,6 +40,7 @@ from .linalg import (
     check_symmetric,
     eig_extremes,
     spd_factor,
+    subset_count,
 )
 
 #: The least-squares-plus-cosine state recomputes M x from scratch once the
@@ -102,41 +102,62 @@ class Objective:
         return self.smoothness_factor
 
     def _subset_constant(self, quantity: str, tau: int, budget: int, build):
+        """`build(fits)` once per (quantity, tau, budget), where `fits` is the
+        objective's one test of the enumeration budget, C(n, tau) <= budget."""
         key = (quantity, tau, budget)
-        hit = self._subset_cache.get(key)
-        if hit is None:
-            hit = self._subset_cache[key] = build()
-        return hit
+        if key not in self._subset_cache:
+            self._subset_cache[key] = build(subset_count(self.dim, tau) <= budget)
+        return self._subset_cache[key]
 
     def block_smoothness(self, tau: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockSmoothness:
-        """`rates.L_tau` of M with its provenance, computed once per
-        (tau, budget); so its trace-bound warning fires once as well."""
-        def build():
-            value = rates.L_tau(self.smoothness, tau, budget)
-            source = "exact" if rates.L_tau_is_exact(self.dim, tau, budget) else "trace_bound"
-            return BlockSmoothness(value, source)
+        """L_tau of M with its provenance, computed once per (tau, budget):
+        the held lambda_max at tau = n, else `rates.L_tau`, exact at tau = 1
+        and within the budget, its trace bound (warned about once) past it."""
+        def build(fits):
+            if tau == self.dim:
+                return BlockSmoothness(self.lambda_max, "exact")
+            return BlockSmoothness(rates.L_tau(self.smoothness, tau, budget),
+                                   "exact" if fits or tau == 1 else "trace_bound")
         return self._subset_constant("L_tau", tau, budget, build)
 
     def expected_inverse(self, tau: int,
-                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> Optional[np.ndarray]:
         """`rates.expected_inverse_matrix` of M, computed once per
-        (tau, budget) and read-only.  Raises EnumerationTooLargeError over
-        the budget."""
-        def build():
-            E = rates.expected_inverse_matrix(self.smoothness, tau, budget)
-            E.setflags(write=False)
-            return E
+        (tau, budget) and read-only; None past the budget."""
+        def build(fits):
+            if fits:
+                E = rates.expected_inverse_matrix(self.smoothness, tau, budget)
+                E.setflags(write=False)
+                return E
         return self._subset_constant("expected_inverse", tau, budget, build)
 
     def inverse_forms(self, tau: int,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockInverseForms:
+                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> Optional[BlockInverseForms]:
         """`linalg.block_inverse_forms` of M, the exact greedy-minibatch
         tables, computed once per (tau, budget) and shared by every rule on
-        this objective.  Raises EnumerationTooLargeError over the budget."""
+        this objective; None past the budget."""
         return self._subset_constant(
             "inverse_forms", tau, budget,
-            lambda: block_inverse_forms(self.smoothness, tau, budget))
+            lambda fits: block_inverse_forms(self.smoothness, tau, budget) if fits else None)
+
+    def minibatch_floor(self, tau: int,
+                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[float, str]:
+        """lambda_min(E[inv(M_S)]) over tau-nice sets S within the budget, and
+        past it the floor (tau/n)/lambda_max(B), B = (1 - beta) Diag(M) +
+        beta M, beta = (tau - 1)/(n - 1), with its provenance name, computed
+        once per (tau, budget).  As h' inv(M_S) h = max_y (2 y' I_S h -
+        y' I_S M I_S y), I_S the projection onto S, and an expected max is at
+        least the max of the expectation, E[inv(M_S)] >= D_p inv(P o M) D_p
+        with p_i = P(i in S) and P_ij = P(i, j in S): (tau/n) inv(B) for
+        tau-nice sets, exact at tau = 1 and at tau = n."""
+        def build(fits):
+            if fits:
+                return eig_extremes(self.expected_inverse(tau, budget))[0], "lambda_min(E[inv])"
+            B = (tau - 1) / max(self.dim - 1, 1) * self.smoothness
+            np.fill_diagonal(B, self.diagonal)
+            return tau / (self.dim * eig_extremes(B)[1]), "(tau/n)/lambda_max(B)"
+        return self._subset_constant("minibatch_floor", tau, budget, build)
 
     @functools.cached_property
     def diagonal(self) -> np.ndarray:

@@ -18,7 +18,6 @@ from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     check_symmetric,
     chunk_rows,
-    eig_extremes,
     gather_blocks,
     subset_count,
     subset_index_chunks,
@@ -63,13 +62,6 @@ class RateBound:
     provenance: dict = field(default_factory=dict)
 
 
-def L_tau_is_exact(n: int, tau: int,
-                   budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
-    """Whether `L_tau` of an n x n matrix is the exact maximum (True) or the
-    trace upper bound it falls back to (False)."""
-    return tau in (1, n) or subset_count(n, tau) <= budget
-
-
 #: Blocks of largest Gershgorin bound per chunk that `L_tau` solves first,
 #: to raise the running maximum the chunk's other blocks are pruned against.
 _L_TAU_FIRST = 64
@@ -85,7 +77,7 @@ def L_tau(M: np.ndarray, tau: int,
     of running it on all of them.  Past the budget it falls back to the
     trace upper bound (sum of the tau largest diagonal entries) with a
     warning.  Callers with an objective read it through
-    `Objective.block_smoothness`, which caches it.
+    `Objective.block_smoothness`, which caches it with its provenance.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -93,16 +85,12 @@ def L_tau(M: np.ndarray, tau: int,
         raise ValueError(f"need 1 <= tau <= n, got tau={tau}")
     if tau == 1:
         return float(np.diag(M).max())
-    if tau == n:
-        return eig_extremes(M)[1]
-    if L_tau_is_exact(n, tau, budget):
+    if subset_count(n, tau) <= budget:
         check_symmetric(M)
         return _largest_block_eigenvalue(M, tau, budget)
     bound = float(np.sort(np.diag(M))[-tau:].sum())
-    warnings.warn(
-        f"C({n},{tau}) exceeds the enumeration budget; using the trace "
-        f"upper bound {bound} for L_tau"
-    )
+    warnings.warn(f"C({n},{tau}) exceeds the enumeration budget; using the trace "
+                  f"upper bound {bound} for L_tau")
     return bound
 
 
@@ -179,43 +167,31 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
 def rule_constant(rule, problem):
     """The published lower bound on (the expectation of) the proportion
     function for a selection rule, with provenance, from its row's shape and
-    the problem's path.  Enumerated constants read the rule's own budget, as
-    its steps do (`rule_L`); past it a smooth minibatch row takes a
-    certified floor that enumerates nothing."""
+    the problem's path.  The constants of M are the objective's, each
+    computed once: lambda_max(M), and at the rule's own budget, as its steps
+    read it (`rule_L`), L_tau and the smooth minibatch floor."""
     rule.refuse_off_path(problem, NoGuaranteeError,
                          "no nonsmooth bound published for {} sampling")
-    M, diagonal = problem.objective.smoothness, problem.objective.diagonal
-    n = M.shape[0]
+    objective = problem.objective
+    diagonal, n = objective.diagonal, objective.dim
     smooth = problem.smooth_path
     row = rule.row
     if row.shape == "full":
-        lam_max = problem.objective.lambda_max
+        lam_max = objective.lambda_max
         return 1.0 / lam_max, {"lambda_max(M)": lam_max}
     if row.shape == "minibatch":
         tau = rule.tau
         if not smooth:
-            lt = problem.objective.block_smoothness(tau, rule.budget).value
+            lt = objective.block_smoothness(tau, rule.budget).value
             return tau / (n * lt), {"L_tau": lt, "n*L_tau/tau": n * lt / tau}
-        if subset_count(n, tau) <= rule.budget:
-            E = problem.objective.expected_inverse(tau, rule.budget)
-            lam_min = eig_extremes(E)[0]
-            return lam_min, {"lambda_min(E[inv])": lam_min}
-        if row.greedy:
+        if row.greedy and objective.expected_inverse(tau, rule.budget) is None:
             # past the budget `select` runs the forward-greedy heuristic: its
             # first pick maximises g_i^2 / M_ii >= ||g||^2 / trace(M), and
             # g_S' inv(M_S) g_S only grows with S
             trace = float(diagonal.sum())
             return 1.0 / trace, {"trace(M), forward-greedy heuristic": trace}
-        # For each S and h, h' inv(M_S) h = max_y (2 y' I_S h - y' I_S M I_S y),
-        # I_S the projection onto S.  The expectation of a max is at least
-        # the max of the expectation, so E[inv(M_S)] >= D_p inv(P o M) D_p
-        # with p_i = P(i in S) and P_ij = P(i, j in S); for tau-nice sets
-        # that is (tau/n) inv(B), B = (1 - beta) Diag(M) + beta M with
-        # beta = (tau - 1)/(n - 1), exact at tau = 1 and at tau = n
-        B = (tau - 1) / max(n - 1, 1) * M
-        np.fill_diagonal(B, diagonal)
-        floor = tau / (n * eig_extremes(B)[1])
-        return floor, {"(tau/n)/lambda_max(B)": floor}
+        floor, name = objective.minibatch_floor(tau, rule.budget)
+        return floor, {name: floor}
     if not (row.randomized or row.greedy):
         raise NoGuaranteeError(f"{row.name} selection carries no complexity bound")
     if smooth and (row.greedy or not row.prox):

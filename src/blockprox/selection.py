@@ -18,7 +18,7 @@ from . import engine
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     CoordSet,
-    subset_count,
+    EnumerationTooLargeError,
 )
 from .objectives import CompositeProblem
 
@@ -209,17 +209,6 @@ def _forward_greedy(M: np.ndarray, grad: np.ndarray, tau: int) -> list[int]:
     return chosen
 
 
-def _greedy_minibatch_smooth(rule: BlockRule, problem, grad: np.ndarray) -> CoordSet:
-    objective = problem.objective
-    if subset_count(rule.n, rule.tau) <= rule.budget:
-        forms = objective.inverse_forms(rule.tau, rule.budget)
-        best = int(forms.values(grad).argmax())  # first max: lexicographic tie-break
-        row = forms.subsets[best]
-        return CoordSet._trusted(tuple(row.tolist()), rule.n, row.astype(np.intp))
-    rule.last_was_heuristic = True
-    return _sorted_set(_forward_greedy(objective.smoothness, grad, rule.tau), rule.n)
-
-
 def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
            lambda_per_coord: Optional[np.ndarray] = None) -> CoordSet:
     """The active coordinate set of iteration k, from what the rule reads of
@@ -253,7 +242,13 @@ def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
         if kind == "greedy_coord":
             scores = grad * grad / problem.objective.diagonal
             return rule.singletons[scores.argmax()]
-        return _greedy_minibatch_smooth(rule, problem, grad)
+        forms = problem.objective.inverse_forms(rule.tau, rule.budget)
+        if forms is None:  # past the budget: the flagged forward-greedy heuristic
+            rule.last_was_heuristic = True
+            return _sorted_set(_forward_greedy(problem.objective.smoothness, grad, rule.tau), n)
+        best = int(forms.values(grad).argmax())  # first max: lexicographic tie-break
+        row = forms.subsets[best]
+        return CoordSet._trusted(tuple(row.tolist()), n, row.astype(np.intp))
     if lambda_per_coord is None:
         raise ValueError("greedy selection on a nonsmooth problem needs "
                          "per-coordinate certificates")
@@ -279,8 +274,8 @@ def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
         nice:tau    g' E[inv(M_S)] g / ||g||^2        tau / (n L)
 
     and zero where the certificate vanishes.  E[inv(M_S)] is
-    `Objective.expected_inverse`, which raises EnumerationTooLargeError
-    past the rule's enumeration budget.  No gradient or certificate is
+    `Objective.expected_inverse`; past the rule's enumeration budget it
+    raises EnumerationTooLargeError.  No gradient or certificate is
     evaluated here; a deterministic rule's theta is `engine.proportion` of
     the set it selects.
     """
@@ -299,4 +294,6 @@ def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
     if rule.kind == "uniform_coord":
         return float(np.mean(grad * grad / diagonal)) / g2
     E = problem.objective.expected_inverse(rule.tau, rule.budget)
+    if E is None:
+        raise EnumerationTooLargeError(f"C({rule.n},{rule.tau}) exceeds budget {rule.budget}")
     return float(grad @ E @ grad) / g2

@@ -107,3 +107,26 @@ def test_campaign_rules_keep_their_order_and_seeds():
         rules = checks._campaign_rules(12, 3, 5, smooth)
         assert [r.name for r in rules] == names
         assert [r.seed for r in rules] == list(range(5, 5 + len(names)))
+
+
+def test_strong_convexity_forcing_audits_each_prox_rules_own_L(monkeypatch):
+    """The check holds engine.forcing at every prox rule's L (lambda_max,
+    L_1 and L_3 of its 8 x 8 quadratic) to the strongly PL mu that
+    `rates.function_classes` prices the rule with there."""
+    from blockprox import checks, engine, rates
+
+    M = random_spd(8, 6.0, 3)
+    problem = CompositeProblem(make_quadratic(M), make_l1(0.2))
+    expected = {rates.L_tau(M, tau) for tau in (1, 3)} | {problem.L_scalar}
+    seen = set()
+    original = engine.forcing
+
+    def recorded(problem, x, L=None):
+        seen.add(L)
+        return original(problem, x, L)
+
+    monkeypatch.setattr(engine, "forcing", recorded)
+    check = checks.check_strong_convexity_forcing(seed=3)
+    assert check.passed and seen == expected and len(expected) == 3
+    # the smallest margin is at L_1, below the one at lambda_max alone
+    assert check.worst_margin == pytest.approx(1.7058097517495607, rel=1e-9)

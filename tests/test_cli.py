@@ -232,6 +232,50 @@ def test_cmd_slice_errors(tmp_path, capsys):
     assert not (tmp_path / "o" / "slice.csv").exists()
 
 
+QUADRATIC_SLICE_CFG = """
+[problem]
+kind = quadratic
+n = 4
+seed = 2
+
+[rules]
+rules = full
+
+[run]
+seed = 0
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("radius", [2.0, 0.3])
+def test_cmd_slice_streams_the_linspace_points(tmp_path, monkeypatch, radius):
+    """slice.csv holds the bytes of the np.linspace points, computed one at a
+    time: it is written with np.linspace over [-radius, radius] unavailable."""
+    cfg = load_config(write_cfg(tmp_path, QUADRATIC_SLICE_CFG.format(out=tmp_path / "out")))
+    problem = build_problem(cfg)
+    d = np.zeros(4)
+    d[1] = 1.0
+    expected = {}
+    for points in (2, 3, 7, 201, 1000):
+        rows = [f"{float(t)!r},{problem.F(t * d)!r}\n"  # the minimizer is 0
+                for t in np.linspace(-radius, radius, points)]
+        expected[points] = "t,F\n" + "".join(rows)
+
+    original = np.linspace
+
+    def guarded(start, stop, *args, **kwargs):
+        if (start, stop) == (-radius, radius):
+            raise MemoryError("the slice is to stream its points")
+        return original(start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    for points, text in expected.items():
+        path = cmd_slice(cfg, "e2", radius=radius, points=points)
+        assert Path(path).read_bytes() == text.encode(), points
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "out"))
     assert main(["run", good]) == EXIT_OK
@@ -453,11 +497,12 @@ def test_theta_bounds_compute_L_tau_once_per_tau(monkeypatch):
     for n_points in (5, 3):
         check = checks.check_theta_bounds(problem, seed=1, tau=3, n_points=n_points)
         assert check.passed
-        assert calls == {12: 1, 1: 1, 3: 1}
+        # L_12 of the full rule is the objective's own lambda_max, no L_tau call
+        assert calls == {1: 1, 3: 1}
     # another objective has its own cache
     other = gen_instance(m=40, n=12, seed=2, lam=0.05)
     assert checks.check_theta_bounds(other, seed=1, tau=3, n_points=1).passed
-    assert calls == {12: 2, 1: 2, 3: 2}
+    assert calls == {1: 2, 3: 2}
 
 
 @pytest.mark.parametrize("command", [

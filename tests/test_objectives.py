@@ -391,3 +391,93 @@ def test_block_smoothness_cached_with_provenance():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the cached value warns only once
         assert obj.block_smoothness(4, budget=10) is bound
+
+
+def _count_eigvalsh(monkeypatch):
+    """The arrays np.linalg.eigvalsh is called on, kept in call order."""
+    seen = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return seen
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_one_spectrum_of_M_per_objective(monkeypatch, lam):
+    """Construction, the empirical optimum, runs of full, uniform and nice:4
+    and their rates constants take M's spectrum once: L_n on the prox path is
+    the held lambda_max, not a second eigvalsh of M."""
+    from blockprox import descent, rates
+    from blockprox.selection import parse_rule
+
+    seen = _count_eigvalsh(monkeypatch)
+    problem = gen_instance(200, 32, 1, lam=lam)
+    M = problem.objective.smoothness
+    descent.empirical_optimum(problem)
+    for spec in ("full", "uniform", "nice:4"):
+        rule = parse_rule(spec, 32)
+        descent.run(problem, rule, descent.RunConfig(max_iters=20))
+        rates.rule_constant(rule, problem)
+    assert sum(np.array_equal(a, M) for a in seen) == 1
+    if lam:  # the prox path takes no other 32 x 32 spectrum
+        assert sum(a.shape == (32, 32) for a in seen) == 1
+    assert problem.objective.block_smoothness(32) == (problem.objective.lambda_max, "exact")
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_smooth_minibatch_constants_are_taken_once(monkeypatch, budget):
+    """Repeated `rule_constant` calls of the smooth minibatch rules read the
+    objective's floor: no spectrum after the first call, the same bits.
+    C(12, 3) = 220 sets are within the default budget and past 20."""
+    from blockprox import rates
+    from blockprox.selection import parse_rule
+
+    problem = gen_instance(40, 12, 1)
+    kwargs = {} if budget is None else {"budget": budget}
+    rules = [parse_rule(spec, 12, **kwargs) for spec in ("nice:3", "greedymb:3")]
+    first = [rates.rule_constant(rule, problem) for rule in rules]
+    seen = _count_eigvalsh(monkeypatch)
+    for _ in range(3):
+        again = [rates.rule_constant(rule, problem) for rule in rules]
+        assert [(c.hex(), p) for c, p in again] == [(c.hex(), p) for c, p in first]
+    assert seen == []
+    names = [next(iter(p)) for _, p in first]
+    assert names == (["lambda_min(E[inv])"] * 2 if budget is None else
+                     ["(tau/n)/lambda_max(B)", "trace(M), forward-greedy heuristic"])
+
+
+def test_tables_past_the_budget_are_none():
+    obj = gen_instance(40, 12, 1).objective
+    assert obj.expected_inverse(3, budget=219) is None
+    assert obj.inverse_forms(3, budget=219) is None
+    assert obj.expected_inverse(3, budget=220) is not None
+    assert obj.inverse_forms(3, budget=220) is not None
+
+
+def test_only_the_objective_decides_the_enumeration_budget():
+    """`subset_count` is called once in `objectives`, by the objective's
+    cache; in `rates` only by the raw-M builders, and nowhere in `selection`."""
+    import ast
+    from pathlib import Path
+
+    def callers(module):
+        tree = ast.parse(Path(objectives.__file__).with_name(module).read_text())
+        found = []
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in defs:
+                name = getattr(node, "name", "<module>")
+                if isinstance(top, ast.ClassDef):
+                    name = f"{top.name}.{name}"
+                found += [name for call in ast.walk(node) if isinstance(call, ast.Call)
+                          and "subset_count" in (getattr(call.func, "id", None),
+                                                 getattr(call.func, "attr", None))]
+        return found
+
+    assert callers("objectives.py") == ["Objective._subset_constant"]
+    assert set(callers("rates.py")) <= {"L_tau", "expected_inverse_matrix"}
+    assert callers("selection.py") == []
