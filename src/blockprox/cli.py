@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import descent, objectives, rates
+from . import descent, linalg, objectives, rates
 from .checks import EXIT_OK, EXIT_VERIFY, run_check_suite
 from .objectives import CompositeProblem, gen_instance, load_instance, make_l1
 from .selection import BlockRule, parse_rule
@@ -68,7 +68,7 @@ class ExperimentConfig:
     stop_on: str = "iters"
     seed: int = 0
     out_dir: str = "out"
-    budget: int = None
+    budget: int = linalg.DEFAULT_ENUMERATION_BUDGET
 
     def run_config(self) -> descent.RunConfig:
         """The descent settings of every run; raises ValueError on bad ones."""
@@ -101,7 +101,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
             stop_on=str(run_sec.get("stop_on", "iters")),
             seed=int(run_sec.get("seed", 0)),
             out_dir=str(out_sec.get("dir", "out")),
-            budget=int(run_sec["budget"]) if "budget" in run_sec else None,
+            budget=int(run_sec.get("budget", linalg.DEFAULT_ENUMERATION_BUDGET)),
         )
         cfg.run_config()
     except (KeyError, ValueError) as exc:
@@ -111,7 +111,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if cfg.seed < 0:
         # numpy's generators take nonnegative seeds only
         raise ConfigError(f"global seed must be nonnegative, got {cfg.seed}")
-    if cfg.budget is not None and cfg.budget < 0:
+    if cfg.budget < 0:
         raise ConfigError(f"budget must be nonnegative, got {cfg.budget}")
     return cfg
 
@@ -158,11 +158,10 @@ def build_rules(cfg: ExperimentConfig, n: int) -> list:
         raise ConfigError("at least one selection rule is required")
     rules = []
     for j, spec in enumerate(cfg.rule_specs):
-        kwargs = {} if cfg.budget is None else {"budget": cfg.budget}
         try:
             # isolated per-rule streams: derive each default seed from the
             # global seed and the rule's position
-            rules.append(parse_rule(spec, n, default_seed=cfg.seed + j, **kwargs))
+            rules.append(parse_rule(spec, n, default_seed=cfg.seed + j, budget=cfg.budget))
         except ValueError as exc:
             raise ConfigError(f"bad rule {spec!r}: {exc}") from exc
     names = [rule.name for rule in rules]
@@ -258,6 +257,7 @@ def cmd_run(cfg: ExperimentConfig):
         "problem": dict(cfg.problem),
         "seed": cfg.seed,
         "max_iters": cfg.max_iters,
+        "enumeration_budget": cfg.budget,
         "opt_value": problem.opt_value,
         "opt_value_is_empirical": problem.opt_value_is_empirical,
         "runs": [entries[r.name] for r in rules],
@@ -436,8 +436,8 @@ def main(argv=None) -> int:
                              out_path=args.out)
             print(path)
             return EXIT_OK
-    except (ConfigError, configparser.Error, rates.NoGuaranteeError,
-            rates.NoParameterError) as exc:
+    except (ConfigError, configparser.Error, linalg.EnumerationTooLargeError,
+            rates.NoGuaranteeError, rates.NoParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except descent.NumericFailureError as exc:

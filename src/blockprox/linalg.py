@@ -1,7 +1,7 @@
-"""Masked indexing, SPD factors and solves, eigenvalue extremes, subset
-enumeration and the batched computations over it: principal submatrices
-gathered from chunks of subset index arrays, and the greedy-minibatch
-quadratic forms.
+"""Masked indexing, SPD factors and solves, eigenvalue extremes, and the
+subset walk every exact table reads: lexicographic chunks of subset index
+arrays unranked in numpy (`subset_index_chunks`), the principal submatrices
+gathered from them, and the greedy-minibatch quadratic forms.
 
 This is the one module that calls LAPACK directly (`spd_factor`,
 `factor_solve`, `spd_solve`), each call without scipy's checked wrappers and
@@ -14,7 +14,6 @@ trace files) converts to 1-based.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -191,7 +190,7 @@ def subset_count(n: int, tau: int) -> int:
     return math.comb(n, tau)
 
 
-def _check_enumeration(n: int, tau: int, budget: int) -> None:
+def _check_enumeration(n: int, tau: int, budget: int) -> int:
     if not 1 <= tau <= n:
         raise InvalidSetError(f"need 1 <= tau <= n, got tau={tau}, n={n}")
     count = subset_count(n, tau)
@@ -199,13 +198,16 @@ def _check_enumeration(n: int, tau: int, budget: int) -> None:
         raise EnumerationTooLargeError(
             f"C({n},{tau}) = {count} exceeds enumeration budget {budget}"
         )
+    if count > np.iinfo(np.int64).max:  # the walk's ranks are int64
+        raise EnumerationTooLargeError(f"C({n},{tau}) = {count} exceeds the int64 range")
+    return count
 
 
 def enumerate_subsets(n: int, tau: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """Yield every cardinality-tau CoordSet in lexicographic order."""
-    _check_enumeration(n, tau, budget)
-    for combo in itertools.combinations(range(n), tau):
-        yield CoordSet(combo, n)
+    """Yield each cardinality-tau CoordSet, in lexicographic order, from `subset_index_chunks`."""
+    for chunk in subset_index_chunks(n, tau, budget):
+        for row in chunk:
+            yield CoordSet._trusted(tuple(row.tolist()), n, row.copy())
 
 
 def subset_index_chunks(n: int, tau: int,
@@ -215,19 +217,26 @@ def subset_index_chunks(n: int, tau: int,
     consecutive (k, tau) intp arrays of at most `rows` rows each; the walks
     over them size `rows` by `chunk_rows`, within SUBSET_CHUNK_BYTES.
 
-    Raises on a bad tau or EnumerationTooLargeError when called, before any
-    row is built; the chunks are then produced lazily.
+    Chunks are unranked from int64 ranks: rank r's set is S_j = n - 1 - a_j
+    with C(n, tau) - 1 - r = sum_j C(a_j, tau - j), a_0 > a_1 > ... (the
+    combinatorial number system), one `searchsorted` per position.  Raises
+    on a bad tau, or EnumerationTooLargeError past the budget or int64, when
+    called, before any row is built; the chunks are then produced lazily.
     """
-    _check_enumeration(n, tau, budget)
+    total = _check_enumeration(n, tau, budget)
     rows = max(1, int(rows))
+    # remainders stay below C(n, tau): clipped there, every table fits in int64
+    tables = [np.array([min(math.comb(a, k), total) for a in range(n)], np.int64)
+              for k in range(tau, 0, -1)]
 
     def chunks():
-        combos = itertools.combinations(range(n), tau)
-        row = np.dtype((np.intp, tau))
-        while True:
-            chunk = np.fromiter(itertools.islice(combos, rows), dtype=row)
-            if not len(chunk):
-                return
+        for last in range(total - 1, -1, -rows):
+            remainder = np.arange(last, max(last - rows, -1), -1, dtype=np.int64)
+            chunk = np.empty((len(remainder), tau), dtype=np.intp)
+            for j, table in enumerate(tables):
+                digit = table.searchsorted(remainder, side="right") - 1
+                remainder -= table[digit]
+                chunk[:, j] = n - 1 - digit
             yield chunk
 
     return chunks()
@@ -239,9 +248,15 @@ def chunk_rows(tau: int, arrays: int = 1) -> int:
     return max(1, SUBSET_CHUNK_BYTES // (8 * arrays * tau * tau))
 
 
+def block_index(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices S_a * n + S_b in n x n of the rows S of `subsets`, sets last: [a, b, S]."""
+    positions = np.ascontiguousarray(subsets.T)
+    return (positions * n)[:, None, :] + positions[None, :, :]
+
+
 def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """The principal submatrices M[S, S] of the rows S of `subsets`, stacked."""
-    return M[subsets[:, :, None], subsets[:, None, :]]
+    """M[S, S] for each row S of `subsets`, stacked; a C-contiguous M is read without a copy."""
+    return M.ravel().take(block_index(subsets, M.shape[0])).transpose(2, 0, 1)
 
 
 class BlockInverseForms(NamedTuple):
@@ -272,7 +287,7 @@ def block_inverse_forms(M: np.ndarray, tau: int,
     # resident memory that no other path needs
     import scipy.sparse
 
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     n = M.shape[0]
     chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, 2))
     count = subset_count(n, tau)

@@ -35,6 +35,7 @@ from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockInverseForms,
     CoordSet,
+    EnumerationTooLargeError,
     NotPositiveDefiniteError,
     block_inverse_forms,
     check_symmetric,
@@ -106,7 +107,11 @@ class Objective:
         objective's one test of the enumeration budget, C(n, tau) <= budget."""
         key = (quantity, tau, budget)
         if key not in self._subset_cache:
-            self._subset_cache[key] = build(subset_count(self.dim, tau) <= budget)
+            try:
+                self._subset_cache[key] = build(subset_count(self.dim, tau) <= budget)
+            except MemoryError:  # a table past the memory, not past the budget
+                raise EnumerationTooLargeError(
+                    f"{quantity}: C({self.dim},{tau}) subsets do not fit in memory") from None
         return self._subset_cache[key]
 
     def block_smoothness(self, tau: int,

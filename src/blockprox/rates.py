@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
+    block_index,
     check_symmetric,
     chunk_rows,
     gather_blocks,
@@ -72,14 +73,14 @@ def L_tau(M: np.ndarray, tau: int,
     """Largest eigenvalue over all cardinality-tau principal submatrices.
 
     Within the budget the blocks are enumerated a chunk at a time (the
-    blocks within SUBSET_CHUNK_BYTES), and `eigvalsh` runs only on those
-    that can reach the maximum (`_largest_block_eigenvalue`), with the bits
-    of running it on all of them.  Past the budget it falls back to the
-    trace upper bound (sum of the tau largest diagonal entries) with a
-    warning.  Callers with an objective read it through
-    `Objective.block_smoothness`, which caches it with its provenance.
+    blocks, not their flat indices, within SUBSET_CHUNK_BYTES), and
+    `eigvalsh` runs only on those that can reach the maximum
+    (`_largest_block_eigenvalue`), with the bits of running it on all of
+    them.  Past the budget it falls back to the trace upper bound (sum of
+    the tau largest diagonal entries) with a warning.  Callers with an objective
+    read it through `Objective.block_smoothness`, cached with its provenance.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     n = M.shape[0]
     if not 1 <= tau <= n:
         raise ValueError(f"need 1 <= tau <= n, got tau={tau}")
@@ -145,23 +146,22 @@ def expected_inverse_matrix(M: np.ndarray, tau: int,
     embedded back at the rows/columns of S.
 
     Blocks are inverted a chunk at a time (the blocks, their inverses and
-    their row and column indices within SUBSET_CHUNK_BYTES) and summed in
-    enumeration order, so the result does not depend on the chunk size:
+    their flat indices in two layouts within SUBSET_CHUNK_BYTES) and summed
+    in enumeration order, so the result does not depend on the chunk size:
     each block is inverted on its own.  Raises EnumerationTooLargeError,
     before inverting any block, when C(n, tau) exceeds the budget.  Callers
     with an objective read it through `Objective.expected_inverse`, which
     caches it.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     n = M.shape[0]
-    out = np.zeros_like(M)
+    out = np.zeros(n * n)
     for subsets in subset_index_chunks(n, tau, budget, chunk_rows(tau, 4)):
-        inv = np.linalg.inv(gather_blocks(M, subsets))
-        rows = np.broadcast_to(subsets[:, :, None], inv.shape).ravel()
-        cols = np.broadcast_to(subsets[:, None, :], inv.shape).ravel()
-        # np.add.at adds repeated entries in index order
-        np.add.at(out, (rows, cols), inv.ravel())
-    return out / subset_count(n, tau)
+        flat = block_index(subsets, n)
+        inv = np.linalg.inv(M.ravel().take(flat).transpose(2, 0, 1))
+        # np.add.at adds repeated entries in index order: set by set
+        np.add.at(out, flat.transpose(2, 0, 1).ravel(), inv.ravel())
+    return out.reshape(n, n) / subset_count(n, tau)
 
 
 def rule_constant(rule, problem):

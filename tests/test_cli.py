@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockprox import checks, cli
+from blockprox import checks, cli, linalg
 from blockprox.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -756,3 +756,68 @@ def test_out_option_leaves_the_output_dir_alone(tmp_path, capsys, command):
     assert main([command, write_cfg(tmp_path, body), "--out", str(target)]) == EXIT_OK
     assert capsys.readouterr().out == f"{target}\n"
     assert target.is_file() and not unused.exists()
+
+
+BUDGET_CFG = """
+[problem]
+kind = generated
+m = {m}
+n = {n}
+seed = 0
+{extra}
+[rules]
+rules = {rules}
+
+[run]
+max_iters = 5
+seed = 0
+{budget}
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_report_carries_the_enumeration_budget_in_force(tmp_path, budget):
+    body = BUDGET_CFG.format(m=40, n=12, extra="", rules="nice:3, greedymb:3",
+                             budget="" if budget is None else f"budget = {budget}\n",
+                             out=tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    expected = linalg.DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    assert report["enumeration_budget"] == expected
+    assert list(report) == ["problem", "seed", "max_iters", "enumeration_budget",
+                            "opt_value", "opt_value_is_empirical", "runs"]
+
+
+def test_tables_that_cannot_be_allocated_are_a_config_error(tmp_path, capsys, monkeypatch):
+    """An exact greedymb:15 at n = 30 needs C(30, 15) = 155,117,520 rows of
+    tables; the allocation is made to fail here rather than attempted."""
+    count = 155117520
+    empty = np.empty
+
+    def refused(shape, *args, **kwargs):
+        if np.ndim(shape) and shape[0] == count:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refused)
+    body = BUDGET_CFG.format(m=40, n=30, extra="", rules="greedymb:15",
+                             budget="budget = 99999999999999999999999999\n",
+                             out=tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "C(30,15)" in err and "memory" in err
+
+
+def test_subset_ranks_past_int64_are_a_config_error(tmp_path, capsys):
+    """L_tau of nice:33 at n = 67 would walk C(67, 33) > 2**63 - 1 ranks:
+    refused before any chunk, whatever the budget."""
+    body = BUDGET_CFG.format(m=80, n=67, extra="lambda = 0.1\n", rules="nice:33",
+                             budget="budget = 99999999999999999999999999\n",
+                             out=tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "C(67,33) = " in err and "int64" in err

@@ -2,10 +2,13 @@
 enumeration, L_tau, the exact greedy-minibatch scores and the forward-greedy
 fallback, and the caches on the objective that hold them."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockprox import linalg, objectives, rates, selection
 from blockprox.descent import RunConfig, empirical_optimum, run
@@ -13,7 +16,6 @@ from blockprox.linalg import (
     EnumerationTooLargeError,
     InvalidSetError,
     eig_extremes,
-    enumerate_subsets,
     subset_count,
     subset_index_chunks,
 )
@@ -31,8 +33,8 @@ from blockprox.selection import parse_rule, select
 def _L_tau_loop(M, tau):
     """One principal submatrix at a time, as L_tau was first written."""
     n = M.shape[0]
-    return max(eig_extremes(M[np.ix_(S.array, S.array)])[1]
-               for S in enumerate_subsets(n, tau))
+    return max(eig_extremes(M[np.ix_(S, S)])[1]
+               for S in map(list, itertools.combinations(range(n), tau)))
 
 
 class _EinsumForms:
@@ -41,8 +43,8 @@ class _EinsumForms:
 
     def __init__(self, M, tau):
         n = M.shape[0]
-        self.subsets = np.array([S.indices for S in enumerate_subsets(n, tau)],
-                                dtype=np.intp)
+        self.subsets = np.array(list(itertools.combinations(range(n), tau)),
+                                dtype=np.intp).reshape(-1, tau)
         self.inv = np.linalg.inv(M[self.subsets[:, :, None], self.subsets[:, None, :]])
 
     def values(self, g):
@@ -75,9 +77,37 @@ def test_subset_index_chunks_lexicographic_rows(n, tau, rows):
     assert all(c.dtype == np.intp and c.shape[1] == tau and 1 <= len(c) <= rows
                for c in chunks)
     stacked = np.concatenate(chunks)
-    assert [tuple(r) for r in stacked.tolist()] == [
-        S.indices for S in enumerate_subsets(n, tau)]
+    assert [tuple(r) for r in stacked.tolist()] == list(
+        itertools.combinations(range(n), tau))
     assert len(stacked) == subset_count(n, tau)
+
+
+def _itertools_chunks(n, tau, budget=linalg.DEFAULT_ENUMERATION_BUDGET, rows=2**16):
+    """The walk as first written: rows of itertools.combinations, `rows` at a time."""
+    if subset_count(n, tau) > budget:
+        raise EnumerationTooLargeError(f"C({n},{tau}) exceeds {budget}")
+    combos = itertools.combinations(range(n), tau)
+    row = np.dtype((np.intp, tau))
+    while len(chunk := np.fromiter(itertools.islice(combos, rows), dtype=row)):
+        yield chunk
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.one_of(st.integers(1, 40), st.integers(3500, 4000)))))
+# n = 1, tau = 1, tau = n, rows = 1 and rows > C(n, tau) (C(14, 7) = 3432) always
+@example((1, 1, 1))
+@example((5, 1, 1))
+@example((5, 5, 1))
+@example((6, 3, 10**6))
+@example((14, 7, 1))
+def test_subset_index_chunks_equal_itertools_chunks(case):
+    n, tau, rows = case
+    chunks = list(subset_index_chunks(n, tau, rows=rows))
+    oracle = list(_itertools_chunks(n, tau, rows=rows))
+    assert len(chunks) == len(oracle)
+    for got, want in zip(chunks, oracle):
+        assert got.dtype == want.dtype == np.intp and np.array_equal(got, want)
 
 
 def test_subset_index_chunks_raise_before_yielding():
@@ -89,6 +119,44 @@ def test_subset_index_chunks_raise_before_yielding():
     with pytest.raises(InvalidSetError):
         subset_index_chunks(4, 5)
     assert sum(len(c) for c in subset_index_chunks(6, 3, budget=20, rows=3)) == 20
+
+
+def test_subset_index_chunks_refuse_ranks_past_int64_whatever_the_budget():
+    # C(100, 50) ~ 1.0e29 ranks do not fit in int64: refused by the call
+    with pytest.raises(EnumerationTooLargeError, match="int64"):
+        subset_index_chunks(100, 50, budget=10**40)
+    # the largest C(n, n // 2) below 2**63 - 1 walks from its first row
+    assert subset_count(66, 33) < 2**63 <= subset_count(67, 33)
+    first = next(subset_index_chunks(66, 33, budget=10**40, rows=2))
+    assert first.tolist() == [list(range(33)), list(range(32)) + [33]]
+    with pytest.raises(EnumerationTooLargeError, match="int64"):
+        subset_index_chunks(67, 33, budget=10**40)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 2 * 8 * 9 * 13])
+def test_tables_bit_identical_to_an_itertools_walk(chunk_bytes, monkeypatch):
+    """E[inv(M_S)] and the greedy-minibatch tables on the unranked walk
+    against the same code on itertools rows, byte for byte; at the patched
+    size a chunk of the forms holds 13 sets and one of E 6, so the last
+    chunk of C(12, 3) = 220 and of C(32, 3) = 4,960 sets is partial."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)
+        assert (linalg.chunk_rows(3, 2), linalg.chunk_rows(3, 4)) == (13, 6)
+        assert all(count % 13 and count % 6 for count in (220, 4960))
+    for M in (random_spd(12, 8.0, 3), gen_instance(200, 32, seed=2).objective.smoothness):
+        got_E = rates.expected_inverse_matrix(M, 3)
+        got = linalg.block_inverse_forms(M, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "subset_index_chunks", _itertools_chunks)
+            patch.setattr(rates, "subset_index_chunks", _itertools_chunks)
+            want_E = rates.expected_inverse_matrix(M, 3)
+            want = linalg.block_inverse_forms(M, 3)
+        assert got_E.tobytes() == want_E.tobytes()
+        assert got.subsets.dtype == want.subsets.dtype
+        assert got.subsets.tobytes() == want.subsets.tobytes()
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got.weights, part), getattr(want.weights, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -- L_tau --------------------------------------------------------------------
