@@ -1,7 +1,8 @@
 """Masked indexing, SPD factors and solves, eigenvalue extremes, and the
 subset walk every exact table reads: lexicographic chunks of subset index
 arrays unranked in numpy (`subset_index_chunks`), the principal submatrices
-gathered from them, and the greedy-minibatch quadratic forms.
+gathered from them, and the greedy-minibatch quadratic forms, whose weights
+also give E[inv(M_S)] (`rates.expected_inverse_matrix`).
 
 This is the one module that calls LAPACK directly (`spd_factor`,
 `factor_solve`, `spd_solve`), each call without scipy's checked wrappers and
@@ -27,10 +28,11 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 SYMMETRY_RTOL = 1e-12
 
-#: Working memory of one chunk of any walk over the cardinality-tau subsets
-#: (`rates.L_tau`, `rates.expected_inverse_matrix`, `block_inverse_forms`):
-#: the stacked tau x tau arrays of 8-byte entries its subsets need.  Block
-#: steps keep no factor: each solves its gather by one `spd_solve`.
+#: Working memory of one chunk of either walk over the cardinality-tau
+#: subsets (`rates.L_tau`, `block_inverse_forms`): three stacked tau x tau
+#: arrays of 8-byte entries, the chunk's flat block index, its gather of M,
+#: and the gather's inverses or the gather of |M|.  Block steps keep no
+#: factor: each solves its gather by one `spd_solve`.
 SUBSET_CHUNK_BYTES = 2**20
 
 
@@ -242,21 +244,19 @@ def subset_index_chunks(n: int, tau: int,
     return chunks()
 
 
-def chunk_rows(tau: int, arrays: int = 1) -> int:
-    """Subsets per chunk so that `arrays` stacked tau x tau arrays of 8-byte
-    entries fit in SUBSET_CHUNK_BYTES."""
-    return max(1, SUBSET_CHUNK_BYTES // (8 * arrays * tau * tau))
-
-
-def block_index(subsets: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices S_a * n + S_b in n x n of the rows S of `subsets`, sets last: [a, b, S]."""
-    positions = np.ascontiguousarray(subsets.T)
-    return (positions * n)[:, None, :] + positions[None, :, :]
+def chunk_rows(tau: int) -> int:
+    """Subsets per chunk so that a walk's three stacked tau x tau arrays of
+    8-byte entries fit in SUBSET_CHUNK_BYTES."""
+    return max(1, SUBSET_CHUNK_BYTES // (3 * 8 * tau * tau))
 
 
 def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """M[S, S] for each row S of `subsets`, stacked; a C-contiguous M is read without a copy."""
-    return M.ravel().take(block_index(subsets, M.shape[0])).transpose(2, 0, 1)
+    """M[S, S] for each row S of `subsets`, stacked, taken at the flat
+    indices S_a * n + S_b laid out [a, b, S] (sets last, so numpy builds
+    them in long inner loops); a C-contiguous M is read without a copy."""
+    positions = np.ascontiguousarray(subsets.T)
+    flat = (positions * M.shape[0])[:, None, :] + positions[None, :, :]
+    return M.ravel().take(flat).transpose(2, 0, 1)
 
 
 class BlockInverseForms(NamedTuple):
@@ -264,7 +264,8 @@ class BlockInverseForms(NamedTuple):
     set S, as weights on the pairs a <= b of positions in S: inv_aa on the
     diagonal and inv_ab + inv_ba off it.  Row S of `weights` holds them at
     the columns S_a * n + S_b, so that the forms at g are one sparse
-    product with outer(g, g), each row summed in pair order."""
+    product with outer(g, g), each row summed in pair order, and their
+    mean over the sets is E[inv(M_S)] (`rates.expected_inverse_matrix`)."""
 
     subsets: np.ndarray  # (count, tau): the sets in lexicographic order
     weights: scipy.sparse.csr_array  # (count, n * n), tau (tau + 1) / 2 per row
@@ -277,8 +278,8 @@ class BlockInverseForms(NamedTuple):
 def block_inverse_forms(M: np.ndarray, tau: int,
                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockInverseForms:
     """`BlockInverseForms` of M, built a chunk of subsets at a time (the
-    blocks and their inverses within SUBSET_CHUNK_BYTES) into preallocated
-    tables of the smallest index types that hold them.
+    flat index, the blocks and their inverses within SUBSET_CHUNK_BYTES)
+    into preallocated tables of the smallest index types that hold them.
 
     Raises EnumerationTooLargeError, before allocating, when C(n, tau)
     exceeds the budget.
@@ -289,7 +290,7 @@ def block_inverse_forms(M: np.ndarray, tau: int,
 
     M = np.ascontiguousarray(M, dtype=float)
     n = M.shape[0]
-    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, 2))
+    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau))
     count = subset_count(n, tau)
     a, b = np.triu_indices(tau)
     off = a < b

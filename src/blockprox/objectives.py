@@ -8,11 +8,12 @@ within tolerance), factors it (the positive definiteness check, and every
 full step's factor) and takes lambda_min(M) and lambda_max(M) from one
 eigenvalue call.  On first use it keeps 1/sqrt(M_ii), and per block size tau
 and enumeration budget: L_tau (the held lambda_max at tau = n), the smooth
-tau-nice floor on lambda_min(E[inv(M[S, S])]), and the tables E[inv(M[S, S])]
-and greedy-minibatch forms.  One test, C(n, tau) <= budget, decides them:
-past it a table is None, and L_tau and the floor are certified bounds.  An
-L1Regularizer, lam ||x||_1 with lam = 0 for the smooth problem, is the
-nonsmooth half of F = f + g, read through array maps over many coordinates.
+tau-nice floor on lambda_min(E[inv(M[S, S])]), the greedy-minibatch forms,
+and E[inv(M[S, S])], the forms' mean.  One test, C(n, tau) <= budget,
+decides them: past it a table is None, and L_tau and the floor are
+certified bounds.  An L1Regularizer, lam ||x||_1 with lam = 0 for the
+smooth problem, is the nonsmooth half of F = f + g, read through array maps
+over many coordinates.
 
 The descent loop reads f and its gradient through an iterate state
 (`Objective.state_at`): the value and gradient at the current iterate, and a
@@ -128,11 +129,12 @@ class Objective:
 
     def expected_inverse(self, tau: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> Optional[np.ndarray]:
-        """`rates.expected_inverse_matrix` of M, computed once per
-        (tau, budget) and read-only; None past the budget."""
+        """E[inv(M[S, S])] over tau-nice sets S, `rates.expected_inverse_matrix`
+        of `inverse_forms`, so both share one walk over the blocks; computed
+        once per (tau, budget) and read-only; None past the budget."""
         def build(fits):
             if fits:
-                E = rates.expected_inverse_matrix(self.smoothness, tau, budget)
+                E = rates.expected_inverse_matrix(self.inverse_forms(tau, budget))
                 E.setflags(write=False)
                 return E
         return self._subset_constant("expected_inverse", tau, budget, build)

@@ -1,7 +1,8 @@
 """Iteration-complexity predictors and the constants they are built from:
-block smoothness scalars, expected embedded inverses, each selection rule's
-function classes, and the per-class K(epsilon) formulas (a ValueError where
-float arithmetic leaves K(epsilon) infinite).
+block smoothness scalars, the expected embedded inverse (the mean of the
+greedy-minibatch forms), each selection rule's function classes, and the
+per-class K(epsilon) formulas (a ValueError where float arithmetic leaves
+K(epsilon) infinite).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
-    block_index,
+    BlockInverseForms,
     check_symmetric,
     chunk_rows,
     gather_blocks,
@@ -72,11 +73,10 @@ def L_tau(M: np.ndarray, tau: int,
           budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """Largest eigenvalue over all cardinality-tau principal submatrices.
 
-    Within the budget the blocks are enumerated a chunk at a time (the
-    blocks, not their flat indices, within SUBSET_CHUNK_BYTES), and
-    `eigvalsh` runs only on those that can reach the maximum
-    (`_largest_block_eigenvalue`), with the bits of running it on all of
-    them.  Past the budget it falls back to the trace upper bound (sum of
+    Within the budget the blocks are enumerated a chunk at a time (within
+    SUBSET_CHUNK_BYTES), and `eigvalsh` runs only on those that can reach
+    the maximum (`_largest_block_eigenvalue`), with the bits of running it
+    on all of them.  Past the budget it falls back to the trace upper bound (sum of
     the tau largest diagonal entries) with a warning.  Callers with an objective
     read it through `Objective.block_smoothness`, cached with its provenance.
     """
@@ -140,28 +140,21 @@ def rule_L(problem, rule):
     return problem.objective.block_smoothness(rule.max_block_size, rule.budget)
 
 
-def expected_inverse_matrix(M: np.ndarray, tau: int,
-                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+def expected_inverse_matrix(forms: BlockInverseForms) -> np.ndarray:
     """Average over all cardinality-tau sets S of the inverse block of M
-    embedded back at the rows/columns of S.
+    embedded back at the rows/columns of S, read off M's greedy-minibatch
+    forms (`linalg.block_inverse_forms`), which hold each block's inverse:
+    inv_aa at column S_a n + S_a and inv_ab + inv_ba at S_a n + S_b, a < b.
 
-    Blocks are inverted a chunk at a time (the blocks, their inverses and
-    their flat indices in two layouts within SUBSET_CHUNK_BYTES) and summed
-    in enumeration order, so the result does not depend on the chunk size:
-    each block is inverted on its own.  Raises EnumerationTooLargeError,
-    before inverting any block, when C(n, tau) exceeds the budget.  Callers
-    with an objective read it through `Objective.expected_inverse`, which
-    caches it.
+    The weights' column sums, added in set order by one sparse product
+    without a temporary as large as the table, are W (each off-diagonal
+    pair in W's upper triangle), and E = (W + W') / (2 C(n, tau)) is
+    exactly symmetric.  Callers with an objective read it through
+    `Objective.expected_inverse`, which caches it beside the forms.
     """
-    M = np.ascontiguousarray(M, dtype=float)
-    n = M.shape[0]
-    out = np.zeros(n * n)
-    for subsets in subset_index_chunks(n, tau, budget, chunk_rows(tau, 4)):
-        flat = block_index(subsets, n)
-        inv = np.linalg.inv(M.ravel().take(flat).transpose(2, 0, 1))
-        # np.add.at adds repeated entries in index order: set by set
-        np.add.at(out, flat.transpose(2, 0, 1).ravel(), inv.ravel())
-    return out.reshape(n, n) / subset_count(n, tau)
+    count, columns = forms.weights.shape
+    W = forms.weights.sum(axis=0).reshape(math.isqrt(columns), -1)
+    return (W + W.T) / (2 * count)
 
 
 def rule_constant(rule, problem):

@@ -1,11 +1,12 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from blockprox import linalg, rates
-from blockprox.linalg import enumerate_subsets, eig_extremes
+from blockprox import linalg, objectives, rates
+from blockprox.linalg import block_inverse_forms, enumerate_subsets, eig_extremes
 from blockprox.descent import empirical_optimum
 from blockprox.objectives import (
     CompositeProblem,
@@ -75,13 +76,13 @@ def test_L_tau_validation():
 def test_expected_inverse_identity():
     # for M = I each embedded inverse block is the identity on S, so the
     # average is (tau/n) I
-    E = expected_inverse_matrix(np.eye(5), 2)
+    E = expected_inverse_matrix(block_inverse_forms(np.eye(5), 2))
     np.testing.assert_allclose(E, (2 / 5) * np.eye(5), atol=1e-12)
 
 
 def test_expected_inverse_brute_force():
     M = random_spd(5, 4.0, 3)
-    E = expected_inverse_matrix(M, 2)
+    E = expected_inverse_matrix(block_inverse_forms(M, 2))
     acc = np.zeros((5, 5))
     sets = list(enumerate_subsets(5, 2))
     for S in sets:
@@ -102,7 +103,8 @@ def test_rule_constants_smooth():
         c, _ = rule_constant(parse_rule(text, 6), problem)
         assert c == pytest.approx(1.0 / float(np.diag(M).sum()))
     c, _ = rule_constant(parse_rule("nice:2", 6), problem)
-    assert c == pytest.approx(eig_extremes(expected_inverse_matrix(M, 2))[0])
+    E = expected_inverse_matrix(block_inverse_forms(M, 2))
+    assert c == pytest.approx(eig_extremes(E)[0])
 
 
 def test_rule_constants_nonsmooth():
@@ -411,9 +413,10 @@ def test_refused_pair_never_computes_rule_constant(monkeypatch):
     problem = gen_instance(m=40, n=10, seed=0)
 
     def fail(*args, **kwargs):
-        raise AssertionError("expected_inverse_matrix called for a refused pair")
+        raise AssertionError("an exact table built for a refused pair")
 
     monkeypatch.setattr(rates, "expected_inverse_matrix", fail)
+    monkeypatch.setattr(objectives, "block_inverse_forms", fail)
     fclass = FunctionClass("gradient_dominated", c=1.0, p=1.0)
     for spec in ("nice:3", "greedymb:3", "uniform", "importance", "greedy"):
         with pytest.raises(NoGuaranteeError):
@@ -428,14 +431,15 @@ def _expected_inverse_loop(M, tau, subsets):
     return out / len(subsets)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 4 * 8 * 9 * 7])
-def test_expected_inverse_chunked_equals_loop_exactly(chunk_bytes, monkeypatch):
-    if chunk_bytes is not None:  # seven 3x3 subsets per chunk
+@pytest.mark.parametrize("chunk_bytes", [None, 3 * 8 * 9 * 7])
+def test_expected_inverse_matches_an_itertools_loop_and_is_symmetric(chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:  # seven 3x3 subsets per chunk of the forms
         monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)
     M = random_spd(9, 7.0, 4)
-    subsets = [S.array for S in enumerate_subsets(9, 3)]
-    assert np.array_equal(expected_inverse_matrix(M, 3),
-                          _expected_inverse_loop(M, 3, subsets))
+    E = expected_inverse_matrix(block_inverse_forms(M, 3))
+    oracle = _expected_inverse_loop(M, 3, list(map(list, itertools.combinations(range(9), 3))))
+    assert np.abs(E - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    assert np.array_equal(E, E.T)
 
 
 def _tau_nice_B(M, tau):
@@ -450,7 +454,7 @@ def _tau_nice_B(M, tau):
 def test_tau_nice_floor_is_below_the_exact_expected_inverse(n, tau, seed):
     for M in (gen_instance(2 * n, n, seed).objective.smoothness,
               random_spd(n, 50.0, seed)):
-        E = expected_inverse_matrix(M, tau)
+        E = expected_inverse_matrix(block_inverse_forms(M, tau))
         B = _tau_nice_B(M, tau)
         gap = np.linalg.eigvalsh(E - (tau / n) * np.linalg.inv(B))
         assert gap[0] >= -1e-12 * np.abs(E).max()
@@ -482,9 +486,10 @@ def test_smooth_nice_past_the_budget_never_enumerates(monkeypatch):
     problem = gen_instance(1000, 100, seed=0)
 
     def fail(*args, **kwargs):
-        raise AssertionError("expected_inverse_matrix called past the budget")
+        raise AssertionError("an exact table built past the budget")
 
     monkeypatch.setattr(rates, "expected_inverse_matrix", fail)
+    monkeypatch.setattr(objectives, "block_inverse_forms", fail)
     M = problem.objective.smoothness
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -514,5 +519,5 @@ def test_smooth_greedy_minibatch_past_the_budget_is_priced_as_its_heuristic():
     select(exact, problem, 0, g)
     assert not exact.last_was_heuristic
     c, provenance = rule_constant(exact, problem)
-    assert c == eig_extremes(expected_inverse_matrix(M, 4))[0]
+    assert c == eig_extremes(expected_inverse_matrix(block_inverse_forms(M, 4)))[0]
     assert "lambda_min(E[inv])" in provenance

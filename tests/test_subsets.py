@@ -133,24 +133,22 @@ def test_subset_index_chunks_refuse_ranks_past_int64_whatever_the_budget():
         subset_index_chunks(67, 33, budget=10**40)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 2 * 8 * 9 * 13])
+@pytest.mark.parametrize("chunk_bytes", [None, 3 * 8 * 9 * 13])
 def test_tables_bit_identical_to_an_itertools_walk(chunk_bytes, monkeypatch):
-    """E[inv(M_S)] and the greedy-minibatch tables on the unranked walk
-    against the same code on itertools rows, byte for byte; at the patched
-    size a chunk of the forms holds 13 sets and one of E 6, so the last
-    chunk of C(12, 3) = 220 and of C(32, 3) = 4,960 sets is partial."""
+    """The greedy-minibatch tables and E[inv(M_S)] read off them, on the
+    unranked walk against the same code on itertools rows, byte for byte;
+    at the patched size a chunk holds 13 sets, so the last chunk of
+    C(12, 3) = 220 and of C(32, 3) = 4,960 sets is partial."""
     if chunk_bytes is not None:
         monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)
-        assert (linalg.chunk_rows(3, 2), linalg.chunk_rows(3, 4)) == (13, 6)
-        assert all(count % 13 and count % 6 for count in (220, 4960))
+        assert linalg.chunk_rows(3) == 13
+        assert all(count % 13 for count in (220, 4960))
     for M in (random_spd(12, 8.0, 3), gen_instance(200, 32, seed=2).objective.smoothness):
-        got_E = rates.expected_inverse_matrix(M, 3)
         got = linalg.block_inverse_forms(M, 3)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "subset_index_chunks", _itertools_chunks)
-            patch.setattr(rates, "subset_index_chunks", _itertools_chunks)
-            want_E = rates.expected_inverse_matrix(M, 3)
             want = linalg.block_inverse_forms(M, 3)
+        got_E, want_E = map(rates.expected_inverse_matrix, (got, want))
         assert got_E.tobytes() == want_E.tobytes()
         assert got.subsets.dtype == want.subsets.dtype
         assert got.subsets.tobytes() == want.subsets.tobytes()
@@ -168,7 +166,7 @@ def test_L_tau_batched_bit_identical_to_loop(n, tau, monkeypatch):
     oracle = _L_tau_loop(M, tau)
     assert rates.L_tau(M, tau) == oracle
     # across chunk boundaries, the last chunk partial
-    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 13 * 8 * tau * tau)
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 3 * 13 * 8 * tau * tau)
     assert subset_count(n, tau) % 13
     assert rates.L_tau(M, tau) == oracle
 
@@ -211,7 +209,7 @@ def _two_equal_blocks():
 def test_L_tau_pruned_walk_matches_loop_on_ties_and_indefinite_matrices(M, tau, monkeypatch):
     oracle = _L_tau_loop(M, tau)
     assert rates.L_tau(M, tau) == oracle
-    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 7 * 8 * tau * tau)
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 3 * 7 * 8 * tau * tau)
     assert rates.L_tau(M, tau) == oracle
 
 
@@ -249,7 +247,7 @@ def test_inverse_forms_small_chunks_and_tau_one(monkeypatch):
     M = random_spd(8, 5.0, 3)
     g = np.random.default_rng(1).standard_normal(8)
     whole = linalg.block_inverse_forms(M, 3)
-    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 2 * 8 * 9 * 5)  # five sets a chunk
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 3 * 8 * 9 * 5)  # five sets a chunk
     chunked = linalg.block_inverse_forms(M, 3)
     assert np.array_equal(chunked.values(g), whole.values(g))
     assert np.allclose(whole.values(g), _EinsumForms(M, 3).values(g), rtol=1e-12)
@@ -330,9 +328,9 @@ def test_expected_inverse_cached_on_objective(monkeypatch):
     calls = []
     original = rates.expected_inverse_matrix
 
-    def counted(M, tau, budget=linalg.DEFAULT_ENUMERATION_BUDGET, **kwargs):
-        calls.append(tau)
-        return original(M, tau, budget, **kwargs)
+    def counted(forms):
+        calls.append(forms.subsets.shape[1])
+        return original(forms)
 
     monkeypatch.setattr(rates, "expected_inverse_matrix", counted)
     problem = CompositeProblem(make_quadratic(random_spd(7, 6.0, 2)))
@@ -342,13 +340,40 @@ def test_expected_inverse_cached_on_objective(monkeypatch):
         bound = rates.predict_K(rule, fclass, problem, 1e-6, 1.0)
     assert calls == [3]
     E = problem.objective.expected_inverse(3)
-    assert np.array_equal(E, original(problem.objective.smoothness, 3))
+    forms = linalg.block_inverse_forms(problem.objective.smoothness, 3)
+    assert np.array_equal(E, original(forms))
     assert bound.constant == eig_extremes(E)[0]
     with pytest.raises(ValueError):
         E[0, 0] = 0.0  # shared, so read-only
     rates.rule_constant(parse_rule("greedymb:3", 7), problem)
     problem.objective.expected_inverse(2)
     assert calls == [3, 2]
+
+
+def test_pricing_and_running_greedymb_invert_each_block_once(monkeypatch):
+    """Smooth nice:3 and greedymb:3 priced, then greedymb:3 run, on one
+    objective: C(n, 3) blocks inverted in all, as E is the forms' mean."""
+    problem = gen_instance(60, 10, seed=3)
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting(a, *args, **kwargs):
+        inverted.append(len(a) if np.ndim(a) == 3 else 1)
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    nice, greedy = parse_rule("nice:3", 10), parse_rule("greedymb:3", 10)
+    for rule in (nice, greedy):
+        rates.rule_constant(rule, problem)
+    rng = np.random.default_rng(11)
+    select(greedy, problem, 0, rng.standard_normal(10))
+    assert not greedy.last_was_heuristic
+    assert sum(inverted) == subset_count(10, 3)
+    forms = problem.objective.inverse_forms(3)
+    E = problem.objective.expected_inverse(3)
+    for _ in range(200):
+        g = rng.standard_normal(10)
+        assert forms.values(g).mean() == pytest.approx(g @ E @ g, rel=1e-12)
 
 
 # -- twin runs against the per-subset code ------------------------------------------
