@@ -4,7 +4,8 @@ Config files are INI text with four sections::
 
     [problem]
     kind = generated | quadratic | plateau | product_square | huber_product
-    # generated/quadratic: m, n, seed, lambda (l1 weight); quadratic: cond
+    # generated/quadratic: m, n, seed, lambda (l1 weight); quadratic: cond,
+    # the condition number of M (finite, >= 1; default 10)
     # plateau: c (defaults to the flat-inflection coefficient)
     # product_square / huber_product: box
     # instance = path.json  (load a previously generated instance instead)
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
             rates.NoGuaranteeError, rates.NoParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except descent.NumericFailureError as exc:
+    except (descent.NumericFailureError, linalg.NotPositiveDefiniteError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -4,9 +4,11 @@ arrays unranked in numpy (`subset_index_chunks`), the principal submatrices
 gathered from them, and the greedy-minibatch quadratic forms, whose weights
 also give E[inv(M_S)] (`rates.expected_inverse_matrix`).
 
-This is the one module that calls LAPACK directly (`spd_factor`,
-`factor_solve`, `spd_solve`), each call without scipy's checked wrappers and
-with their bytes; the caller vouches for its inputs as stated per function.
+This is the one module that calls LAPACK directly, and only through
+`spd_factor`, `factor_solve` and `spd_solve`, each call without scipy's
+checked wrappers and with their bytes; the caller vouches for its inputs as
+stated per function.  The table's blocks are inverted in numpy, a chunk at a
+time (`spd_inverses`), with no LAPACK call per block.
 
 Coordinate indices are 0-based internally.  All user-facing I/O (configs,
 trace files) converts to 1-based.
@@ -29,10 +31,13 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 SYMMETRY_RTOL = 1e-12
 
 #: Working memory of one chunk of either walk over the cardinality-tau
-#: subsets (`rates.L_tau`, `block_inverse_forms`): three stacked tau x tau
-#: arrays of 8-byte entries, the chunk's flat block index, its gather of M,
-#: and the gather's inverses or the gather of |M|.  Block steps keep no
-#: factor: each solves its gather by one `spd_solve`.
+#: subsets, in stacked tau x tau arrays of 8-byte entries (`chunk_rows`):
+#: three for `rates.L_tau` (the chunk's flat block index, its gather of |M|
+#: and its gather of M) and five for `block_inverse_forms` (the flat index,
+#: the gather of M, and `spd_inverses`' factor, the factor's inverse and
+#: their product; as the factor is freed before the product, the fifth
+#: holds a temporary of terms and the chunk's index rows).  Block steps
+#: keep no factor: each solves its gather by one `spd_solve`.
 SUBSET_CHUNK_BYTES = 2**20
 
 
@@ -244,28 +249,76 @@ def subset_index_chunks(n: int, tau: int,
     return chunks()
 
 
-def chunk_rows(tau: int) -> int:
-    """Subsets per chunk so that a walk's three stacked tau x tau arrays of
-    8-byte entries fit in SUBSET_CHUNK_BYTES."""
-    return max(1, SUBSET_CHUNK_BYTES // (3 * 8 * tau * tau))
+def chunk_rows(tau: int, arrays: int) -> int:
+    """Subsets per chunk so that a walk's `arrays` stacked tau x tau arrays
+    of 8-byte entries fit in SUBSET_CHUNK_BYTES."""
+    return max(1, SUBSET_CHUNK_BYTES // (arrays * 8 * tau * tau))
+
+
+def _gather_sets_last(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """M[S, S] for each row S of `subsets`, shape (tau, tau, rows), taken at
+    the flat indices S_a * n + S_b laid out [a, b, S] (sets last, so numpy
+    builds them in long inner loops); a C-contiguous M is read without a copy."""
+    positions = np.ascontiguousarray(subsets.T)
+    flat = (positions * M.shape[0])[:, None, :] + positions[None, :, :]
+    return M.ravel().take(flat)
 
 
 def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """M[S, S] for each row S of `subsets`, stacked, taken at the flat
-    indices S_a * n + S_b laid out [a, b, S] (sets last, so numpy builds
-    them in long inner loops); a C-contiguous M is read without a copy."""
-    positions = np.ascontiguousarray(subsets.T)
-    flat = (positions * M.shape[0])[:, None, :] + positions[None, :, :]
-    return M.ravel().take(flat).transpose(2, 0, 1)
+    """M[S, S] for each row S of `subsets`, stacked: a (rows, tau, tau) view
+    of `_gather_sets_last`."""
+    return _gather_sets_last(M, subsets).transpose(2, 0, 1)
+
+
+def spd_inverses(blocks: np.ndarray) -> np.ndarray:
+    """inv(B) for each SPD block B = blocks[:, :, s] of a (tau, tau, rows)
+    stack, in the same layout and exactly symmetric, by numpy calls
+    vectorized over the sets: O(tau) of them, each over at most
+    tau * tau * rows entries, and no LAPACK call per block.
+
+    The lower Cholesky factor L is built column by column (left-looking,
+    so `blocks` is only read; L's diagonal is kept only as its reciprocals,
+    the diagonal of X), its inverse X row by row, and inv(B) = X' X as the
+    sum over k of the outer products of X's rows, so entries (a, b) and
+    (b, a) add the same terms in the same order.  Besides `blocks`, at most
+    three stacks of its size are alive at once: L or the product, X, and
+    one temporary of terms.  Raises NotPositiveDefiniteError, whose `block`
+    is the index of the first set that is not positive definite, before the
+    square root of a pivot that is not positive.
+    """
+    tau = blocks.shape[0]
+    factor = np.empty_like(blocks)
+    inverse = np.zeros_like(blocks)  # of the factor: lower triangular
+    for j in range(tau):
+        column = blocks[j:, j] - (factor[j:, :j] * factor[j, :j]).sum(axis=1)
+        positive = column[0] > 0
+        if not positive.all():
+            first = int(positive.argmin())
+            spd_inverses(blocks[:, :, :first])  # raises for an earlier set failing later
+            error = NotPositiveDefiniteError(
+                f"{j + 1}-th leading minor of block {first} is not positive definite")
+            error.block = first
+            raise error
+        inverse[j, j] = reciprocal = 1.0 / np.sqrt(column[0])
+        factor[j + 1:, j] = column[1:] * reciprocal
+    for i in range(1, tau):
+        inverse[i, :i] = (factor[i, :i, None] * inverse[:i, :i]).sum(axis=0) * -inverse[i, i]
+    del factor  # not read again: freed before the product is allocated
+    product = np.zeros_like(blocks)
+    for k in range(tau):
+        row = inverse[k, :k + 1]
+        product[:k + 1, :k + 1] += row[:, None] * row[None, :]
+    return product
 
 
 class BlockInverseForms(NamedTuple):
     """The quadratic forms g_S' inv(M[S, S]) g_S of every cardinality-tau
     set S, as weights on the pairs a <= b of positions in S: inv_aa on the
-    diagonal and inv_ab + inv_ba off it.  Row S of `weights` holds them at
-    the columns S_a * n + S_b, so that the forms at g are one sparse
-    product with outer(g, g), each row summed in pair order, and their
-    mean over the sets is E[inv(M_S)] (`rates.expected_inverse_matrix`)."""
+    diagonal and 2 inv_ab off it, inv(M[S, S]) being exactly symmetric
+    (`spd_inverses`).  Row S of `weights` holds them at the columns
+    S_a * n + S_b, so that the forms at g are one sparse product with
+    outer(g, g), each row summed in pair order, and their mean over the
+    sets is E[inv(M_S)] (`rates.expected_inverse_matrix`)."""
 
     subsets: np.ndarray  # (count, tau): the sets in lexicographic order
     weights: scipy.sparse.csr_array  # (count, n * n), tau (tau + 1) / 2 per row
@@ -278,11 +331,13 @@ class BlockInverseForms(NamedTuple):
 def block_inverse_forms(M: np.ndarray, tau: int,
                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> BlockInverseForms:
     """`BlockInverseForms` of M, built a chunk of subsets at a time (the
-    flat index, the blocks and their inverses within SUBSET_CHUNK_BYTES)
-    into preallocated tables of the smallest index types that hold them.
+    flat index, the blocks and `spd_inverses`' arrays within
+    SUBSET_CHUNK_BYTES) into tables of the smallest index types that hold
+    them, allocated before the walk starts.
 
     Raises EnumerationTooLargeError, before allocating, when C(n, tau)
-    exceeds the budget.
+    exceeds the budget, and NotPositiveDefiniteError naming the first set
+    S (1-based) whose block M[S, S] is not positive definite.
     """
     # imported here rather than with the module: it adds about 2 MB of
     # resident memory that no other path needs
@@ -290,11 +345,11 @@ def block_inverse_forms(M: np.ndarray, tau: int,
 
     M = np.ascontiguousarray(M, dtype=float)
     n = M.shape[0]
-    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau))
+    chunks = subset_index_chunks(n, tau, budget, chunk_rows(tau, arrays=5))
     count = subset_count(n, tau)
     a, b = np.triu_indices(tau)
-    off = a < b
     pairs = len(a)
+    scale = np.where(a < b, 2.0, 1.0)[:, None]
     index = np.int32 if max(n * n, count * pairs) <= np.iinfo(np.int32).max else np.int64
     subsets = np.empty((count, tau), dtype=np.min_scalar_type(n - 1))
     data = np.empty((count, pairs))
@@ -302,9 +357,12 @@ def block_inverse_forms(M: np.ndarray, tau: int,
     start = 0
     for chunk in chunks:
         stop = start + len(chunk)
-        inv = np.linalg.inv(gather_blocks(M, chunk))
-        data[start:stop] = inv[:, a, b]
-        data[start:stop, off] += inv[:, b[off], a[off]]
+        try:  # no chunk's inverses outlive their pair weights
+            data[start:stop] = (spd_inverses(_gather_sets_last(M, chunk))[a, b] * scale).T
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(
+                f"block M[S, S] at S = {chunk[exc.block] + 1} (1-based) "
+                "is not positive definite") from None
         columns[start:stop] = chunk[:, a] * n + chunk[:, b]  # increasing along a row
         subsets[start:stop] = chunk
         start = stop

@@ -461,7 +461,11 @@ def make_quadratic(Q: np.ndarray, smoothness: Optional[np.ndarray] = None) -> Ob
 
 def random_spd(n: int, cond: float, seed: int) -> np.ndarray:
     """Q diag(linspace(1, cond, n)) Q' with Q a seeded random orthogonal
-    matrix (QR of a Gaussian matrix, signs fixed by R's diagonal)."""
+    matrix (QR of a Gaussian matrix, signs fixed by R's diagonal).  `cond` is
+    the condition number of linspace(1, cond, n), so it must be finite and
+    at least 1."""
+    if not 1.0 <= cond < math.inf:
+        raise ValueError(f"cond must be finite and at least 1, got {cond!r}")
     rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     Q = Q * np.sign(np.diag(R))

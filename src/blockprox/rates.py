@@ -115,7 +115,7 @@ def _largest_block_eigenvalue(M: np.ndarray, tau: int, budget: int) -> float:
     def larger(best, blocks):
         return max(best, float(np.linalg.eigvalsh(gather_blocks(M, blocks))[:, -1].max()))
 
-    for chunk in subset_index_chunks(M.shape[0], tau, budget, chunk_rows(tau)):
+    for chunk in subset_index_chunks(M.shape[0], tau, budget, chunk_rows(tau, arrays=3)):
         # each block's Gershgorin bound, widened past eigvalsh's error
         bound = gather_blocks(magnitudes, chunk).sum(axis=2).max(axis=1) * (1.0 + 1e-8)
         first = np.arange(len(chunk))
@@ -144,7 +144,7 @@ def expected_inverse_matrix(forms: BlockInverseForms) -> np.ndarray:
     """Average over all cardinality-tau sets S of the inverse block of M
     embedded back at the rows/columns of S, read off M's greedy-minibatch
     forms (`linalg.block_inverse_forms`), which hold each block's inverse:
-    inv_aa at column S_a n + S_a and inv_ab + inv_ba at S_a n + S_b, a < b.
+    inv_aa at column S_a n + S_a and 2 inv_ab at S_a n + S_b, a < b.
 
     The weights' column sums, added in set order by one sparse product
     without a temporary as large as the table, are W (each off-diagonal

@@ -821,3 +821,32 @@ def test_subset_ranks_past_int64_are_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "C(67,33) = " in err and "int64" in err
+
+
+@pytest.mark.parametrize("cond", ["0", "1e-300", "0.5", "-3", "nan", "inf"])
+def test_quadratic_cond_below_one_or_not_finite_is_a_config_error(tmp_path, capsys, cond):
+    """At cond = 0 (n = 6, seed 2) M's lambda_min is a rounding-level 1e-17
+    that passes the factor check, and `rates` would print a strongly-PL K
+    near 6e17: a cond below 1 or not finite is refused instead."""
+    body = QUADRATIC_SLICE_CFG.format(out=tmp_path / "out").replace(
+        "n = 4\n", f"n = 6\ncond = {cond}\n")
+    assert main(["rates", write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "cond" in err
+    one = body.replace(f"cond = {cond}\n", "cond = 1\n")
+    assert main(["rates", write_cfg(tmp_path, one)]) == EXIT_OK
+
+
+def test_a_block_that_is_not_positive_definite_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    """The table's kernel, patched to invert -M[S, S], meets a block that is
+    not positive definite: `run` and `rates` end in one `numeric failure:`
+    line and exit 2, not a traceback."""
+    spd_inverses = linalg.spd_inverses
+    monkeypatch.setattr(linalg, "spd_inverses", lambda blocks: spd_inverses(-blocks))
+    for command, rules in (("run", "greedymb:3"), ("rates", "nice:3")):
+        body = BUDGET_CFG.format(m=40, n=12, extra="", rules=rules, budget="",
+                                 out=tmp_path / command)
+        assert main([command, write_cfg(tmp_path, body)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "S = [1 2 3] (1-based) is not positive definite" in err

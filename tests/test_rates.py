@@ -431,9 +431,9 @@ def _expected_inverse_loop(M, tau, subsets):
     return out / len(subsets)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 3 * 8 * 9 * 7])
+@pytest.mark.parametrize("chunk_bytes", [None, 1512])
 def test_expected_inverse_matches_an_itertools_loop_and_is_symmetric(chunk_bytes, monkeypatch):
-    if chunk_bytes is not None:  # seven 3x3 subsets per chunk of the forms
+    if chunk_bytes is not None:  # four sets per chunk of the forms' five 3x3 arrays
         monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)
     M = random_spd(9, 7.0, 4)
     E = expected_inverse_matrix(block_inverse_forms(M, 3))

@@ -3,6 +3,7 @@ enumeration, L_tau, the exact greedy-minibatch scores and the forward-greedy
 fallback, and the caches on the objective that hold them."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,16 +134,17 @@ def test_subset_index_chunks_refuse_ranks_past_int64_whatever_the_budget():
         subset_index_chunks(67, 33, budget=10**40)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 3 * 8 * 9 * 13])
+@pytest.mark.parametrize("chunk_bytes", [None, 2808])
 def test_tables_bit_identical_to_an_itertools_walk(chunk_bytes, monkeypatch):
     """The greedy-minibatch tables and E[inv(M_S)] read off them, on the
     unranked walk against the same code on itertools rows, byte for byte;
-    at the patched size a chunk holds 13 sets, so the last chunk of
+    at the patched size a chunk of the forms' five 3x3 arrays holds 7 sets
+    (5 * 8 * 9 * 7 = 2,520 <= 2,808 bytes), so the last chunk of
     C(12, 3) = 220 and of C(32, 3) = 4,960 sets is partial."""
     if chunk_bytes is not None:
         monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)
-        assert linalg.chunk_rows(3) == 13
-        assert all(count % 13 for count in (220, 4960))
+        assert linalg.chunk_rows(3, arrays=5) == 7
+        assert all(count % 7 for count in (220, 4960))
     for M in (random_spd(12, 8.0, 3), gen_instance(200, 32, seed=2).objective.smoothness):
         got = linalg.block_inverse_forms(M, 3)
         with monkeypatch.context() as patch:
@@ -247,7 +249,7 @@ def test_inverse_forms_small_chunks_and_tau_one(monkeypatch):
     M = random_spd(8, 5.0, 3)
     g = np.random.default_rng(1).standard_normal(8)
     whole = linalg.block_inverse_forms(M, 3)
-    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 3 * 8 * 9 * 5)  # five sets a chunk
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 5 * 8 * 9 * 5)  # five sets a chunk
     chunked = linalg.block_inverse_forms(M, 3)
     assert np.array_equal(chunked.values(g), whole.values(g))
     assert np.allclose(whole.values(g), _EinsumForms(M, 3).values(g), rtol=1e-12)
@@ -355,13 +357,13 @@ def test_pricing_and_running_greedymb_invert_each_block_once(monkeypatch):
     objective: C(n, 3) blocks inverted in all, as E is the forms' mean."""
     problem = gen_instance(60, 10, seed=3)
     inverted = []
-    inv = np.linalg.inv
+    spd_inverses = linalg.spd_inverses
 
-    def counting(a, *args, **kwargs):
-        inverted.append(len(a) if np.ndim(a) == 3 else 1)
-        return inv(a, *args, **kwargs)
+    def counting(blocks):
+        inverted.append(blocks.shape[2])
+        return spd_inverses(blocks)
 
-    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(linalg, "spd_inverses", counting)
     nice, greedy = parse_rule("nice:3", 10), parse_rule("greedymb:3", 10)
     for rule in (nice, greedy):
         rates.rule_constant(rule, problem)
@@ -374,6 +376,123 @@ def test_pricing_and_running_greedymb_invert_each_block_once(monkeypatch):
     for _ in range(200):
         g = rng.standard_normal(10)
         assert forms.values(g).mean() == pytest.approx(g @ E @ g, rel=1e-12)
+
+
+def test_forms_E_and_a_greedymb_run_call_no_lapack_inverse(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    problem = gen_instance(60, 10, seed=4)
+    forms = problem.objective.inverse_forms(3)
+    E = problem.objective.expected_inverse(3)
+    assert forms.weights.shape == (subset_count(10, 3), 100) and E.shape == (10, 10)
+    result = run(problem, parse_rule("greedymb:3", 10), RunConfig(max_iters=20))
+    assert len(result.trace) == 20 and not result.trace[0].heuristic
+
+
+# -- the batched SPD inverse and its failures -----------------------------------------
+
+def _stack(*blocks):
+    """Blocks stacked sets last, the layout `spd_inverses` takes."""
+    return np.ascontiguousarray(np.stack(blocks, axis=2))
+
+
+def test_spd_inverses_match_lapack_and_are_exactly_symmetric():
+    rng = np.random.default_rng(6)
+    for tau in (1, 2, 3, 5, 8):
+        blocks = np.stack([random_spd(tau, 1.0 + 50.0 * rng.random(), int(s))
+                           for s in rng.integers(0, 2**31, 40)])
+        got = linalg.spd_inverses(_stack(*blocks)).transpose(2, 0, 1)
+        want = np.linalg.inv(blocks)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+    assert linalg.spd_inverses(np.empty((3, 3, 0))).shape == (3, 3, 0)
+
+
+def test_spd_inverses_name_the_first_set_that_is_not_positive_definite():
+    """Block 1 fails only at its third pivot, after block 3 has failed at
+    its first: the first failing set in stack order is named, and no
+    RuntimeWarning is emitted on the way (no square root of a negative)."""
+    good = np.eye(3)
+    late = np.diag([1.0, 2.0, -1.0])
+    early = -np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, first in (((good, late, good, early), 1), ((early, late), 0),
+                             ((good, good, late), 2), ((good, np.zeros((3, 3))), 1)):
+            with pytest.raises(linalg.NotPositiveDefiniteError) as caught:
+                linalg.spd_inverses(_stack(*stack))
+            assert caught.value.block == first
+            assert f"block {first} " in str(caught.value)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 5 * 8 * 9 * 4])
+def test_indefinite_M_names_its_first_bad_block(chunk_bytes, monkeypatch):
+    """An indefinite M whose 3x3 blocks are PD up to lexicographic set
+    (1, 2, 8) (0-based (0, 1, 7)): the forms raise, naming it 1-based."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", chunk_bytes)  # four sets a chunk
+    M = np.eye(9)
+    M[1, 7] = M[7, 1] = M[0, 7] = M[7, 0] = 0.8  # det M[{0,1,7}] = 1 - 2 (0.64) < 0
+    bad = [S for S in itertools.combinations(range(9), 3)
+           if np.linalg.eigvalsh(M[np.ix_(S, S)])[0] <= 0]
+    assert bad[0] == (0, 1, 7)
+    assert list(itertools.combinations(range(9), 3)).index((0, 1, 7)) == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NotPositiveDefiniteError, match=r"S = \[1 2 8\]"):
+            linalg.block_inverse_forms(M, 3)
+
+
+# -- accuracy against the LAPACK oracle ---------------------------------------------
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5, 8])
+def test_forms_and_E_match_the_lapack_oracle_across_chunk_edges(tau, monkeypatch):
+    """forms.values, E and lambda_min(E) against `_EinsumForms` (one
+    np.linalg.inv per block), within 1e-13 of the largest value, with
+    chunks of 7 sets so that chunk edges and a partial last chunk fall in
+    every table (C(12, tau) is not a multiple of 7 for these tau)."""
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 5 * 8 * tau * tau * 7)
+    assert linalg.chunk_rows(tau, arrays=5) == 7 and subset_count(12, tau) % 7
+    tol = 1e-13
+    rng = np.random.default_rng(tau)
+    for M in (random_spd(12, 30.0, tau), gen_instance(40, 12, seed=tau).objective.smoothness):
+        oracle = _EinsumForms(M, tau)
+        forms = linalg.block_inverse_forms(M, tau)
+        assert np.array_equal(forms.subsets, oracle.subsets)
+        for _ in range(5):
+            g = rng.standard_normal(12)
+            want = oracle.values(g)
+            assert np.abs(forms.values(g) - want).max() <= tol * np.abs(want).max()
+        E = rates.expected_inverse_matrix(forms)
+        want_E = np.zeros_like(M)
+        for S, inv in zip(oracle.subsets, oracle.inv):
+            want_E[np.ix_(S, S)] += inv
+        want_E /= len(oracle.subsets)
+        assert np.array_equal(E, E.T)
+        assert np.abs(E - want_E).max() <= tol * np.abs(want_E).max()
+        lam, want_lam = eig_extremes(E)[0], eig_extremes((want_E + want_E.T) / 2)[0]
+        assert abs(lam - want_lam) <= tol * eig_extremes(want_E)[1]
+
+
+@pytest.mark.parametrize("n, tau", [(32, 4), (16, 8), (20, 3)])
+def test_forms_build_stays_within_the_chunk_bytes(n, tau):
+    """One build's traced peak above the tables it returns stays within
+    SUBSET_CHUNK_BYTES plus 64 KiB of slack: the chunk's index rows, the
+    walk's rank rows and the pair-weight copy are sized by rows, not by
+    the table."""
+    M = random_spd(n, 8.0, 1)
+    linalg.block_inverse_forms(M, tau)  # the lazy scipy.sparse import, untraced
+    tracemalloc.start()
+    try:
+        forms = linalg.block_inverse_forms(M, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = forms.weights
+    tables = forms.subsets.nbytes + w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+    assert peak - tables <= linalg.SUBSET_CHUNK_BYTES + 2**16
 
 
 # -- twin runs against the per-subset code ------------------------------------------
@@ -415,11 +534,16 @@ def test_twin_runs_match_per_subset_code(seed, monkeypatch):
 
     assert batched["greedymb:8"].trace[0].heuristic
     assert not batched["greedymb:4"].trace[0].heuristic
+    _assert_twins(batched, oracle, 40)
+
+
+def _assert_twins(batched, oracle, iters):
+    """Same blocks and L_used; F, xi, lambda and theta within 1e-12 relative."""
     for spec, result in batched.items():
         twin = oracle[spec]
         assert (result.L_used, result.L_used_source) == (twin.L_used, twin.L_used_source)
         rows, twin_rows = _trace_rows(result), _trace_rows(twin)
-        assert len(rows) == len(twin_rows) == 40
+        assert len(rows) == len(twin_rows) == iters
         for row, ref in zip(rows, twin_rows):
             assert row[0] == ref[0]
             for got, want in zip(row[1:], ref[1:]):
@@ -427,3 +551,24 @@ def test_twin_runs_match_per_subset_code(seed, monkeypatch):
                     assert got is None
                 else:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_exact_greedymb_twin_runs_on_a_small_instance(seed, monkeypatch):
+    """Exact greedymb:3 and greedymb:5 on gen_instance(48, 16), 40
+    iterations each with diagnostics, against twins scored by
+    `_EinsumForms` (one np.linalg.inv per block): the same blocks."""
+    def campaign():
+        problem = gen_instance(48, 16, seed=seed)
+        empirical_optimum(problem)
+        return {spec: run(problem, parse_rule(spec, 16, default_seed=seed),
+                          RunConfig(max_iters=40, record_diagnostics=True))
+                for spec in ("greedymb:3", "greedymb:5")}
+
+    batched = campaign()
+    with monkeypatch.context() as patch:
+        patch.setattr(objectives, "block_inverse_forms",
+                      lambda M, tau, budget: _EinsumForms(M, tau))
+        oracle = campaign()
+    assert not any(r.trace[0].heuristic for r in batched.values())
+    _assert_twins(batched, oracle, 40)
