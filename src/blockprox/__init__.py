@@ -63,6 +63,7 @@ from .descent import (
     NumericFailureError,
     RunConfig,
     RunResult,
+    Trace,
     TraceReport,
     UnverifiableError,
     empirical_optimum,

@@ -231,10 +231,8 @@ def check_plateau_disjunction(seed=0, epsilon=1e-6):
     result = descent.run(problem, rule, descent.RunConfig(
         max_iters=min(K, 100_000) if K else 1, epsilon=epsilon,
         record_diagnostics=True, stop_on="certificate"))
-    min_lam = min((r.lam for r in result.trace),
-                  default=result.final_lambda)
-    if result.final_lambda is not None:
-        min_lam = min(min_lam, result.final_lambda)
+    # a diagnostics run holds lambda at every iterate, the last one included
+    min_lam = float(result.trace.lam.min(initial=result.final_lambda))
     disjunct = (result.final_xi <= epsilon) or (min_lam <= epsilon)
     used = len(result.trace)
     margin = float(K - used)

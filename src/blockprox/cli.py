@@ -229,19 +229,20 @@ def cmd_run(cfg: ExperimentConfig):
         trace_path = os.path.join(cfg.out_dir, f"trace_{name.replace(':', '_')}.csv")
         with _writing(trace_path):
             descent.write_trace_csv(result, trace_path)
-        first_F = result.trace[0].F if result.trace else result.final_F
+        trace = result.trace
+        first_F = trace.F.item(0) if trace else result.final_F
         entry = {
             "rule": name,
             "trace": trace_path,
             "termination": result.termination,
-            "iterations": len(result.trace),
+            "iterations": len(trace),
             "final_F": result.final_F,
             "final_xi": result.final_xi,
             "L_used": result.L_used,
             "L_used_source": result.L_used_source,
             "cumulative_decrease": first_F - result.final_F,
-            "heuristic_selection_used": any(r.heuristic for r in result.trace),
-            "heuristic_selections": sum(r.heuristic for r in result.trace),
+            "heuristic_selection_used": bool(trace.heuristic.any()),
+            "heuristic_selections": int(trace.heuristic.sum()),
         }
         if cfg.diagnostics:
             report = descent.verify_trace(result)
@@ -276,12 +277,13 @@ def cmd_run(cfg: ExperimentConfig):
         trace = full_result.trace
         c = rates.rule_constant(full_rule, problem)[0]
         rate = rates.general_nonconvex_epsilon(
-            trace[0].xi, c, [row.k + 1 for row in trace])
+            trace.xi.item(0), c, range(1, len(trace) + 1))
         series_path = os.path.join(cfg.out_dir, "plateau_series.csv")
         with _writing(series_path), open(series_path, "w") as fh:
             fh.write("k,fx,dfx,rate\n")
-            for row, r_k in zip(trace, rate):
-                fh.write(f"{row.k},{row.xi!r},{row.lam!r},{r_k!r}\n")
+            for k, (xi, lam, r_k) in enumerate(zip(trace.xi.tolist(), trace.lam.tolist(),
+                                                   rate)):
+                fh.write(f"{k},{xi!r},{lam!r},{r_k!r}\n")
         report["plateau_series"] = series_path
 
     with _writing(report_path), open(report_path, "w") as fh:

@@ -1,13 +1,21 @@
-"""Iteration driver: the block descent loop, stopping logic, trace
-records, and trace verification against the one-step descent inequality.
+"""Iteration driver: the block descent loop, stopping logic, the trace, and
+trace verification against the one-step descent inequality.
+
+A run keeps its trace as columns (`Trace`): one float64 array per recorded
+quantity, int64 step times, a bool heuristic flag and the list of selected
+sets, appended to as the loop goes.  Rows are `IterationRecord` views of
+Python scalars, built on read.  The audit and the CSV writer read the
+columns, so an audit is a few numpy operations per column.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.blas import ddot
@@ -47,8 +55,10 @@ class RunConfig:
             raise ValueError(f"stop_on must be one of {STOP_MODES}")
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One row of a trace, as Python scalars, built by `Trace` on read: a
+    copy of the columns' values, so it cannot be assigned to."""
+
     k: int
     block: CoordSet
     F: float
@@ -61,10 +71,54 @@ class IterationRecord:
     heuristic: bool = False
 
 
+@dataclass(eq=False)
+class Trace:
+    """A run's trace as columns, row k of each being iteration k: float64
+    arrays `F`, `xi`, `lam`, `mu`, `theta` and `step_norm`, int64
+    `elapsed_ns`, bool `heuristic`, and the list of selected `blocks`.  A
+    column absent for the whole run is None: `xi` without an optimum, `lam`
+    without a certificate, `mu` and `theta` without diagnostics.
+
+    `len`, iteration, `trace[k]` (negative k counting from the end) and
+    slices give the rows as `IterationRecord`s of Python scalars."""
+
+    blocks: list[CoordSet]
+    F: np.ndarray
+    xi: Optional[np.ndarray]
+    lam: Optional[np.ndarray]
+    mu: Optional[np.ndarray]
+    theta: Optional[np.ndarray]
+    step_norm: np.ndarray
+    elapsed_ns: np.ndarray
+    heuristic: np.ndarray
+
+    def _columns(self) -> tuple:
+        """The columns in `IterationRecord` field order, after k and block."""
+        return (self.F, self.xi, self.lam, self.mu, self.theta, self.step_norm,
+                self.elapsed_ns, self.heuristic)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        """Row k, or the list of the rows a slice picks."""
+        k = range(len(self.blocks))[k]  # IndexError past either end
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        return IterationRecord(k, self.blocks[k], *(
+            None if column is None else column.item(k) for column in self._columns()))
+
+    def __iter__(self):
+        n = len(self.blocks)
+        return map(IterationRecord, range(n), self.blocks, *(
+            repeat(None, n) if column is None else column.tolist()
+            for column in self._columns()))
+
+
 @dataclass
 class RunResult:
     x: np.ndarray
-    trace: list[IterationRecord]
+    trace: Trace
     # reached_gap | reached_certificate | stagnated | exhausted_iters; a
     # full-batch run under stop_on "certificate" stagnates at a step that
     # lowered F by less than 1e-16 (1 + |F|)
@@ -95,7 +149,9 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     iterate, and are shared by the certificate, the selection, the step and
     the diagnostics.  On the prox path an iteration that holds a certificate
     (diagnostics, stop_on "certificate", or a greedy rule) reads its block
-    step off it, so the prox model is evaluated once per iterate.
+    step off it, so the prox model is evaluated once per iterate.  Each
+    step appends to the trace's columns; xi, mu and theta are derived from
+    them in numpy when the loop ends.
     """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
@@ -128,7 +184,14 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
     F_init = F_cur
     gap_floor = 1e-14 * max(1.0, abs(F_init))
-    trace: list[IterationRecord] = []
+    # the trace's columns and their appends, bound once so that a step's
+    # appends cost no attribute lookups
+    blocks: list[CoordSet] = []
+    F_col, lam_col, decrease_col, norm_col = (array("d") for _ in range(4))
+    ns_col, heuristic_col = array("q"), array("b")
+    add_block, add_F, add_lam = blocks.append, F_col.append, lam_col.append
+    add_decrease, add_norm = decrease_col.append, norm_col.append
+    add_ns, add_heuristic = ns_col.append, heuristic_col.append
     termination = "exhausted_iters"
     lam = cert = lam_per_coord = None
     clock = time.perf_counter_ns
@@ -142,9 +205,8 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         if need_cert:
             cert = engine.certificate(problem, x, L_used, grad=grad)
             lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
-        xi_cur = F_cur - opt_value if has_opt else None
 
-        if stop_on_gap and xi_cur <= epsilon:
+        if stop_on_gap and F_cur - opt_value <= epsilon:
             termination = "reached_gap"
             break
         if stop_on_cert and lam < epsilon:
@@ -157,15 +219,6 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         S = select(rule, problem, k, grad, lam_per_coord)
         step = engine.block_step(problem, x, S, L_used, grad=grad, cert=cert)
         u_S = step.u_S
-
-        mu = theta = None
-        if diagnostics:
-            if xi_cur > gap_floor:
-                mu = lam / xi_cur
-                theta = step.decrease / lam if lam > 0 else 0.0
-            else:
-                # at numerical optimality the forcing ratio is ill-defined
-                mu, theta = 0.0, 0.0
 
         state.move(S, u_S)
         x_next = state.x
@@ -184,8 +237,15 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             step_norm = math.sqrt(0.0 + u * u)
         else:
             step_norm = math.sqrt(float(u_S.dot(u_S)))
-        trace.append(IterationRecord(k, S, F_cur, xi_cur, lam, mu, theta, step_norm,
-                                     clock() - t0, rule.last_was_heuristic))
+        add_ns(clock() - t0)
+        add_block(S)
+        add_F(F_cur)
+        add_norm(step_norm)
+        add_heuristic(rule.last_was_heuristic)
+        if need_cert:
+            add_lam(lam)
+        if diagnostics:
+            add_decrease(step.decrease)
         stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
         x, F_cur = x_next, F_next
 
@@ -194,6 +254,21 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         final_lambda = (lam if termination != "exhausted_iters"
                         else engine.certificate(problem, x, L_used,
                                                 grad=state.grad).lambda_total)
+    F = np.frombuffer(F_col)
+    xi = F - opt_value if has_opt else None
+    lams = np.frombuffer(lam_col) if need_cert else None
+    mu = theta = None
+    if diagnostics:
+        # mu = lam / xi and theta = decrease / lam (0 at lam = 0); at
+        # numerical optimality, xi <= gap_floor, the forcing ratio is
+        # ill-defined and both are 0
+        live = xi > gap_floor
+        mu = np.divide(lams, xi, out=np.zeros(len(F)), where=live)
+        theta = np.divide(np.frombuffer(decrease_col), lams, out=np.zeros(len(F)),
+                          where=live & (lams > 0))
+    trace = Trace(blocks, F, xi, lams, mu, theta, np.frombuffer(norm_col),
+                  np.frombuffer(ns_col, dtype=np.int64),
+                  np.frombuffer(heuristic_col, dtype=bool))
     return RunResult(
         x=x, trace=trace, termination=termination,
         final_F=F_cur, final_xi=F_cur - opt_value if has_opt else None,
@@ -221,18 +296,17 @@ class TraceReport:
 
 def verify_trace(result: RunResult, rel_tol: float = 1e-9) -> TraceReport:
     """Check the per-step descent inequality, monotonicity, and the K-step
-    product bound on a diagnostics-enabled run.  A run that stopped before
-    its first step has nothing to audit: its report has no checks."""
-    rows = result.trace
-    if not rows:
+    product bound on a diagnostics-enabled run, from the trace's columns.
+    A run that stopped before its first step has nothing to audit: its
+    report has no checks."""
+    trace = result.trace
+    if not len(trace):
         return TraceReport(checks=[])
-    if rows[0].xi is None or rows[0].theta is None:
+    if trace.xi is None or trace.theta is None or trace.mu is None:
         raise UnverifiableError("trace is missing diagnostics (xi, theta, mu)")
 
-    F = np.array([r.F for r in rows], dtype=float)
-    xi = np.array([r.xi for r in rows], dtype=float)
-    contraction = 1.0 - (np.array([r.theta for r in rows], dtype=float)
-                         * np.array([r.mu for r in rows], dtype=float))
+    F, xi = trace.F, trace.xi
+    contraction = 1.0 - trace.theta * trace.mu
     xi_next = np.append(xi[1:], result.final_xi)
     F_next = np.append(F[1:], result.final_F)
     # absolute slack at the rounding scale of F: the gap is a difference of
@@ -243,23 +317,24 @@ def verify_trace(result: RunResult, rel_tol: float = 1e-9) -> TraceReport:
     upper = F + abs_slack
     # multiplied in sequence, as a loop would, not in np.prod's order
     product = float(np.multiply.accumulate(np.maximum(contraction, 0.0))[-1])
-    k_bound = (product * rows[0].xi * (1.0 + rel_tol) + rel_tol * rows[0].xi
-               + 1e-12 * (1.0 + abs(rows[0].F)))
+    xi_0 = xi.item(0)
+    k_bound = (product * xi_0 * (1.0 + rel_tol) + rel_tol * xi_0
+               + 1e-12 * (1.0 + abs(F.item(0))))
     k_margin = k_bound - result.final_xi
 
     return TraceReport(checks=[
-        _row_check("one_step_descent", bound - xi_next, xi_next > bound, rows),
-        _row_check("monotonicity", upper - F_next, F_next > upper, rows),
+        _row_check("one_step_descent", bound - xi_next, xi_next > bound),
+        _row_check("monotonicity", upper - F_next, F_next > upper),
         TraceCheck("k_step_product_bound", k_margin >= 0.0, k_margin),
     ])
 
 
-def _row_check(name: str, margins: np.ndarray, violated: np.ndarray, rows) -> TraceCheck:
+def _row_check(name: str, margins: np.ndarray, violated: np.ndarray) -> TraceCheck:
     """A per-row check: its first smallest margin, nan skipped (inf when all
     are nan), and the last violating row's k."""
     margins = np.where(np.isnan(margins), np.inf, margins)
     bad = np.flatnonzero(violated)
-    detail = f"violated at k={rows[bad[-1]].k}" if bad.size else ""
+    detail = f"violated at k={bad[-1]}" if bad.size else ""
     return TraceCheck(name, not bad.size, float(margins[margins.argmin()]), detail)
 
 
@@ -291,7 +366,8 @@ def empirical_optimum(problem: CompositeProblem) -> float:
     result = run(problem, BlockRule("full_batch", problem.dim),
                  RunConfig(max_iters=200_000, epsilon=1e-24, stop_on="certificate"))
     # a stagnant last step may have raised F: keep the lower of its two ends
-    F_star = min(result.final_F, result.trace[-1].F) if result.trace else result.final_F
+    F = result.trace.F
+    F_star = min(result.final_F, F.item(-1)) if len(F) else result.final_F
     problem.opt_value = F_star
     problem.opt_value_is_empirical = True
     return F_star
@@ -303,23 +379,30 @@ TRACE_HEADER = ["k", "rule", "block", "F", "xi", "lambda", "mu", "theta",
 
 def write_trace_csv(result: RunResult, path) -> None:
     """Write the trace as CSV: the bytes `csv.writer` gives for TRACE_HEADER
-    and one row per record (CRLF row ends, float reprs, int strs, None as an
-    empty field, and `rule` quoted as QUOTE_MINIMAL would quote it).
+    and one row per iteration (CRLF row ends, float reprs, int strs, an
+    absent column as empty fields, and `rule` quoted as QUOTE_MINIMAL would
+    quote it).
 
     `block` is the set's `CoordSet.block_text`, built once per set object,
-    so a row costs its six float reprs.  Rows are formatted one at a time
-    and streamed to the file, never held as one string.
+    so a row costs its six float reprs.  Each column is read through a
+    memoryview, which yields its values as Python scalars one at a time, and
+    rows are formatted one at a time and streamed to the file, so neither a
+    column's values nor the text is ever held whole.
     """
     name = result.rule_name
     if any(c in name for c in ',"\r\n'):
         name = '"' + name.replace('"', '""') + '"'
+    trace = result.trace
+    n = len(trace)
 
-    def opt(v):
-        return "" if v is None else repr(v)
+    def text(column):
+        return repeat("", n) if column is None else map(repr, memoryview(column))
 
-    rows = (f"{r.k},{name},{r.block.block_text},{opt(r.F)},{opt(r.xi)},"
-            f"{opt(r.lam)},{opt(r.mu)},{opt(r.theta)},{opt(r.step_norm)},"
-            f"{r.elapsed_ns}\r\n" for r in result.trace)
+    rows = (f"{k},{name},{S.block_text},{F},{xi},{lam},{mu},{theta},{norm},{ns}\r\n"
+            for k, S, F, xi, lam, mu, theta, norm, ns in zip(
+                range(n), trace.blocks, text(trace.F), text(trace.xi), text(trace.lam),
+                text(trace.mu), text(trace.theta), text(trace.step_norm),
+                memoryview(trace.elapsed_ns)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
         fh.writelines(rows)

@@ -255,13 +255,18 @@ def chunk_rows(tau: int, arrays: int) -> int:
     return max(1, SUBSET_CHUNK_BYTES // (arrays * 8 * tau * tau))
 
 
+def _flat_index_sets_last(n: int, subsets: np.ndarray) -> np.ndarray:
+    """The flat indices S_a * n + S_b of each row S of `subsets` in an n x n
+    matrix, laid out [a, b, S] (sets last, so numpy builds them in long
+    inner loops)."""
+    positions = np.ascontiguousarray(subsets.T)
+    return (positions * n)[:, None, :] + positions[None, :, :]
+
+
 def _gather_sets_last(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """M[S, S] for each row S of `subsets`, shape (tau, tau, rows), taken at
-    the flat indices S_a * n + S_b laid out [a, b, S] (sets last, so numpy
-    builds them in long inner loops); a C-contiguous M is read without a copy."""
-    positions = np.ascontiguousarray(subsets.T)
-    flat = (positions * M.shape[0])[:, None, :] + positions[None, :, :]
-    return M.ravel().take(flat)
+    `_flat_index_sets_last`; a C-contiguous M is read without a copy."""
+    return M.ravel().take(_flat_index_sets_last(M.shape[0], subsets))
 
 
 def gather_blocks(M: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -357,13 +362,16 @@ def block_inverse_forms(M: np.ndarray, tau: int,
     start = 0
     for chunk in chunks:
         stop = start + len(chunk)
+        flat = _flat_index_sets_last(n, chunk)
+        columns[start:stop] = flat[a, b].T  # S_a * n + S_b, increasing along a row
+        blocks = M.ravel().take(flat)
+        del flat  # freed before the inverses' arrays are allocated
         try:  # no chunk's inverses outlive their pair weights
-            data[start:stop] = (spd_inverses(_gather_sets_last(M, chunk))[a, b] * scale).T
+            data[start:stop] = (spd_inverses(blocks)[a, b] * scale).T
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"block M[S, S] at S = {chunk[exc.block] + 1} (1-based) "
                 "is not positive definite") from None
-        columns[start:stop] = chunk[:, a] * n + chunk[:, b]  # increasing along a row
         subsets[start:stop] = chunk
         start = stop
     indptr = np.arange(0, count * pairs + 1, pairs, dtype=index)

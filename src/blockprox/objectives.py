@@ -84,6 +84,8 @@ class Objective:
     lambda_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
         self.smoothness = check_symmetric(self.smoothness)
         if self.smoothness.shape != (self.dim, self.dim):
             raise ValueError("smoothness matrix shape does not match dim")
@@ -463,7 +465,9 @@ def random_spd(n: int, cond: float, seed: int) -> np.ndarray:
     """Q diag(linspace(1, cond, n)) Q' with Q a seeded random orthogonal
     matrix (QR of a Gaussian matrix, signs fixed by R's diagonal).  `cond` is
     the condition number of linspace(1, cond, n), so it must be finite and
-    at least 1."""
+    at least 1, and n must be at least 1."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 1.0 <= cond < math.inf:
         raise ValueError(f"cond must be finite and at least 1, got {cond!r}")
     rng = np.random.default_rng(seed)

@@ -850,3 +850,50 @@ def test_a_block_that_is_not_positive_definite_is_a_numeric_failure(tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and err.count("\n") == 1
         assert "S = [1 2 3] (1-based) is not positive definite" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_quadratic_with_no_coordinates_is_a_config_error_naming_n(tmp_path, capsys, n):
+    """`kind = quadratic` with n < 1: `run` and `rates` end in one config
+    error line that names n, not numpy's message about an empty array."""
+    body = QUADRATIC_SLICE_CFG.format(out=tmp_path / "out").replace("n = 4\n", f"n = {n}\n")
+    for command in ("run", "rates"):
+        assert main([command, write_cfg(tmp_path, body)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: bad problem section: n must be at least 1, got {n}\n"
+
+
+def _outputs_without_ns(out_dir):
+    """Every file `run` wrote, by name, the trace CSVs without their ns
+    column (the last one)."""
+    outputs = {}
+    for path in sorted(Path(out_dir).iterdir()):
+        data = path.read_bytes()
+        if path.name.startswith("trace_"):
+            data = b"\r\n".join(row.rsplit(b",", 1)[0] for row in data.split(b"\r\n"))
+        outputs[path.name] = data
+    return outputs
+
+
+@pytest.mark.parametrize("l1", [False, True])
+def test_twin_runs_write_the_same_bytes_but_the_timing_column(tmp_path, monkeypatch, l1):
+    """A config plus the seed fixes every output byte except the trace's ns
+    column: two `run`s of one config, each from its own directory (so that
+    the relative trace paths in report.json agree), every rule of the path,
+    diagnostics on."""
+    body = SMOOTH_CFG.format(out="out")
+    if l1:
+        body = body.replace("seed = 0\n\n[rules]", "seed = 0\nlambda = 0.02\n\n[rules]").replace(
+            "importance, ", "")
+    outputs = []
+    for twin in ("a", "b"):
+        (tmp_path / twin).mkdir()
+        monkeypatch.chdir(tmp_path / twin)
+        assert main(["--seed", "3", "run", write_cfg(tmp_path / twin, body)]) == EXIT_OK
+        outputs.append(_outputs_without_ns("out"))
+    first, second = outputs
+    rules = 6 if l1 else 7
+    assert len(first) == rules + 1 and "report.json" in first
+    assert first == second
+    report = json.loads(first["report.json"])
+    assert all(entry["verified"] for entry in report["runs"])

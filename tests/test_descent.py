@@ -12,6 +12,9 @@ from blockprox.descent import (
     NumericFailureError,
     RunConfig,
     RunResult,
+    Trace,
+    TraceCheck,
+    TraceReport,
     UnverifiableError,
     _finite_gradient,
     empirical_optimum,
@@ -151,11 +154,40 @@ def test_verify_trace_catches_corruption():
                  RunConfig(max_iters=20, record_diagnostics=True,
                            x0=np.ones(4)))
     assert verify_trace(result).all_passed
-    result.trace[5].xi *= 3.0  # breaks the one-step inequality at k=4
+    with pytest.raises(AttributeError):  # a row is a copy: the columns hold the trace
+        result.trace[5].xi = 0.0
+    result.trace.xi[5] *= 3.0  # breaks the one-step inequality at k=4
     report = verify_trace(result)
     assert not report.all_passed
     bad = [c for c in report.checks if not c.passed]
     assert any("k=" in c.detail for c in bad)
+
+
+def test_trace_rows_are_python_scalars_and_absent_columns_none():
+    """Rows, by iteration, index and slice, hold Python int, float and bool
+    values (so that they `json`-dump), and None for an absent column."""
+    import json
+
+    problem = gen_instance(30, 10, seed=0)
+    empirical_optimum(problem)
+    rule = parse_rule("greedymb:3", 10, default_seed=1)
+    audited = run(problem, rule, RunConfig(max_iters=30, record_diagnostics=True))
+    bare = run(gen_instance(30, 10, seed=0), rule, RunConfig(max_iters=30))
+    for result, absent in ((audited, set()), (bare, {"xi", "lam", "mu", "theta"})):
+        trace = result.trace
+        rows = list(trace)
+        assert len(rows) == len(trace) == 30
+        assert rows[-1] == trace[-1] == trace[29] and trace[3:5] == rows[3:5]
+        for row in rows:
+            for name, value in row._asdict().items():
+                want = {"k": int, "block": CoordSet, "elapsed_ns": int,
+                        "heuristic": bool}.get(name, float)
+                assert type(value) is (type(None) if name in absent else want), name
+        assert json.loads(json.dumps(sum(r.elapsed_ns for r in trace))) > 0
+        assert [getattr(trace, name) is None for name in ("xi", "lam", "mu", "theta")] == [
+            name in absent for name in ("xi", "lam", "mu", "theta")]
+    with pytest.raises(IndexError):
+        audited.trace[30]
 
 
 def test_monotonicity_margin_reported():
@@ -256,11 +288,32 @@ def _csv_writer_trace(result, path):
             ])
 
 
+def _write_trace_csv_rows(result, path):
+    """`write_trace_csv` as it read the trace's rows, one record at a time:
+    the row oracle of the column writer."""
+    name = result.rule_name
+    if any(c in name for c in ',"\r\n'):
+        name = '"' + name.replace('"', '""') + '"'
+
+    def opt(v):
+        return "" if v is None else repr(v)
+
+    rows = (f"{r.k},{name},{r.block.block_text},{opt(r.F)},{opt(r.xi)},"
+            f"{opt(r.lam)},{opt(r.mu)},{opt(r.theta)},{opt(r.step_norm)},"
+            f"{r.elapsed_ns}\r\n" for r in result.trace)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.writelines(rows)
+
+
 def _assert_csv_bytes_match(result, tmp_path):
-    expected, written = tmp_path / "expected.csv", tmp_path / "written.csv"
+    """write_trace_csv gives the bytes of csv.writer and of the row writer."""
+    expected, rows, written = (tmp_path / f"{name}.csv"
+                               for name in ("expected", "rows", "written"))
     _csv_writer_trace(result, expected)
+    _write_trace_csv_rows(result, rows)
     write_trace_csv(result, written)
-    assert written.read_bytes() == expected.read_bytes()
+    assert written.read_bytes() == expected.read_bytes() == rows.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -288,9 +341,27 @@ def test_trace_csv_bytes_match_csv_writer(n100_problems, tmp_path, kind, spec,
     _assert_csv_bytes_match(result, tmp_path)
 
 
-def _hand_built_result(rows, rule_name="full", n=3):
-    return RunResult(x=np.zeros(n), trace=rows, termination="exhausted_iters",
-                     final_F=0.0, final_xi=None, final_lambda=None,
+def _trace_of(rows):
+    """The columnar trace of hand-built `IterationRecord` rows (k 0, 1, ...);
+    a field that is None on every row is an absent column."""
+
+    def column(name, dtype=float):
+        values = [getattr(r, name) for r in rows]
+        if rows and all(v is None for v in values):
+            return None
+        return np.array(values, dtype=dtype)
+
+    assert [r.k for r in rows] == list(range(len(rows)))
+    return Trace([r.block for r in rows], column("F"), column("xi"), column("lam"),
+                 column("mu"), column("theta"), column("step_norm"),
+                 column("elapsed_ns", np.int64), column("heuristic", bool))
+
+
+def _hand_built_result(rows, rule_name="full", n=3, final_F=0.0, final_xi=None):
+    """A result holding `rows`, a list of `IterationRecord`s or a `Trace`."""
+    trace = rows if isinstance(rows, Trace) else _trace_of(rows)
+    return RunResult(x=np.zeros(n), trace=trace, termination="exhausted_iters",
+                     final_F=final_F, final_xi=final_xi, final_lambda=None,
                      rule_name=rule_name, L_used=None)
 
 
@@ -298,16 +369,24 @@ def test_trace_csv_bytes_match_csv_writer_on_an_empty_trace(tmp_path):
     _assert_csv_bytes_match(_hand_built_result([]), tmp_path)
 
 
-def test_trace_csv_bytes_match_csv_writer_on_edge_values(tmp_path):
+def _edge_rows():
+    """Hand-built rows of edge values (nan, +-inf, -0.0, 5e-324, the int64
+    extremes), each column present on every row or on none: two traces."""
     S = CoordSet((0, 2), 3)
-    rows = [
-        IterationRecord(0, S, -0.0, math.nan, math.inf, None, 5e-324, -math.inf, 12),
-        IterationRecord(1, S, 5e-324, None, None, None, None, -0.0, 0),
-        IterationRecord(2, CoordSet.full(3), math.nan, 0.1, -0.0, math.inf, None,
-                        1e300, 2**63),
+    return [
+        [IterationRecord(0, S, -0.0, math.nan, math.inf, 0.5, 5e-324, -math.inf, 12),
+         IterationRecord(1, S, 5e-324, -0.0, -math.inf, math.inf, math.nan, -0.0, 0, True),
+         IterationRecord(2, CoordSet.full(3), math.nan, 0.1, -0.0, -0.0, 1e-300,
+                         1e300, 2**63 - 1)],
+        [IterationRecord(0, CoordSet.full(3), math.inf, None, None, -0.0, None, 5e-324, 1),
+         IterationRecord(1, S, -math.inf, None, None, math.nan, None, math.nan, 0)],
     ]
-    for name in ['a,b"c', "full", "line\nbreak", "cr\rhere", ""]:
-        _assert_csv_bytes_match(_hand_built_result(rows, name), tmp_path)
+
+
+def test_trace_csv_bytes_match_csv_writer_on_edge_values(tmp_path):
+    for rows in _edge_rows():
+        for name in ['a,b"c', "full", "line\nbreak", "cr\rhere", ""]:
+            _assert_csv_bytes_match(_hand_built_result(rows, name), tmp_path)
 
 
 def test_trace_csv_builds_each_block_text_once(monkeypatch, tmp_path):
@@ -330,10 +409,11 @@ def test_trace_csv_builds_each_block_text_once(monkeypatch, tmp_path):
 def test_trace_csv_streams_its_rows(tmp_path):
     import tracemalloc
 
-    full = CoordSet.full(1000)
-    rows = [IterationRecord(k, full, 1.0 / (k + 3), 2.0 / (k + 3), 0.1 * k, 0.5,
-                            1.0 / 7, 3.0 ** -k, 1000 + k) for k in range(5000)]
-    result = _hand_built_result(rows, n=1000)
+    k = np.arange(5000)
+    trace = Trace([CoordSet.full(1000)] * 5000, 1.0 / (k + 3), 2.0 / (k + 3), 0.1 * k,
+                  np.full(5000, 0.5), np.full(5000, 1.0 / 7), 3.0 ** -k, k + 1000,
+                  np.zeros(5000, dtype=bool))
+    result = _hand_built_result(trace, n=1000)
     path = tmp_path / "full.csv"
     tracemalloc.start()
     try:
@@ -394,6 +474,117 @@ def _checks(report):
             for c in report.checks]
 
 
+def _verify_trace_rows(result, rel_tol=1e-9):
+    """verify_trace as it read the trace's rows into arrays: the row oracle
+    of the columnar audit, bit for bit."""
+    rows = list(result.trace)
+    if not rows:
+        return TraceReport(checks=[])
+    if rows[0].xi is None or rows[0].theta is None:
+        raise UnverifiableError("trace is missing diagnostics (xi, theta, mu)")
+
+    F = np.array([r.F for r in rows], dtype=float)
+    xi = np.array([r.xi for r in rows], dtype=float)
+    contraction = 1.0 - (np.array([r.theta for r in rows], dtype=float)
+                         * np.array([r.mu for r in rows], dtype=float))
+    xi_next = np.append(xi[1:], result.final_xi)
+    F_next = np.append(F[1:], result.final_F)
+    abs_slack = 1e-12 * (1.0 + np.abs(F))
+    bound = contraction * xi + rel_tol * np.abs(xi) + abs_slack
+    upper = F + abs_slack
+    product = float(np.multiply.accumulate(np.maximum(contraction, 0.0))[-1])
+    k_bound = (product * rows[0].xi * (1.0 + rel_tol) + rel_tol * rows[0].xi
+               + 1e-12 * (1.0 + abs(rows[0].F)))
+    k_margin = k_bound - result.final_xi
+
+    def row_check(name, margins, violated):
+        margins = np.where(np.isnan(margins), np.inf, margins)
+        bad = np.flatnonzero(violated)
+        detail = f"violated at k={rows[bad[-1]].k}" if bad.size else ""
+        return TraceCheck(name, not bad.size, float(margins[margins.argmin()]), detail)
+
+    return TraceReport(checks=[
+        row_check("one_step_descent", bound - xi_next, xi_next > bound),
+        row_check("monotonicity", upper - F_next, F_next > upper),
+        TraceCheck("k_step_product_bound", k_margin >= 0.0, k_margin),
+    ])
+
+
+def _assert_audit_matches_the_row_oracle(result):
+    """Equal reports, field by field (margins by their bits, and the
+    report's own Python bool and float types), or the same refusal."""
+    try:
+        want = _verify_trace_rows(result)
+    except UnverifiableError:
+        with pytest.raises(UnverifiableError):
+            verify_trace(result)
+        return
+    got = verify_trace(result)
+    assert _checks(got) == _checks(want)
+    assert all(type(c.passed) is bool and type(c.worst_margin) is float
+               for c in got.checks)
+
+
+@pytest.fixture(scope="module")
+def small_problems():
+    problems = {}
+    for seed in range(4):
+        for kind, lam in (("smooth", 0.0), ("l1", 0.02)):
+            problem = gen_instance(40, 12, seed=seed, lam=lam)
+            empirical_optimum(problem)
+            problems[kind, seed] = problem
+    return problems
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_columnar_audit_and_csv_match_the_row_oracles(small_problems, tmp_path, kind,
+                                                      seed, diagnostics):
+    problem = small_problems[kind, seed]
+    for spec in ("full", "uniform", "importance", "greedy", "cyclic", "nice:3",
+                 "greedymb:3"):
+        if kind == "l1" and spec == "importance":
+            continue  # smooth-path only
+        result = run(problem, parse_rule(spec, 12, default_seed=seed),
+                     RunConfig(max_iters=60, record_diagnostics=diagnostics))
+        assert len(result.trace) == 60
+        _assert_audit_matches_the_row_oracle(result)
+        _assert_csv_bytes_match(result, tmp_path)
+
+
+def test_a_run_that_stops_before_its_first_step_matches_the_row_oracles(tmp_path):
+    """x0 = 0 is the quadratic's optimum: gap stopping ends the run with an
+    empty trace, whose columns are empty arrays (xi, lam, mu and theta
+    included: the run has diagnostics)."""
+    problem = CompositeProblem(make_quadratic(random_spd(4, 5.0, 2)))
+    result = run(problem, BlockRule("full_batch", 4),
+                 RunConfig(max_iters=10, record_diagnostics=True, stop_on="gap"))
+    assert result.termination == "reached_gap" and len(result.trace) == 0
+    assert list(result.trace) == [] and result.trace.theta.shape == (0,)
+    assert verify_trace(result).checks == []
+    _assert_audit_matches_the_row_oracle(result)
+    _assert_csv_bytes_match(result, tmp_path)
+
+
+def test_a_hand_built_failing_trace_matches_the_row_oracle():
+    """Rows whose F, and so the gap, rises after the steps k = 1 and k = 3:
+    both per-row checks fail at those rows, and their details name the last.
+    Then the edge-value rows, the first verifiable, the second refused."""
+    S = CoordSet((1,), 3)
+    F = [5.0, 4.0, 4.5, 3.0, 3.5, 2.0]
+    rows = [IterationRecord(k, S, F_k, F_k - 1.0, 0.5, 0.2, 0.5, 0.1, 100 + k)
+            for k, F_k in enumerate(F)]
+    result = _hand_built_result(rows, final_F=1.5, final_xi=0.5)
+    report = verify_trace(result)
+    assert [(c.passed, c.detail) for c in report.checks] == [
+        (False, "violated at k=3"), (False, "violated at k=3"), (True, "")]
+    _assert_audit_matches_the_row_oracle(result)
+    for rows in _edge_rows():
+        _assert_audit_matches_the_row_oracle(_hand_built_result(rows, final_F=0.0,
+                                                                final_xi=0.0))
+
+
 def test_verify_trace_matches_the_row_loop():
     smooth = gen_instance(30, 10, seed=0)
     l1 = gen_instance(30, 10, seed=0, lam=0.02)
@@ -410,14 +601,15 @@ def test_verify_trace_matches_the_row_loop():
     for corrupt in (None, "xi", "xi twice", "F", "theta"):
         result = run(quad, parse_rule("uniform seed=0", 4),
                      RunConfig(max_iters=20, record_diagnostics=True, x0=np.ones(4)))
+        trace = result.trace
         if corrupt in ("xi", "xi twice"):
-            result.trace[5].xi *= 3.0
+            trace.xi[5] *= 3.0
             if corrupt == "xi twice":
-                result.trace[12].xi *= 3.0
+                trace.xi[12] *= 3.0
         elif corrupt == "F":
-            result.trace[9].F = result.trace[8].F * 2.0 + 1.0
+            trace.F[9] = trace.F[8] * 2.0 + 1.0
         elif corrupt == "theta":
-            result.trace[3].theta = np.nan
+            trace.theta[3] = np.nan
         results.append(result)
     for result in results:
         want = [(name, ok, float.hex(float(margin)), detail)

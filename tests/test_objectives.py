@@ -481,3 +481,11 @@ def test_only_the_objective_decides_the_enumeration_budget():
     assert callers("objectives.py") == ["Objective._subset_constant"]
     assert set(callers("rates.py")) <= {"L_tau", "expected_inverse_matrix"}
     assert callers("selection.py") == []
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_no_coordinates_is_refused_naming_the_dimension(n):
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+        objectives.random_spd(n, 10.0, 0)
+    with pytest.raises(ValueError, match=f"dim must be at least 1, got {n}"):
+        objectives.Objective(n, lambda x: 0.0, lambda x: x, np.zeros((0, 0)))
