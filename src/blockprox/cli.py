@@ -151,6 +151,9 @@ def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
                 objectives.make_huber_product(float(p.get("box", 2.0))))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad problem section: {exc}") from exc
+    except MemoryError:  # a problem past the memory, say an m x n matrix
+        sizes = ", ".join(f"{key} = {p[key]}" for key in ("m", "n") if key in p)
+        raise ConfigError(f"{kind} problem ({sizes}) does not fit in memory") from None
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 

@@ -3,9 +3,12 @@ trace verification against the one-step descent inequality.
 
 A run keeps its trace as columns (`Trace`): one float64 array per recorded
 quantity, int64 step times, a bool heuristic flag and the list of selected
-sets, appended to as the loop goes.  Rows are `IterationRecord` views of
-Python scalars, built on read.  The audit and the CSV writer read the
-columns, so an audit is a few numpy operations per column.
+sets, appended to as the loop goes.  A diagnostics run whose steps do not
+read the certificate fills its `lam` column a chunk of iterates at a time
+(`engine.certificate_totals`), with the bits of a certificate per iterate.
+Rows are `IterationRecord` views of Python scalars, built on read.  The
+audit and the CSV writer read the columns, so an audit is a few numpy
+operations per column.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from . import engine, rates
+from . import engine, linalg, rates
 from .linalg import CoordSet
 from .objectives import CompositeProblem
 from .selection import BlockRule, select
@@ -147,11 +150,19 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
     The gradient and f come from the objective's iterate state, once per
     iterate, and are shared by the certificate, the selection, the step and
-    the diagnostics.  On the prox path an iteration that holds a certificate
-    (diagnostics, stop_on "certificate", or a greedy rule) reads its block
-    step off it, so the prox model is evaluated once per iterate.  Each
-    step appends to the trace's columns; xi, mu and theta are derived from
-    them in numpy when the loop ends.
+    the diagnostics.  The loop computes `engine.certificate` only where it
+    reads it: under stop_on "certificate", for a greedy rule on the prox
+    path (which selects by lambda_i), and, with diagnostics, for a prox-path
+    block step of two or more coordinates, which reads its step off it.  So
+    the prox model is evaluated once per iterate.  Any other diagnostics run
+    copies each iterate's gradient, and x on the prox path, into a chunk of
+    rows within `linalg.SUBSET_CHUNK_BYTES`, and `engine.certificate_totals`
+    takes a full chunk's lambda totals in one pass, outside the steps' timers
+    (`elapsed_ns` times the step: the gradient guard, any certificate, the
+    copy into the chunk, the selection, the step, the move and f).  Each step appends to the trace's
+    columns; xi, mu and theta are derived from them in numpy when the loop
+    ends.  `final_lambda`, when the run has certificates, is the one at the
+    returned x.
     """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
@@ -174,8 +185,13 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     if stop_on_gap and not has_opt:
         raise ValueError("gap stopping needs a known or empirical optimum")
 
-    greedy_nonsmooth = rule.row.greedy and not problem.smooth_path
-    need_cert = diagnostics or stop_on_cert or greedy_nonsmooth
+    # a certificate in the loop where the loop reads it; a prox-path block
+    # step of two or more coordinates would evaluate the same model itself
+    prox_path = not problem.smooth_path
+    need_cert = (stop_on_cert or (prox_path and rule.row.greedy)
+                 or (diagnostics and prox_path and rule.max_block_size > 1))
+    keeps_lam = need_cert or diagnostics
+    chunked = diagnostics and not need_cert
     # a full-batch step depends on x alone, so one that leaves F in place is
     # repeated forever; a serial or minibatch step that does only says its
     # block is at a minimum
@@ -195,6 +211,18 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     termination = "exhausted_iters"
     lam = cert = lam_per_coord = None
     clock = time.perf_counter_ns
+    if chunked:
+        # each iterate's gradient and x rows, 16 bytes a coordinate
+        rows = min(cfg.max_iters, max(1, linalg.SUBSET_CHUNK_BYTES // (16 * n)))
+        grad_rows = np.empty((rows, n))
+        x_rows = np.empty((rows, n)) if prox_path else None
+        row = 0
+
+        def add_chunk_lams(count: int) -> None:
+            """Append the certificate totals of the chunk's first `count` rows."""
+            xs = None if x_rows is None else x_rows[:count]
+            lam_col.frombytes(engine.certificate_totals(
+                problem, xs, grad_rows[:count], L_used).tobytes())
 
     for k in range(cfg.max_iters):
         t0 = clock()
@@ -215,6 +243,10 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         if stagnant:
             termination = "stagnated"
             break
+        if chunked:
+            grad_rows[row] = grad
+            if prox_path:
+                x_rows[row] = x
 
         S = select(rule, problem, k, grad, lam_per_coord)
         step = engine.block_step(problem, x, S, L_used, grad=grad, cert=cert)
@@ -248,15 +280,22 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             add_decrease(step.decrease)
         stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
         x, F_cur = x_next, F_next
+        if chunked:
+            row += 1
+            if row == rows:
+                add_chunk_lams(rows)
+                row = 0
 
+    if chunked and row:
+        add_chunk_lams(row)
     final_lambda = None
-    if need_cert:
-        final_lambda = (lam if termination != "exhausted_iters"
-                        else engine.certificate(problem, x, L_used,
-                                                grad=state.grad).lambda_total)
+    if need_cert and termination != "exhausted_iters":
+        final_lambda = lam
+    elif keeps_lam:
+        final_lambda = engine.certificate(problem, x, L_used, grad=state.grad).lambda_total
     F = np.frombuffer(F_col)
     xi = F - opt_value if has_opt else None
-    lams = np.frombuffer(lam_col) if need_cert else None
+    lams = np.frombuffer(lam_col) if keeps_lam else None
     mu = theta = None
     if diagnostics:
         # mu = lam / xi and theta = decrease / lam (0 at lam = 0); at

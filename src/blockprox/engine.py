@@ -13,7 +13,11 @@ block: given the certificate at the same (x, grad f(x), L), the model is
 evaluated once per iterate.  Without a certificate a block of two or more
 coordinates evaluates the model over all n coordinates, and a
 one-coordinate step is taken on Python floats, through the regularizer's
-scalar `prox` and `value_i`, with the same bits.
+scalar `prox` and `value_i`, with the same bits.  On the smooth path the
+certificate's entries are grad_i^2 / 2.  `certificate_totals` takes the
+lambda totals of a chunk of iterates in one pass of the same per-entry
+expression over their rows laid end to end, with the bits of one
+certificate per row.
 """
 
 from __future__ import annotations
@@ -71,21 +75,43 @@ def _gradient(problem: CompositeProblem, x: np.ndarray, grad) -> np.ndarray:
     return problem.grad_f(x) if grad is None else grad
 
 
+def _certificate_entries(reg, x, grad, L: float):
+    """The prox step v (None on the smooth path) and the certificate entries
+    lambda_i, entry by entry: `_prox_model` on the prox path, 0.5 grad_i^2
+    on the smooth path, where x is not read.  The arrays are 1-D, one
+    iterate's or a chunk's rows laid end to end."""
+    if reg.is_zero:
+        # 0.5 * grad * grad, its second product taken in place
+        per = 0.5 * grad
+        per *= grad
+        return None, per
+    return _prox_model(reg, x, grad, L)
+
+
 def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
                 grad=None) -> Certificate:
-    # `_gradient` and `smooth_path` written out: the descent loop calls this
-    # once per iteration
+    # `_gradient` written out: the descent loop calls this once per iteration
     L = problem.L_scalar if L is None else float(L)
     if grad is None:
         grad = problem.grad_f(x)
-    if problem.regularizer.is_zero:
-        # 0.5 * grad * grad, its second product taken in place
-        v, per = None, 0.5 * grad
-        per *= grad
-    else:
-        v, per = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
+    v, per = _certificate_entries(problem.regularizer, np.asarray(x, dtype=float),
+                                  grad, L)
     # np.add.reduce is the reduction per.sum() makes, without its wrapper
     return Certificate(float(np.add.reduce(per)), per, L, v)
+
+
+def certificate_totals(problem: CompositeProblem, xs: np.ndarray | None,
+                       grads: np.ndarray, L: float) -> np.ndarray:
+    """lambda_total at each row of a chunk: the certificates at the iterates
+    xs[j] (None on the smooth path, which does not read x) with gradients
+    grads[j] and L, C-contiguous (rows, n) arrays, in one pass.  Entry j has
+    the bits of `certificate(problem, xs[j], L, grads[j]).lambda_total`: the
+    entries are the same expression over the rows laid end to end (the
+    regularizer's maps take 1-D arrays), and np.add.reduce along the last
+    axis of a C-contiguous array sums each row as it sums a 1-D array."""
+    flat = None if xs is None else xs.reshape(-1)
+    _, per = _certificate_entries(problem.regularizer, flat, grads.reshape(-1), L)
+    return np.add.reduce(per.reshape(grads.shape), axis=-1)
 
 
 def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:

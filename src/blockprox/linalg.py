@@ -37,7 +37,10 @@ SYMMETRY_RTOL = 1e-12
 #: the gather of M, and `spd_inverses`' factor, the factor's inverse and
 #: their product; as the factor is freed before the product, the fifth
 #: holds a temporary of terms and the chunk's index rows).  Block steps
-#: keep no factor: each solves its gather by one `spd_solve`.
+#: keep no factor: each solves its gather by one `spd_solve`.  The same
+#: budget sizes a chunk of a diagnostics run's iterates (`descent.run`),
+#: 16 n bytes a row for the iterate's gradient and x, whose certificate
+#: totals are taken in one pass (a few temporaries of the chunk's size).
 SUBSET_CHUNK_BYTES = 2**20
 
 

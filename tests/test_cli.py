@@ -811,6 +811,22 @@ def test_tables_that_cannot_be_allocated_are_a_config_error(tmp_path, capsys, mo
     assert "C(30,15)" in err and "memory" in err
 
 
+@pytest.mark.parametrize("command", ["run", "rates"])
+@pytest.mark.parametrize("kind, sizes", [("generated", "m = 10000000000000000\nn = 10"),
+                                         ("quadratic", "n = 300000000")])
+def test_a_problem_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys,
+                                                             command, kind, sizes):
+    """Its first matrix, m x n or n x n, is some 8e17 bytes: past any
+    process's address space, so the allocation fails at once."""
+    body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+        "kind = generated\nm = 30\nn = 8", f"kind = {kind}\n{sizes}")
+    assert main([command, write_cfg(tmp_path, body)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "does not fit in memory" in err
+    assert sizes.replace("\n", ", ") in err
+
+
 def test_subset_ranks_past_int64_are_a_config_error(tmp_path, capsys):
     """L_tau of nice:33 at n = 67 would walk C(67, 33) > 2**63 - 1 ranks:
     refused before any chunk, whatever the budget."""

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blockprox import engine, rates
+from blockprox import engine, linalg, rates
 from blockprox.descent import (
     TRACE_HEADER,
     IterationRecord,
@@ -565,6 +565,75 @@ def test_a_run_that_stops_before_its_first_step_matches_the_row_oracles(tmp_path
     assert verify_trace(result).checks == []
     _assert_audit_matches_the_row_oracle(result)
     _assert_csv_bytes_match(result, tmp_path)
+
+
+def _certificate_replay(problem, result):
+    """lam, mu and theta per row and final_lambda of a diagnostics run from
+    x0 = 0, by `engine.certificate` at each iterate: the trace's blocks
+    replayed, each step read off the iterate's certificate, and mu and theta
+    by the row formulas."""
+    L, state = result.L_used, problem.objective.state_at(np.zeros(problem.dim))
+    gap_floor = 1e-14 * max(1.0, abs(result.trace.F.item(0))) if len(result.trace) else 0.0
+    rows = []
+    for r in result.trace:
+        cert = engine.certificate(problem, state.x, L, grad=state.grad)
+        step = engine.block_step(problem, state.x, r.block, L, grad=state.grad,
+                                 cert=cert)
+        lam = cert.lambda_total
+        if r.xi > gap_floor:
+            mu, theta = lam / r.xi, (step.decrease / lam if lam > 0 else 0.0)
+        else:
+            mu = theta = 0.0
+        rows.append((lam, mu, theta))
+        state.move(r.block, step.u_S)
+    assert state.x.tobytes() == result.x.tobytes()
+    return rows, engine.certificate(problem, state.x, L, grad=state.grad).lambda_total
+
+
+def _assert_certificates_match_the_replay(problem, result):
+    rows, final_lambda = _certificate_replay(problem, result)
+    got = [(r.lam, r.mu, r.theta) for r in result.trace]
+    assert np.array(got).reshape(-1, 3).tobytes() == np.array(rows).reshape(-1, 3).tobytes()
+    assert np.float64(result.final_lambda).tobytes() == np.float64(final_lambda).tobytes()
+
+
+def test_chunked_certificates_match_a_per_iterate_replay(monkeypatch):
+    """Diagnostics runs that take their certificates in chunks of 7 rows
+    (every smooth rule; uniform, cyclic and nice:1 on L1) give the bits of a
+    certificate per iterate, at and around the chunk edges, under a gap stop
+    mid-chunk, and before the first step."""
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 7 * 16 * 12)
+    specs = {"smooth": ("full", "uniform", "importance", "greedy", "cyclic", "nice:1",
+                        "nice:3", "greedymb:3"),
+             "l1": ("uniform", "cyclic", "nice:1")}
+    smooth = gen_instance(40, 12, seed=3)
+    lam = 0.2 * float(np.abs(smooth.grad_f(np.zeros(12))).max())
+    for kind, problem in (("smooth", smooth), ("l1", gen_instance(40, 12, seed=3, lam=lam))):
+        empirical_optimum(problem)
+        for spec in specs[kind]:
+            for iters in (1, 7, 20, 21):
+                result = run(problem, parse_rule(spec, 12, default_seed=iters),
+                             RunConfig(max_iters=iters, record_diagnostics=True))
+                assert len(result.trace) == iters, (kind, spec, iters)
+                _assert_certificates_match_the_replay(problem, result)
+        # a gap reached in the third chunk, at the first row whose xi is at
+        # most that of row 16
+        spec = specs[kind][1]
+        xi = run(problem, parse_rule(spec, 12, default_seed=5),
+                 RunConfig(max_iters=30)).trace.xi
+        result = run(problem, parse_rule(spec, 12, default_seed=5),
+                     RunConfig(max_iters=30, epsilon=xi.item(16), record_diagnostics=True,
+                               stop_on="gap"))
+        stop = int(np.flatnonzero(xi <= xi.item(16))[0])
+        assert result.termination == "reached_gap" and len(result.trace) == stop > 14
+        _assert_certificates_match_the_replay(problem, result)
+
+    problem = CompositeProblem(make_quadratic(random_spd(12, 5.0, 2)))
+    result = run(problem, parse_rule("uniform", 12),
+                 RunConfig(max_iters=10, record_diagnostics=True, stop_on="gap"))
+    assert result.termination == "reached_gap" and len(result.trace) == 0
+    assert result.trace.lam.dtype == np.float64 and result.trace.lam.shape == (0,)
+    assert result.final_lambda == 0.0
 
 
 def test_a_hand_built_failing_trace_matches_the_row_oracle():
