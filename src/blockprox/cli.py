@@ -26,6 +26,9 @@ Config files are INI text with four sections::
     [output]
     dir = out
 
+A section or key not listed here is a config error, and so is a
+[problem] key not listed for its kind.
+
 Subcommands: gen, run, rates, check, slice.  Exit codes: 0 success,
 1 config error, 2 numeric failure, 3 verification failure.  The module
 builds problems and rules, calls the library and prints: `rates` takes each
@@ -79,11 +82,49 @@ class ExperimentConfig:
         )
 
 
+#: The keys of each section the module docstring lists; [problem] also
+#: holds the keys listed for its kind (`_PROBLEM_KEYS`).
+_SECTION_KEYS = {
+    "problem": {"kind", "instance"},
+    "rules": {"rules"},
+    "run": {"max_iters", "epsilon", "diagnostics", "stop_on", "seed", "budget"},
+    "output": {"dir"},
+}
+_PROBLEM_KEYS = {
+    "generated": {"m", "n", "seed", "lambda"},
+    "quadratic": {"m", "n", "seed", "lambda", "cond"},
+    "plateau": {"c"},
+    "product_square": {"box"},
+    "huber_product": {"box"},
+}
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Refuse a section or key the module docstring does not list.  The
+    keys of an unknown problem kind are not checked: `build_problem`
+    refuses the kind."""
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    for section in parser.sections():
+        allowed = _SECTION_KEYS.get(section)
+        if allowed is None:
+            raise ConfigError(f"unknown section [{section}]")
+        if section == "problem":
+            kind = parser.get(section, "kind", fallback="generated")
+            if kind not in _PROBLEM_KEYS:
+                continue
+            allowed = allowed | _PROBLEM_KEYS[kind]
+        for key in parser.options(section):
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+
+
 def load_config(path, seed_override=None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    _check_keys(parser)
 
     problem = dict(parser["problem"]) if parser.has_section("problem") else {}
     rule_text = parser.get("rules", "rules", fallback="")

@@ -1,6 +1,12 @@
 """Iteration driver: the block descent loop, stopping logic, the trace, and
 trace verification against the one-step descent inequality.
 
+A run resolves its rule's kind and its problem's path once: it selects by
+the function `selection.picker` builds and steps by the one `engine.stepper`
+builds, the code behind the public `select` and `block_step`.  A serial
+step's u is a Python float from the step to `IterateState.move_coordinate`
+and the step norm.
+
 A run keeps its trace as columns (`Trace`): one float64 array per recorded
 quantity, int64 step times, a bool heuristic flag and the list of selected
 sets, appended to as the loop goes.  A diagnostics run whose steps do not
@@ -23,10 +29,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from . import engine, linalg, rates
+from . import engine, linalg, rates, selection
 from .linalg import CoordSet
 from .objectives import CompositeProblem
-from .selection import BlockRule, select
+from .selection import BlockRule
 
 STOP_MODES = ("iters", "gap", "certificate")
 
@@ -150,19 +156,25 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
 
     The gradient and f come from the objective's iterate state, once per
     iterate, and are shared by the certificate, the selection, the step and
-    the diagnostics.  The loop computes `engine.certificate` only where it
-    reads it: under stop_on "certificate", for a greedy rule on the prox
-    path (which selects by lambda_i), and, with diagnostics, for a prox-path
-    block step of two or more coordinates, which reads its step off it.  So
-    the prox model is evaluated once per iterate.  Any other diagnostics run
-    copies each iterate's gradient, and x on the prox path, into a chunk of
-    rows within `linalg.SUBSET_CHUNK_BYTES`, and `engine.certificate_totals`
-    takes a full chunk's lambda totals in one pass, outside the steps' timers
+    the diagnostics.  The selection and step functions are built once,
+    before the first step (`selection.picker`, which refuses a rule the path
+    does not offer, and `engine.stepper`); a serial step hands its u, a
+    Python float, to `IterateState.move_coordinate`, and a block step hands
+    the rows of M it gathered, if any, to the state's M x update.
+
+    The loop computes `engine.certificate` only where it reads it: under
+    stop_on "certificate", for a greedy rule on the prox path (which selects
+    by lambda_i), and, with diagnostics, for a prox-path block step of two
+    or more coordinates, which reads its step off it.  So the prox model is
+    evaluated once per iterate.  Any other diagnostics run copies each
+    iterate's gradient, and x on the prox path, into a chunk of rows within
+    `linalg.SUBSET_CHUNK_BYTES`, and `engine.certificate_totals` takes a
+    full chunk's lambda totals in one pass, outside the steps' timers
     (`elapsed_ns` times the step: the gradient guard, any certificate, the
-    copy into the chunk, the selection, the step, the move and f).  Each step appends to the trace's
-    columns; xi, mu and theta are derived from them in numpy when the loop
-    ends.  `final_lambda`, when the run has certificates, is the one at the
-    returned x.
+    copy into the chunk, the selection, the step, the move and f).  Each
+    step appends to the trace's columns; xi, mu and theta are derived from
+    them in numpy when the loop ends.  `final_lambda`, when the run has
+    certificates, is the one at the returned x.
     """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
@@ -197,6 +209,13 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     # block is at a minimum
     stop_on_stagnation = stop_on_cert and rule.row.shape == "full"
     stagnant = False
+
+    # the rule's selection and step functions and the state's move, resolved
+    # once for the run; a serial step's u is a Python float throughout
+    pick = selection.picker(rule, problem)
+    step = engine.stepper(problem, rule.max_block_size, L_used)
+    serial = rule.max_block_size == 1
+    move, move_coordinate = state.move, state.move_coordinate
 
     F_init = F_cur
     gap_floor = 1e-14 * max(1.0, abs(F_init))
@@ -248,13 +267,23 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             if prox_path:
                 x_rows[row] = x
 
-        S = select(rule, problem, k, grad, lam_per_coord)
-        step = engine.block_step(problem, x, S, L_used, grad=grad, cert=cert)
-        u_S = step.u_S
-
-        state.move(S, u_S)
+        S = pick(k, grad, lam_per_coord)
+        if serial:
+            i = S.indices[0]
+            u, decrease = step(x, i, grad, cert)
+            move_coordinate(i, u)
+            # what np.linalg.norm computes for a length-1 array: the dot
+            # 0.0 + u * u
+            step_norm = math.sqrt(0.0 + u * u)
+        else:
+            u_S, decrease, M_rows = step(x, S, grad, cert)
+            move(S, u_S, M_rows)
+            step_norm = math.sqrt(float(u_S.dot(u_S)))
         x_next = state.x
-        F_next = state.f + g_value(x_next)
+        if prox_path:
+            F_next = state.f + g_value(x_next)
+        else:  # g is 0: its value is the float 0.0
+            F_next = state.f + 0.0
         if not math.isfinite(F_next):
             raise NumericFailureError(f"objective not finite after iteration {k}", x_next)
         if F_next > F_init + 1e-6:
@@ -262,13 +291,6 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
                 f"divergence guard tripped at iteration {k}: "
                 f"F={F_next} exceeds initial {F_init}", x_next)
 
-        # what np.linalg.norm computes for a 1-D array: sqrt(u_S . u_S), a
-        # length-1 dot being 0.0 + u * u
-        if len(S.indices) == 1:
-            u = u_S.item(0)
-            step_norm = math.sqrt(0.0 + u * u)
-        else:
-            step_norm = math.sqrt(float(u_S.dot(u_S)))
         add_ns(clock() - t0)
         add_block(S)
         add_F(F_cur)
@@ -277,7 +299,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         if need_cert:
             add_lam(lam)
         if diagnostics:
-            add_decrease(step.decrease)
+            add_decrease(decrease)
         stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
         x, F_cur = x_next, F_next
         if chunked:

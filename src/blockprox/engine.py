@@ -13,7 +13,14 @@ block: given the certificate at the same (x, grad f(x), L), the model is
 evaluated once per iterate.  Without a certificate a block of two or more
 coordinates evaluates the model over all n coordinates, and a
 one-coordinate step is taken on Python floats, through the regularizer's
-scalar `prox` and `value_i`, with the same bits.  On the smooth path the
+scalar `prox` and `value_i`, with the same bits.
+
+A step function is built once per block size and path (`stepper`): the
+descent loop builds its rule's once per run, and `block_step` checks its
+inputs and calls a freshly built one.  A one-coordinate step
+returns u_i as a Python float; a smooth block short of the full set also
+returns the rows of M it gathered, which the iterate state's M x update
+reads instead of gathering them again.  On the smooth path the
 certificate's entries are grad_i^2 / 2.  `certificate_totals` takes the
 lambda totals of a chunk of iterates in one pass of the same per-entry
 expression over their rows laid end to end, with the bits of one
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CoordSet, InvalidSetError, factor_solve, mask_vector, spd_solve
+from .linalg import CoordSet, InvalidSetError, factor_solve, spd_solve
 from .objectives import CompositeProblem
 
 
@@ -124,95 +131,158 @@ def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:
     return certificate(problem, x, L).lambda_total / xi
 
 
-def _coordinate_step(problem: CompositeProblem, x: np.ndarray, i: int, L: float,
-                     grad: np.ndarray) -> tuple[float, float]:
-    """block_step at S = {i} on the prox path without a certificate, on
-    Python floats: the step u_i and the model decrease, bit-identical to
-    `_prox_model` on the block's gather, in the same operation order,
-    through the regularizer's scalar `prox` and `value_i`.
-    """
-    g_i = float(grad[i])
-    reg, x_i = problem.regularizer, float(x[i])
-    u = reg.prox(x_i - g_i / L, L) - x_i
-    # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
-    lam = max(-L * (g_i * u + 0.5 * L * u * u + reg.value_i(x_i + u)
-                    - reg.value_i(x_i)), 0.0)
-    return u, max(0.0 + lam / L, 0.0)
-
-
 def _check_length(name: str, vec: np.ndarray, S: CoordSet) -> None:
     if len(vec) != S.ambient_dim:
         raise InvalidSetError(f"{name} of length {len(vec)} does not match "
                               f"ambient dim {S.ambient_dim}")
 
 
-def _prox_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L,
-               grad, cert: Certificate | None) -> BlockStep:
-    """block_step on the prox path: u_S = v[S] and lam_S = lam[S], read off
-    the full-space model (v, lam) at (x, grad f(x), L, or L_scalar for None),
-    with the bits of the model evaluated on the block's gather.  (v, lam) is the
-    certificate's, or is evaluated here; without a certificate a
-    one-coordinate step is `_coordinate_step` instead.  u_S may be a view
-    of v."""
+def stepper(problem: CompositeProblem, size: int, L):
+    """The step function of blocks of `size` coordinates on `problem`'s path
+    at L (or L_scalar for None on the prox path; the smooth path does not
+    read it), given x, the gradient grad f(x) and, on the prox path, the
+    certificate at the same (x, grad, L) or None (the smooth path ignores
+    it):
+
+        size 1:  step(x, i, grad, cert) -> (u_i, decrease) on Python floats
+        else:    step(x, S, grad, cert) -> (u_S, decrease, rows)
+
+    with `rows` the rows S of M when the step gathered them (else None), to
+    be handed to the iterate state's M x update.  Each gives the bits of the
+    block model solved on the block's gather."""
+    n = problem.dim
+    if problem.regularizer.is_zero:
+        objective = problem.objective
+        if size == 1:
+            return _smooth_coordinate_kernel(objective)
+        if size == n:
+            return _smooth_full_kernel(objective)
+        return _smooth_block_kernel(objective)
     L = problem.L_scalar if L is None else float(L)
-    if cert is None:
-        grad = _gradient(problem, x, grad)
-        _check_length("gradient", grad, S)
-        if len(S.indices) == 1:
-            u, decrease = _coordinate_step(problem, x, S.indices[0], L, grad)
-            return BlockStep(S, np.array([u]), decrease)
-        v, lam = _prox_model(problem.regularizer, np.asarray(x, dtype=float), grad, L)
-    elif cert.L_used != L:
-        raise ValueError(f"certificate computed at L={cert.L_used}, "
-                         f"step asked at L={L}")
-    else:
-        v, lam = cert.step_per_coord, cert.lambda_per_coord
-        _check_length("certificate", v, S)
-    if len(S.indices) == 1:
-        i = S.indices[0]
-        return BlockStep(S, v[i:i + 1], max(0.0 + lam.item(i) / L, 0.0))
-    if S.is_full():
-        u_S, lam_S = v, lam
-    else:
-        u_S, lam_S = v[S.array], lam[S.array]
-    # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
-    # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
-    decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
-    return BlockStep(S, u_S, max(decrease, 0.0))
+    if size == 1:
+        return _prox_coordinate_kernel(problem.regularizer, L)
+    return _prox_block_kernel(problem.regularizer, L, size == n)
+
+
+def _smooth_coordinate_kernel(objective):
+    """-g_i / M_ii on Python floats: dpotrs on the 1 x 1 factor sqrt(M_ii)
+    multiplies twice by its reciprocal r_i, and a length-1 dot is
+    0.0 + g_i u_i."""
+    r = objective.inverse_sqrt_diagonal
+
+    def step(x, i, grad, cert):
+        g_i = grad.item(i)
+        r_i = r[i]
+        u = -((g_i * r_i) * r_i)
+        return u, max(-0.5 * (0.0 + g_i * u), 0.0)
+
+    return step
+
+
+def _smooth_full_kernel(objective):
+    """The full set, stepped on grad itself by M's factor, read once."""
+    factor = objective.factor_for(tuple(range(objective.dim)))
+
+    def step(x, S, grad, cert):
+        u_S = -factor_solve(factor, grad)
+        return u_S, max(-0.5 * float(grad @ u_S), 0.0), None
+
+    return step
+
+
+def _smooth_block_kernel(objective):
+    """M[S, S] u_S = -g_S by one `spd_solve` of the gather, whose rows S of
+    M the step hands on."""
+    M = objective.smoothness
+
+    def step(x, S, grad, cert):
+        idx = S.array
+        g_S = grad[idx]
+        rows = M.take(idx, 0)
+        u_S = -spd_solve(rows.take(idx, 1), g_S)
+        return u_S, max(-0.5 * float(g_S @ u_S), 0.0), rows
+
+    return step
+
+
+def _prox_coordinate_kernel(reg, L: float):
+    """S = {i} on the prox path: v_i and lam_i / L read off the certificate,
+    or, without one, the same bits on Python floats through the
+    regularizer's scalar `prox` and `value_i`, in `_prox_model`'s operation
+    order."""
+    prox, value_i = reg.prox, reg.value_i
+
+    def step(x, i, grad, cert):
+        if cert is not None:
+            return (cert.step_per_coord.item(i),
+                    max(0.0 + cert.lambda_per_coord.item(i) / L, 0.0))
+        g_i, x_i = grad.item(i), x.item(i)
+        u = prox(x_i - g_i / L, L) - x_i
+        # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
+        lam = max(-L * (g_i * u + 0.5 * L * u * u + value_i(x_i + u)
+                        - value_i(x_i)), 0.0)
+        return u, max(0.0 + lam / L, 0.0)
+
+    return step
+
+
+def _prox_block_kernel(reg, L: float, full: bool):
+    """u_S = v[S] and lam_S = lam[S], read off the full-space model (v, lam):
+    the certificate's, or evaluated here over all n coordinates.  The full
+    set's u_S is v itself."""
+
+    def step(x, S, grad, cert):
+        if cert is None:
+            v, lam = _prox_model(reg, x, grad, L)
+        else:
+            v, lam = cert.step_per_coord, cert.lambda_per_coord
+        if full:
+            u_S, lam_S = v, lam
+        else:
+            idx = S.array
+            u_S, lam_S = v[idx], lam[idx]
+        # sum_{i in S} lam_i / L accumulated in index order, not pairwise;
+        # adding it to 0.0 turns an all-zero -0.0 sum into 0.0
+        decrease = 0.0 + float(np.add.accumulate(lam_S / L)[-1])
+        return u_S, max(decrease, 0.0), None
+
+    return step
 
 
 def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
                grad=None, cert: Certificate | None = None) -> BlockStep:
-    """Minimizer of the block model U_S at x and its model decrease.
+    """Minimizer of the block model U_S at x and its model decrease: one call
+    of the step function `stepper` builds for |S| coordinates, as the
+    descent loop builds it once per run, after checking the inputs.
 
     On the prox path the step is read off the full-space model's entries at
-    S (`_prox_step`): those of `cert`, the certificate at the same x, grad
-    and L (one at another L is refused), or of the model evaluated here.
-    The smooth path ignores `cert`: a one-coordinate block {i} is stepped
-    on Python floats and the full set on grad itself, without a gather.
-    Each gives the bits of the model solved on the block's gather."""
-    if not problem.regularizer.is_zero:
-        return _prox_step(problem, x, S, L, grad, cert)
-    if grad is None:
-        grad = problem.grad_f(x)
-    if len(S.indices) == 1:
-        _check_length("gradient", grad, S)
-        i = S.indices[0]
-        g_i = grad.item(i)
-        # dpotrs on the 1 x 1 factor sqrt(M_ii) multiplies twice by its
-        # reciprocal r_i, and a length-1 dot is 0.0 + g_i u_i
-        r_i = problem.objective.inverse_sqrt_diagonal[i]
-        u = -((g_i * r_i) * r_i)
-        return BlockStep(S, np.array([u]), max(-0.5 * (0.0 + g_i * u), 0.0))
-    if S.is_full():
-        _check_length("gradient", grad, S)
-        g_S = grad
-        u_S = -factor_solve(problem.objective.factor_for(S.indices), g_S)
+    S: those of `cert`, the certificate at the same x, grad and L (one at
+    another L is refused), or of the model evaluated at L (L_scalar for
+    None); a one-coordinate step without a certificate is taken on Python
+    floats.  The smooth path ignores `cert`: a one-coordinate block {i} is
+    stepped on Python floats and the full set on grad itself, without a
+    gather.  Each gives the bits of the model solved on the block's
+    gather."""
+    if problem.regularizer.is_zero:
+        cert = None
     else:
-        g_S, idx = mask_vector(grad, S), S.array
-        u_S = -spd_solve(problem.objective.smoothness.take(idx, 0).take(idx, 1), g_S)
-    decrease = -0.5 * float(g_S @ u_S)
-    return BlockStep(S, u_S, max(decrease, 0.0))
+        L = problem.L_scalar if L is None else float(L)
+        x = np.asarray(x, dtype=float)
+        if cert is not None and cert.L_used != L:
+            raise ValueError(f"certificate computed at L={cert.L_used}, "
+                             f"step asked at L={L}")
+    if cert is None:
+        grad = _gradient(problem, x, grad)
+        _check_length("gradient", grad, S)
+    else:
+        _check_length("certificate", cert.step_per_coord, S)
+    size = len(S.indices)
+    step = stepper(problem, size, L)
+    if size == 1:
+        u, decrease = step(x, S.indices[0], grad, cert)
+        return BlockStep(S, np.array([u]), decrease)
+    u_S, decrease, _ = step(x, S, grad, cert)
+    return BlockStep(S, u_S, decrease)
 
 
 def proportion(

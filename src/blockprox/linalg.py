@@ -40,7 +40,9 @@ SYMMETRY_RTOL = 1e-12
 #: keep no factor: each solves its gather by one `spd_solve`.  The same
 #: budget sizes a chunk of a diagnostics run's iterates (`descent.run`),
 #: 16 n bytes a row for the iterate's gradient and x, whose certificate
-#: totals are taken in one pass (a few temporaries of the chunk's size).
+#: totals are taken in one pass (a few temporaries of the chunk's size),
+#: and bounds the forms an objective keeps after taking E from them
+#: (`Objective.expected_inverse`).
 SUBSET_CHUNK_BYTES = 2**20
 
 
@@ -334,6 +336,12 @@ class BlockInverseForms(NamedTuple):
     def values(self, g: np.ndarray) -> np.ndarray:
         """g_S' inv(M[S, S]) g_S for every set S, in enumeration order."""
         return self.weights @ np.multiply.outer(g, g).ravel()
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the tables' arrays."""
+        w = self.weights
+        return self.subsets.nbytes + w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
 
 
 def block_inverse_forms(M: np.ndarray, tau: int,

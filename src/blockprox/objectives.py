@@ -8,16 +8,18 @@ within tolerance), factors it (the positive definiteness check, and every
 full step's factor) and takes lambda_min(M) and lambda_max(M) from one
 eigenvalue call.  On first use it keeps 1/sqrt(M_ii), and per block size tau
 and enumeration budget: L_tau (the held lambda_max at tau = n), the smooth
-tau-nice floor on lambda_min(E[inv(M[S, S])]), the greedy-minibatch forms,
-and E[inv(M[S, S])], the forms' mean.  One test, C(n, tau) <= budget,
+tau-nice floor on lambda_min(E[inv(M[S, S])]), the greedy-minibatch forms
+(once a rule reads them, or when they fit in one chunk of their walk), and
+E[inv(M[S, S])], the forms' mean.  One test, C(n, tau) <= budget,
 decides them: past it a table is None, and L_tau and the floor are
 certified bounds.  An L1Regularizer, lam ||x||_1 with lam = 0 for the
 smooth problem, is the nonsmooth half of F = f + g, read through array maps
 over many coordinates.
 
 The descent loop reads f and its gradient through an iterate state
-(`Objective.state_at`): the value and gradient at the current iterate, and a
-`move` by a block step.  A closure objective recomputes both after a move;
+(`Objective.state_at`): the value and gradient at the current iterate, a
+`move` by a block step and a `move_coordinate` by a one-coordinate step's
+Python float.  A closure objective recomputes both after a move;
 the least-squares-plus-cosine objective keeps them current in O(n |S|).
 """
 
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import rates
+from . import linalg, rates
 from .linalg import (
     DEFAULT_ENUMERATION_BUDGET,
     BlockInverseForms,
@@ -132,13 +134,25 @@ class Objective:
     def expected_inverse(self, tau: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> Optional[np.ndarray]:
         """E[inv(M[S, S])] over tau-nice sets S, `rates.expected_inverse_matrix`
-        of `inverse_forms`, so both share one walk over the blocks; computed
-        once per (tau, budget) and read-only; None past the budget."""
+        of the greedy-minibatch forms; computed once per (tau, budget) and
+        read-only; None past the budget.  It reads the forms `inverse_forms`
+        holds when a rule has built them.  Otherwise it builds them and keeps
+        them as `inverse_forms` only when they take no more than
+        `linalg.SUBSET_CHUNK_BYTES`, the working memory of one chunk of their
+        walk: a larger table, megabytes that an objective pricing a rule
+        would hold for nothing, is dropped once E is taken."""
         def build(fits):
-            if fits:
-                E = rates.expected_inverse_matrix(self.inverse_forms(tau, budget))
-                E.setflags(write=False)
-                return E
+            if not fits:
+                return None
+            key = ("inverse_forms", tau, budget)
+            forms = self._subset_cache.get(key)
+            if forms is None:
+                forms = block_inverse_forms(self.smoothness, tau, budget)
+                if forms.nbytes <= linalg.SUBSET_CHUNK_BYTES:
+                    self._subset_cache[key] = forms
+            E = rates.expected_inverse_matrix(forms)
+            E.setflags(write=False)
+            return E
         return self._subset_constant("expected_inverse", tau, budget, build)
 
     def inverse_forms(self, tau: int,
@@ -216,24 +230,35 @@ class IterateState:
             self._grad = np.asarray(self.objective.grad_f(self.x), dtype=float)
         return self._grad
 
-    def move(self, S: CoordSet, u_S: np.ndarray) -> None:
-        """x <- x + u_S embedded at S, into a new array.  A one-coordinate
-        move adds u_S's entry to x_i on Python floats, the bits of the
-        array addition."""
+    def move(self, S: CoordSet, u_S: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+        """x <- x + u_S embedded at S, into a new array: a one-coordinate
+        block is `move_coordinate` by u_S's entry.  `rows`, when given, are
+        the rows S of M, gathered already by the step."""
         if len(S.indices) == 1:
-            x = self.x.copy()
-            i = S.indices[0]
-            x[i] = x.item(i) + u_S.item(0)
-        elif S.is_full():
+            self.move_coordinate(S.indices[0], u_S.item(0))
+            return
+        if S.is_full():
             x = self.x + u_S
         else:
             x = self.x.copy()
             x[S.array] += u_S
         self.x = x
         self._grad = None
-        self._update(S, u_S)
+        self._update(S, u_S, rows)
 
-    def _update(self, S: CoordSet, u_S: np.ndarray) -> None:
+    def move_coordinate(self, i: int, u: float) -> None:
+        """x_i <- x_i + u, the Python float u added on Python floats (the
+        bits of the array addition), into a new array."""
+        x = self.x.copy()
+        x[i] = x.item(i) + u
+        self.x = x
+        self._grad = None
+        self._update_coordinate(i, u)
+
+    def _update(self, S: CoordSet, u_S: np.ndarray, rows=None) -> None:
+        self.f = float(self.objective.eval_f(self.x))
+
+    def _update_coordinate(self, i: int, u: float) -> None:
         self.f = float(self.objective.eval_f(self.x))
 
 
@@ -389,24 +414,30 @@ class LsqCosState(IterateState):
         self._Mx = self.objective.smoothness @ self.x
         self._moved = 0
 
-    def _update(self, S: CoordSet, u_S: np.ndarray) -> None:
+    def _update(self, S: CoordSet, u_S: np.ndarray, rows=None) -> None:
         """M x <- M x + M[:, S] u_S, rebuilt from x instead once
         MX_REFRESH_SWEEPS * n coordinates have moved since the last rebuild.
-        A one-coordinate move scales column i by the Python float u_i."""
-        size = len(S.indices)
-        self._moved += size
+        u_S' times the rows S of M = M' (the step's `rows`, or gathered
+        here) is the transposed dgemv that M[:, S] @ u_S makes on its
+        F-ordered gather: the same bits, without the strided copy."""
+        self._moved += len(S.indices)
         if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
             self._refresh()
-        elif size == 1:
-            # u_i times column i: the length-1 matvec's products, except that
-            # a zero product may be -0.0 where the matvec gives +0.0; adding
-            # either leaves M x the same, as M x never holds -0.0
-            self._Mx += self.objective.smoothness[S.indices[0]] * u_S.item(0)
         else:
-            # u_S' times the rows S of M = M' is the transposed dgemv that
-            # M[:, S] @ u_S makes on its F-ordered gather: the same bits,
-            # without the strided copy
-            self._Mx += u_S @ self.objective.smoothness.take(S.array, 0)
+            self._Mx += u_S @ (self.objective.smoothness.take(S.array, 0)
+                               if rows is None else rows)
+        self._update_f()
+
+    def _update_coordinate(self, i: int, u: float) -> None:
+        """M x <- M x + u column i, scaled by the Python float u: the
+        length-1 matvec's products, except that a zero product may be -0.0
+        where the matvec gives +0.0; adding either leaves M x the same, as
+        M x never holds -0.0.  Rebuilt from x as `_update` is."""
+        self._moved += 1
+        if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
+            self._refresh()
+        else:
+            self._Mx += self.objective.smoothness[i] * u
         self._update_f()
 
     def _update_f(self) -> None:

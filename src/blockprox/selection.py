@@ -4,6 +4,10 @@ serial and minibatch.
 What a selection kind is lives in its row of `KINDS`.  Config grammar:
 ``full | uniform | importance | greedy | cyclic | nice:<tau> |
 greedymb:<tau>`` optionally followed by ``seed=<u64>``.
+
+`picker(rule, problem)` resolves a rule's kind and the problem's path once
+and returns the function that selects; the descent loop builds it once per
+run, and `select` is one call of a freshly built one.
 """
 
 from __future__ import annotations
@@ -209,54 +213,100 @@ def _forward_greedy(M: np.ndarray, grad: np.ndarray, tau: int) -> list[int]:
     return chosen
 
 
-def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
-           lambda_per_coord: Optional[np.ndarray] = None) -> CoordSet:
-    """The active coordinate set of iteration k, from what the rule reads of
+def picker(rule: BlockRule, problem: CompositeProblem):
+    """The selection function of `rule` on `problem`, resolved once: the
+    rule's kind and the problem's path are read here, so a call
+    `pick(k, grad, lambda_per_coord)` does only its kind's work.  It returns
+    the active coordinate set of iteration k, from what the rule reads of
     the current iterate: the counter k (cyclic), the gradient grad f(x)
     (smooth greedy rules) or the per-coordinate certificate (greedy rules on
     the prox path, which raise ValueError without it).  The random rules
     draw from their own generator.  No path evaluates a gradient.  A rule
-    the prox path does not offer raises ValueError there."""
-    rule.last_was_heuristic = False
+    the prox path does not offer raises ValueError here, and the smooth
+    greedy minibatch reads its forms (or finds them past the budget) here.
+
+    `rule.last_was_heuristic` is cleared here, and only the smooth greedy
+    minibatch sets it, on each call."""
     rule.refuse_off_path(problem)
-    n = rule.n
-    kind = rule.kind
+    rule.last_was_heuristic = False
+    n, kind = rule.n, rule.kind
+    singletons = rule.singletons
     if kind == "full_batch":
-        return rule.full_set
+        full = rule.full_set
+        return lambda k, grad, lambda_per_coord: full
+    if kind == "cyclic_coord":
+        return lambda k, grad, lambda_per_coord: singletons[k % n]
     if kind == "uniform_coord":
         draws = rule._draws
-        return rule.singletons[_bounded_draw(draws.next_uint32, draws.state, n)]
-    if kind == "cyclic_coord":
-        return rule.singletons[k % n]
+        next_uint32, state = draws.next_uint32, draws.state
+        return lambda k, grad, lambda_per_coord: singletons[
+            _bounded_draw(next_uint32, state, n)]
     if kind == "importance_coord":
         # the draw rng.choice(n, p=diag(M) / trace(M)) makes, without
         # re-validating p on every call: one rng.random(), located in the
         # CDF as searchsorted(side="right") would
-        draws = rule._draws
-        u = draws.next_double(draws.state)
-        return rule.singletons[bisect.bisect_right(problem.objective.importance_cdf, u)]
+        draws, cdf = rule._draws, problem.objective.importance_cdf
+        next_double, state = draws.next_double, draws.state
+        return lambda k, grad, lambda_per_coord: singletons[
+            bisect.bisect_right(cdf, next_double(state))]
     if kind == "tau_nice":
-        return _tau_nice_draw(rule)
-
-    if problem.smooth_path:
-        if kind == "greedy_coord":
-            scores = grad * grad / problem.objective.diagonal
-            return rule.singletons[scores.argmax()]
-        forms = problem.objective.inverse_forms(rule.tau, rule.budget)
-        if forms is None:  # past the budget: the flagged forward-greedy heuristic
-            rule.last_was_heuristic = True
-            return _sorted_set(_forward_greedy(problem.objective.smoothness, grad, rule.tau), n)
-        best = int(forms.values(grad).argmax())  # first max: lexicographic tie-break
-        row = forms.subsets[best]
-        return CoordSet._trusted(tuple(row.tolist()), n, row.astype(np.intp))
-    if lambda_per_coord is None:
-        raise ValueError("greedy selection on a nonsmooth problem needs "
-                         "per-coordinate certificates")
+        return lambda k, grad, lambda_per_coord: _tau_nice_draw(rule)
+    if not problem.smooth_path:
+        return _certificate_greedy(rule)
     if kind == "greedy_coord":
-        return rule.singletons[np.argmax(lambda_per_coord)]
-    order = np.argsort(-lambda_per_coord, kind="stable")  # ties resolve to lowest index
-    picked = np.sort(order[: rule.tau])
-    return CoordSet._trusted(tuple(picked.tolist()), n, picked)
+        diagonal = problem.objective.diagonal
+        return lambda k, grad, lambda_per_coord: singletons[
+            (grad * grad / diagonal).argmax()]
+    return _forms_greedy(rule, problem.objective)
+
+
+def _certificate_greedy(rule: BlockRule):
+    """The greedy pick on the prox path: the largest lambda_i, or the tau
+    largest with ties to the lowest index."""
+    n, tau, serial = rule.n, rule.tau, rule.kind == "greedy_coord"
+    singletons = rule.singletons
+
+    def pick(k, grad, lambda_per_coord):
+        if lambda_per_coord is None:
+            raise ValueError("greedy selection on a nonsmooth problem needs "
+                             "per-coordinate certificates")
+        if serial:
+            return singletons[np.argmax(lambda_per_coord)]
+        order = np.argsort(-lambda_per_coord, kind="stable")  # ties resolve to lowest index
+        picked = np.sort(order[:tau])
+        return CoordSet._trusted(tuple(picked.tolist()), n, picked)
+
+    return pick
+
+
+def _forms_greedy(rule: BlockRule, objective):
+    """The smooth greedy minibatch: the set of the largest form g_S' inv(M_S)
+    g_S over the objective's forms, the first of equal ones; past the budget
+    the flagged forward-greedy heuristic."""
+    n, tau = rule.n, rule.tau
+    forms = objective.inverse_forms(tau, rule.budget)
+    if forms is None:
+        M = objective.smoothness
+
+        def heuristic(k, grad, lambda_per_coord):
+            rule.last_was_heuristic = True
+            return _sorted_set(_forward_greedy(M, grad, tau), n)
+
+        return heuristic
+    values, subsets = forms.values, forms.subsets
+
+    def pick(k, grad, lambda_per_coord):
+        row = subsets[int(values(grad).argmax())]  # first max: lexicographic tie-break
+        return CoordSet._trusted(tuple(row.tolist()), n, row.astype(np.intp))
+
+    return pick
+
+
+def select(rule: BlockRule, problem: CompositeProblem, k: int, grad: np.ndarray,
+           lambda_per_coord: Optional[np.ndarray] = None) -> CoordSet:
+    """The active coordinate set of iteration k: `picker(rule, problem)`
+    called once, the function the descent loop builds once per run."""
+    return picker(rule, problem)(k, grad, lambda_per_coord)
 
 
 def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,

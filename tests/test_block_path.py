@@ -245,9 +245,7 @@ def test_one_factor_and_one_symmetry_check_per_objective(monkeypatch):
 class _ColumnGatherState(objectives.LsqCosState):
     """The iterate state with the block move M x += M[:, S] @ u_S."""
 
-    def _update(self, S, u_S):
-        if len(S) == 1:
-            return super()._update(S, u_S)
+    def _update(self, S, u_S, rows=None):
         self._moved += len(S)
         if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
             self._refresh()

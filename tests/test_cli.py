@@ -913,3 +913,53 @@ def test_twin_runs_write_the_same_bytes_but_the_timing_column(tmp_path, monkeypa
     assert first == second
     report = json.loads(first["report.json"])
     assert all(entry["verified"] for entry in report["runs"])
+
+
+@pytest.mark.parametrize("command", ["run", "rates", "check", "gen", "slice"])
+@pytest.mark.parametrize("edit, message", [
+    (("max_iters = 60", "max_iter = 3"), "unknown key 'max_iter' in [run]"),
+    (("diagnostics = true", "diagnostic = true"), "unknown key 'diagnostic' in [run]"),
+    (("n = 8", "n = 8\nlamda = 0.1"), "unknown key 'lamda' in [problem]"),
+    # cond is read by quadratic problems only
+    (("n = 8", "n = 8\ncond = 3"), "unknown key 'cond' in [problem]"),
+    (("kind = generated\nm = 30\nn = 8\nseed = 0", "kind = plateau\nbox = 2"),
+     "unknown key 'box' in [problem]"),
+    (("dir = ", "directory = "), "unknown key 'directory' in [output]"),
+    (("[output]", "[outputs]"), "unknown section [outputs]"),
+    (("[problem]", "[DEFAULT]\nseed = 1\n[problem]"), "unknown section [DEFAULT]"),
+])
+def test_unknown_config_keys_and_sections_are_config_errors(tmp_path, capsys, command,
+                                                            edit, message):
+    """A misspelt key or section ends every subcommand in one config error
+    line naming it, before any work: a `max_iter` once ran the default 500
+    steps and a `diagnostic` ran without diagnostics, both exiting 0."""
+    body = SMOOTH_CFG.format(out=tmp_path / "out")
+    assert edit[0] in body
+    path = write_cfg(tmp_path, body.replace(*edit, 1))
+    assert main([command, path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_documented_key_is_accepted(tmp_path):
+    """Each key the module docstring lists loads, for each problem kind,
+    with an instance in place of a kind too."""
+    run = ("[rules]\nrules = full\n[run]\nmax_iters = 5\nepsilon = 1e-6\n"
+           "diagnostics = false\nstop_on = iters\nseed = 1\nbudget = 10\n"
+           f"[output]\ndir = {tmp_path / 'out'}\n")
+    problems = {
+        "generated": "m = 10\nn = 3\nseed = 2\nlambda = 0.1\n",
+        "quadratic": "m = 10\nn = 3\nseed = 2\nlambda = 0.1\ncond = 4\n",
+        "plateau": "c = 1.5\n",
+        "product_square": "box = 2\n",
+        "huber_product": "box = 2\n",
+    }
+    for kind, keys in problems.items():
+        cfg = load_config(write_cfg(tmp_path, f"[problem]\nkind = {kind}\n{keys}{run}"))
+        assert build_problem(cfg).dim in (1, 2, 3) and cfg.budget == 10
+    inst = cmd_gen(load_config(write_cfg(tmp_path, f"[problem]\n{problems['generated']}{run}")),
+                   out_path=str(tmp_path / "i.json"))
+    cfg = load_config(write_cfg(tmp_path, f"[problem]\ninstance = {inst}\n"
+                                          f"{problems['generated']}{run}"))
+    assert build_problem(cfg).dim == 3

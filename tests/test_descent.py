@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blockprox import engine, linalg, rates
+from blockprox import engine, linalg, rates, selection
 from blockprox.descent import (
     TRACE_HEADER,
     IterationRecord,
@@ -32,7 +32,7 @@ from blockprox.objectives import (
     make_quadratic,
     random_spd,
 )
-from blockprox.selection import BlockRule, parse_rule
+from blockprox.selection import BlockRule, parse_rule, select
 
 
 def test_runconfig_validation():
@@ -824,3 +824,115 @@ def test_certificate_stop_steps_past_blocks_already_at_a_minimum(spec):
     assert result.termination == "reached_certificate"
     F = [r.F for r in result.trace] + [result.final_F]
     assert any(a - b < 1e-16 * (1.0 + abs(a)) for a, b in zip(F, F[1:]))
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _record_the_kernels(monkeypatch):
+    """Wrap the two per-run factories: count their calls, and record each
+    step function call's iterate and its result."""
+    builds, steps = [], []
+    picker, stepper = selection.picker, engine.stepper
+
+    def counted_picker(rule, problem):
+        builds.append("picker")
+        return picker(rule, problem)
+
+    def recording_stepper(problem, size, L):
+        builds.append("stepper")
+        step = stepper(problem, size, L)
+
+        def recorded(x, S, grad, cert):
+            out = step(x, S, grad, cert)
+            steps.append((x.copy(), out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(selection, "picker", counted_picker)
+    monkeypatch.setattr(engine, "stepper", recording_stepper)
+    return builds, steps
+
+
+def _replay(problem, make_rule, result, steps, x0):
+    """Every step of `result` again through the public `select`,
+    `block_step` (with and without the certificate on the prox path) and
+    `IterateState.move`, from x0 on a fresh state with a fresh rule: the
+    bits of S, u_S, the decrease, F, x and the heuristic flag."""
+    rule, L, prox = make_rule(), result.L_used, not problem.smooth_path
+    trace = result.trace
+    state = problem.objective.state_at(x0.copy())
+    assert len(steps) == len(trace)
+    for k, (x_run, out) in enumerate(steps):
+        x, grad = state.x, state.grad
+        assert x.tobytes() == x_run.tobytes(), k
+        assert _bits(trace.F.item(k)) == _bits(state.f + problem.regularizer.value(x)), k
+        cert = engine.certificate(problem, x, L, grad=grad) if prox else None
+        S = select(rule, problem, k, grad, None if cert is None else cert.lambda_per_coord)
+        assert S == trace.blocks[k] and rule.last_was_heuristic == trace.heuristic.item(k), k
+        u_run = np.array([out[0]]) if len(S) == 1 else out[0]
+        replayed = [engine.block_step(problem, x, S, L, grad=grad)]
+        if prox:
+            replayed.append(engine.block_step(problem, x, S, L, grad=grad, cert=cert))
+        for step in replayed:
+            assert step.u_S.tobytes() == u_run.tobytes(), k
+            assert _bits(step.decrease) == _bits(out[1]), k
+        state.move(S, replayed[0].u_S)
+    assert state.x.tobytes() == result.x.tobytes()
+    assert _bits(state.f + problem.regularizer.value(state.x)) == _bits(result.final_F)
+
+
+def _replay_problems():
+    rng = np.random.default_rng(8)
+    smooth = gen_instance(40, 12, seed=2)
+    lam = 0.2 * float(np.abs(smooth.grad_f(np.zeros(12))).max())
+    M = random_spd(10, 6.0, 4)
+    problems = [(smooth, np.zeros(12)), (gen_instance(40, 12, seed=2, lam=lam), np.zeros(12)),
+                (CompositeProblem(make_quadratic(M)), rng.standard_normal(10)),
+                (CompositeProblem(make_quadratic(M), make_l1(0.05)), rng.standard_normal(10))]
+    for problem, _ in problems:
+        if problem.opt_value is None:
+            empirical_optimum(problem)
+    return problems
+
+
+def test_every_step_of_a_run_replays_through_select_block_step_and_move(monkeypatch):
+    """The loop's per-run selection and step functions are the code behind
+    the public `select`, `block_step` and `move`: each step of every rule the
+    path offers (the greedy minibatch past its budget too), with and without
+    diagnostics, on generated and quadratic objectives, and of a `full` run
+    to a stagnant objective, replays bit for bit.  Each factory is called
+    once per run."""
+    problems = _replay_problems()
+    builds, steps = _record_the_kernels(monkeypatch)
+    cases = []
+    for problem, x0 in problems:
+        n = problem.dim
+        for j, (kind, row) in enumerate(selection.KINDS.items()):
+            if not (row.prox or problem.smooth_path):
+                continue
+            tau = 3 if row.shape == "minibatch" else None
+            for diagnostics in (True, False):
+                cases.append((problem, x0, lambda kind=kind, tau=tau, n=n, j=j:
+                              BlockRule(kind, n, tau=tau, seed=j),
+                              RunConfig(max_iters=30, x0=x0, record_diagnostics=diagnostics)))
+        if problem.smooth_path:  # every pick the flagged heuristic
+            cases.append((problem, x0, lambda n=n: parse_rule("greedymb:3", n, budget=5),
+                          RunConfig(max_iters=30, x0=x0)))
+    l1 = problems[1][0]
+    cases.append((l1, np.zeros(12), lambda: BlockRule("full_batch", 12),
+                  RunConfig(max_iters=200_000, epsilon=1e-24, stop_on="certificate")))
+    heuristic = stagnated = 0
+    for problem, x0, make_rule, cfg in cases:
+        builds.clear()
+        steps.clear()
+        result = run(problem, make_rule(), cfg)
+        assert sorted(builds) == ["picker", "stepper"]
+        assert len(result.trace) == 30 if cfg.stop_on == "iters" else len(result.trace) > 0
+        _replay(problem, make_rule, result, list(steps), x0)
+        heuristic += bool(result.trace.heuristic.all())
+        stagnated += result.termination == "stagnated"
+    assert len(cases) == 2 * (7 + 6) * 2 + 2 + 1
+    assert heuristic == 2 and stagnated == 1

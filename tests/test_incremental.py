@@ -38,12 +38,13 @@ def _instances():
 
 
 class CheckedState(LsqCosState):
-    """Compares f and the gradient with direct evaluation after every move."""
+    """Compares f and the gradient with direct evaluation after every move
+    (block or one-coordinate), each of which ends by updating f."""
 
     worst = 0.0
 
-    def _update(self, idx, u_S):
-        super()._update(idx, u_S)
+    def _update_f(self):
+        super()._update_f()
         obj, x = self.objective, self.x
         f_direct = float(obj.eval_f(x))
         scale = max(abs(f_direct), abs(float(obj.eval_f(np.zeros_like(x)))))

@@ -352,6 +352,40 @@ def test_expected_inverse_cached_on_objective(monkeypatch):
     assert calls == [3, 2]
 
 
+def test_expected_inverse_alone_keeps_no_large_forms_table(monkeypatch):
+    """E priced on its own at C(48, 4) = 194,580 blocks leaves E allocated,
+    not the 25 MB forms table it was read off, with the bits of E read off
+    a kept table; once a greedymb rule has built the forms, E is read off
+    them with no second walk."""
+    import scipy.sparse  # noqa: F401 - imported once, outside the measurement
+
+    built = []
+    original = objectives.block_inverse_forms
+
+    def counted(M, tau, budget):
+        built.append(tau)
+        return original(M, tau, budget)
+
+    monkeypatch.setattr(objectives, "block_inverse_forms", counted)
+    objective = gen_instance(200, 48, 0).objective
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        E = objective.expected_inverse(4)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    forms = objective.inverse_forms(4)
+    assert forms.nbytes > 20 * 2**20 and built == [4, 4]
+    assert retained < 2**18, retained
+    assert E.tobytes() == rates.expected_inverse_matrix(forms).tobytes()
+
+    other = gen_instance(200, 48, 0).objective
+    assert other.inverse_forms(4) is other.inverse_forms(4)
+    assert other.expected_inverse(4).tobytes() == E.tobytes()
+    assert built == [4, 4, 4]
+
+
 def test_pricing_and_running_greedymb_invert_each_block_once(monkeypatch):
     """Smooth nice:3 and greedymb:3 priced, then greedymb:3 run, on one
     objective: C(n, 3) blocks inverted in all, as E is the forms' mean."""

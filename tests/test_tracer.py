@@ -51,24 +51,26 @@ def test_tracer_installs_runs_and_uninstalls():
         assert stats["objectives.reg.prox"][0] == 5
         # the smooth greedy rules select on the loop's gradient: a run
         # without diagnostics evaluates neither grad f nor F through the
-        # problem
+        # problem; the loop selects by the function `selection.picker`
+        # builds once per run, so `select` is not called
         smooth = blockprox.gen_instance(40, 8, seed=1)
         for spec in ("greedy", "greedymb:3"):
             blockprox.descent.run(smooth, blockprox.parse_rule(spec, 8),
                                   blockprox.RunConfig(max_iters=20))
         merged = tracer.merged()
         assert merged["stats"]["descent.run"][0] == 3
-        assert merged["stats"]["selection.select"][0] == 5 + 2 * 20
+        assert merged["stats"]["selection.select"][0] == 0
         assert merged["run_calls"]["objectives.grad_f"] == 0
         assert merged["run_calls"]["objectives.F"] == 0
         # a full step solves by M's factor, read through `factor_for` once
-        # per step; a block step solves its gather without it
+        # per run, when its step function is built; a block step solves
+        # its gather without it
         for spec, iters in (("full", 7), ("nice:3", 9)):
             blockprox.descent.run(smooth, blockprox.parse_rule(spec, 8),
                                   blockprox.RunConfig(max_iters=iters))
         merged = tracer.merged()
         assert merged["stats"]["descent.run"][0] == 5
-        assert merged["stats"]["objectives.factor_for"][0] == 7
+        assert merged["stats"]["objectives.factor_for"][0] == 1
         assert merged["counters"]["objectives.factor_for.distinct"] == 1
     finally:
         tracer.uninstall()
