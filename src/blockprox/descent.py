@@ -4,14 +4,19 @@ trace verification against the one-step descent inequality.
 A run resolves its rule's kind and its problem's path once: it selects by
 the function `selection.picker` builds and steps by the one `engine.stepper`
 builds, the code behind the public `select` and `block_step`.  A serial
-step's u is a Python float from the step to `IterateState.move_coordinate`
-and the step norm.
+step reads one gradient entry g_i, a Python float, and its u is a Python
+float from the step to `IterateState.move_coordinate` and the step norm.
+A serial rule that selects without the gradient, in a run that holds no
+certificate, reads g_i alone (`IterateState.grad_entry`): its steps form no
+gradient vector.
 
 A run keeps its trace as columns (`Trace`): one float64 array per recorded
 quantity, int64 step times, a bool heuristic flag and the list of selected
 sets, appended to as the loop goes.  A diagnostics run whose steps do not
-read the certificate fills its `lam` column a chunk of iterates at a time
-(`engine.certificate_totals`), with the bits of a certificate per iterate.
+read the certificate keeps what forms each iterate's gradient
+(`IterateState.gradient_chunk`) and fills its `lam` column a chunk of
+iterates at a time (`engine.certificate_totals`), with the bits of a
+certificate per iterate.
 Rows are `IterationRecord` views of Python scalars, built on read.  The
 audit and the CSV writer read the columns, so an audit is a few numpy
 operations per column.
@@ -162,18 +167,28 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     Python float, to `IterateState.move_coordinate`, and a block step hands
     the rows of M it gathered, if any, to the state's M x update.
 
+    A serial step reads the one gradient entry g_i.  The loop forms the
+    gradient vector where something reads it: greedy selection, a
+    certificate, a block step.  Otherwise (`uniform`, `importance`,
+    `cyclic`, `nice:1` without a certificate) it selects first and reads
+    `IterateState.grad_entry(i)` alone.  The finite-gradient guard covers
+    what is read: the whole gradient where it is formed, else g_i; a
+    serial step whose u is not finite ends the run as an objective that is
+    not finite, before the move.
+
     The loop computes `engine.certificate` only where it reads it: under
     stop_on "certificate", for a greedy rule on the prox path (which selects
     by lambda_i), and, with diagnostics, for a prox-path block step of two
     or more coordinates, which reads its step off it.  So the prox model is
-    evaluated once per iterate.  Any other diagnostics run copies each
-    iterate's gradient, and x on the prox path, into a chunk of rows within
-    `linalg.SUBSET_CHUNK_BYTES`, and `engine.certificate_totals` takes a
-    full chunk's lambda totals in one pass, outside the steps' timers
-    (`elapsed_ns` times the step: the gradient guard, any certificate, the
-    copy into the chunk, the selection, the step, the move and f).  Each
-    step appends to the trace's columns; xi, mu and theta are derived from
-    them in numpy when the loop ends.  `final_lambda`, when the run has
+    evaluated once per iterate.  Any other diagnostics run keeps what forms
+    each iterate's gradient (`IterateState.gradient_chunk`), and x on the
+    prox path, in a chunk of rows within `linalg.SUBSET_CHUNK_BYTES`; the
+    chunk's gradients are formed at once and `engine.certificate_totals`
+    takes their lambda totals in one pass, outside the steps' timers
+    (`elapsed_ns` times the step: the gradient or its entry and its guard,
+    any certificate, the copy into the chunk, the selection, the step, the
+    move and f).  Each step appends to the trace's columns; xi, mu and
+    theta are derived from them in numpy when the loop ends.  `final_lambda`, when the run has
     certificates, is the one at the returned x.
     """
     n = problem.dim
@@ -215,7 +230,10 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     pick = selection.picker(rule, problem)
     step = engine.stepper(problem, rule.max_block_size, L_used)
     serial = rule.max_block_size == 1
-    move, move_coordinate = state.move, state.move_coordinate
+    # a serial step that selects without the gradient and holds no
+    # certificate reads only its g_i
+    lazy = serial and not (need_cert or rule.row.greedy)
+    move, move_coordinate, grad_entry = state.move, state.move_coordinate, state.grad_entry
 
     F_init = F_cur
     gap_floor = 1e-14 * max(1.0, abs(F_init))
@@ -228,12 +246,14 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     add_decrease, add_norm = decrease_col.append, norm_col.append
     add_ns, add_heuristic = ns_col.append, heuristic_col.append
     termination = "exhausted_iters"
-    lam = cert = lam_per_coord = None
+    grad = lam = cert = lam_per_coord = None
     clock = time.perf_counter_ns
     if chunked:
-        # each iterate's gradient and x rows, 16 bytes a coordinate
+        # rows of what forms each iterate's gradient, and of x, 16 bytes a
+        # coordinate
         rows = min(cfg.max_iters, max(1, linalg.SUBSET_CHUNK_BYTES // (16 * n)))
-        grad_rows = np.empty((rows, n))
+        grad_chunk = state.gradient_chunk(rows)
+        keep_grad = grad_chunk.keep
         x_rows = np.empty((rows, n)) if prox_path else None
         row = 0
 
@@ -241,17 +261,17 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             """Append the certificate totals of the chunk's first `count` rows."""
             xs = None if x_rows is None else x_rows[:count]
             lam_col.frombytes(engine.certificate_totals(
-                problem, xs, grad_rows[:count], L_used).tobytes())
+                problem, xs, grad_chunk.gradients(count), L_used).tobytes())
 
     for k in range(cfg.max_iters):
         t0 = clock()
-        grad = state.grad
-        if not _finite_gradient(grad):
-            raise NumericFailureError(f"gradient not finite at iteration {k}", x)
-
-        if need_cert:
-            cert = engine.certificate(problem, x, L_used, grad=grad)
-            lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
+        if not lazy:
+            grad = state.grad
+            if not _finite_gradient(grad):
+                raise NumericFailureError(f"gradient not finite at iteration {k}", x)
+            if need_cert:
+                cert = engine.certificate(problem, x, L_used, grad=grad)
+                lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
 
         if stop_on_gap and F_cur - opt_value <= epsilon:
             termination = "reached_gap"
@@ -263,14 +283,22 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             termination = "stagnated"
             break
         if chunked:
-            grad_rows[row] = grad
+            keep_grad(row)
             if prox_path:
                 x_rows[row] = x
 
         S = pick(k, grad, lam_per_coord)
         if serial:
             i = S.indices[0]
-            u, decrease = step(x, i, grad, cert)
+            if lazy:
+                g_i = grad_entry(i)
+                if not math.isfinite(g_i):
+                    raise NumericFailureError(f"gradient not finite at iteration {k}", x)
+            else:
+                g_i = grad.item(i)
+            u, decrease = step(x, i, g_i, cert)
+            if not math.isfinite(u):
+                raise NumericFailureError(f"objective not finite after iteration {k}", x)
             move_coordinate(i, u)
             # what np.linalg.norm computes for a length-1 array: the dot
             # 0.0 + u * u

@@ -17,13 +17,14 @@ scalar `prox` and `value_i`, with the same bits.
 
 A step function is built once per block size and path (`stepper`): the
 descent loop builds its rule's once per run, and `block_step` checks its
-inputs and calls a freshly built one.  A one-coordinate step
-returns u_i as a Python float; a smooth block short of the full set also
-returns the rows of M it gathered, which the iterate state's M x update
-reads instead of gathering them again.  On the smooth path the
-certificate's entries are grad_i^2 / 2.  `certificate_totals` takes the
-lambda totals of a chunk of iterates in one pass of the same per-entry
-expression over their rows laid end to end, with the bits of one
+inputs and calls a freshly built one.  A one-coordinate step reads the one
+gradient entry g_i, a Python float, and returns u_i as a Python float, so
+the loop need not form the gradient vector for it; a smooth block short of
+the full set also returns the rows of M it gathered, which the iterate
+state's M x update reads instead of gathering them again.  On the smooth
+path the certificate's entries are grad_i^2 / 2.  `certificate_totals`
+takes the lambda totals of a chunk of iterates in one pass of the same
+per-entry expression over their rows laid end to end, with the bits of one
 certificate per row.
 """
 
@@ -140,11 +141,12 @@ def _check_length(name: str, vec: np.ndarray, S: CoordSet) -> None:
 def stepper(problem: CompositeProblem, size: int, L):
     """The step function of blocks of `size` coordinates on `problem`'s path
     at L (or L_scalar for None on the prox path; the smooth path does not
-    read it), given x, the gradient grad f(x) and, on the prox path, the
+    read it), given x, the gradient grad f(x) (of a one-coordinate step, its
+    entry g_i = grad f(x)_i as a Python float) and, on the prox path, the
     certificate at the same (x, grad, L) or None (the smooth path ignores
     it):
 
-        size 1:  step(x, i, grad, cert) -> (u_i, decrease) on Python floats
+        size 1:  step(x, i, g_i, cert) -> (u_i, decrease) on Python floats
         else:    step(x, S, grad, cert) -> (u_S, decrease, rows)
 
     with `rows` the rows S of M when the step gathered them (else None), to
@@ -170,8 +172,7 @@ def _smooth_coordinate_kernel(objective):
     0.0 + g_i u_i."""
     r = objective.inverse_sqrt_diagonal
 
-    def step(x, i, grad, cert):
-        g_i = grad.item(i)
+    def step(x, i, g_i, cert):
         r_i = r[i]
         u = -((g_i * r_i) * r_i)
         return u, max(-0.5 * (0.0 + g_i * u), 0.0)
@@ -212,11 +213,11 @@ def _prox_coordinate_kernel(reg, L: float):
     order."""
     prox, value_i = reg.prox, reg.value_i
 
-    def step(x, i, grad, cert):
+    def step(x, i, g_i, cert):
         if cert is not None:
             return (cert.step_per_coord.item(i),
                     max(0.0 + cert.lambda_per_coord.item(i) / L, 0.0))
-        g_i, x_i = grad.item(i), x.item(i)
+        x_i = x.item(i)
         u = prox(x_i - g_i / L, L) - x_i
         # max(lam, 0.0) keeps lam unless 0.0 > lam, as np.where(0.0 > lam, 0.0, lam)
         lam = max(-L * (g_i * u + 0.5 * L * u * u + value_i(x_i + u)
@@ -279,7 +280,8 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
     size = len(S.indices)
     step = stepper(problem, size, L)
     if size == 1:
-        u, decrease = step(x, S.indices[0], grad, cert)
+        i = S.indices[0]
+        u, decrease = step(x, i, None if grad is None else grad.item(i), cert)
         return BlockStep(S, np.array([u]), decrease)
     u_S, decrease, _ = step(x, S, grad, cert)
     return BlockStep(S, u_S, decrease)

@@ -17,10 +17,15 @@ smooth problem, is the nonsmooth half of F = f + g, read through array maps
 over many coordinates.
 
 The descent loop reads f and its gradient through an iterate state
-(`Objective.state_at`): the value and gradient at the current iterate, a
-`move` by a block step and a `move_coordinate` by a one-coordinate step's
-Python float.  A closure objective recomputes both after a move;
-the least-squares-plus-cosine objective keeps them current in O(n |S|).
+(`Objective.state_at`): the value, the gradient vector, one gradient entry
+(`grad_entry`), a chunk of iterates' gradients (`gradient_chunk`), a `move`
+by a block step and a `move_coordinate` by a one-coordinate step's Python
+float.  A closure objective recomputes f after a move, and the gradient when
+it is read.  The least-squares-plus-cosine objective keeps M x current in
+O(n |S|); a one-coordinate move updates f in O(1) beside it, and a gradient
+entry costs O(1).  A serial step that reads one entry then forms no
+gradient vector: its O(n) work is the copy of x, the row of M added to M x
+and the dot <c, x>.
 """
 
 from __future__ import annotations
@@ -214,8 +219,11 @@ class Objective:
 class IterateState:
     """f(x) and grad f(x) at the current iterate x of a descent run.
 
-    This base state recomputes: one `eval_f` per position and one `grad_f`
-    per position whose gradient is read.
+    `f` is the value, `grad` the gradient vector, `grad_entry(i)` its entry i
+    as a Python float with the bits of `grad.item(i)`, and
+    `gradient_chunk(rows)` keeps the gradients of up to `rows` iterates.  This
+    base state recomputes: one `eval_f` per position and one `grad_f` per
+    position whose gradient, or any entry of it, is read.
     """
 
     def __init__(self, objective: Objective, x: np.ndarray):
@@ -229,6 +237,12 @@ class IterateState:
         if self._grad is None:
             self._grad = np.asarray(self.objective.grad_f(self.x), dtype=float)
         return self._grad
+
+    def grad_entry(self, i: int) -> float:
+        return self.grad.item(i)
+
+    def gradient_chunk(self, rows: int) -> "GradientChunk":
+        return GradientChunk(self, rows)
 
     def move(self, S: CoordSet, u_S: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
         """x <- x + u_S embedded at S, into a new array: a one-coordinate
@@ -260,6 +274,24 @@ class IterateState:
 
     def _update_coordinate(self, i: int, u: float) -> None:
         self.f = float(self.objective.eval_f(self.x))
+
+
+class GradientChunk:
+    """The gradients of up to `rows` iterates of one state: `keep(row)` keeps
+    the current iterate's as row `row`, and `gradients(count)` gives rows
+    0..count-1 as a C-contiguous (count, n) array, each with the bits of
+    the state's `grad` at the iterate kept there.  This base copies the
+    gradient vector."""
+
+    def __init__(self, state: IterateState, rows: int):
+        self._state = state
+        self._grads = np.empty((rows, state.objective.dim))
+
+    def keep(self, row: int) -> None:
+        self._grads[row] = self._state.grad
+
+    def gradients(self, count: int) -> np.ndarray:
+        return self._grads[:count]
 
 
 class L1Regularizer:
@@ -367,7 +399,8 @@ class LsqCosObjective(Objective):
     (A'A - cos(<c,x>) cc') / m uniformly since |cos| <= 1.  A is kept
     C-contiguous, so A'A is numpy's symmetric rank-k product of A with itself
     and M is exactly symmetric: row i of M is column i.  With
-    A'A/m = M - cc'/m, an iterate state keeps only M x current:
+    A'A/m = M - cc'/m, an iterate state keeps M x current, beside a few
+    scalars (`LsqCosState`):
 
         grad f = M x - c <c,x>/m - A'b/m - sin(<c,x>) c / m
         f      = x'Mx/2 - <c,x>^2/(2m) - <A'b/m, x> + ||b||^2/(2m) + cos(<c,x>)/m
@@ -397,65 +430,125 @@ class LsqCosObjective(Objective):
     def state_at(self, x: np.ndarray) -> "LsqCosState":
         return LsqCosState(self, x)
 
+    @functools.cached_property
+    def coordinate_floats(self) -> tuple[list[float], list[float], list[float]]:
+        """c, A'b/m and the diagonal of M as lists of Python floats, which a
+        one-coordinate move and a gradient entry index."""
+        return self.c.tolist(), self.Atb_m.tolist(), self.diagonal.tolist()
+
 
 class LsqCosState(IterateState):
-    """Iterate state of a least-squares-plus-cosine objective: a move by u_S
-    updates M x by M[:, S] u_S (column i times u_i when S = {i}), read as
-    the contiguous rows S of the exactly symmetric M, and f and the gradient
-    follow in O(n)."""
+    """Iterate state of a least-squares-plus-cosine objective.
+
+    A move by u_S updates M x by M[:, S] u_S (column i times u_i when
+    S = {i}), read as the contiguous rows S of the exactly symmetric M.  The
+    state keeps q = x'Mx/2, a = <A'b/m, x> and s = (<c,x> + sin<c,x>)/m as
+    Python floats, so that
+
+        f     = q - <c,x>^2/(2m) - a + ||b||^2/(2m) + cos(<c,x>)/m
+        grad  = M x - s c - A'b/m
+
+    A one-coordinate move by u updates q by u (Mx)_i + u^2 M_ii/2 (M x before
+    the move) and a by (A'b/m)_i u, in O(1); a block move, and the rebuild
+    of M x from x every MX_REFRESH_SWEEPS * n moved coordinates, take q and
+    a from x again.  <c, x> is one BLAS dot per move, so every gradient
+    entry keeps the bits it would have with f recomputed.  `grad_entry(i)`
+    is (Mx)_i - s c_i - (A'b/m)_i on Python floats, the bits of entry i of
+    `grad`, which is formed only when read."""
 
     def __init__(self, objective: LsqCosObjective, x: np.ndarray):
         self.objective = objective
         self.x = x
+        self._c, self._Atb_m, self._diagonal = objective.coordinate_floats
         self._refresh()
         self._update_f()
 
     def _refresh(self) -> None:
+        """M x from x, and q and a from both."""
         self._Mx = self.objective.smoothness @ self.x
         self._moved = 0
+        self._sync()
+
+    def _sync(self) -> None:
+        # ndarray.dot is the BLAS dot that @ calls, with less overhead
+        x = self.x
+        self._q = 0.5 * float(x.dot(self._Mx))
+        self._a = float(self.objective.Atb_m.dot(x))
 
     def _update(self, S: CoordSet, u_S: np.ndarray, rows=None) -> None:
         """M x <- M x + M[:, S] u_S, rebuilt from x instead once
-        MX_REFRESH_SWEEPS * n coordinates have moved since the last rebuild.
-        u_S' times the rows S of M = M' (the step's `rows`, or gathered
-        here) is the transposed dgemv that M[:, S] @ u_S makes on its
-        F-ordered gather: the same bits, without the strided copy."""
+        MX_REFRESH_SWEEPS * n coordinates have moved since the last rebuild;
+        then q and a from x.  u_S' times the rows S of M = M' (the step's
+        `rows`, or gathered here) is the transposed dgemv that M[:, S] @ u_S
+        makes on its F-ordered gather: the same bits, without the strided
+        copy."""
         self._moved += len(S.indices)
         if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
             self._refresh()
         else:
             self._Mx += u_S @ (self.objective.smoothness.take(S.array, 0)
                                if rows is None else rows)
+            self._sync()
         self._update_f()
 
     def _update_coordinate(self, i: int, u: float) -> None:
-        """M x <- M x + u column i, scaled by the Python float u: the
-        length-1 matvec's products, except that a zero product may be -0.0
-        where the matvec gives +0.0; adding either leaves M x the same, as
-        M x never holds -0.0.  Rebuilt from x as `_update` is."""
+        """q and a gain their one-coordinate terms, and M x <- M x + u
+        column i, scaled by the Python float u: the length-1 matvec's
+        products, except that a zero product may be -0.0 where the matvec
+        gives +0.0; adding either leaves M x the same, as M x never holds
+        -0.0.  Rebuilt from x as `_update` is."""
         self._moved += 1
         if self._moved >= MX_REFRESH_SWEEPS * self.objective.dim:
             self._refresh()
         else:
-            self._Mx += self.objective.smoothness[i] * u
+            Mx = self._Mx
+            self._q += u * (Mx.item(i) + 0.5 * u * self._diagonal[i])
+            self._a += self._Atb_m[i] * u
+            Mx += self.objective.smoothness[i] * u
         self._update_f()
 
     def _update_f(self) -> None:
-        obj, x = self.objective, self.x
+        """f and s from q, a and <c, x>: every move ends here."""
+        obj = self.objective
         m = obj.m
-        # ndarray.dot is the BLAS dot that @ calls, with less overhead
-        self._cx = float(obj.c.dot(x))
-        self.f = (0.5 * float(x.dot(self._Mx)) - 0.5 * self._cx * self._cx / m
-                  - float(obj.Atb_m.dot(x)) + obj.bb_2m + math.cos(self._cx) / m)
+        cx = float(obj.c.dot(self.x))
+        self._s = (cx + math.sin(cx)) / m
+        self.f = (self._q - 0.5 * cx * cx / m - self._a + obj.bb_2m
+                  + math.cos(cx) / m)
         self._grad = None
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            obj, m = self.objective, self.objective.m
-            self._grad = (self._Mx - (self._cx + math.sin(self._cx)) / m * obj.c
-                          - obj.Atb_m)
+            obj = self.objective
+            self._grad = self._Mx - self._s * obj.c - obj.Atb_m
         return self._grad
+
+    def grad_entry(self, i: int) -> float:
+        return self._Mx.item(i) - self._s * self._c[i] - self._Atb_m[i]
+
+    def gradient_chunk(self, rows: int) -> "LsqCosGradientChunk":
+        return LsqCosGradientChunk(self, rows)
+
+
+class LsqCosGradientChunk:
+    """A `GradientChunk` that keeps what forms each gradient, M x and s, and
+    forms the chunk's rows in one broadcast, M x - s c - A'b/m: per entry
+    the operations of `LsqCosState.grad`, so the same bits."""
+
+    def __init__(self, state: LsqCosState, rows: int):
+        self._state = state
+        self._Mx = np.empty((rows, state.objective.dim))
+        self._s = np.empty(rows)
+
+    def keep(self, row: int) -> None:
+        state = self._state
+        self._Mx[row] = state._Mx
+        self._s[row] = state._s
+
+    def gradients(self, count: int) -> np.ndarray:
+        obj = self._state.objective
+        return self._Mx[:count] - self._s[:count, None] * obj.c - obj.Atb_m
 
 
 def make_lsq_cos(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LsqCosObjective:

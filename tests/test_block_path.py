@@ -243,7 +243,8 @@ def test_one_factor_and_one_symmetry_check_per_objective(monkeypatch):
 
 
 class _ColumnGatherState(objectives.LsqCosState):
-    """The iterate state with the block move M x += M[:, S] @ u_S."""
+    """The iterate state with the block move M x += M[:, S] @ u_S, after
+    which x'Mx/2 and <A'b/m, x> are taken from x again (`_sync`)."""
 
     def _update(self, S, u_S, rows=None):
         self._moved += len(S)
@@ -251,6 +252,7 @@ class _ColumnGatherState(objectives.LsqCosState):
             self._refresh()
         else:
             self._Mx += self.objective.smoothness[:, S.array] @ u_S
+            self._sync()
         self._update_f()
 
 

@@ -3,7 +3,9 @@ move at |S| = 1 work on Python floats and a contiguous column of M, and the
 L1 step reads one entry of the iteration's certificate or, without one,
 works on Python floats too.  Each gives the same bits as the generic block
 operations (the Cholesky solve or the array prox model on the block's
-gather, M[:, S] u_S, np.linalg.norm).
+gather, M[:, S] u_S, np.linalg.norm).  A one-coordinate move updates f in
+O(1), so F, and xi and mu with it, agree with a loop that recomputes f to
+within STATE_RTOL; every other trace column, and x, keeps its bits.
 
 These equalities rest on the BLAS arithmetic (dpotrs multiplying by the
 reciprocal of a 1 x 1 factor, a length-1 dot adding to 0.0); the pytest
@@ -99,8 +101,9 @@ def test_coordinate_step_rejects_a_gradient_of_another_dimension(lam):
 def _reference_run(problem, spec, seed, iters):
     """`descent.run` with diagnostics from x = 0, every step through the
     generic block operations: the Cholesky solve or the array prox model,
-    M x updated by M[:, S] u_S (from scratch every n coordinates), and
-    np.linalg.norm for the step length."""
+    M x updated by M[:, S] u_S (from scratch every n coordinates), f and the
+    gradient recomputed from x and M x at every iterate, and np.linalg.norm
+    for the step length."""
     obj, reg = problem.objective, problem.regularizer
     n, m, M = problem.dim, obj.m, obj.smoothness
     rule = parse_rule(spec, n, default_seed=seed)
@@ -157,6 +160,40 @@ INSTANCES = [pytest.param(200, 50, 1, id="1"), pytest.param(200, 50, 17, id="17"
              *(pytest.param(40, 12, s, id=f"40-12-{s}") for s in range(4))]
 
 
+# F and xi of a run against the reference loop, which recomputes f, relative
+# to max(|F|, |F(0)|).  mu = lam / xi with lam bit for bit, so mu's error is
+# xi's carried through the division, plus the division's own rounding.
+STATE_RTOL = 1e-12
+
+
+def _assert_run_matches_the_reference(problem, result, reference, keeps_lam,
+                                      diagnostics, what):
+    """Blocks, lambda (where the run keeps it), theta, the step norm and x
+    bit for bit; F, xi, mu and final_F within STATE_RTOL."""
+    rows, x, F = reference
+    trace = result.trace
+    F_0 = abs(problem.F(np.zeros(problem.dim)))
+    got = [(r.block.indices,) + tuple(map(_bits, (r.lam, r.theta, r.step_norm)))
+           for r in trace]
+    want = [(S,) + tuple(map(_bits, (lam if keeps_lam else None,
+                                     theta if diagnostics else None, norm)))
+            for S, F_k, xi, lam, mu, theta, norm in rows]
+    assert got == want, what
+    assert result.x.tobytes() == x.tobytes(), what
+    F_ref, xi_ref, lam_ref, mu_ref = (np.array([r[j] for r in rows]) for j in (1, 2, 3, 4))
+    scale = np.maximum(np.abs(F_ref), F_0)
+    assert (np.abs(trace.F - F_ref) <= STATE_RTOL * scale).all(), what
+    assert (np.abs(trace.xi - xi_ref) <= STATE_RTOL * scale).all(), what
+    assert abs(result.final_F - F) <= STATE_RTOL * max(abs(F), F_0), what
+    if diagnostics:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            carried = np.nan_to_num(lam_ref * STATE_RTOL * scale / np.abs(trace.xi * xi_ref),
+                                    nan=np.inf)
+        assert (np.abs(trace.mu - mu_ref) <= carried + 4e-16 * np.abs(mu_ref)).all(), what
+    else:
+        assert trace.mu is None, what
+
+
 @pytest.mark.parametrize("m, n, seed", INSTANCES)
 @pytest.mark.parametrize("kind", ["smooth", "l1"])
 def test_serial_runs_bit_identical_to_generic_operations(kind, m, n, seed):
@@ -170,21 +207,13 @@ def test_serial_runs_bit_identical_to_generic_operations(kind, m, n, seed):
     empirical_optimum(problem)
     iters = 20 * n  # M x is rebuilt from scratch 20 times
     for spec in SERIAL_RULES[kind]:
-        rows, x, F = _reference_run(problem, spec, seed, iters)
+        reference = _reference_run(problem, spec, seed, iters)
         for diagnostics in (True, False):
             result = run(problem, parse_rule(spec, n, default_seed=seed),
                          RunConfig(max_iters=iters, record_diagnostics=diagnostics))
             keeps_lam = diagnostics or (kind == "l1" and spec == "greedy")
-            got = [(r.block.indices,)
-                   + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta, r.step_norm)))
-                   for r in result.trace]
-            want = [(S,) + tuple(map(_bits, (F_k, xi, lam if keeps_lam else None,
-                                             *((mu, theta) if diagnostics else (None, None)),
-                                             norm)))
-                    for S, F_k, xi, lam, mu, theta, norm in rows]
-            assert got == want, (spec, diagnostics)
-            assert result.x.tobytes() == x.tobytes(), (spec, diagnostics)
-            assert _bits(result.final_F) == _bits(F), (spec, diagnostics)
+            _assert_run_matches_the_reference(problem, result, reference, keeps_lam,
+                                              diagnostics, (spec, diagnostics))
 
 
 @pytest.mark.parametrize("m, n, seed", [INSTANCES[0], INSTANCES[2], INSTANCES[3],
@@ -201,15 +230,8 @@ def test_one_element_minibatch_runs_bit_identical_to_generic_operations(kind, m,
     empirical_optimum(problem)
     iters = 3 * n  # past MX_REFRESH_SWEEPS * n coordinates, so M x is rebuilt
     for spec in ("nice:1", "greedymb:1"):
-        rows, x, F = _reference_run(problem, spec, seed, iters)
-        assert all(len(S) == 1 for S, *_ in rows)
+        reference = _reference_run(problem, spec, seed, iters)
+        assert all(len(S) == 1 for S, *_ in reference[0])
         result = run(problem, parse_rule(spec, n, default_seed=seed),
                      RunConfig(max_iters=iters, record_diagnostics=True))
-        got = [(r.block.indices,)
-               + tuple(map(_bits, (r.F, r.xi, r.lam, r.mu, r.theta, r.step_norm)))
-               for r in result.trace]
-        want = [(S,) + tuple(map(_bits, (F_k, xi, lam, mu, theta, norm)))
-                for S, F_k, xi, lam, mu, theta, norm in rows]
-        assert got == want, spec
-        assert result.x.tobytes() == x.tobytes(), spec
-        assert _bits(result.final_F) == _bits(F), spec
+        _assert_run_matches_the_reference(problem, result, reference, True, True, spec)

@@ -26,6 +26,7 @@ from blockprox.descent import (
 from blockprox.linalg import CoordSet
 from blockprox.objectives import (
     CompositeProblem,
+    LsqCosState,
     Objective,
     gen_instance,
     make_l1,
@@ -733,6 +734,91 @@ def test_gradient_turning_nan_mid_run_is_a_numeric_failure(spec):
     problem = _turning_quadratic(nan_gradient_at=7)
     with pytest.raises(NumericFailureError, match=r"^gradient not finite at iteration 7$"):
         run(problem, parse_rule(spec, 4), RunConfig(max_iters=20, x0=np.ones(4)))
+
+
+class _PoisonedState(LsqCosState):
+    """A least-squares-plus-cosine state whose M x entry `entry` is set to
+    `value` at the first rebuild of M x after the start point's (when n
+    coordinates have moved), after q and a are taken (`after_sync`, a value
+    that only the gradient entries see) or before (a value that q sees
+    too)."""
+
+    entry, value, after_sync = 5, math.nan, True
+    syncs = 0
+
+    def _sync(self):
+        self.syncs += 1
+        poison = self.syncs == 2 and self._moved == 0
+        if poison and not self.after_sync:
+            self._Mx[self.entry] = self.value
+        super()._sync()
+        if poison and self.after_sync:
+            self._Mx[self.entry] = self.value
+
+
+def _poisoned_run(problem, spec, monkeypatch, diagnostics=False, **poison):
+    obj = problem.objective
+    monkeypatch.setattr(obj, "state_at", lambda x: type(
+        "Poisoned", (_PoisonedState,), poison)(obj, x))
+    return run(problem, parse_rule(spec, problem.dim, default_seed=1),
+               RunConfig(max_iters=60, record_diagnostics=diagnostics))
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_a_non_finite_Mx_entry_is_reported_where_it_is_read(kind, diagnostics,
+                                                            monkeypatch):
+    """n = 12: M x is rebuilt after the step of iteration 11 (every rule
+    here is serial), and one of its entries turns nan there.  A rule that
+    forms the gradient (greedy) reports it at the next iteration, 12; one
+    that reads only g_i reports it at the first iteration whose step reads
+    that entry: cyclic's 17 for entry 5, uniform's first draw of the entry
+    it drew at iteration 15."""
+    problem = gen_instance(40, 12, seed=3)
+    if kind == "l1":
+        lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(12))).max())
+        problem = gen_instance(40, 12, seed=3, lam=lam)
+    empirical_optimum(problem)
+    clean = run(problem, parse_rule("uniform", 12, default_seed=1), RunConfig(max_iters=60))
+    draws = [r.block.indices[0] for r in clean.trace]
+    drawn = draws[15]
+    for spec, entry, k in (("greedy", 5, 12), ("cyclic", 5, 17),
+                           ("uniform", drawn, draws.index(drawn, 12))):
+        with pytest.raises(NumericFailureError,
+                           match=rf"^gradient not finite at iteration {k}$") as failure:
+            _poisoned_run(problem, spec, monkeypatch, diagnostics, entry=entry)
+        assert np.isfinite(failure.value.iterate).all()
+    # an entry that no step reads before the next rebuild of M x, which
+    # takes it from x again: the run ends as an unpoisoned run does
+    unread = min(set(range(12)) - set(draws[12:24]))
+    poisoned = _poisoned_run(problem, "uniform", monkeypatch, entry=unread)
+    assert poisoned.x.tobytes() == clean.x.tobytes()
+    # an entry that is already non-finite when q = x'Mx/2 is taken from it
+    # makes f non-finite after the step whose move rebuilt M x
+    with pytest.raises(NumericFailureError, match=r"^objective not finite after iteration 11$"):
+        _poisoned_run(problem, "uniform", monkeypatch, diagnostics, entry=unread,
+                      value=math.inf, after_sync=False)
+
+
+def test_a_serial_step_that_overflows_ends_the_run_before_its_move():
+    """M_11 = 1e-300 under a gradient entry of 1e10: u_1 = -1e310 overflows
+    to -inf at iteration 1, cyclic's first step on coordinate 1.  The run
+    fails as an objective that is not finite, at the finite iterate before
+    the move, and f is never evaluated at the non-finite point."""
+    values = []
+
+    def eval_f(x):
+        values.append(x.copy())
+        return 0.5 * float(x @ x)
+
+    problem = CompositeProblem(Objective(dim=2, eval_f=eval_f, grad_f=lambda x: x.copy(),
+                                         smoothness=np.diag([1.0, 1e-300]),
+                                         known_opt_value=0.0))
+    with pytest.raises(NumericFailureError,
+                       match=r"^objective not finite after iteration 1$") as failure:
+        run(problem, parse_rule("cyclic", 2), RunConfig(max_iters=5, x0=np.array([0.5, 1e10])))
+    assert np.isfinite(failure.value.iterate).all()
+    assert len(values) == 2 and all(np.isfinite(x).all() for x in values)
 
 
 @pytest.mark.parametrize("spec", ["uniform", "full"])

@@ -39,9 +39,11 @@ def _instances():
 
 class CheckedState(LsqCosState):
     """Compares f and the gradient with direct evaluation after every move
-    (block or one-coordinate), each of which ends by updating f."""
+    (block or one-coordinate), each of which ends in `_update_f`, and counts
+    the checks."""
 
     worst = 0.0
+    checks = 0
 
     def _update_f(self):
         super()._update_f()
@@ -51,6 +53,7 @@ class CheckedState(LsqCosState):
         err = max(abs(self.f - f_direct),
                   float(np.abs(self.grad - obj.grad_f(x)).max()))
         CheckedState.worst = max(CheckedState.worst, err / scale)
+        CheckedState.checks += 1
 
 
 @pytest.mark.parametrize("kind", ["smooth", "l1"])
@@ -59,10 +62,12 @@ def test_incremental_state_matches_direct_over_long_runs(kind, monkeypatch):
     obj = problem.objective
     monkeypatch.setattr(obj, "state_at", lambda x: CheckedState(obj, x))
     for spec in rules:
-        CheckedState.worst = 0.0
+        CheckedState.worst, CheckedState.checks = 0.0, 0
         result = run(problem, parse_rule(spec, problem.dim, default_seed=7),
                      RunConfig(max_iters=5000, record_diagnostics=True))
         assert len(result.trace) == 5000
+        # the start point's check and one per step: none is skipped
+        assert CheckedState.checks == 5001, spec
         assert CheckedState.worst <= STATE_RTOL, spec
         scale = max(abs(result.final_F), abs(problem.F(np.zeros(problem.dim))))
         assert abs(result.final_F - problem.F(result.x)) <= STATE_RTOL * scale
@@ -78,6 +83,87 @@ def test_state_refreshes_Mx_periodically():
         # a refresh after every n = 6 coordinates moved
         assert state._moved == (k + 1) % 6
     np.testing.assert_allclose(state._Mx, obj.smoothness @ state.x, rtol=0, atol=1e-15)
+
+
+class EntryCheckedState(LsqCosState):
+    """Checks, at the start point and after every move, that each
+    `grad_entry(i)` has the bits of `grad.item(i)`, and that a gradient chunk
+    forms the bits of `grad` at every iterate it kept."""
+
+    checks = 0
+
+    def _update_f(self):
+        super()._update_f()
+        entries = np.array([self.grad_entry(i) for i in range(self.objective.dim)])
+        assert entries.tobytes() == self.grad.tobytes()
+        chunk = self.gradient_chunk(1)
+        chunk.keep(0)
+        assert chunk.gradients(1).tobytes() == self.grad.tobytes()
+        EntryCheckedState.checks += 1
+
+
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_gradient_entries_have_the_bits_of_the_gradient(kind, monkeypatch):
+    problem, _ = _instances()[kind]
+    obj, n = problem.objective, problem.dim
+    monkeypatch.setattr(obj, "state_at", lambda x: EntryCheckedState(obj, x))
+    specs = ("uniform", "importance", "greedy", "cyclic", "nice:1") if kind == "smooth" \
+        else ("uniform", "greedy", "cyclic", "nice:1")
+    for spec in specs:
+        for diagnostics in (True, False):
+            EntryCheckedState.checks = 0
+            iters = 4 * n  # M x is rebuilt from x 4 times
+            result = run(problem, parse_rule(spec, n, default_seed=3),
+                         RunConfig(max_iters=iters, record_diagnostics=diagnostics))
+            assert len(result.trace) == iters
+            assert EntryCheckedState.checks == iters + 1, (spec, diagnostics)
+
+
+def test_a_gradient_chunk_forms_each_kept_gradient():
+    problem = gen_instance(m=60, n=16, seed=4)
+    state = problem.objective.state_at(np.zeros(16))
+    chunk, kept = state.gradient_chunk(40), []
+    rng = np.random.default_rng(0)
+    for row in range(40):
+        chunk.keep(row)
+        kept.append(state.grad.copy())
+        if row % 3:
+            state.move_coordinate(int(rng.integers(16)), float(rng.standard_normal()))
+        else:
+            S = CoordSet(tuple(sorted(rng.choice(16, 3, replace=False).tolist())), 16)
+            state.move(S, rng.standard_normal(3))
+    grads = chunk.gradients(40)
+    assert grads.flags.c_contiguous and grads.shape == (40, 16)
+    assert grads.tobytes() == np.array(kept).tobytes()
+    assert chunk.gradients(25).tobytes() == np.array(kept[:25]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["smooth", "l1"])
+def test_serial_steps_that_read_one_entry_form_no_gradient(kind, monkeypatch):
+    """`uniform`, `importance`, `cyclic` and `nice:1` without a certificate
+    read g_i alone: no gradient vector is formed within the steps.  With
+    diagnostics the run forms one, for the certificate at its final
+    iterate.  Smooth `greedy`, and every greedy rule on L1, form one per
+    step."""
+    problem, _ = _instances()[kind]
+    n = problem.dim
+    formed = {"grad": 0}
+    grad = LsqCosState.grad
+
+    def counted(state):
+        formed["grad"] += state._grad is None
+        return grad.fget(state)
+
+    monkeypatch.setattr(LsqCosState, "grad", property(counted))
+    lazy = ("uniform", "importance", "cyclic", "nice:1") if kind == "smooth" \
+        else ("uniform", "cyclic", "nice:1")
+    for spec in lazy + ("greedy",):
+        for diagnostics in (False, True):
+            formed["grad"] = 0
+            run(problem, parse_rule(spec, n), RunConfig(max_iters=3 * n,
+                                                        record_diagnostics=diagnostics))
+            want = diagnostics if spec in lazy else 3 * n + (diagnostics or kind == "l1")
+            assert formed["grad"] == want, (spec, diagnostics)
 
 
 def _counting(objective):
