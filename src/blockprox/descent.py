@@ -159,13 +159,14 @@ def _finite_gradient(grad: np.ndarray) -> bool:
 def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult:
     """Block descent from x0 under `rule`.
 
-    The gradient and f come from the objective's iterate state, once per
-    iterate, and are shared by the certificate, the selection, the step and
-    the diagnostics.  The selection and step functions are built once,
-    before the first step (`selection.picker`, which refuses a rule the path
-    does not offer, and `engine.stepper`); a serial step hands its u, a
-    Python float, to `IterateState.move_coordinate`, and a block step hands
-    the rows of M it gathered, if any, to the state's M x update.
+    f and the gradient come from the objective's iterate state: f once per
+    iterate, the gradient at most once, shared by the certificate, the
+    selection, the step and the diagnostics.  The selection and step
+    functions are built once, before the first step (`selection.picker`,
+    which refuses a rule the path does not offer, and `engine.stepper`); a
+    serial step hands its u, a Python float, to
+    `IterateState.move_coordinate`, and a block step hands the rows of M it
+    gathered, if any, to the state's M x update.
 
     A serial step reads the one gradient entry g_i.  The loop forms the
     gradient vector where something reads it: greedy selection, a

@@ -101,9 +101,9 @@ def test_coordinate_step_rejects_a_gradient_of_another_dimension(lam):
 def _reference_run(problem, spec, seed, iters):
     """`descent.run` with diagnostics from x = 0, every step through the
     generic block operations: the Cholesky solve or the array prox model,
-    M x updated by M[:, S] u_S (from scratch every n coordinates), f and the
-    gradient recomputed from x and M x at every iterate, and np.linalg.norm
-    for the step length."""
+    M x updated by M[:, S] u_S (recomputed from x every n coordinates), f
+    and the gradient recomputed from x and M x at every iterate, and
+    np.linalg.norm for the step length."""
     obj, reg = problem.objective, problem.regularizer
     n, m, M = problem.dim, obj.m, obj.smoothness
     rule = parse_rule(spec, n, default_seed=seed)

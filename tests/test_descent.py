@@ -757,9 +757,16 @@ class _PoisonedState(LsqCosState):
 
 
 def _poisoned_run(problem, spec, monkeypatch, diagnostics=False, **poison):
+    """A run whose iterate state is a `_PoisonedState` with the attributes
+    `poison` (set after the start point's M x is taken)."""
     obj = problem.objective
-    monkeypatch.setattr(obj, "state_at", lambda x: type(
-        "Poisoned", (_PoisonedState,), poison)(obj, x))
+
+    def state_at(x):
+        state = _PoisonedState(obj, x)
+        vars(state).update(poison)
+        return state
+
+    monkeypatch.setattr(obj, "state_at", state_at)
     return run(problem, parse_rule(spec, problem.dim, default_seed=1),
                RunConfig(max_iters=60, record_diagnostics=diagnostics))
 
