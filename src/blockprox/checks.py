@@ -14,7 +14,7 @@ import numpy as np
 from . import descent, engine, objectives, rates, selection
 from .descent import TraceCheck
 from .linalg import eig_extremes
-from .objectives import CompositeProblem, make_l1
+from .objectives import CompositeProblem
 from .selection import KINDS, BlockRule
 
 EXIT_OK = 0
@@ -83,7 +83,7 @@ def check_theta_bounds(problem, seed=0, tau=3, n_points=50):
         vals = {}
         for rule, L in zip(rules, Ls):
             cert = certs[L]
-            if rule.is_randomized:
+            if rule.row.randomized:
                 vals[rule.name] = selection.exact_expected_theta(
                     rule, problem, grad, cert)
             else:
@@ -116,8 +116,7 @@ def check_certificate_oracle(seed=0, n_points=20):
     steps of 1e-4; the scalar prox models are strictly convex (L > 0), so
     `convex_grid_min` reads each one's grid minimum."""
     rng = np.random.default_rng(seed)
-    M = objectives.random_spd(10, 8.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.1))
+    problem = objectives.quadratic_instance(10, 8.0, seed, 0.1)
     L = problem.L_scalar
     grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
     worst = 0.0
@@ -138,8 +137,7 @@ def check_certificate_oracle(seed=0, n_points=20):
 def check_strong_convexity_forcing(seed=0, n_points=50):
     """engine.forcing at each prox rule's own L (`rates.rule_L`) against the
     strongly PL mu `rates.function_classes` prices that rule with."""
-    M = objectives.random_spd(8, 6.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.2))
+    problem = objectives.quadratic_instance(8, 6.0, seed, 0.2)
     descent.empirical_optimum(problem)
     mus = {rates.rule_L(problem, rule)[0]:  # [1] is strongly PL; rho alone reads x0
            rates.function_classes(rule, problem, np.zeros(8))[1].mu
@@ -158,8 +156,7 @@ def check_strong_convexity_forcing(seed=0, n_points=50):
 
 
 def check_weak_convexity_forcing(seed=0, n_points=50):
-    M = objectives.random_spd(6, 4.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.1))
+    problem = objectives.quadratic_instance(6, 4.0, seed, 0.1)
     descent.empirical_optimum(problem)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1.0, 1.0, 6)
@@ -183,8 +180,7 @@ def check_weak_convexity_forcing(seed=0, n_points=50):
 def check_convex_certificate_lower_bound(seed=0, n_points=50):
     """lambda/L >= min{xi/2, (xi + lam_F d^2/2)^2 / (2 (lam_F - lam_f + L) d^2)}
     on a strongly convex composite with d = ||x - x*||."""
-    M = objectives.random_spd(6, 5.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M), make_l1(0.15))
+    problem = objectives.quadratic_instance(6, 5.0, seed, 0.15)
     descent.empirical_optimum(problem)
     # 0 minimizes both x'Mx/2 and lam*||x||_1
     x_star = problem.objective.known_minimizer
@@ -255,8 +251,7 @@ def check_sequence_bound(seed=0, n_seqs=20):
 
 
 def check_rate_monotonicity(seed=0):
-    M = objectives.random_spd(8, 6.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M))
+    problem = objectives.quadratic_instance(8, 6.0, seed)
     rule = BlockRule("full_batch", 8)
     xi0 = 10.0
     fclass = rates.FunctionClass("strongly_pl", mu=problem.objective.lambda_min)
@@ -268,8 +263,7 @@ def check_rate_monotonicity(seed=0):
 
 
 def check_polyak_rate(seed=0):
-    M = objectives.random_spd(10, 12.0, seed)
-    problem = CompositeProblem(objectives.make_quadratic(M))
+    problem = objectives.quadratic_instance(10, 12.0, seed)
     lam_min, lam_max = problem.objective.lambda_min, problem.objective.lambda_max
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(10)

@@ -4,11 +4,16 @@ Config files are INI text with four sections::
 
     [problem]
     kind = generated | quadratic | plateau | product_square | huber_product
-    # generated/quadratic: m, n, seed, lambda (l1 weight); quadratic: cond,
-    # the condition number of M (finite, >= 1; default 10)
-    # plateau: c (defaults to the flat-inflection coefficient)
-    # product_square / huber_product: box
-    # instance = path.json  (load a previously generated instance instead)
+    # generated: m, n, seed, lambda
+    # quadratic: n, cond, seed, lambda
+    # plateau: c
+    # product_square: box
+    # huber_product: box
+    # lambda is the l1 weight and cond the condition number of M (finite,
+    # >= 1); seed defaults to the global seed and c to the flat-inflection
+    # coefficient
+    # instance = path.json  (load a previously generated instance instead;
+    # it takes no other key, and kind = generated only)
 
     [rules]
     rules = full, uniform, importance, greedy, nice:4, greedymb:4
@@ -27,7 +32,9 @@ Config files are INI text with four sections::
     dir = out
 
 A section or key not listed here is a config error, and so is a
-[problem] key not listed for its kind.
+[problem] key not listed for its kind.  One schema states each key's parser
+and default (`RUN_KEYS`, `PROBLEM_KINDS`); the key check, `load_config`,
+`build_problem` and report.json's `problem` all read it.
 
 Subcommands: gen, run, rates, check, slice.  Exit codes: 0 success,
 1 config error, 2 numeric failure, 3 verification failure.  The module
@@ -51,7 +58,7 @@ import numpy as np
 
 from . import descent, linalg, objectives, rates
 from .checks import EXIT_OK, EXIT_VERIFY, run_check_suite
-from .objectives import CompositeProblem, gen_instance, load_instance, make_l1
+from .objectives import CompositeProblem
 from .selection import BlockRule, parse_rule
 
 EXIT_CONFIG = 1
@@ -62,17 +69,51 @@ class ConfigError(ValueError):
     pass
 
 
+def _boolean(text: str) -> bool:
+    """configparser's booleans, with `getboolean`'s message for any other."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+#: [run] keys: (parser, default), in the order they are parsed.  Each is the
+#: `ExperimentConfig` field of its name.
+RUN_KEYS = {"max_iters": (int, 500), "epsilon": (float, 1e-8),
+            "diagnostics": (_boolean, False), "stop_on": (str, "iters"), "seed": (int, 0),
+            "budget": (int, linalg.DEFAULT_ENUMERATION_BUDGET)}
+
+#: The keys of each section but [problem], whose keys are its kind's.
+SECTION_KEYS = {"rules": ("rules",), "run": RUN_KEYS, "output": ("dir",)}
+
+#: Problem kinds: (builder, {key: (parser, default)}), the keys in the
+#: builder's argument order.  A callable default is called with the config:
+#: the seed defaults to the global seed.  The builders look the library up
+#: when called, so that they call whatever `objectives` holds then.
+_SEED, _LAMBDA, _BOX = (int, lambda cfg: cfg.seed), (float, 0.0), {"box": (float, 2.0)}
+PROBLEM_KINDS = {
+    "generated": (lambda *args: objectives.gen_instance(*args),
+                  {"m": (int, 200), "n": (int, 50), "seed": _SEED, "lambda": _LAMBDA}),
+    "quadratic": (lambda *args: objectives.quadratic_instance(*args),
+                  {"n": (int, 10), "cond": (float, 10.0), "seed": _SEED, "lambda": _LAMBDA}),
+    "plateau": (lambda c: CompositeProblem(objectives.make_plateau_1d(c)),
+                {"c": (float, lambda cfg: objectives.flat_inflection_coefficient())}),
+    "product_square": (lambda box: CompositeProblem(objectives.make_product_square(box)), _BOX),
+    "huber_product": (lambda box: CompositeProblem(objectives.make_huber_product(box)), _BOX),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    problem: dict
+    problem: dict  # [problem] as strings, parsed by `problem_arguments`
     rule_specs: list
-    max_iters: int = 500
-    epsilon: float = 1e-8
-    diagnostics: bool = False
-    stop_on: str = "iters"
-    seed: int = 0
-    out_dir: str = "out"
-    budget: int = linalg.DEFAULT_ENUMERATION_BUDGET
+    out_dir: str
+    max_iters: int
+    epsilon: float
+    diagnostics: bool
+    stop_on: str
+    seed: int
+    budget: int
 
     def run_config(self) -> descent.RunConfig:
         """The descent settings of every run; raises ValueError on bad ones."""
@@ -82,71 +123,53 @@ class ExperimentConfig:
         )
 
 
-#: The keys of each section the module docstring lists; [problem] also
-#: holds the keys listed for its kind (`_PROBLEM_KEYS`).
-_SECTION_KEYS = {
-    "problem": {"kind", "instance"},
-    "rules": {"rules"},
-    "run": {"max_iters", "epsilon", "diagnostics", "stop_on", "seed", "budget"},
-    "output": {"dir"},
-}
-_PROBLEM_KEYS = {
-    "generated": {"m", "n", "seed", "lambda"},
-    "quadratic": {"m", "n", "seed", "lambda", "cond"},
-    "plateau": {"c"},
-    "product_square": {"box"},
-    "huber_product": {"box"},
-}
+def _kind(problem) -> str:
+    """The kind of [problem], read off its section or its strings."""
+    return problem.get("kind", "generated")
 
 
-def _check_keys(parser: configparser.ConfigParser) -> None:
-    """Refuse a section or key the module docstring does not list.  The
-    keys of an unknown problem kind are not checked: `build_problem`
-    refuses the kind."""
-    if parser.defaults():
-        raise ConfigError("unknown section [DEFAULT]")
-    for section in parser.sections():
-        allowed = _SECTION_KEYS.get(section)
-        if allowed is None:
-            raise ConfigError(f"unknown section [{section}]")
-        if section == "problem":
-            kind = parser.get(section, "kind", fallback="generated")
-            if kind not in _PROBLEM_KEYS:
-                continue
-            allowed = allowed | _PROBLEM_KEYS[kind]
-        for key in parser.options(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
+def _problem_keys(section):
+    """The keys [problem] takes: `kind` and its kind's keys, or `kind` and
+    `instance` for an instance; None for a kind with no builder, which
+    `problem_arguments` refuses."""
+    kind = _kind(section)
+    if "instance" in section:
+        if kind != "generated":
+            raise ConfigError(f"an instance is a generated problem, not kind = {kind}")
+        return ("kind", "instance")
+    return ("kind", *PROBLEM_KINDS[kind][1]) if kind in PROBLEM_KINDS else None
 
 
 def load_config(path, seed_override=None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    _check_keys(parser)
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    for name in parser.sections():
+        if name == "problem":
+            accepted = _problem_keys(parser[name])
+        elif name in SECTION_KEYS:
+            accepted = SECTION_KEYS[name]
+        else:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser.options(name):
+            if accepted is not None and key not in accepted:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
 
     problem = dict(parser["problem"]) if parser.has_section("problem") else {}
     rule_text = parser.get("rules", "rules", fallback="")
     rule_specs = [tok.strip() for tok in rule_text.replace("\n", ",").split(",")
                   if tok.strip()]
     run_sec = parser["run"] if parser.has_section("run") else {}
-    out_sec = parser["output"] if parser.has_section("output") else {}
-
     try:
-        cfg = ExperimentConfig(
-            problem=problem,
-            rule_specs=rule_specs,
-            max_iters=int(run_sec.get("max_iters", 500)),
-            epsilon=float(run_sec.get("epsilon", 1e-8)),
-            diagnostics=parser.getboolean("run", "diagnostics", fallback=False),
-            stop_on=str(run_sec.get("stop_on", "iters")),
-            seed=int(run_sec.get("seed", 0)),
-            out_dir=str(out_sec.get("dir", "out")),
-            budget=int(run_sec.get("budget", linalg.DEFAULT_ENUMERATION_BUDGET)),
-        )
+        run = {key: parse(run_sec[key]) if key in run_sec else default
+               for key, (parse, default) in RUN_KEYS.items()}
+        cfg = ExperimentConfig(problem=problem, rule_specs=rule_specs,
+                               out_dir=parser.get("output", "dir", fallback="out"),
+                               **run)
         cfg.run_config()
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad run/output settings: {exc}") from exc
     if seed_override is not None:
         cfg.seed = seed_override
@@ -158,44 +181,42 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     return cfg
 
 
-def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
+def problem_arguments(cfg: ExperimentConfig) -> dict:
+    """What `build_problem` builds: {"instance": path}, or the kind and its
+    keys' parsed values or defaults, in the builder's argument order."""
     p = cfg.problem
     if "instance" in p:
-        try:
-            return load_instance(p["instance"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"cannot load instance {p['instance']!r}: {exc!r}") from exc
-    kind = p.get("kind", "generated")
+        return {"instance": p["instance"]}
+    kind = _kind(p)
+    if kind not in PROBLEM_KINDS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    args = {"kind": kind}
     try:
-        if kind == "generated":
-            return gen_instance(
-                m=int(p.get("m", 200)), n=int(p.get("n", 50)),
-                seed=int(p.get("seed", cfg.seed)),
-                lam=float(p.get("lambda", 0.0)),
-            )
-        if kind == "quadratic":
-            n = int(p.get("n", 10))
-            M = objectives.random_spd(n, float(p.get("cond", 10.0)),
-                                      int(p.get("seed", cfg.seed)))
-            obj = objectives.make_quadratic(M)
-            return CompositeProblem(obj, make_l1(float(p.get("lambda", 0.0))))
-        if kind == "plateau":
-            c = (float(p["c"]) if "c" in p
-                 else objectives.flat_inflection_coefficient())
-            return CompositeProblem(objectives.make_plateau_1d(c))
-        if kind == "product_square":
-            return CompositeProblem(
-                objectives.make_product_square(float(p.get("box", 2.0))))
-        if kind == "huber_product":
-            return CompositeProblem(
-                objectives.make_huber_product(float(p.get("box", 2.0))))
+        for key, (parse, default) in PROBLEM_KINDS[kind][1].items():
+            args[key] = (parse(p[key]) if key in p
+                         else default(cfg) if callable(default) else default)
+    except ValueError as exc:
+        raise ConfigError(f"bad problem section: {exc}") from exc
+    return args
+
+
+def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
+    args = problem_arguments(cfg)
+    if "instance" in args:
+        path = args["instance"]
+        try:
+            return objectives.load_instance(path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load instance {path!r}: {exc!r}") from exc
+    kind, *values = args.values()
+    try:
+        return PROBLEM_KINDS[kind][0](*values)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad problem section: {exc}") from exc
     except MemoryError:  # a problem past the memory, say an m x n matrix
+        p = cfg.problem
         sizes = ", ".join(f"{key} = {p[key]}" for key in ("m", "n") if key in p)
         raise ConfigError(f"{kind} problem ({sizes}) does not fit in memory") from None
-    raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def build_rules(cfg: ExperimentConfig, n: int) -> list:
@@ -235,8 +256,7 @@ def _output_file(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_gen(cfg: ExperimentConfig, out_path=None) -> str:
-    p = cfg.problem
-    if p.get("kind", "generated") != "generated":
+    if _kind(cfg.problem) != "generated":
         raise ConfigError("gen only serializes generated instances")
     problem = build_problem(cfg)
     path = out_path or _output_file(cfg, "instance.json")
@@ -282,6 +302,9 @@ def cmd_run(cfg: ExperimentConfig):
             "iterations": len(trace),
             "final_F": result.final_F,
             "final_xi": result.final_xi,
+            # below 0 where the run went under the (empirical) optimum
+            "min_xi": (None if result.final_xi is None
+                       else float(trace.xi.min(initial=result.final_xi))),
             "L_used": result.L_used,
             "L_used_source": result.L_used_source,
             "cumulative_decrease": first_F - result.final_F,
@@ -300,7 +323,7 @@ def cmd_run(cfg: ExperimentConfig):
         entries[name] = entry
 
     report = {
-        "problem": dict(cfg.problem),
+        "problem": problem_arguments(cfg),
         "seed": cfg.seed,
         "max_iters": cfg.max_iters,
         "enumeration_budget": cfg.budget,

@@ -1,8 +1,8 @@
-"""Masked indexing, SPD factors and solves, eigenvalue extremes, and the
-subset walk every exact table reads: lexicographic chunks of subset index
-arrays unranked in numpy (`subset_index_chunks`), the principal submatrices
-gathered from them, and the greedy-minibatch quadratic forms, whose weights
-also give E[inv(M_S)] (`rates.expected_inverse_matrix`).
+"""SPD factors and solves, eigenvalue extremes, and the subset walk every
+exact table reads: lexicographic chunks of subset index arrays unranked in
+numpy (`subset_index_chunks`), the principal submatrices gathered from them,
+and the greedy-minibatch quadratic forms, whose weights also give
+E[inv(M_S)] (`rates.expected_inverse_matrix`).
 
 This is the one module that calls LAPACK directly, and only through
 `spd_factor`, `factor_solve` and `spd_solve`, each call without scipy's
@@ -143,16 +143,6 @@ def check_symmetric(M: np.ndarray) -> np.ndarray:
     if not np.abs(M - M.T).max() <= SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric to within tolerance")
     return M
-
-
-def mask_vector(x: np.ndarray, S: CoordSet) -> np.ndarray:
-    """Entries of x with indices in S, as a dense |S|-vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (S.ambient_dim,):
-        raise InvalidSetError(
-            f"vector of dim {x.shape} does not match ambient dim {S.ambient_dim}"
-        )
-    return x[S.array]
 
 
 def _check_info(info: int, routine: str) -> None:

@@ -713,6 +713,11 @@ def gen_instance(m: int, n: int, seed: int, lam: float = 0.0) -> CompositeProble
     return CompositeProblem(objective=obj, regularizer=make_l1(lam))
 
 
+def quadratic_instance(n: int, cond: float, seed: int, lam: float = 0.0) -> CompositeProblem:
+    """x'Qx/2 + lam ||x||_1 with Q = random_spd(n, cond, seed)."""
+    return CompositeProblem(make_quadratic(random_spd(n, cond, seed)), make_l1(lam))
+
+
 def save_instance(problem: CompositeProblem, path) -> None:
     """Serialize a generated or loaded instance (A row-major, b, c, lambda,
     seed)."""

@@ -62,7 +62,6 @@ class BlockRule:
         self.row = row
         self.name = row.name if tau is None else f"{row.name}:{tau}"
         self.max_block_size = {"full": n, "serial": 1}.get(row.shape, tau)
-        self.is_randomized = row.randomized
         self.n = n
         self.tau = tau
         self.seed = seed
@@ -329,7 +328,7 @@ def exact_expected_theta(rule: BlockRule, problem: CompositeProblem,
     evaluated here; a deterministic rule's theta is `engine.proportion` of
     the set it selects.
     """
-    if not rule.is_randomized:
+    if not rule.row.randomized:
         raise ValueError(
             f"no expectation defined for deterministic rule {rule.name!r}")
     rule.refuse_off_path(problem)

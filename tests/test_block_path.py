@@ -25,7 +25,6 @@ from blockprox.linalg import (
     CoordSet,
     InvalidSetError,
     NotPositiveDefiniteError,
-    mask_vector,
     spd_factor,
     spd_solve,
 )
@@ -47,6 +46,37 @@ from blockprox.selection import (
 def _bits(value) -> str | None:
     """float.hex tells -0.0 from 0.0 and matches nan to nan; None stays None."""
     return None if value is None else float.hex(float(value))
+
+
+def mask_vector(x, S: CoordSet) -> np.ndarray:
+    """Entries of x with indices in S, as a dense |S|-vector: the gather
+    oracle of the block path."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (S.ambient_dim,):
+        raise InvalidSetError(
+            f"vector of dim {x.shape} does not match ambient dim {S.ambient_dim}"
+        )
+    return x[S.array]
+
+
+def test_mask_and_embed_are_adjoint():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(7)
+    S = CoordSet((1, 3, 6), 7)
+    u = mask_vector(x, S)
+    assert u.tolist() == [x[1], x[3], x[6]]
+    e = np.zeros(7)
+    e[S.array] = u  # the scatter onto S, zeros elsewhere
+    assert e[1] == x[1] and e[0] == 0.0 and e[5] == 0.0
+    # <embed(u), y> == <u, mask(y)>
+    y = rng.standard_normal(7)
+    assert math.isclose(float(e @ y), float(u @ mask_vector(y, S)))
+
+
+def test_mask_embed_shape_errors():
+    S = CoordSet((0, 1), 3)
+    with pytest.raises(InvalidSetError):
+        mask_vector(np.zeros(4), S)
 
 
 def _arange_draw(rng, n, tau):

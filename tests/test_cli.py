@@ -2,12 +2,13 @@ import ast
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockprox import checks, cli, linalg
+from blockprox import checks, cli, linalg, objectives
 from blockprox.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -132,7 +133,7 @@ def test_cmd_run_instance_roundtrip(tmp_path):
     gen_path = write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "out"))
     inst = cmd_gen(load_config(gen_path), out_path=str(tmp_path / "i.json"))
     body = SMOOTH_CFG.format(out=tmp_path / "out2").replace(
-        "kind = generated", f"instance = {inst}")
+        "kind = generated\nm = 30\nn = 8\nseed = 0", f"instance = {inst}")
     report, code = cmd_run(load_config(write_cfg(tmp_path, body, "c2.ini")))
     assert code == EXIT_OK
 
@@ -385,7 +386,7 @@ def test_bad_instance_file_is_config_error(tmp_path, capsys, content):
     if content is not None:
         inst.write_text(content)
     body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
-        "kind = generated", f"instance = {inst}")
+        "kind = generated\nm = 30\nn = 8\nseed = 0", f"instance = {inst}")
     assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
 
@@ -408,7 +409,8 @@ def test_nan_l1_weight_in_instance_file_is_config_error(tmp_path, capsys):
     payload["lambda"] = float("nan")
     inst.write_text(json.dumps(payload))  # written as the JSON token NaN
     body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
-        "kind = generated", f"instance = {inst}").replace("importance, ", "")
+        "kind = generated\nm = 30\nn = 8\nseed = 0", f"instance = {inst}").replace(
+        "importance, ", "")
     assert main(["run", write_cfg(tmp_path, body)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and "l1 weight" in err
@@ -585,8 +587,9 @@ def test_run_settings_end_in_exit_codes(tmp_path, capsys, edit, command, expecte
 def test_rates_at_a_tiny_epsilon_is_config_error(tmp_path, capsys, kind, epsilon):
     """At these epsilons K(epsilon) overflows to inf (general nonconvex,
     weakly PL) or divides by an epsilon product that underflows to 0."""
+    sizes = "m = 30\n" if kind == "generated" else ""  # quadratic reads no m
     body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
-        "kind = generated\nm = 30", f"kind = {kind}\nm = 30")
+        "kind = generated\nm = 30\n", f"kind = {kind}\n{sizes}")
     path = write_cfg(tmp_path, body)
     assert main(["rates", path, "--epsilon", epsilon]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -924,6 +927,12 @@ def test_twin_runs_write_the_same_bytes_but_the_timing_column(tmp_path, monkeypa
     (("n = 8", "n = 8\ncond = 3"), "unknown key 'cond' in [problem]"),
     (("kind = generated\nm = 30\nn = 8\nseed = 0", "kind = plateau\nbox = 2"),
      "unknown key 'box' in [problem]"),
+    # a key is accepted only where a builder reads it
+    (("kind = generated\nm = 30", "kind = quadratic\nm = 30"), "unknown key 'm' in [problem]"),
+    (("kind = generated\nm = 30\nn = 8\nseed = 0", "instance = i.json\nlambda = 0.3"),
+     "unknown key 'lambda' in [problem]"),
+    (("kind = generated\nm = 30\nn = 8\nseed = 0", "kind = quadratic\ninstance = i.json"),
+     "an instance is a generated problem, not kind = quadratic"),
     (("dir = ", "directory = "), "unknown key 'directory' in [output]"),
     (("[output]", "[outputs]"), "unknown section [outputs]"),
     (("[problem]", "[DEFAULT]\nseed = 1\n[problem]"), "unknown section [DEFAULT]"),
@@ -950,7 +959,7 @@ def test_every_documented_key_is_accepted(tmp_path):
            f"[output]\ndir = {tmp_path / 'out'}\n")
     problems = {
         "generated": "m = 10\nn = 3\nseed = 2\nlambda = 0.1\n",
-        "quadratic": "m = 10\nn = 3\nseed = 2\nlambda = 0.1\ncond = 4\n",
+        "quadratic": "n = 3\nseed = 2\nlambda = 0.1\ncond = 4\n",
         "plateau": "c = 1.5\n",
         "product_square": "box = 2\n",
         "huber_product": "box = 2\n",
@@ -960,6 +969,103 @@ def test_every_documented_key_is_accepted(tmp_path):
         assert build_problem(cfg).dim in (1, 2, 3) and cfg.budget == 10
     inst = cmd_gen(load_config(write_cfg(tmp_path, f"[problem]\n{problems['generated']}{run}")),
                    out_path=str(tmp_path / "i.json"))
-    cfg = load_config(write_cfg(tmp_path, f"[problem]\ninstance = {inst}\n"
-                                          f"{problems['generated']}{run}"))
+    cfg = load_config(write_cfg(tmp_path, f"[problem]\ninstance = {inst}\nkind = generated\n"
+                                          f"{run}"))
     assert build_problem(cfg).dim == 3
+
+
+#: A value other than the default for each key the schema lists.
+OTHER_VALUES = {"m": "60", "n": "5", "seed": "3", "lambda": "0.1", "cond": "3",
+                "c": "1.5", "box": "3"}
+
+
+def _built(problem):
+    """What tells two built problems apart: the l1 weight, M, and F at a
+    point."""
+    x = np.linspace(-1.0, 1.0, problem.dim)
+    return problem.regularizer.lam, problem.objective.smoothness.tobytes(), problem.F(x)
+
+
+@pytest.mark.parametrize("kind", list(cli.PROBLEM_KINDS))
+def test_every_key_a_kind_accepts_changes_the_built_problem(tmp_path, kind):
+    """A key is accepted exactly where its builder reads it: each key the
+    schema lists for a kind changes the problem built, its default builds
+    the problem the key's absence does, and report.json's `problem` holds
+    the builder's arguments."""
+    def built(lines):
+        cfg = load_config(write_cfg(tmp_path, f"[problem]\nkind = {kind}\n{lines}"))
+        return cli.problem_arguments(cfg), _built(build_problem(cfg))
+
+    args, default = built("")
+    keys = cli.PROBLEM_KINDS[kind][1]
+    assert list(args) == ["kind", *keys]
+    for key in keys:
+        assert built(f"{key} = {args[key]!r}\n") == (args, default)
+        changed_args, changed = built(f"{key} = {OTHER_VALUES[key]}\n")
+        assert changed != default, key
+        assert changed_args == {**args, key: type(args[key])(OTHER_VALUES[key])}
+    if kind == "plateau":
+        assert args["c"] == objectives.flat_inflection_coefficient()
+
+
+def test_the_module_docstring_lists_the_schema():
+    doc = cli.__doc__
+    blocks = dict(re.findall(r"^    \[(\w+)\]\n((?:    .*\n)+)", doc, re.M))
+    keys = {name: re.findall(r"^    (\w+) = ", block, re.M) for name, block in blocks.items()}
+    assert keys == {"problem": ["kind"], "rules": ["rules"], "run": list(cli.RUN_KEYS),
+                    "output": ["dir"]}
+    assert list(cli.SECTION_KEYS) == ["rules", "run", "output"]
+    kinds = re.search(r"^    kind = (.*)$", blocks["problem"], re.M).group(1)
+    assert kinds.split(" | ") == list(cli.PROBLEM_KINDS)
+    listed = re.findall(r"^    # (\w+): (.*)$", blocks["problem"], re.M)
+    assert {kind: names.split(", ") for kind, names in listed} == {
+        kind: list(schema) for kind, (_, schema) in cli.PROBLEM_KINDS.items()}
+
+
+def test_the_readme_example_config_loads_and_builds(tmp_path):
+    readme = Path(cli.__file__).parents[2] / "README.md"
+    block, = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    cfg = load_config(write_cfg(tmp_path, block))
+    assert build_problem(cfg).dim == 50
+    assert [rule.name for rule in build_rules(cfg, 50)] == cfg.rule_specs
+
+
+def test_report_problem_holds_the_builders_arguments(tmp_path):
+    inst = cmd_gen(load_config(write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "o"))),
+                   out_path=str(tmp_path / "i.json"))
+    for problem, expected in (
+            ("kind = generated\nm = 30\nn = 8\nseed = 0",
+             {"kind": "generated", "m": 30, "n": 8, "seed": 0, "lambda": 0.0}),
+            ("kind = quadratic\nn = 6\nlambda = 0.02",
+             {"kind": "quadratic", "n": 6, "cond": 10.0, "seed": 4, "lambda": 0.02}),
+            (f"instance = {inst}", {"instance": inst})):
+        body = SMOOTH_CFG.format(out=tmp_path / "out").replace(
+            "kind = generated\nm = 30\nn = 8\nseed = 0", problem).replace(
+            "rules = full, uniform, importance, greedy, cyclic, nice:3, greedymb:3",
+            "rules = full")
+        assert main(["--seed", "4", "run", write_cfg(tmp_path, body)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["problem"] == expected
+
+
+def test_min_xi_shows_a_run_below_the_empirical_optimum(tmp_path):
+    """On this L1 instance the empirical optimum is a local minimum that
+    `uniform` undercuts; the audit passes on the rows it skips (xi < 0),
+    and min_xi is what shows it."""
+    lam = 0.2 * float(np.abs(gen_instance(40, 12, 0).grad_f(np.zeros(12))).max())
+    body = (f"[problem]\nkind = generated\nm = 40\nn = 12\nseed = 0\nlambda = {lam!r}\n"
+            "[rules]\nrules = uniform\n[run]\nmax_iters = 240\ndiagnostics = true\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+    report, code = cmd_run(load_config(write_cfg(tmp_path, body)))
+    assert code == EXIT_OK
+    entry, = report["runs"]
+    assert entry["verified"]
+    assert entry["min_xi"] < -0.03
+    with open(entry["trace"]) as fh:
+        xi = [float(row["xi"]) for row in csv.DictReader(fh)]
+    assert entry["min_xi"] == min(xi + [entry["final_xi"]])
+
+    # with no optimum there is no gap to report
+    report, code = cmd_run(load_config(write_cfg(tmp_path, body.replace(
+        "diagnostics = true", "diagnostics = false"))))
+    assert code == EXIT_OK and report["runs"][0]["min_xi"] is None

@@ -1,5 +1,4 @@
 import ast
-import math
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from blockprox.linalg import (
     check_symmetric,
     eig_extremes,
     enumerate_subsets,
-    mask_vector,
     subset_count,
 )
 from blockprox.objectives import Objective
@@ -53,26 +51,6 @@ def test_coordset_block_text_is_built_once_and_read_only():
     assert s.block_text is s.block_text
     with pytest.raises(AttributeError):  # a frozen dataclass
         s.block_text = "2"
-
-
-def test_mask_and_embed_are_adjoint():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(7)
-    S = CoordSet((1, 3, 6), 7)
-    u = mask_vector(x, S)
-    assert u.tolist() == [x[1], x[3], x[6]]
-    e = np.zeros(7)
-    e[S.array] = u  # the scatter onto S, zeros elsewhere
-    assert e[1] == x[1] and e[0] == 0.0 and e[5] == 0.0
-    # <embed(u), y> == <u, mask(y)>
-    y = rng.standard_normal(7)
-    assert math.isclose(float(e @ y), float(u @ mask_vector(y, S)))
-
-
-def test_mask_embed_shape_errors():
-    S = CoordSet((0, 1), 3)
-    with pytest.raises(InvalidSetError):
-        mask_vector(np.zeros(4), S)
 
 
 def test_check_symmetric_rejects_asymmetry():

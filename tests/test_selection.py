@@ -445,7 +445,7 @@ def test_every_row_of_the_rule_table(kind, tmp_path, capsys):
     smooth = CompositeProblem(make_quadratic(M))
     grad = smooth.grad_f(x)
     cert = engine.certificate(smooth, x, grad=grad)
-    if rule.is_randomized:
+    if rule.row.randomized:
         assert exact_expected_theta(rule, smooth, grad, cert) > 0
     else:
         with pytest.raises(ValueError, match="deterministic"):
@@ -467,7 +467,7 @@ def test_every_row_of_the_rule_table(kind, tmp_path, capsys):
     else:
         with pytest.raises(ValueError, match="not offered"):
             select(rule, prox, 0, grad, cert.lambda_per_coord)
-        if rule.is_randomized:
+        if rule.row.randomized:
             with pytest.raises(ValueError, match="not offered"):
                 exact_expected_theta(rule, prox, grad, cert)
         with pytest.raises(rates.NoGuaranteeError):
