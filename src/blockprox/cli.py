@@ -51,10 +51,13 @@ import contextlib
 import json
 import math
 import os
+import platform
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import descent, linalg, objectives, rates
 from .checks import EXIT_OK, EXIT_VERIFY, run_check_suite
@@ -265,6 +268,18 @@ def cmd_gen(cfg: ExperimentConfig, out_path=None) -> str:
     return path
 
 
+def library_versions() -> dict:
+    """The Python, numpy and scipy versions, and the name and version of the
+    BLAS each of numpy and scipy was built with (each ships its own)."""
+    def blas(show_config):
+        info = show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        return {key: info.get(key) for key in ("name", "version")}
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"numpy": blas(np.show_config), "scipy": blas(scipy.show_config)}}
+
+
 def cmd_run(cfg: ExperimentConfig):
     problem = build_problem(cfg)
     rules = build_rules(cfg, problem.dim)
@@ -282,12 +297,15 @@ def cmd_run(cfg: ExperimentConfig):
     all_verified = True
     for rule in rules:
         name = rule.name
+        start = time.perf_counter()
         try:
             result = descent.run(problem, rule, run_cfg)
         except descent.NumericFailureError as exc:
             any_numeric_failure = True
-            entries[name] = {"rule": name, "error": str(exc)}
+            entries[name] = {"rule": name, "error": str(exc),
+                             "wall_s": time.perf_counter() - start}
             continue
+        wall_s = time.perf_counter() - start
         if name == "full":
             full_rule, full_result = rule, result
         trace_path = os.path.join(cfg.out_dir, f"trace_{name.replace(':', '_')}.csv")
@@ -310,6 +328,8 @@ def cmd_run(cfg: ExperimentConfig):
             "cumulative_decrease": first_F - result.final_F,
             "heuristic_selection_used": bool(trace.heuristic.any()),
             "heuristic_selections": int(trace.heuristic.sum()),
+            # the run's set-up (its L, selection and step functions) and steps
+            "wall_s": wall_s,
         }
         if cfg.diagnostics:
             report = descent.verify_trace(result)
@@ -329,6 +349,7 @@ def cmd_run(cfg: ExperimentConfig):
         "enumeration_budget": cfg.budget,
         "opt_value": problem.opt_value,
         "opt_value_is_empirical": problem.opt_value_is_empirical,
+        "versions": library_versions(),
         "runs": [entries[r.name] for r in rules],
     }
     if "greedy" in entries and "uniform" in entries and \

@@ -156,6 +156,33 @@ def _finite_gradient(grad: np.ndarray) -> bool:
     return math.isfinite(ddot(grad, grad)) or bool(np.isfinite(grad).all())
 
 
+def _l1_after_move(reg, x: np.ndarray, serial: bool):
+    """g = lam ||x||_1 at the iterate a move leads to, as a function
+    `g_after(x, x_next, S)` of the iterates before and after the move by the
+    set S.  After a block move it is `reg.value(x_next)`.  A serial run keeps
+    ||x||_1 as a running Python float instead: a move of coordinate i adds
+    |x_next_i| - |x_i| to it, and every n-th move retakes it from x_next
+    with the bits of `reg.value`, so g costs O(1) between retakes and drifts
+    by rounding only within n moves."""
+    if not serial:
+        value = reg.value
+        return lambda x, x_next, S: value(x_next)
+    weight, n = reg.lam, len(x)
+    norm1, moves = float(np.abs(x).sum()), 0
+
+    def g_after(x, x_next, S):
+        nonlocal norm1, moves
+        moves += 1
+        if moves == n:
+            norm1, moves = float(np.abs(x_next).sum()), 0
+        else:
+            i = S.indices[0]
+            norm1 += abs(x_next.item(i)) - abs(x.item(i))
+        return weight * norm1
+
+    return g_after
+
+
 def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult:
     """Block descent from x0 under `rule`.
 
@@ -177,6 +204,13 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     serial step whose u is not finite ends the run as an objective that is
     not finite, before the move.
 
+    F is f from the state plus g = lam ||x||_1.  A block run takes g from x
+    after every move (`L1Regularizer.value`).  A serial run keeps ||x||_1 as
+    a running Python float: each move adds |x_next_i| - |x_i| for its
+    coordinate i, and every n-th move retakes the norm from x with
+    `L1Regularizer.value`'s bits, so F, xi and mu drift from f + g(x) by
+    rounding within n moves only.  The smooth path adds g's 0.0.
+
     The loop computes `engine.certificate` only where it reads it: under
     stop_on "certificate", for a greedy rule on the prox path (which selects
     by lambda_i), and, with diagnostics, for a prox-path block step of two
@@ -197,8 +231,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
     state = problem.objective.state_at(x)
-    g_value = problem.regularizer.value
-    F_cur = state.f + g_value(x)
+    F_cur = state.f + problem.regularizer.value(x)
     if not math.isfinite(F_cur):
         raise NumericFailureError("objective not finite at the initial point", x)
 
@@ -235,6 +268,8 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     # certificate reads only its g_i
     lazy = serial and not (need_cert or rule.row.greedy)
     move, move_coordinate, grad_entry = state.move, state.move_coordinate, state.grad_entry
+    if prox_path:
+        g_after = _l1_after_move(problem.regularizer, x, serial)
 
     F_init = F_cur
     gap_floor = 1e-14 * max(1.0, abs(F_init))
@@ -310,7 +345,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
             step_norm = math.sqrt(float(u_S.dot(u_S)))
         x_next = state.x
         if prox_path:
-            F_next = state.f + g_value(x_next)
+            F_next = state.f + g_after(x, x_next, S)
         else:  # g is 0: its value is the float 0.0
             F_next = state.f + 0.0
         if not math.isfinite(F_next):

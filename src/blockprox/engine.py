@@ -6,7 +6,8 @@ per-rule bounds live in the test suite as independent oracles.  Functions
 that need grad f(x) take it as an optional `grad` argument, so that a
 caller holding it already (the descent loop) does not recompute it.  On the
 scalar-L prox path the certificate is a numpy expression over the L1
-regularizer's array maps, one entry per coordinate.  There the block model
+regularizer's array maps, one entry per coordinate, evaluated into its two
+output arrays and one scratch array.  There the block model
 U_S is the full-space separable model restricted to S, so a block step
 reads its step and decrease off the model's entries at S, whatever the
 block: given the certificate at the same (x, grad f(x), L), the model is
@@ -70,13 +71,26 @@ def _prox_model(reg, x, grad, L: float):
 
         v_i   = prox(x_i - grad_i / L, L) - x_i
         lam_i = max(-L (grad_i v_i + L v_i^2 / 2 + g(x_i + v_i) - g(x_i)), 0)
+
+    as fresh arrays v and lam, each operation of the two expressions, in
+    their order, written into them or into one scratch array.
     """
-    v = reg.prox_array(x - grad / L, L) - x
-    model = (grad * v + 0.5 * L * v * v + reg.value_array(x + v)
-             - reg.value_array(x))
-    lam = -L * model
+    scratch = np.divide(grad, L)
+    np.subtract(x, scratch, out=scratch)  # c = x - grad / L
+    v = reg.prox_array(scratch, L)
+    np.subtract(v, x, out=v)
+    # ((grad v + (L / 2) v v) + g(x + v)) - g(x), accumulated in lam
+    lam = np.multiply(grad, v)
+    np.multiply(v, 0.5 * L, out=scratch)
+    np.multiply(scratch, v, out=scratch)
+    np.add(lam, scratch, out=lam)
+    np.add(x, v, out=scratch)
+    np.add(lam, reg.value_array(scratch, out=scratch), out=lam)
+    np.subtract(lam, reg.value_array(x, out=scratch), out=lam)
+    np.multiply(lam, -L, out=lam)
     # max(lam, 0.0) entrywise, keeping lam when it is not below 0.0 (-0.0, nan)
-    return v, np.where(0.0 > lam, 0.0, lam)
+    np.copyto(lam, 0.0, where=lam < 0.0)
+    return v, lam
 
 
 def _gradient(problem: CompositeProblem, x: np.ndarray, grad) -> np.ndarray:

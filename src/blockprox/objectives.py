@@ -303,8 +303,10 @@ class L1Regularizer:
 
     The certificate and block steps read g through array maps over all
     coordinates, `value_array(v)` (the entries lam |v_j|) and
-    `prox_array(c, ell)`; a one-coordinate step without a certificate reads
-    their scalar twins `value_i(v)` and `prox(c, ell)`.
+    `prox_array(c, ell)`, each written into `out` when it is given (an array
+    of their result's shape that is not their argument); a one-coordinate
+    step without a certificate reads their scalar twins `value_i(v)` and
+    `prox(c, ell)`.
     """
 
     strong_convexity_F: float = 0.0
@@ -322,11 +324,15 @@ class L1Regularizer:
         t = self.lam / ell
         return math.copysign(max(abs(c) - t, 0.0), c)
 
-    def value_array(self, v):
-        return self.lam * np.abs(v)
+    def value_array(self, v, out=None):
+        out = np.abs(v, out=out)
+        return np.multiply(out, self.lam, out=out)
 
-    def prox_array(self, c, ell):
-        return np.copysign(np.maximum(np.abs(c) - self.lam / ell, 0.0), c)
+    def prox_array(self, c, ell, out=None):
+        out = np.abs(c, out=out)
+        np.subtract(out, self.lam / ell, out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.copysign(out, c, out=out)
 
     def value(self, x):
         return self.lam * float(np.abs(x).sum()) if self.lam else 0.0

@@ -270,7 +270,7 @@ def _certificate_greedy(rule: BlockRule):
             raise ValueError("greedy selection on a nonsmooth problem needs "
                              "per-coordinate certificates")
         if serial:
-            return singletons[np.argmax(lambda_per_coord)]
+            return singletons[lambda_per_coord.argmax()]
         order = np.argsort(-lambda_per_coord, kind="stable")  # ties resolve to lowest index
         picked = np.sort(order[:tau])
         return CoordSet._trusted(tuple(picked.tolist()), n, picked)

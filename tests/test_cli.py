@@ -790,7 +790,7 @@ def test_report_carries_the_enumeration_budget_in_force(tmp_path, budget):
     expected = linalg.DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     assert report["enumeration_budget"] == expected
     assert list(report) == ["problem", "seed", "max_iters", "enumeration_budget",
-                            "opt_value", "opt_value_is_empirical", "runs"]
+                            "opt_value", "opt_value_is_empirical", "versions", "runs"]
 
 
 def test_tables_that_cannot_be_allocated_are_a_config_error(tmp_path, capsys, monkeypatch):
@@ -884,12 +884,17 @@ def test_quadratic_with_no_coordinates_is_a_config_error_naming_n(tmp_path, caps
 
 def _outputs_without_ns(out_dir):
     """Every file `run` wrote, by name, the trace CSVs without their ns
-    column (the last one)."""
+    column (the last one) and report.json without its run entries' wall_s."""
     outputs = {}
     for path in sorted(Path(out_dir).iterdir()):
         data = path.read_bytes()
         if path.name.startswith("trace_"):
             data = b"\r\n".join(row.rsplit(b",", 1)[0] for row in data.split(b"\r\n"))
+        elif path.name == "report.json":
+            report = json.loads(data)
+            for entry in report["runs"]:
+                del entry["wall_s"]
+            data = json.dumps(report, indent=2).encode()
         outputs[path.name] = data
     return outputs
 
@@ -1069,3 +1074,42 @@ def test_min_xi_shows_a_run_below_the_empirical_optimum(tmp_path):
     report, code = cmd_run(load_config(write_cfg(tmp_path, body.replace(
         "diagnostics = true", "diagnostics = false"))))
     assert code == EXIT_OK and report["runs"][0]["min_xi"] is None
+
+
+def test_report_carries_library_versions_and_each_runs_wall_time(tmp_path, monkeypatch):
+    """report.json's top level names the Python, numpy and scipy versions
+    and the BLAS each was built with; each run entry carries its wall time,
+    which holds its steps (the trace's ns) and its set-up outside them (say
+    the greedy minibatch's forms).  A run that fails numerically has one
+    too."""
+    import platform
+
+    import scipy
+
+    path = write_cfg(tmp_path, SMOOTH_CFG.format(out=tmp_path / "out"))
+    run = cli.descent.run
+
+    def failing_cyclic(problem, rule, cfg):
+        if rule.name == "cyclic":
+            raise cli.descent.NumericFailureError("objective not finite after iteration 0")
+        return run(problem, rule, cfg)
+
+    monkeypatch.setattr(cli.descent, "run", failing_cyclic)
+    _, code = cmd_run(load_config(path))
+    assert code == cli.EXIT_NUMERIC
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    versions = report["versions"]
+    assert {key: versions[key] for key in ("python", "numpy", "scipy")} == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__}
+    assert sorted(versions["blas"]) == ["numpy", "scipy"]
+    for blas in versions["blas"].values():
+        assert sorted(blas) == ["name", "version"]
+        assert all(isinstance(value, str) and value for value in blas.values())
+    assert [e["rule"] for e in report["runs"] if "error" in e] == ["cyclic"]
+    for entry in report["runs"]:
+        assert type(entry["wall_s"]) is float and entry["wall_s"] > 0, entry["rule"]
+        if "error" not in entry:
+            with open(entry["trace"], newline="") as fh:
+                ns = sum(int(row["ns"]) for row in csv.DictReader(fh))
+            assert entry["wall_s"] > ns * 1e-9, entry["rule"]

@@ -235,3 +235,72 @@ def test_one_element_minibatch_runs_bit_identical_to_generic_operations(kind, m,
         result = run(problem, parse_rule(spec, n, default_seed=seed),
                      RunConfig(max_iters=iters, record_diagnostics=True))
         _assert_run_matches_the_reference(problem, result, reference, True, True, spec)
+
+
+def _exact_l1_after_move(moves):
+    """A stand-in for `descent._l1_after_move` that takes g = lam ||x||_1
+    afresh after every move, `regularizer.value(x_next)`, and records each
+    move's coordinate before and after."""
+
+    def build(reg, x, serial):
+        def g_after(x, x_next, S):
+            moves.extend((x.item(i), x_next.item(i)) for i in S.indices)
+            return reg.value(x_next)
+
+        return g_after
+
+    return build
+
+
+@pytest.mark.parametrize("m, n, iters", [(40, 12, 5000), (1000, 100, 2000)])
+@pytest.mark.parametrize("spec", ["uniform", "cyclic", "greedy"])
+def test_running_l1_norm_keeps_F_within_STATE_RTOL(monkeypatch, spec, m, n, iters):
+    """A serial L1 run keeps ||x||_1 as a running float, retaken every n
+    moves.  Against runs whose g is `regularizer.value` after every move:
+    x, the blocks, lambda, theta and the step norms bit for bit; F, xi, mu,
+    final_F and min_xi within STATE_RTOL of max(|F|, |F(x0)|), on runs from
+    a point of mixed signs in which coordinates cross 0 and are thresholded
+    to exactly 0."""
+    from blockprox import descent
+
+    problem = gen_instance(m, n, 3)
+    lam = 0.2 * float(np.abs(problem.grad_f(np.zeros(n))).max())
+    problem = gen_instance(m, n, 3, lam=lam)
+    empirical_optimum(problem)
+    x0 = np.random.default_rng(n).standard_normal(n)
+    F_0 = abs(problem.F(x0))
+    running_l1 = descent._l1_after_move
+    for diagnostics in (True, False):
+        cfg = RunConfig(max_iters=iters, x0=x0, record_diagnostics=diagnostics)
+        got = run(problem, parse_rule(spec, n, default_seed=5), cfg)
+        moves = []
+        monkeypatch.setattr(descent, "_l1_after_move", _exact_l1_after_move(moves))
+        want = run(problem, parse_rule(spec, n, default_seed=5), cfg)
+        monkeypatch.setattr(descent, "_l1_after_move", running_l1)
+        what = (spec, diagnostics)
+        assert len(moves) == iters, what
+        assert any(a * b < 0 for a, b in moves), what
+        assert any(a != 0.0 and b == 0.0 for a, b in moves), what
+        assert got.x.tobytes() == want.x.tobytes(), what
+        assert got.trace.blocks == want.trace.blocks, what
+        for column in ("lam", "theta", "step_norm"):
+            a, b = getattr(got.trace, column), getattr(want.trace, column)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (what, column)
+        scale = np.maximum(np.abs(want.trace.F), F_0)
+        assert (np.abs(got.trace.F - want.trace.F) <= STATE_RTOL * scale).all(), what
+        F = want.final_F
+        assert abs(got.final_F - F) <= STATE_RTOL * max(abs(F), F_0), what
+        assert abs(got.final_xi - want.final_xi) <= STATE_RTOL * max(abs(F), F_0), what
+        if not diagnostics:
+            assert got.trace.mu is None, what
+            continue
+        assert (np.abs(got.trace.xi - want.trace.xi) <= STATE_RTOL * scale).all(), what
+        min_xi = [float(r.trace.xi.min(initial=r.final_xi)) for r in (got, want)]
+        assert abs(min_xi[0] - min_xi[1]) <= STATE_RTOL * max(abs(F), F_0), what
+        # mu = lam / xi with lam bit for bit: xi's error carried through
+        lams, xi = want.trace.lam, want.trace.xi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            carried = np.nan_to_num(lams * STATE_RTOL * scale / np.abs(got.trace.xi * xi),
+                                    nan=np.inf)
+        assert (np.abs(got.trace.mu - want.trace.mu)
+                <= carried + 4e-16 * np.abs(want.trace.mu)).all(), what

@@ -267,9 +267,18 @@ def test_nonsmooth_block_step_matches_scalar_oracle_bitwise():
             assert _bits(step.decrease) == _bits(max(decrease, 0.0))
 
 
+def _into(out, values):
+    """values as an array, written into `out` when it is given."""
+    if out is None:
+        return np.array(values)
+    out[...] = values
+    return out
+
+
 class _ScalarL1:
     """L1 through scalar callbacks only: its array maps call them once per
-    coordinate, an oracle for L1Regularizer's numpy expressions."""
+    coordinate (into `out`, as L1Regularizer's maps write), an oracle for
+    L1Regularizer's numpy expressions."""
 
     is_zero = False
     strong_convexity_F = 0.0
@@ -283,11 +292,11 @@ class _ScalarL1:
     def prox(self, c, ell):
         return math.copysign(max(abs(c) - self.lam / ell, 0.0), c)
 
-    def value_array(self, v):
-        return np.array([self.value_i(float(vi)) for vi in v])
+    def value_array(self, v, out=None):
+        return _into(out, [self.value_i(float(vi)) for vi in v])
 
-    def prox_array(self, c, ell):
-        return np.array([self.prox(float(ci), ell) for ci in c])
+    def prox_array(self, c, ell, out=None):
+        return _into(out, [self.prox(float(ci), ell) for ci in c])
 
     def value(self, x):
         return float(self.value_array(x).sum())
@@ -383,3 +392,57 @@ def test_prox_step_refuses_a_certificate_at_another_L():
                       cert=certificate(smooth, x, 2.0, grad=g))
     assert step.u_S.tobytes() == block_step(smooth, x, S, grad=g).u_S.tobytes()
     assert certificate(smooth, x, grad=g).step_per_coord is None
+
+
+@pytest.mark.parametrize("L", [0.5, 4.0, 2.7])
+def test_prox_model_matches_scalar_oracle_at_the_edges_bitwise(L):
+    """`_prox_model` writes its operations into its output arrays and one
+    scratch array; each entry keeps the bits of the scalar oracle on a grid
+    of x and grad f(x) with x = +-0.0, c = x - grad / L at +-lam / L exactly
+    (L a power of two), just inside and outside it, and entries whose
+    lambda_i is -0.0 (kept, where max(lam_i, 0.0) in numpy would give
+    +0.0).  v and lambda are fresh arrays."""
+    lam = 0.2
+    reg = make_l1(lam)
+    xs = [0.0, -0.0, 0.3, -2.0, 1e-3, -1e-300]
+    grads = [0.0, -0.0, lam, -lam, lam * (1 + 2**-52), -lam * (1 - 2**-53),
+             lam * (1 - 2**-53), 1.5, -0.01, 5e-324, -5e-324]
+    x, g = (np.array(grid).ravel() for grid in np.meshgrid(xs, grads))
+    x_in, g_in = x.copy(), g.copy()
+    v, lam_per = engine._prox_model(reg, x, g, L)
+    assert x.tobytes() == x_in.tobytes() and g.tobytes() == g_in.tobytes()
+    assert not any(np.shares_memory(a, b) for a, b in ((v, lam_per), (v, x), (v, g),
+                                                       (lam_per, x), (lam_per, g)))
+    v_oracle = [reg.prox(x_i - g_i / L, L) - x_i for x_i, g_i in zip(x.tolist(), g.tolist())]
+    lam_oracle = [_lambda_oracle(reg, x_i, g_i, L) for x_i, g_i in zip(x.tolist(), g.tolist())]
+    np.testing.assert_array_equal(_bits(v), _bits(v_oracle))
+    np.testing.assert_array_equal(_bits(lam_per), _bits(lam_oracle))
+    negative_zero = (lam_per == 0.0) & np.signbit(lam_per)
+    assert negative_zero.any() and (~negative_zero & (lam_per == 0.0)).any()
+    if L in (0.5, 4.0):  # c lands on the threshold +-lam / L exactly
+        at_edge = (x == 0.0) & (np.abs(x - g / L) == lam / L)
+        assert at_edge.any() and (v[at_edge] == 0.0).all()
+
+
+def test_a_full_prox_step_survives_the_next_certificate():
+    """A full-set prox step's u_S is the model's v itself, with or without
+    the certificate it was read off: evaluating the model at the next
+    iterate leaves it, and the certificate it came from, unchanged."""
+    p = gen_instance(60, 20, seed=4, lam=0.05)
+    full = CoordSet.full(20)
+    x = np.random.default_rng(3).standard_normal(20)
+    for with_cert in (True, False):
+        grad = p.grad_f(x)
+        cert = certificate(p, x, grad=grad)
+        step = block_step(p, x, full, grad=grad, cert=cert if with_cert else None)
+        u_S, v, lam_per = (a.tobytes() for a in (step.u_S, cert.step_per_coord,
+                                                 cert.lambda_per_coord))
+        if with_cert:
+            assert step.u_S is cert.step_per_coord
+        x_next = x + step.u_S
+        nxt = certificate(p, x_next, grad=p.grad_f(x_next))
+        block_step(p, x_next, full, grad=p.grad_f(x_next))
+        assert not np.shares_memory(nxt.step_per_coord, step.u_S)
+        assert step.u_S.tobytes() == u_S
+        assert (cert.step_per_coord.tobytes(), cert.lambda_per_coord.tobytes()) == (v, lam_per)
+        x = x_next
