@@ -16,7 +16,8 @@ sets, appended to as the loop goes.  A diagnostics run whose steps do not
 read the certificate keeps what forms each iterate's gradient
 (`IterateState.gradient_chunk`) and fills its `lam` column a chunk of
 iterates at a time (`engine.certificate_totals`), with the bits of a
-certificate per iterate.
+certificate per iterate; on the prox path the same pass takes the block
+decreases of steps of two or more coordinates, which form none.
 Rows are `IterationRecord` views of Python scalars, built on read.  The
 audit and the CSV writer read the columns, so an audit is a few numpy
 operations per column.
@@ -212,19 +213,22 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     rounding within n moves only.  The smooth path adds g's 0.0.
 
     The loop computes `engine.certificate` only where it reads it: under
-    stop_on "certificate", for a greedy rule on the prox path (which selects
-    by lambda_i), and, with diagnostics, for a prox-path block step of two
-    or more coordinates, which reads its step off it.  So the prox model is
-    evaluated once per iterate.  Any other diagnostics run keeps what forms
-    each iterate's gradient (`IterateState.gradient_chunk`), and x on the
-    prox path, in a chunk of rows within `linalg.SUBSET_CHUNK_BYTES`; the
-    chunk's gradients are formed at once and `engine.certificate_totals`
-    takes their lambda totals in one pass, outside the steps' timers
-    (`elapsed_ns` times the step: the gradient or its entry and its guard,
-    any certificate, the copy into the chunk, the selection, the step, the
-    move and f).  Each step appends to the trace's columns; xi, mu and
-    theta are derived from them in numpy when the loop ends.  `final_lambda`, when the run has
-    certificates, is the one at the returned x.
+    stop_on "certificate" and for a greedy rule on the prox path (which
+    selects by lambda_i); such a run's block steps read their step and
+    decrease off it, so the prox model is evaluated once per iterate.  A
+    prox-path block step without a certificate (`full`, `nice:tau`) computes
+    only its prox step on S and forms no decrease.  Any other diagnostics
+    run keeps what forms each iterate's gradient
+    (`IterateState.gradient_chunk`), and x on the prox path, in a chunk of
+    rows within `linalg.SUBSET_CHUNK_BYTES`; the chunk's gradients are
+    formed at once and `engine.certificate_totals` takes their lambda
+    totals in one pass, and on the prox path the block decreases of the
+    rows' blocks, outside the steps' timers (`elapsed_ns` times the step:
+    the gradient or its entry and its guard, any certificate, the copy into
+    the chunk, the selection, the step, the move and f).  Each step appends
+    to the trace's columns; xi, mu and theta are derived from them in numpy
+    when the loop ends.  `final_lambda`, when the run has certificates, is
+    the one at the returned x.
     """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
@@ -246,13 +250,15 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     if stop_on_gap and not has_opt:
         raise ValueError("gap stopping needs a known or empirical optimum")
 
-    # a certificate in the loop where the loop reads it; a prox-path block
-    # step of two or more coordinates would evaluate the same model itself
+    # a certificate in the loop where the loop reads it
     prox_path = not problem.smooth_path
-    need_cert = (stop_on_cert or (prox_path and rule.row.greedy)
-                 or (diagnostics and prox_path and rule.max_block_size > 1))
+    need_cert = stop_on_cert or (prox_path and rule.row.greedy)
     keeps_lam = need_cert or diagnostics
     chunked = diagnostics and not need_cert
+    serial = rule.max_block_size == 1
+    # a prox-path block step without a certificate forms no decrease: the
+    # chunk's certificate pass takes it
+    chunk_decreases = chunked and prox_path and not serial
     # a full-batch step depends on x alone, so one that leaves F in place is
     # repeated forever; a serial or minibatch step that does only says its
     # block is at a minimum
@@ -263,7 +269,6 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     # once for the run; a serial step's u is a Python float throughout
     pick = selection.picker(rule, problem)
     step = engine.stepper(problem, rule.max_block_size, L_used)
-    serial = rule.max_block_size == 1
     # a serial step that selects without the gradient and holds no
     # certificate reads only its g_i
     lazy = serial and not (need_cert or rule.row.greedy)
@@ -294,10 +299,15 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         row = 0
 
         def add_chunk_lams(count: int) -> None:
-            """Append the certificate totals of the chunk's first `count` rows."""
+            """Append the certificate totals of the chunk's first `count` rows,
+            and their block decreases where the steps formed none."""
             xs = None if x_rows is None else x_rows[:count]
-            lam_col.frombytes(engine.certificate_totals(
-                problem, xs, grad_chunk.gradients(count), L_used).tobytes())
+            totals, decreases = engine.certificate_totals(
+                problem, xs, grad_chunk.gradients(count), L_used,
+                blocks[-count:] if chunk_decreases else None)
+            lam_col.frombytes(totals.tobytes())
+            if chunk_decreases:
+                decrease_col.frombytes(decreases.tobytes())
 
     for k in range(cfg.max_iters):
         t0 = clock()
@@ -362,7 +372,7 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
         add_heuristic(rule.last_was_heuristic)
         if need_cert:
             add_lam(lam)
-        if diagnostics:
+        if diagnostics and not chunk_decreases:
             add_decrease(decrease)
         stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
         x, F_cur = x_next, F_next

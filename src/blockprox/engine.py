@@ -12,9 +12,11 @@ U_S is the full-space separable model restricted to S, so a block step
 reads its step and decrease off the model's entries at S, whatever the
 block: given the certificate at the same (x, grad f(x), L), the model is
 evaluated once per iterate.  Without a certificate a block of two or more
-coordinates evaluates the model over all n coordinates, and a
-one-coordinate step is taken on Python floats, through the regularizer's
-scalar `prox` and `value_i`, with the same bits.
+coordinates computes only its prox step, on the gather x[S], grad[S], and
+no decrease (`certificate_totals` takes a diagnostics run's block
+decreases beside the certificates), and a one-coordinate step is taken on
+Python floats, through the regularizer's scalar `prox` and `value_i`; each
+has the bits of the model's entries at S.
 
 A step function is built once per block size and path (`stepper`): the
 descent loop builds its rule's once per run, and `block_step` checks its
@@ -26,7 +28,8 @@ state's M x update reads instead of gathering them again.  On the smooth
 path the certificate's entries are grad_i^2 / 2.  `certificate_totals`
 takes the lambda totals of a chunk of iterates in one pass of the same
 per-entry expression over their rows laid end to end, with the bits of one
-certificate per row.
+certificate per row, and, given the rows' blocks, their block decreases
+with the bits of `block_step`'s.
 """
 
 from __future__ import annotations
@@ -65,6 +68,18 @@ class BlockStep:
     decrease: float  # -min_u U_S(x, u), always >= 0
 
 
+def _prox_step(reg, x, grad, L: float):
+    """The prox step v_i = prox(x_i - grad_i / L, L) - x_i, given x and
+    grad f(x) at the same coordinates, as a fresh array, and the fresh
+    scratch array that held c = x - grad / L.  Each operation is
+    elementwise, so v at a gather of coordinates is the gather of v."""
+    scratch = np.divide(grad, L)
+    np.subtract(x, scratch, out=scratch)  # c = x - grad / L
+    v = reg.prox_array(scratch, L)
+    np.subtract(v, x, out=v)
+    return v, scratch
+
+
 def _prox_model(reg, x, grad, L: float):
     """The prox step v and the certificate entries lambda, given x and
     grad f(x) at the same coordinates (all, or a block's):
@@ -73,12 +88,10 @@ def _prox_model(reg, x, grad, L: float):
         lam_i = max(-L (grad_i v_i + L v_i^2 / 2 + g(x_i + v_i) - g(x_i)), 0)
 
     as fresh arrays v and lam, each operation of the two expressions, in
-    their order, written into them or into one scratch array.
+    their order, written into them or into the scratch array of
+    `_prox_step`.
     """
-    scratch = np.divide(grad, L)
-    np.subtract(x, scratch, out=scratch)  # c = x - grad / L
-    v = reg.prox_array(scratch, L)
-    np.subtract(v, x, out=v)
+    v, scratch = _prox_step(reg, x, grad, L)
     # ((grad v + (L / 2) v v) + g(x + v)) - g(x), accumulated in lam
     lam = np.multiply(grad, v)
     np.multiply(v, 0.5 * L, out=scratch)
@@ -123,17 +136,39 @@ def certificate(problem: CompositeProblem, x: np.ndarray, L=None,
 
 
 def certificate_totals(problem: CompositeProblem, xs: np.ndarray | None,
-                       grads: np.ndarray, L: float) -> np.ndarray:
-    """lambda_total at each row of a chunk: the certificates at the iterates
-    xs[j] (None on the smooth path, which does not read x) with gradients
-    grads[j] and L, C-contiguous (rows, n) arrays, in one pass.  Entry j has
-    the bits of `certificate(problem, xs[j], L, grads[j]).lambda_total`: the
-    entries are the same expression over the rows laid end to end (the
-    regularizer's maps take 1-D arrays), and np.add.reduce along the last
-    axis of a C-contiguous array sums each row as it sums a 1-D array."""
+                       grads: np.ndarray, L: float, blocks=None):
+    """lambda_total at each row of a chunk, and, given the rows' `blocks`,
+    each row's block decrease: the certificates at the iterates xs[j] (None
+    on the smooth path, which does not read x) with gradients grads[j] and
+    L, C-contiguous (rows, n) arrays, in one pass.  Returns the pair
+    (totals, decreases), decreases None without `blocks`.
+
+    Entry j of the totals has the bits of
+    `certificate(problem, xs[j], L, grads[j]).lambda_total`: the entries are
+    the same expression over the rows laid end to end (the regularizer's
+    maps take 1-D arrays), and np.add.reduce along the last axis of a
+    C-contiguous array sums each row as it sums a 1-D array.  The blocks,
+    one prox-path set of two or more coordinates per row, all of one size,
+    gather each row's entries (all of them for the full set); the
+    decreases are then `np.add.accumulate(lam_S / L)` along the rows, the
+    last entry, added to 0.0 and clamped at 0.0 as `max(d, 0.0)` clamps:
+    entry j has the bits of `block_step(problem, xs[j], blocks[j], L,
+    grad=grads[j]).decrease`, the sequential sum of a row being that of a
+    1-D array."""
     flat = None if xs is None else xs.reshape(-1)
     _, per = _certificate_entries(problem.regularizer, flat, grads.reshape(-1), L)
-    return np.add.reduce(per.reshape(grads.shape), axis=-1)
+    per = per.reshape(grads.shape)
+    totals = np.add.reduce(per, axis=-1)
+    if blocks is None:
+        return totals, None
+    if len(blocks[0].indices) < per.shape[1]:
+        per = np.take_along_axis(per, np.array([S.array for S in blocks]), axis=1)
+    decreases = np.add.accumulate(np.divide(per, L, out=per), axis=1)[:, -1]
+    # 0.0 + d turns an all-zero -0.0 sum into 0.0; max(d, 0.0) keeps d unless
+    # 0.0 > d
+    decreases = np.add(0.0, decreases)
+    np.copyto(decreases, 0.0, where=decreases < 0.0)
+    return totals, decreases
 
 
 def forcing(problem: CompositeProblem, x: np.ndarray, L=None) -> float:
@@ -164,8 +199,9 @@ def stepper(problem: CompositeProblem, size: int, L):
         else:    step(x, S, grad, cert) -> (u_S, decrease, rows)
 
     with `rows` the rows S of M when the step gathered them (else None), to
-    be handed to the iterate state's M x update.  Each gives the bits of the
-    block model solved on the block's gather."""
+    be handed to the iterate state's M x update.  A prox-path block step
+    without a certificate computes only u_S, and its decrease is None.  Each
+    gives the bits of the block model solved on the block's gather."""
     n = problem.dim
     if problem.regularizer.is_zero:
         objective = problem.objective
@@ -242,15 +278,20 @@ def _prox_coordinate_kernel(reg, L: float):
 
 
 def _prox_block_kernel(reg, L: float, full: bool):
-    """u_S = v[S] and lam_S = lam[S], read off the full-space model (v, lam):
-    the certificate's, or evaluated here over all n coordinates.  The full
-    set's u_S is v itself."""
+    """Given the certificate, u_S = v[S] and the decrease from lam[S], read
+    off the full-space model (v, lam); the full set's u_S is v itself.
+    Without one, only the prox step of `_prox_step`, on x[S] and grad[S]
+    (on x and grad for the full set), with the bits of v[S], and no
+    decrease (None): a diagnostics run takes it from the chunk's
+    certificate pass (`certificate_totals`)."""
 
     def step(x, S, grad, cert):
         if cert is None:
-            v, lam = _prox_model(reg, x, grad, L)
-        else:
-            v, lam = cert.step_per_coord, cert.lambda_per_coord
+            if not full:
+                idx = S.array
+                x, grad = x[idx], grad[idx]
+            return _prox_step(reg, x, grad, L)[0], None, None
+        v, lam = cert.step_per_coord, cert.lambda_per_coord
         if full:
             u_S, lam_S = v, lam
         else:
@@ -270,28 +311,32 @@ def block_step(problem: CompositeProblem, x: np.ndarray, S: CoordSet, L=None,
     of the step function `stepper` builds for |S| coordinates, as the
     descent loop builds it once per run, after checking the inputs.
 
-    On the prox path the step is read off the full-space model's entries at
-    S: those of `cert`, the certificate at the same x, grad and L (one at
-    another L is refused), or of the model evaluated at L (L_scalar for
-    None); a one-coordinate step without a certificate is taken on Python
-    floats.  The smooth path ignores `cert`: a one-coordinate block {i} is
-    stepped on Python floats and the full set on grad itself, without a
-    gather.  Each gives the bits of the model solved on the block's
-    gather."""
-    if problem.regularizer.is_zero:
-        cert = None
-    else:
+    On the prox path a step of two or more coordinates is read off the
+    full-space model's entries at S: those of `cert`, the certificate at
+    the same x, grad and L (one at another L is refused), or of the
+    certificate taken here at L (L_scalar for None); a one-coordinate step
+    without a certificate is taken on Python floats.  The smooth path
+    ignores `cert`: a one-coordinate block {i} is stepped on Python floats
+    and the full set on grad itself, without a gather.  Each gives the bits
+    of the model solved on the block's gather."""
+    size = len(S.indices)
+    prox = not problem.regularizer.is_zero
+    if prox:
         L = problem.L_scalar if L is None else float(L)
         x = np.asarray(x, dtype=float)
         if cert is not None and cert.L_used != L:
             raise ValueError(f"certificate computed at L={cert.L_used}, "
                              f"step asked at L={L}")
+    else:
+        cert = None
     if cert is None:
         grad = _gradient(problem, x, grad)
         _check_length("gradient", grad, S)
+        if prox and size > 1:
+            # the step function's decrease is read off the certificate
+            cert = certificate(problem, x, L, grad=grad)
     else:
         _check_length("certificate", cert.step_per_coord, S)
-    size = len(S.indices)
     step = stepper(problem, size, L)
     if size == 1:
         i = S.indices[0]

@@ -463,15 +463,15 @@ def test_l1_empirical_optimum_bit_identical_to_a_reference_loop(m, n, seed):
 
 
 def test_prox_model_is_evaluated_once_per_iterate(monkeypatch):
-    """Each iterate's prox model is evaluated exactly once.  A k-step L1 run
-    that holds certificates (a greedy rule, or diagnostics on a block rule)
-    evaluates it k + 1 times, each over all n coordinates (the last after
-    the final step), and reads its block steps off them.  A `uniform` or
-    `cyclic` diagnostics run evaluates the k iterates' models in chunks,
+    """Each iterate's prox model is evaluated at most once.  A k-step L1 run
+    that holds certificates (a greedy rule) evaluates it k + 1 times, each
+    over all n coordinates (the last after the final step), and reads its
+    block steps off them.  Any other diagnostics run (`uniform`, `cyclic`,
+    `full`, `nice:tau`) evaluates the k iterates' models in chunks,
     ceil(k / rows) calls over rows x n entries laid end to end, and the last
-    iterate's once more for `final_lambda`.  Without diagnostics a block
-    step evaluates the model once over all n coordinates, and a serial step
-    not at all (it takes the scalar path)."""
+    iterate's once more for `final_lambda`.  Without diagnostics it is not
+    evaluated at all: a serial step takes the scalar path, and a block step
+    computes only its prox step."""
     problem = _instance("l1", 40, 12, 1)
     empirical_optimum(problem)
     sizes = []
@@ -486,13 +486,12 @@ def test_prox_model_is_evaluated_once_per_iterate(monkeypatch):
     k = 25
     for spec in ("uniform", "greedy", "cyclic") + BLOCK_RULES["l1"]:
         for diagnostics in (True, False):
-            serial = spec in ("uniform", "cyclic")
-            if serial and diagnostics:
-                want = [10 * 12, 10 * 12, 5 * 12, 12]
-            elif diagnostics or spec.startswith("greedy"):
+            if spec.startswith("greedy"):
                 want = [12] * (k + 1)
+            elif diagnostics:
+                want = [10 * 12, 10 * 12, 5 * 12, 12]
             else:
-                want = [] if serial else [12] * k
+                want = []
             sizes.clear()
             result = run(problem, parse_rule(spec, 12, default_seed=3),
                          RunConfig(max_iters=k, record_diagnostics=diagnostics))

@@ -600,13 +600,15 @@ def _assert_certificates_match_the_replay(problem, result):
 
 def test_chunked_certificates_match_a_per_iterate_replay(monkeypatch):
     """Diagnostics runs that take their certificates in chunks of 7 rows
-    (every smooth rule; uniform, cyclic and nice:1 on L1) give the bits of a
-    certificate per iterate, at and around the chunk edges, under a gap stop
-    mid-chunk, and before the first step."""
+    (every smooth rule; uniform, cyclic, nice:1, and the block rules full,
+    nice:2 and nice:3, whose block decreases the chunk pass takes too, on
+    L1) give the bits of a certificate per iterate, at and around the chunk
+    edges, under a gap stop mid-chunk, and before the first step."""
     monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 7 * 16 * 12)
     specs = {"smooth": ("full", "uniform", "importance", "greedy", "cyclic", "nice:1",
                         "nice:3", "greedymb:3"),
-             "l1": ("uniform", "cyclic", "nice:1")}
+             "l1": ("uniform", "cyclic", "nice:1", "full", "nice:2", "nice:3")}
+    gap_specs = {"smooth": ("uniform",), "l1": ("cyclic", "full", "nice:2", "nice:3")}
     smooth = gen_instance(40, 12, seed=3)
     lam = 0.2 * float(np.abs(smooth.grad_f(np.zeros(12))).max())
     for kind, problem in (("smooth", smooth), ("l1", gen_instance(40, 12, seed=3, lam=lam))):
@@ -619,15 +621,15 @@ def test_chunked_certificates_match_a_per_iterate_replay(monkeypatch):
                 _assert_certificates_match_the_replay(problem, result)
         # a gap reached in the third chunk, at the first row whose xi is at
         # most that of row 16
-        spec = specs[kind][1]
-        xi = run(problem, parse_rule(spec, 12, default_seed=5),
-                 RunConfig(max_iters=30)).trace.xi
-        result = run(problem, parse_rule(spec, 12, default_seed=5),
-                     RunConfig(max_iters=30, epsilon=xi.item(16), record_diagnostics=True,
-                               stop_on="gap"))
-        stop = int(np.flatnonzero(xi <= xi.item(16))[0])
-        assert result.termination == "reached_gap" and len(result.trace) == stop > 14
-        _assert_certificates_match_the_replay(problem, result)
+        for spec in gap_specs[kind]:
+            xi = run(problem, parse_rule(spec, 12, default_seed=5),
+                     RunConfig(max_iters=30)).trace.xi
+            result = run(problem, parse_rule(spec, 12, default_seed=5),
+                         RunConfig(max_iters=30, epsilon=xi.item(16),
+                                   record_diagnostics=True, stop_on="gap"))
+            stop = int(np.flatnonzero(xi <= xi.item(16))[0])
+            assert result.termination == "reached_gap" and len(result.trace) == stop > 14, spec
+            _assert_certificates_match_the_replay(problem, result)
 
     problem = CompositeProblem(make_quadratic(random_spd(12, 5.0, 2)))
     result = run(problem, parse_rule("uniform", 12),
@@ -968,12 +970,15 @@ def _replay(problem, make_rule, result, steps, x0):
     `block_step` (with and without the certificate on the prox path) and
     `IterateState.move`, from x0 on a fresh state with a fresh rule: the
     bits of S, u_S, the decrease, x and the heuristic flag, and of F but
-    on a serial prox-path run (within STATE_RTOL there)."""
+    on a serial prox-path run (within STATE_RTOL there).  A prox-path block
+    step without a certificate forms no decrease; in a diagnostics run its
+    theta is the replayed decrease over lambda, as the loop divides them."""
     rule, L, prox = make_rule(), result.L_used, not problem.smooth_path
     trace = result.trace
     state = problem.objective.state_at(x0.copy())
     F_start = problem.F(x0)
     running = prox and rule.max_block_size == 1
+    gap_floor = 1e-14 * max(1.0, abs(trace.F.item(0))) if len(trace) else 0.0
     assert len(steps) == len(trace)
     for k, (x_run, out) in enumerate(steps):
         x, grad = state.x, state.grad
@@ -989,7 +994,15 @@ def _replay(problem, make_rule, result, steps, x0):
             replayed.append(engine.block_step(problem, x, S, L, grad=grad, cert=cert))
         for step in replayed:
             assert step.u_S.tobytes() == u_run.tobytes(), k
-            assert _bits(step.decrease) == _bits(out[1]), k
+            if out[1] is not None:
+                assert _bits(step.decrease) == _bits(out[1]), k
+                continue
+            assert prox and len(S) > 1, k
+            if trace.theta is not None:
+                lam = trace.lam.item(k)
+                live = trace.xi.item(k) > gap_floor and lam > 0
+                theta = np.divide(step.decrease, lam) if live else 0.0
+                assert _bits(trace.theta.item(k)) == _bits(theta), k
         state.move(S, replayed[0].u_S)
     assert state.x.tobytes() == result.x.tobytes()
     _assert_F_replays(result.final_F, state.f + problem.regularizer.value(state.x), F_start,

@@ -446,3 +446,65 @@ def test_a_full_prox_step_survives_the_next_certificate():
         assert step.u_S.tobytes() == u_S
         assert (cert.step_per_coord.tobytes(), cert.lambda_per_coord.tobytes()) == (v, lam_per)
         x = x_next
+
+
+@pytest.mark.parametrize("L", [0.5, 4.0, 2.7])
+def test_a_certificate_free_block_step_reads_only_its_block(L):
+    """The step function of a prox-path block without a certificate computes
+    only the prox step on x[S] and grad[S]: given x and grad whose entries
+    outside S are nan, u_S is finite and has the bits of the prox model's v
+    at S on clean inputs, on entries at x = +-0.0, tiny x, and c = x -
+    grad / L exactly at +-lam / L; it forms no decrease.  The full set's
+    step reads x and grad whole."""
+    lam, n = 0.2, 12
+    p = CompositeProblem(make_quadratic(random_spd(n, 5.0, 3)), make_l1(lam))
+    reg = p.regularizer
+    xs = np.array([0.0, -0.0, 5e-324, -1e-300, 0.3, lam / L, -lam / L])
+    grads = np.array([lam, -lam, 0.0, -0.0, 1.5, -0.01, 5e-324])
+    rng = np.random.default_rng(5)
+    at_edge = False
+    for _ in range(20):
+        x, g = rng.choice(xs, n), rng.choice(grads, n)
+        v, _ = engine._prox_model(reg, x, g, L)
+        c = x - g / L
+        at_edge |= bool((np.abs(c) == lam / L).any())
+        for size in (2, 3, 8, n):
+            step = engine.stepper(p, size, L)
+            S = CoordSet(tuple(sorted(rng.choice(n, size=size, replace=False))), n)
+            idx = S.array
+            x_S, g_S = np.full(n, np.nan), np.full(n, np.nan)
+            x_S[idx], g_S[idx] = x[idx], g[idx]
+            u_S, decrease, rows = step(x_S, S, g_S, None)
+            assert decrease is None and rows is None
+            assert u_S.shape == (size,) and np.isfinite(u_S).all(), (x, g, S)
+            assert u_S.tobytes() == v[idx].tobytes(), (x, g, S)
+    assert at_edge
+
+
+@pytest.mark.parametrize("size", [2, 3, 12])
+def test_chunk_block_decreases_match_block_step_row_by_row(size):
+    """`certificate_totals` given the rows' blocks takes each row's block
+    decrease with the bits of `block_step`'s, and the totals with those of
+    a certificate per row; a row whose lambda_S are all zero (-0.0 among
+    them) has the decrease 0.0, not -0.0."""
+    lam, n = 0.2, 12
+    p = gen_instance(40, n, seed=3, lam=lam)
+    L = p.L_scalar
+    rng = np.random.default_rng(size)
+    xs = rng.standard_normal((9, n)) * rng.integers(0, 2, (9, n))
+    grads = np.array([p.grad_f(x) for x in xs])
+    # the last row: x = 0 and every |g_i| below lam, so each lambda_i is +-0.0
+    xs[-1], grads[-1] = 0.0, 0.5 * lam * rng.choice([-1.0, 1.0], n)
+    blocks = [CoordSet(tuple(sorted(rng.choice(n, size=size, replace=False))), n)
+              for _ in xs]
+    totals, decreases = engine.certificate_totals(p, xs, grads, L, blocks)
+    assert engine.certificate_totals(p, xs, grads, L)[1] is None
+    for j, (x, g, S) in enumerate(zip(xs, grads, blocks)):
+        cert = certificate(p, x, L, grad=g)
+        assert float.hex(totals.item(j)) == float.hex(cert.lambda_total), j
+        step = block_step(p, x, S, L, grad=g)
+        assert float.hex(decreases.item(j)) == float.hex(step.decrease), j
+    lam_S = cert.lambda_per_coord[blocks[-1].array]
+    assert (lam_S == 0.0).all() and np.signbit(lam_S).any()
+    assert decreases.item(-1) == 0.0 and not np.signbit(decreases.item(-1))
+    assert (decreases[:-1] > 0.0).any()
