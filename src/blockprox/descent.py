@@ -17,7 +17,11 @@ read the certificate keeps what forms each iterate's gradient
 (`IterateState.gradient_chunk`) and fills its `lam` column a chunk of
 iterates at a time (`engine.certificate_totals`), with the bits of a
 certificate per iterate; on the prox path the same pass takes the block
-decreases of steps of two or more coordinates, which form none.
+decreases of steps of two or more coordinates, which form none.  A
+full-batch run on the prox path under a certificate stop tests x0's
+certificate inline, then keeps the same chunk and tests the chunk's lambda
+totals against epsilon: its steps read no certificate, and it ends at the
+first row where lambda vanished.
 Rows are `IterationRecord` views of Python scalars, built on read.  The
 audit and the CSV writer read the columns, so an audit is a few numpy
 operations per column.
@@ -213,14 +217,15 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     rounding within n moves only.  The smooth path adds g's 0.0.
 
     The loop computes `engine.certificate` only where it reads it: under
-    stop_on "certificate" and for a greedy rule on the prox path (which
-    selects by lambda_i); such a run's block steps read their step and
-    decrease off it, so the prox model is evaluated once per iterate.  A
-    prox-path block step without a certificate (`full`, `nice:tau`) computes
-    only its prox step on S and forms no decrease.  Any other diagnostics
-    run keeps what forms each iterate's gradient
-    (`IterateState.gradient_chunk`), and x on the prox path, in a chunk of
-    rows within `linalg.SUBSET_CHUNK_BYTES`; the chunk's gradients are
+    stop_on "certificate" (at x0 alone for a prox-path `full` run, below)
+    and for a greedy rule on the prox path (which selects by lambda_i); such
+    a run's block steps read their step and decrease off it, so the prox
+    model is evaluated once per iterate.  A prox-path block step without a
+    certificate (`full`, `nice:tau`) computes only its prox step on S and
+    forms no decrease.  Any other diagnostics run, and a prox-path `full`
+    run under stop_on "certificate" from x1 on, keeps what forms each
+    iterate's gradient (`IterateState.gradient_chunk`), and x on the prox
+    path, in a chunk of rows within `linalg.SUBSET_CHUNK_BYTES`; the chunk's gradients are
     formed at once and `engine.certificate_totals` takes their lambda
     totals in one pass, and on the prox path the block decreases of the
     rows' blocks, outside the steps' timers (`elapsed_ns` times the step:
@@ -229,6 +234,20 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     to the trace's columns; xi, mu and theta are derived from them in numpy
     when the loop ends.  `final_lambda`, when the run has certificates, is
     the one at the returned x.
+
+    A prox-path `full` run under stop_on "certificate" tests x0's
+    certificate inline, before its step (a run that starts at its optimum
+    takes no step and allocates no chunk).  From x1 on it flushes its chunk
+    after 2, 4, 8, ... rows, up to the chunk's row count, and the first row
+    whose lambda total is below epsilon ends it: the trace is cut to the
+    rows before it, and the run returns that row's x, F and lambda
+    (reached_certificate).  The steps taken past that row are discarded,
+    which is exact because a full-batch step depends on x alone.  At a
+    stagnant step and at max_iters the pending rows are flushed first, then
+    the certificate of the last x is taken; a stagnant x whose certificate
+    vanished ends reached_certificate.  A NumericFailureError is raised only
+    if no row kept before it, nor the x whose step failed, had a vanished
+    certificate; otherwise the run ends there.
     """
     n = problem.dim
     x = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
@@ -254,15 +273,21 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     prox_path = not problem.smooth_path
     need_cert = stop_on_cert or (prox_path and rule.row.greedy)
     keeps_lam = need_cert or diagnostics
-    chunked = diagnostics and not need_cert
+    # a full-batch step depends on x alone, so one that leaves F in place is
+    # repeated forever; a serial or minibatch step that does only says its
+    # block is at a minimum.  For the same reason a full-batch prox step,
+    # which reads no certificate, may run past the iterate where lambda
+    # vanished: its certificate stop takes x0's certificate inline, then
+    # tests lambda a chunk of iterates at a time (need_cert turns False
+    # after the first iterate), and the steps taken past the first row
+    # where it vanished are discarded
+    stop_on_stagnation = stop_on_cert and rule.row.shape == "full"
+    chunked_stop = stop_on_stagnation and prox_path
+    chunked = (diagnostics and not need_cert) or chunked_stop
     serial = rule.max_block_size == 1
     # a prox-path block step without a certificate forms no decrease: the
     # chunk's certificate pass takes it
-    chunk_decreases = chunked and prox_path and not serial
-    # a full-batch step depends on x alone, so one that leaves F in place is
-    # repeated forever; a serial or minibatch step that does only says its
-    # block is at a minimum
-    stop_on_stagnation = stop_on_cert and rule.row.shape == "full"
+    chunk_decreases = chunked and diagnostics and prox_path and not serial
     stagnant = False
 
     # the rule's selection and step functions and the state's move, resolved
@@ -291,104 +316,155 @@ def run(problem: CompositeProblem, rule: BlockRule, cfg: RunConfig) -> RunResult
     clock = time.perf_counter_ns
     if chunked:
         # rows of what forms each iterate's gradient, and of x, 16 bytes a
-        # coordinate
+        # coordinate; a certificate stop, whose first row x0 is tested
+        # inline, flushes after 2, 4, 8, ... of them, so that the steps it
+        # discards outnumber those it keeps by one at most
         rows = min(cfg.max_iters, max(1, linalg.SUBSET_CHUNK_BYTES // (16 * n)))
-        grad_chunk = state.gradient_chunk(rows)
-        keep_grad = grad_chunk.keep
-        x_rows = np.empty((rows, n)) if prox_path else None
+        limit = min(2, rows) if chunked_stop else rows
         row = 0
 
-        def add_chunk_lams(count: int) -> None:
+        def new_chunk():
+            """The chunk's rows of what forms the gradient, with its `keep`,
+            and of x on the prox path."""
+            grad_chunk = state.gradient_chunk(rows)
+            return grad_chunk, grad_chunk.keep, np.empty((rows, n)) if prox_path else None
+
+        # a certificate stop allocates its chunk after x0, where it may end
+        grad_chunk, keep_grad, x_rows = (None,) * 3 if chunked_stop else new_chunk()
+
+        def add_chunk_lams(count: int):
             """Append the certificate totals of the chunk's first `count` rows,
-            and their block decreases where the steps formed none."""
+            and their block decreases where the steps formed none.  Under a
+            chunked certificate stop, the first row whose total is below
+            epsilon ends the run: the trace keeps the rows before it, and
+            that row's (x, F, lambda) is returned; otherwise None."""
             xs = None if x_rows is None else x_rows[:count]
             totals, decreases = engine.certificate_totals(
                 problem, xs, grad_chunk.gradients(count), L_used,
                 blocks[-count:] if chunk_decreases else None)
-            lam_col.frombytes(totals.tobytes())
+            end = None
+            if chunked_stop:
+                below = np.flatnonzero(totals < epsilon)
+                if below.size:
+                    count = below.item(0)
+                    t = len(lam_col) + count
+                    end = x_rows[count].copy(), F_col[t], totals.item(count)
+                    for column in (blocks, F_col, decrease_col, norm_col, ns_col,
+                                   heuristic_col):
+                        del column[t:]
+            lam_col.frombytes(totals[:count].tobytes())
             if chunk_decreases:
-                decrease_col.frombytes(decreases.tobytes())
+                decrease_col.frombytes(decreases[:count].tobytes())
+            return end
 
-    for k in range(cfg.max_iters):
-        t0 = clock()
-        if not lazy:
-            grad = state.grad
-            if not _finite_gradient(grad):
-                raise NumericFailureError(f"gradient not finite at iteration {k}", x)
-            if need_cert:
-                cert = engine.certificate(problem, x, L_used, grad=grad)
-                lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
-
-        if stop_on_gap and F_cur - opt_value <= epsilon:
-            termination = "reached_gap"
-            break
-        if stop_on_cert and lam < epsilon:
-            termination = "reached_certificate"
-            break
-        if stagnant:
-            termination = "stagnated"
-            break
-        if chunked:
-            keep_grad(row)
-            if prox_path:
-                x_rows[row] = x
-
-        S = pick(k, grad, lam_per_coord)
-        if serial:
-            i = S.indices[0]
-            if lazy:
-                g_i = grad_entry(i)
-                if not math.isfinite(g_i):
+    vanished = None
+    try:
+        for k in range(cfg.max_iters):
+            t0 = clock()
+            if not lazy:
+                grad = state.grad
+                if not _finite_gradient(grad):
                     raise NumericFailureError(f"gradient not finite at iteration {k}", x)
+                if need_cert:
+                    cert = engine.certificate(problem, x, L_used, grad=grad)
+                    lam, lam_per_coord = cert.lambda_total, cert.lambda_per_coord
+
+            if stop_on_gap and F_cur - opt_value <= epsilon:
+                termination = "reached_gap"
+                break
+            if stop_on_cert and need_cert and lam < epsilon:
+                termination = "reached_certificate"
+                break
+            if stagnant:
+                termination = "stagnated"
+                break
+            if chunked and not need_cert:
+                keep_grad(row)
+                if prox_path:
+                    x_rows[row] = x
+                row += 1
+
+            S = pick(k, grad, lam_per_coord)
+            if serial:
+                i = S.indices[0]
+                if lazy:
+                    g_i = grad_entry(i)
+                    if not math.isfinite(g_i):
+                        raise NumericFailureError(f"gradient not finite at iteration {k}", x)
+                else:
+                    g_i = grad.item(i)
+                u, decrease = step(x, i, g_i, cert)
+                if not math.isfinite(u):
+                    raise NumericFailureError(f"objective not finite after iteration {k}", x)
+                move_coordinate(i, u)
+                # what np.linalg.norm computes for a length-1 array: the dot
+                # 0.0 + u * u
+                step_norm = math.sqrt(0.0 + u * u)
             else:
-                g_i = grad.item(i)
-            u, decrease = step(x, i, g_i, cert)
-            if not math.isfinite(u):
-                raise NumericFailureError(f"objective not finite after iteration {k}", x)
-            move_coordinate(i, u)
-            # what np.linalg.norm computes for a length-1 array: the dot
-            # 0.0 + u * u
-            step_norm = math.sqrt(0.0 + u * u)
-        else:
-            u_S, decrease, M_rows = step(x, S, grad, cert)
-            move(S, u_S, M_rows)
-            step_norm = math.sqrt(float(u_S.dot(u_S)))
-        x_next = state.x
-        if prox_path:
-            F_next = state.f + g_after(x, x_next, S)
-        else:  # g is 0: its value is the float 0.0
-            F_next = state.f + 0.0
-        if not math.isfinite(F_next):
-            raise NumericFailureError(f"objective not finite after iteration {k}", x_next)
-        if F_next > F_init + 1e-6:
-            raise NumericFailureError(
-                f"divergence guard tripped at iteration {k}: "
-                f"F={F_next} exceeds initial {F_init}", x_next)
+                u_S, decrease, M_rows = step(x, S, grad, cert)
+                move(S, u_S, M_rows)
+                step_norm = math.sqrt(float(u_S.dot(u_S)))
+            x_next = state.x
+            if prox_path:
+                F_next = state.f + g_after(x, x_next, S)
+            else:  # g is 0: its value is the float 0.0
+                F_next = state.f + 0.0
+            if not math.isfinite(F_next):
+                raise NumericFailureError(f"objective not finite after iteration {k}", x_next)
+            if F_next > F_init + 1e-6:
+                raise NumericFailureError(
+                    f"divergence guard tripped at iteration {k}: "
+                    f"F={F_next} exceeds initial {F_init}", x_next)
 
-        add_ns(clock() - t0)
-        add_block(S)
-        add_F(F_cur)
-        add_norm(step_norm)
-        add_heuristic(rule.last_was_heuristic)
-        if need_cert:
-            add_lam(lam)
-        if diagnostics and not chunk_decreases:
-            add_decrease(decrease)
-        stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
-        x, F_cur = x_next, F_next
-        if chunked:
-            row += 1
-            if row == rows:
-                add_chunk_lams(rows)
-                row = 0
+            add_ns(clock() - t0)
+            add_block(S)
+            add_F(F_cur)
+            add_norm(step_norm)
+            add_heuristic(rule.last_was_heuristic)
+            if need_cert:
+                add_lam(lam)
+            if diagnostics and (need_cert or not chunk_decreases):
+                add_decrease(decrease)
+            stagnant = stop_on_stagnation and F_cur - F_next < 1e-16 * (1.0 + abs(F_cur))
+            x, F_cur = x_next, F_next
+            if chunked_stop and need_cert:
+                # x0's certificate was taken inline; the chunks begin at x1
+                need_cert, cert = False, None
+                grad_chunk, keep_grad, x_rows = new_chunk()
+            elif chunked and row == limit:
+                vanished = add_chunk_lams(row)
+                row, limit = 0, min(2 * limit, rows)
+                if vanished:
+                    break
+    except NumericFailureError:
+        if not chunked_stop:
+            raise
+        # a failure past a vanished certificate does not surface: the rows
+        # whose steps were taken are tested, then x itself if the failing
+        # step was its own (its row is kept, its gradient having passed)
+        stepped = len(blocks) - len(lam_col)
+        vanished = add_chunk_lams(stepped) if stepped else None
+        if not vanished and row > stepped:
+            lam = engine.certificate(problem, x, L_used, grad=grad).lambda_total
+            if lam < epsilon:
+                vanished = x, F_cur, lam
+        if not vanished:
+            raise
 
-    if chunked and row:
-        add_chunk_lams(row)
+    if chunked and row and not vanished:
+        vanished = add_chunk_lams(row)
     final_lambda = None
-    if need_cert and termination != "exhausted_iters":
+    if vanished:
+        termination = "reached_certificate"
+        x, F_cur, final_lambda = vanished
+    elif need_cert and termination != "exhausted_iters":
         final_lambda = lam
     elif keeps_lam:
         final_lambda = engine.certificate(problem, x, L_used, grad=state.grad).lambda_total
+        if termination == "stagnated" and final_lambda < epsilon:
+            # a chunked stop tests the stagnant iterate's certificate first,
+            # as at every other iterate
+            termination = "reached_certificate"
     F = np.frombuffer(F_col)
     xi = F - opt_value if has_opt else None
     lams = np.frombuffer(lam_col) if keeps_lam else None
@@ -495,6 +571,9 @@ def sequence_bound_check(alphas: Sequence[float], betas: Sequence[float]) -> boo
 def empirical_optimum(problem: CompositeProblem) -> float:
     """Reference F(x*) for instances without a known optimum: a full-batch
     `run` from the origin to a vanishing certificate or a stagnant objective.
+    On the prox path that run takes the certificate at the origin inline and
+    tests the later ones a chunk of iterates at a time (see `run`), so no
+    step past the first evaluates the prox model.
 
     The result is an *empirical* optimum; it is stored on the problem.
     """

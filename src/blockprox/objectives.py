@@ -696,7 +696,9 @@ def gen_instance(m: int, n: int, seed: int, lam: float = 0.0) -> CompositeProble
 
     A = U diag(sigma) V' with orthonormal factors from QR of seeded Gaussian
     matrices, sigma linearly spaced in [1/m, 1]; b = A y with unit-norm
-    Gaussian y; unit-norm Gaussian c.  Deterministic for a fixed seed.
+    Gaussian y; unit-norm Gaussian c.  Deterministic for a fixed seed.  A is
+    formed as (U sigma) V', U's columns scaled, as `random_spd` forms its
+    matrix: the bits of U diag(sigma) V' without the n x n diag(sigma).
     """
     if not m >= n >= 1:
         raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
@@ -709,7 +711,7 @@ def gen_instance(m: int, n: int, seed: int, lam: float = 0.0) -> CompositeProble
     U = ortho(m, n)
     V = ortho(n, n)
     sigma = np.linspace(1.0 / m, 1.0, n)
-    A = U @ np.diag(sigma) @ V.T
+    A = (U * sigma) @ V.T
     y = rng.standard_normal(n)
     y /= np.linalg.norm(y)
     b = A @ y

@@ -498,6 +498,75 @@ def test_prox_model_is_evaluated_once_per_iterate(monkeypatch):
             assert len(result.trace) == k and sizes == want, (spec, diagnostics)
 
 
+def _doubling_chunks(count, rows):
+    """Chunks of 1, 2, 4, ... rows, at most `rows` each, over `count` rows."""
+    sizes, limit = [], 1
+    while count:
+        sizes.append(min(limit, count))
+        count -= sizes[-1]
+        limit = min(2 * limit, rows)
+    return sizes
+
+
+def test_a_certificate_stopped_full_run_evaluates_the_prox_model_per_chunk(monkeypatch):
+    """A certificate-stopped L1 `full` run evaluates the prox model at x0,
+    then once per chunk pass, over chunks of 2, 4, 8, ... rows up to the
+    row count (ten here), and once more at the iterate it ends on when it
+    stagnates or exhausts max_iters; a run that stops at a vanished
+    certificate takes that certificate from its chunk, or at x0 inline.
+    Every other certificate-stopped rule still evaluates it once per
+    iterate and at the end (none on the smooth path)."""
+    sizes = []
+    prox_model = engine._prox_model
+
+    def counting(reg, x, grad, L):
+        sizes.append(len(x))
+        return prox_model(reg, x, grad, L)
+
+    monkeypatch.setattr(engine, "_prox_model", counting)
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 10 * 16 * 12)  # ten rows
+    full = BlockRule("full_batch", 12)
+    problem = _instance("l1", 40, 12, 1)
+    empirical_optimum(problem)
+    sizes.clear()
+    result = run(problem, full, RunConfig(max_iters=200_000, epsilon=1e-24,
+                                          stop_on="certificate"))
+    k = len(result.trace)
+    assert result.termination == "stagnated" and k > 1000
+    assert sizes == [12 * rows for rows in _doubling_chunks(k, 10)] + [12]
+    # from x = 1, lambda is 0 exactly at iterate 11, in the chunk of rows 7
+    # to 14, and the step from it leaves F in place: the rows kept are
+    # flushed at the next iterate
+    quadratic = objectives.quadratic_instance(12, 10.0, 4, 0.3)
+    sizes.clear()
+    result = run(quadratic, full, RunConfig(max_iters=1000, epsilon=1e-24, x0=np.ones(12),
+                                            stop_on="certificate"))
+    assert (result.termination, len(result.trace), result.final_lambda) == (
+        "reached_certificate", 11, 0.0)
+    assert sizes == [12, 24, 48, 60]
+    # 0 is the minimizer: the run from it takes no step
+    sizes.clear()
+    assert empirical_optimum(objectives.quadratic_instance(8, 6.0, 0, 0.2)) == 0.0
+    assert sizes == [8]
+    for spec, want in (("full", [12, 24, 48, 96, 120, 12]), ("greedy", [12] * 26),
+                       ("greedymb:3", [12] * 26), ("uniform", [12] * 26),
+                       ("nice:3", [12] * 26)):
+        for diagnostics in (True, False):
+            sizes.clear()
+            result = run(problem, parse_rule(spec, 12, default_seed=3),
+                         RunConfig(max_iters=25, epsilon=1e-24, stop_on="certificate",
+                                   record_diagnostics=diagnostics))
+            assert result.termination == "exhausted_iters" and sizes == want, (spec,
+                                                                              diagnostics)
+    smooth = _instance("smooth", 40, 12, 1)
+    sizes.clear()
+    for spec in ("full", "greedy", "nice:3"):
+        run(smooth, parse_rule(spec, 12, default_seed=3),
+            RunConfig(max_iters=25, epsilon=1e-24, stop_on="certificate"))
+    empirical_optimum(smooth)
+    assert sizes == []
+
+
 def _raise(*args, **kwargs):
     raise AssertionError("the block path called a checked wrapper")
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blockprox import engine, linalg, rates, selection
+from blockprox import engine, linalg, objectives, rates, selection
 from blockprox.descent import (
     TRACE_HEADER,
     IterationRecord,
@@ -923,6 +923,196 @@ def test_certificate_stop_steps_past_blocks_already_at_a_minimum(spec):
 
 def _bits(value):
     return np.float64(value).tobytes()
+
+
+def _l1_instance(m, n, seed):
+    """gen_instance with the L1 weight 0.2 ||grad f(0)||_inf."""
+    lam = 0.2 * float(np.abs(gen_instance(m, n, seed).grad_f(np.zeros(n))).max())
+    return gen_instance(m, n, seed, lam=lam)
+
+
+def _certificate_stop_oracle(problem, cfg):
+    """A certificate-stopped full-batch run as a loop over its iterates: at
+    each, `engine.certificate`; a total below epsilon ends the run
+    (reached_certificate), else a stagnant last step does (stagnated), else
+    the full step and its decrease are read off the certificate
+    (`engine.block_step`) and the state moves.  Returns the run's rows as
+    (F, lambda, decrease, step norm), and its x, F, termination and
+    `final_lambda` (at max_iters, the certificate at the last x)."""
+    n, reg = problem.dim, problem.regularizer
+    rule = BlockRule("full_batch", n)
+    L, S = rates.rule_L(problem, rule)[0], rule.full_set
+    state = problem.objective.state_at(np.zeros(n) if cfg.x0 is None else cfg.x0.copy())
+    F = state.f + reg.value(state.x)
+    rows, stagnant, termination = [], False, "exhausted_iters"
+    for _ in range(cfg.max_iters):
+        cert = engine.certificate(problem, state.x, L, grad=state.grad)
+        lam = cert.lambda_total
+        if lam < cfg.epsilon:
+            termination = "reached_certificate"
+            break
+        if stagnant:
+            termination = "stagnated"
+            break
+        step = engine.block_step(problem, state.x, S, L, grad=state.grad, cert=cert)
+        state.move(S, step.u_S)
+        F_next = state.f + reg.value(state.x)
+        rows.append((F, lam, step.decrease, math.sqrt(float(step.u_S.dot(step.u_S)))))
+        stagnant = F - F_next < 1e-16 * (1.0 + abs(F))
+        F = F_next
+    else:
+        lam = engine.certificate(problem, state.x, L, grad=state.grad).lambda_total
+    return rows, state.x, F, termination, lam
+
+
+def _assert_certificate_stop_matches_the_oracle(problem, cfg):
+    """`run` of the full-batch rule under `cfg`, with diagnostics on and off,
+    against `_certificate_stop_oracle`: the bits of x, F, xi, lambda, mu,
+    theta, the step norms, the blocks, termination, `final_lambda` and the
+    length.  Returns the oracle's rows and termination."""
+    rows, x, F, termination, final_lambda = _certificate_stop_oracle(problem, cfg)
+    opt = problem.opt_value
+    gap_floor = 1e-14 * max(1.0, abs(rows[0][0])) if rows else 0.0
+    mu, theta = [], []
+    for F_k, lam, decrease, _ in rows:
+        live = F_k - opt > gap_floor
+        mu.append(lam / (F_k - opt) if live else 0.0)
+        theta.append(decrease / lam if live and lam > 0 else 0.0)
+    F_col, lams, _, norms = (np.array([r[j] for r in rows], dtype=float) for j in range(4))
+    for diagnostics in (True, False):
+        result = run(problem, BlockRule("full_batch", problem.dim),
+                     RunConfig(max_iters=cfg.max_iters, epsilon=cfg.epsilon, x0=cfg.x0,
+                               stop_on="certificate", record_diagnostics=diagnostics))
+        trace, what = result.trace, (termination, len(rows), diagnostics)
+        assert (result.termination, len(trace)) == (termination, len(rows)), what
+        assert all(S.is_full() for S in trace.blocks), what
+        assert result.x.tobytes() == x.tobytes(), what
+        for got, want in ((trace.F, F_col), (trace.xi, F_col - opt), (trace.lam, lams),
+                          (trace.step_norm, norms)):
+            assert got.tobytes() == want.tobytes(), what
+        if diagnostics:
+            assert trace.mu.tobytes() == np.array(mu, dtype=float).tobytes(), what
+            assert trace.theta.tobytes() == np.array(theta, dtype=float).tobytes(), what
+        else:
+            assert trace.mu is None and trace.theta is None, what
+        assert (_bits(result.final_F), _bits(result.final_xi), _bits(result.final_lambda)) == (
+            _bits(F), _bits(F - opt), _bits(final_lambda)), what
+    return rows, termination
+
+
+# the configuration `empirical_optimum` runs
+EMPIRICAL = RunConfig(max_iters=200_000, epsilon=1e-24, stop_on="certificate")
+# x'Qx/2 + lam ||x||_1 with Q = random_spd(n, cond, seed), as (n, cond, seed,
+# lam), whose full steps from x = 1 reach lambda = 0 exactly
+L1_QUADRATICS = [(10, 8.0, 0, 0.1), (8, 6.0, 1, 0.2), (6, 4.0, 2, 0.1), (12, 10.0, 4, 0.3)]
+
+
+@pytest.mark.parametrize("make, cfg, termination", [
+    *(pytest.param(lambda s=s: _l1_instance(40, 12, s), EMPIRICAL, "stagnated",
+                   id=f"40x12-s{s}") for s in range(4)),
+    pytest.param(lambda: _l1_instance(200, 32, 1), EMPIRICAL, "stagnated", id="200x32-s1"),
+    *(pytest.param(lambda q=q: objectives.quadratic_instance(*q),
+                   RunConfig(max_iters=1000, epsilon=1e-24, x0=np.ones(q[0]),
+                             stop_on="certificate"),
+                   "reached_certificate", id=f"quadratic-{q[0]}") for q in L1_QUADRATICS),
+])
+def test_certificate_stopped_l1_full_runs_match_a_per_iterate_oracle(make, cfg, termination):
+    """A certificate-stopped L1 full run tests lambda a chunk of iterates at a
+    time, and stops at the first row where it vanished: the bits of a run
+    that takes the certificate at every iterate, for runs that end
+    stagnated and runs whose certificate reaches 0 exactly.  The empirical
+    optimum is the lower F of the oracle's last step."""
+    problem = make()
+    F_star = empirical_optimum(problem)
+    rows, got = _assert_certificate_stop_matches_the_oracle(problem, cfg)
+    assert got == termination and len(rows) > 2
+    if cfg is EMPIRICAL:
+        _, _, F, _, _ = _certificate_stop_oracle(problem, cfg)
+        assert _bits(F_star) == _bits(min(F, rows[-1][0]))
+
+
+def test_a_certificate_stop_lands_on_any_row_of_a_chunk(monkeypatch):
+    """x0 tested inline, then chunks of 2, 4, 8, then 10 rows (the patched
+    row count): epsilons just above the lambda of rows 0 (x0), 7, 10, 14,
+    25, 30 and 34 (the first, a middle and the last row of a chunk, a
+    saturated one too) and of the stagnating iterate end the run there, as
+    a certificate per iterate does; so does a max_iters that ends
+    mid-chunk."""
+    monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", 10 * 16 * 12)
+    problem = _l1_instance(40, 12, 0)
+    empirical_optimum(problem)
+    rows, x, _, termination, final_lambda = _certificate_stop_oracle(problem, EMPIRICAL)
+    assert termination == "stagnated"
+    lams = [lam for _, lam, _, _ in rows] + [final_lambda]
+    for stop in (0, 7, 10, 14, 25, 30, 34, len(rows)):
+        epsilon = float(np.nextafter(lams[stop], math.inf))
+        assert min(lams[:stop], default=math.inf) >= epsilon, stop
+        cfg = RunConfig(max_iters=200_000, epsilon=epsilon, stop_on="certificate")
+        got, termination = _assert_certificate_stop_matches_the_oracle(problem, cfg)
+        assert (termination, len(got)) == ("reached_certificate", stop)
+    for iters in (12, 30):
+        cfg = RunConfig(max_iters=iters, epsilon=1e-24, stop_on="certificate")
+        got, termination = _assert_certificate_stop_matches_the_oracle(problem, cfg)
+        assert (termination, len(got)) == ("exhausted_iters", iters)
+
+
+def _failing_l1_quadratic(nan_gradient_at=None, inf_value_after=None):
+    """x'Qx/2 + 0.1 ||x||_1 with Q = random_spd(10, 8.0, 0) as a closure
+    objective whose gradient is nan at iterate `nan_gradient_at` and whose
+    value is inf after step `inf_value_after` (the state reads one gradient
+    per iterate, and one value at x0 and after each step)."""
+    Q = random_spd(10, 8.0, 0)
+    calls = {"grad": 0, "f": 0}
+
+    def grad_f(x):
+        calls["grad"] += 1
+        return np.full(10, np.nan) if calls["grad"] - 1 == nan_gradient_at else Q @ x
+
+    def eval_f(x):
+        calls["f"] += 1
+        return np.inf if calls["f"] - 2 == inf_value_after else 0.5 * float(x @ (Q @ x))
+
+    problem = CompositeProblem(Objective(dim=10, eval_f=eval_f, grad_f=grad_f, smoothness=Q),
+                               make_l1(0.1))
+    problem.opt_value = 0.0
+    return problem
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_a_failure_past_a_vanished_certificate_ends_the_run_where_it_vanished(diagnostics):
+    """From x = 1 the certificate first falls below 0.1 at iterate 11, in
+    the chunk of rows 7 to 14.  A nan gradient at iterate 12 or 14, or an
+    inf objective after the step from iterate 11 or 13, comes past it: the
+    run ends there (reached_certificate), with the bits of a run without
+    the failure.  The same failures under an epsilon that no iterate
+    before them reaches raise, with the message and the iterate of a
+    certificate per iterate."""
+    x0 = np.ones(10)
+
+    def cfg(epsilon, max_iters=1000):
+        return RunConfig(max_iters=max_iters, epsilon=epsilon, x0=x0, stop_on="certificate",
+                         record_diagnostics=diagnostics)
+
+    clean = run(_failing_l1_quadratic(), BlockRule("full_batch", 10), cfg(0.1))
+    assert clean.termination == "reached_certificate" and len(clean.trace) == 11
+    for poison in ({"nan_gradient_at": 12}, {"nan_gradient_at": 14},
+                   {"inf_value_after": 11}, {"inf_value_after": 13}):
+        result = run(_failing_l1_quadratic(**poison), BlockRule("full_batch", 10), cfg(0.1))
+        assert result.termination == "reached_certificate", poison
+        assert result.x.tobytes() == clean.x.tobytes(), poison
+        for column in ("F", "xi", "lam", "mu", "theta", "step_norm"):
+            got, want = getattr(result.trace, column), getattr(clean.trace, column)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), column
+        assert (_bits(result.final_F), _bits(result.final_lambda)) == (
+            _bits(clean.final_F), _bits(clean.final_lambda)), poison
+    for poison, message, at in (({"nan_gradient_at": 5}, "gradient not finite at iteration 5", 5),
+                                ({"inf_value_after": 5}, "objective not finite after iteration 5",
+                                 6)):
+        with pytest.raises(NumericFailureError, match=rf"^{message}$") as failure:
+            run(_failing_l1_quadratic(**poison), BlockRule("full_batch", 10), cfg(1e-24))
+        # the iterate the failure names: x after `at` steps
+        oracle = _certificate_stop_oracle(_failing_l1_quadratic(), cfg(1e-24, max_iters=at))
+        assert failure.value.iterate.tobytes() == oracle[1].tobytes(), poison
 
 
 def _record_the_kernels(monkeypatch):

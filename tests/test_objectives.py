@@ -171,6 +171,27 @@ def test_gen_instance_determinism_and_structure():
     assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-8)
 
 
+def _gen_instance_A(m, n, seed):
+    """A as `gen_instance` once formed it, U @ np.diag(sigma) @ V.T, from the
+    same draws: the oracle of its scaled-columns product."""
+    rng = np.random.default_rng(seed)
+
+    def ortho(rows, cols):
+        Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
+        return Q * np.sign(np.diag(R))
+
+    U = ortho(m, n)
+    V = ortho(n, n)
+    return U @ np.diag(np.linspace(1.0 / m, 1.0, n)) @ V.T
+
+
+@pytest.mark.parametrize("m, n", [(50, 1), (40, 12), (200, 32), (1000, 100)])
+def test_gen_instance_A_has_the_bits_of_the_diagonal_product(m, n):
+    for seed in range(4):
+        A = gen_instance(m, n, seed).objective.A
+        assert A.tobytes() == _gen_instance_A(m, n, seed).tobytes(), seed
+
+
 def test_gen_instance_validation():
     with pytest.raises(ValueError):
         gen_instance(5, 6, seed=0)
