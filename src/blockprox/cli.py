@@ -269,15 +269,17 @@ def cmd_gen(cfg: ExperimentConfig, out_path=None) -> str:
 
 
 def library_versions() -> dict:
-    """The Python, numpy and scipy versions, and the name and version of the
-    BLAS each of numpy and scipy was built with (each ships its own)."""
-    def blas(show_config):
-        info = show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-        return {key: info.get(key) for key in ("name", "version")}
+    """The Python, numpy and scipy versions, and per BLAS that numpy and
+    scipy each ship: the name and version it was built with, and the core
+    and thread count it runs with (`linalg.blas_runtime`, None where it
+    cannot be asked), on which M's bytes depend."""
+    def blas(package):
+        info = package.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        return {key: info.get(key) for key in ("name", "version")} | linalg.blas_runtime(package)
 
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": {"numpy": blas(np.show_config), "scipy": blas(scipy.show_config)}}
+            "blas": {"numpy": blas(np), "scipy": blas(scipy)}}
 
 
 def cmd_run(cfg: ExperimentConfig):

@@ -10,17 +10,30 @@ checked wrappers and with their bytes; the caller vouches for its inputs as
 stated per function.  The table's blocks are inverted in numpy, a chunk at a
 time (`spd_inverses`), with no LAPACK call per block.
 
+It also owns the one handle on the OpenBLAS runtime that numpy and scipy
+each bundle (`openblas`, looked up through ctypes on first use): the core
+and thread count a run names in its report (`blas_runtime`), and the scope
+in which numpy's BLAS runs on one thread (`one_blas_thread`).  The QR
+factors of the generated instances are taken in that scope, so their bytes
+do not depend on the caller's thread count, and a QR at the paper's
+m=1000, n=100 takes half the time it takes split over two threads.
+
 Coordinate indices are 0-based internally.  All user-facing I/O (configs,
 trace files) converts to 1-based.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
+import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs
@@ -44,6 +57,91 @@ SYMMETRY_RTOL = 1e-12
 #: and bounds the forms an objective keeps after taking E from them
 #: (`Objective.expected_inverse`).
 SUBSET_CHUNK_BYTES = 2**20
+
+
+class OpenBLAS(NamedTuple):
+    """The runtime calls of an OpenBLAS bundled with numpy or scipy; those
+    the library does not export are None."""
+
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None] | None
+    get_corename: Callable[[], bytes] | None
+
+
+#: package name -> its bundled OpenBLAS, or None where none answers;
+#: filled by `openblas` on the first call for each package
+_OPENBLAS: dict[str, OpenBLAS | None] = {}
+
+
+def _find_openblas(package) -> OpenBLAS | None:
+    """The first `*openblas*` library in the wheel's `<package>.libs`
+    directory that exports a `get_num_threads` under one of the names the
+    scipy-openblas and plain OpenBLAS builds use (64-bit or not)."""
+    libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                        package.__name__ + ".libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"),
+                                                ("64_", "")):
+            def symbol(name, restype):
+                fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+                if fn is not None:
+                    fn.restype = restype
+                return fn
+
+            get_threads = symbol("get_num_threads", ctypes.c_int)
+            if get_threads is not None:
+                return OpenBLAS(get_threads, symbol("set_num_threads", None),
+                                symbol("get_corename", ctypes.c_char_p))
+    return None
+
+
+def openblas(package) -> OpenBLAS | None:
+    """The OpenBLAS bundled with `package` (numpy or scipy, each of which
+    ships its own), found on the first call and kept; None where no such
+    library answers (say a BLAS from the system)."""
+    name = package.__name__
+    if name not in _OPENBLAS:
+        _OPENBLAS[name] = _find_openblas(package)
+    return _OPENBLAS[name]
+
+
+def blas_runtime(package) -> dict:
+    """The core name and thread count of `package`'s OpenBLAS as
+    {"core", "threads"}, each None where the library cannot be asked."""
+    lib = openblas(package)
+    if lib is None:
+        return {"core": None, "threads": None}
+    core = lib.get_corename() if lib.get_corename is not None else None
+    return {"core": core.decode() if core is not None else None,
+            "threads": lib.get_num_threads()}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one thread of numpy's OpenBLAS, and restore the
+    caller's thread count after it, also when it raises.  Nothing is done
+    where numpy's BLAS has no thread setter.
+
+    Taken around the QR of each generated instance: at 1000 x 100 one
+    thread factors in half the time of two, and the factors' bytes no
+    longer depend on the caller's thread count.  A large square QR is
+    slower on one thread (2000 x 2000: 0.47 s on two, 0.58-0.61 s on one,
+    on a 2-CPU SkylakeX host); no instance the benchmark or the tests
+    generate is that large."""
+    lib = openblas(np)
+    if lib is None or lib.set_num_threads is None:
+        yield
+        return
+    threads = lib.get_num_threads()
+    lib.set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.set_num_threads(threads)
 
 
 class InvalidSetError(ValueError):

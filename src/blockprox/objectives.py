@@ -595,13 +595,17 @@ def random_spd(n: int, cond: float, seed: int) -> np.ndarray:
     """Q diag(linspace(1, cond, n)) Q' with Q a seeded random orthogonal
     matrix (QR of a Gaussian matrix, signs fixed by R's diagonal).  `cond` is
     the condition number of linspace(1, cond, n), so it must be finite and
-    at least 1, and n must be at least 1."""
+    at least 1, and n must be at least 1.  The QR runs on one BLAS thread
+    (`linalg.one_blas_thread`): Q does not depend on the caller's thread
+    count; the product Q diag Q' is taken on the caller's threads."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 1.0 <= cond < math.inf:
         raise ValueError(f"cond must be finite and at least 1, got {cond!r}")
     rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    G = rng.standard_normal((n, n))
+    with linalg.one_blas_thread():
+        Q, R = np.linalg.qr(G)
     Q = Q * np.sign(np.diag(R))
     return (Q * np.linspace(1.0, cond, n)) @ Q.T
 
@@ -699,13 +703,21 @@ def gen_instance(m: int, n: int, seed: int, lam: float = 0.0) -> CompositeProble
     Gaussian y; unit-norm Gaussian c.  Deterministic for a fixed seed.  A is
     formed as (U sigma) V', U's columns scaled, as `random_spd` forms its
     matrix: the bits of U diag(sigma) V' without the n x n diag(sigma).
+
+    Both QRs run on one BLAS thread (`linalg.one_blas_thread`), the draws
+    and products on the caller's: at m=1000, n=100 that halves the QR, and
+    A, b and c have the same bytes whatever the caller's thread count.  M =
+    (A'A + cc')/m, taken by the objective on the caller's threads, still
+    depends on it (report.json's `versions.blas` names the count).
     """
     if not m >= n >= 1:
         raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
 
     def ortho(rows, cols):
-        Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
+        G = rng.standard_normal((rows, cols))
+        with linalg.one_blas_thread():
+            Q, R = np.linalg.qr(G)
         return Q * np.sign(np.diag(R))  # fix the sign ambiguity of QR
 
     U = ortho(m, n)

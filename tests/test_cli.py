@@ -1077,8 +1077,9 @@ def test_min_xi_shows_a_run_below_the_empirical_optimum(tmp_path):
 
 
 def test_report_carries_library_versions_and_each_runs_wall_time(tmp_path, monkeypatch):
-    """report.json's top level names the Python, numpy and scipy versions
-    and the BLAS each was built with; each run entry carries its wall time,
+    """report.json's top level names the Python, numpy and scipy versions,
+    the BLAS each was built with and the core and thread count it ran with
+    (null where it cannot be asked); each run entry carries its wall time,
     which holds its steps (the trace's ns) and its set-up outside them (say
     the greedy minibatch's forms).  A run that fails numerically has one
     too."""
@@ -1103,9 +1104,19 @@ def test_report_carries_library_versions_and_each_runs_wall_time(tmp_path, monke
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__}
     assert sorted(versions["blas"]) == ["numpy", "scipy"]
-    for blas in versions["blas"].values():
-        assert sorted(blas) == ["name", "version"]
-        assert all(isinstance(value, str) and value for value in blas.values())
+    for package in (np, scipy):
+        blas = versions["blas"][package.__name__]
+        assert sorted(blas) == ["core", "name", "threads", "version"]
+        assert all(isinstance(blas[key], str) and blas[key] for key in ("name", "version"))
+        # the runtime the run's bytes were made with: the count is the
+        # caller's, which the run leaves as it found it
+        assert {key: blas[key] for key in ("core", "threads")} == (
+            cli.linalg.blas_runtime(package))
+        assert blas["core"] is None or isinstance(blas["core"], str) and blas["core"]
+        assert blas["threads"] is None or type(blas["threads"]) is int and blas["threads"] > 0
+    monkeypatch.setattr(cli.linalg, "_OPENBLAS", {"numpy": None, "scipy": None})
+    for blas in cli.library_versions()["blas"].values():
+        assert blas["core"] is None and blas["threads"] is None
     assert [e["rule"] for e in report["runs"] if "error" in e] == ["cyclic"]
     for entry in report["runs"]:
         assert type(entry["wall_s"]) is float and entry["wall_s"] > 0, entry["rule"]

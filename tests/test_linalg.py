@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import blockprox
+from blockprox import linalg
 from blockprox.linalg import (
     CoordSet,
     EnumerationTooLargeError,
@@ -96,6 +97,57 @@ def test_only_linalg_calls_lapack():
             if any(name.startswith("scipy.linalg.lapack") for name in names):
                 importers.add(path.name)
     assert importers == {"linalg.py"}
+
+
+def test_one_blas_thread_sets_one_thread_and_restores_the_callers_count():
+    lib = linalg.openblas(np)
+    if lib is None or lib.set_num_threads is None:
+        pytest.skip("numpy's BLAS has no thread setter")
+    threads = lib.get_num_threads()
+    try:
+        lib.set_num_threads(2)
+        with linalg.one_blas_thread():
+            assert lib.get_num_threads() == 1
+        assert lib.get_num_threads() == 2
+        with pytest.raises(KeyError), linalg.one_blas_thread():
+            raise KeyError("body")
+        assert lib.get_num_threads() == 2
+    finally:
+        lib.set_num_threads(threads)
+
+
+def test_one_blas_thread_without_a_setter_does_nothing(monkeypatch):
+    """Where numpy's BLAS cannot be asked, or has no thread setter, the
+    scope runs its block and calls nothing; the runtime reads None."""
+    lib = linalg.openblas(np)
+    threads = lib.get_num_threads() if lib is not None else None
+    calls = []
+
+    def getter():
+        calls.append("get")
+        return 2
+
+    for found in (None, linalg.OpenBLAS(getter, None, None)):
+        monkeypatch.setitem(linalg._OPENBLAS, "numpy", found)
+        with linalg.one_blas_thread():
+            q, _ = np.linalg.qr(np.eye(3))
+        assert q.shape == (3, 3)
+        assert calls == []
+        if lib is not None:
+            assert lib.get_num_threads() == threads
+    monkeypatch.setitem(linalg._OPENBLAS, "numpy", None)
+    assert linalg.blas_runtime(np) == {"core": None, "threads": None}
+
+
+def test_openblas_lookup_is_none_without_a_bundled_library(tmp_path):
+    """A package with no `<name>.libs` directory beside it has no OpenBLAS
+    to ask; the lookup is kept per package."""
+    class Package:
+        __name__ = "nolibs"
+        __file__ = str(tmp_path / "nolibs" / "__init__.py")
+
+    assert linalg._find_openblas(Package) is None
+    assert linalg.openblas(np) is linalg.openblas(np)
 
 
 def test_eig_extremes():

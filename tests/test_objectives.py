@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blockprox import objectives
+from blockprox import linalg, objectives
 from blockprox.objectives import (
     CompositeProblem,
     L1Regularizer,
@@ -190,6 +190,70 @@ def test_gen_instance_A_has_the_bits_of_the_diagonal_product(m, n):
     for seed in range(4):
         A = gen_instance(m, n, seed).objective.A
         assert A.tobytes() == _gen_instance_A(m, n, seed).tobytes(), seed
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS, whose thread count the test may set; the count is
+    restored after the test."""
+    lib = linalg.openblas(np)
+    if lib is None or lib.set_num_threads is None:
+        pytest.skip("numpy's BLAS has no thread setter")
+    threads = lib.get_num_threads()
+    yield lib
+    lib.set_num_threads(threads)
+
+
+def _generators():
+    """Each instance generator with a QR, called at a small size."""
+    return [lambda: gen_instance(40, 12, 0), lambda: objectives.random_spd(12, 10.0, 0)]
+
+
+def test_instance_qr_runs_on_one_blas_thread(blas, monkeypatch):
+    """Both QRs of `gen_instance` and the one of `random_spd` run with
+    numpy's BLAS at one thread, and the caller's count is back after each
+    call."""
+    blas.set_num_threads(2)
+    qr = np.linalg.qr
+    seen = []
+
+    def recording_qr(a):
+        seen.append((a.shape, blas.get_num_threads()))
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    for generate in _generators():
+        generate()
+        assert blas.get_num_threads() == 2
+    assert seen == [((40, 12), 1), ((12, 12), 1), ((12, 12), 1)]
+
+
+def test_instance_generators_restore_blas_threads_when_the_qr_raises(blas, monkeypatch):
+    def failing_qr(a):
+        raise np.linalg.LinAlgError("qr failed")
+
+    monkeypatch.setattr(np.linalg, "qr", failing_qr)
+    for threads in (2, 1):
+        blas.set_num_threads(threads)
+        for generate in _generators():
+            with pytest.raises(np.linalg.LinAlgError):
+                generate()
+            assert blas.get_num_threads() == threads
+
+
+def test_gen_instance_bytes_do_not_depend_on_blas_threads(blas):
+    """A, b and c are the same bytes whether the caller's BLAS runs on one
+    thread or two, at a size where a QR split over two threads gives other
+    bytes than one on one thread."""
+    def instance_bytes(seed):
+        o = gen_instance(2000, 200, seed).objective
+        return o.A.tobytes(), o.b.tobytes(), o.c.tobytes()
+
+    for seed in range(2):
+        blas.set_num_threads(1)
+        one = instance_bytes(seed)
+        blas.set_num_threads(2)
+        assert instance_bytes(seed) == one, seed
 
 
 def test_gen_instance_validation():
